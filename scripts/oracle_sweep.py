@@ -5,7 +5,6 @@ classical neighbouring equations as sanity anchors for the scanner itself.
 Usage:
     python scripts/oracle_sweep.py
     python scripts/oracle_sweep.py --k-max 3 --x-max 100000
-    LN_KIT_THREADS=4 python scripts/oracle_sweep.py
 """
 
 from __future__ import annotations

@@ -7,11 +7,12 @@ instead of being trusted as a bare boolean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
-from .equation_model import LNInstance, Solution, is_solution
-from .oracle import isqrt, perfect_root
+from .equation_model import Solution
+from .oracle import perfect_root
 
 OUTCOME_CONTRADICTION = "contradiction"
 OUTCOME_FORCED = "forced"
@@ -68,9 +69,7 @@ class CaseVerdict:
         if self.constraints:
             out["constraints"] = list(self.constraints)
         if self.solutions:
-            out["solutions"] = [
-                {"x": str(s.x), "y": str(s.y), "n": s.n} for s in self.solutions
-            ]
+            out["solutions"] = [s.to_jsonable() for s in self.solutions]
         if self.trace:
             out["trace"] = [
                 {k: json_safe(v) for k, v in step.items()} for step in self.trace
@@ -110,16 +109,6 @@ class ValuationSplit:
             )
         if self.X % 2 == 0:
             raise ValueError(f"X must be odd (x is odd), got {self.X}")
-
-
-def n1_parametric(k: int, t: int) -> Solution:
-    """The n = 1 member for parameter t: (2t+1, t^2 + t + (1 + 19^(2k+1))/4, 1)."""
-    if k < 0 or t < 0:
-        raise ValueError(f"k and t must be non-negative, got k={k}, t={t}")
-    D = 19 ** (2 * k + 1)
-    sol = Solution(2 * t + 1, t * t + t + (1 + D) // 4, 1)
-    assert is_solution(LNInstance(k), *sol.as_tuple())
-    return sol
 
 
 def even_case(k: int, m: int) -> CaseVerdict:
@@ -392,7 +381,7 @@ def no_19z2_solutions(n_max: int = 20, z_max: int = 10**5) -> CaseVerdict:
             m = v - 1
             if m % 19 == 0:
                 z2 = m // 19
-                z = isqrt(z2)
+                z = math.isqrt(z2)
                 if z * z == z2 and z % 2 == 1:
                     witnesses.append((z, y, n))
             y += 1

@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass
 from typing import Any, IO
 
-from .caseworks import json_safe
 from .equation_model import FamilySpec, LNInstance, instantiate_family, theorem_solution_set
 from .lucas_engine import LucasPair, lucas_u, primitive_divisor
 from .oracle import SearchWindow, brute_force, generalized_scan
@@ -40,9 +39,7 @@ def _emit(sink: IO[str], obj: dict[str, Any], fmt: str) -> None:
 
 
 def _solution_obj(sol, **extra: Any) -> dict[str, Any]:
-    out = {"kind": "solution", "x": str(sol.x), "y": str(sol.y), "n": sol.n}
-    out.update(extra)
-    return out
+    return {"kind": "solution", **sol.to_jsonable(), **extra}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,16 +129,7 @@ def _cmd_solve(cfg: CommandConfig, sink: IO[str]) -> int:
         _emit(sink, _solution_obj(sol, k=opt["k"]), cfg.output_format)
     if opt["trace"]:
         for step in trace.steps:
-            _emit(
-                sink,
-                {
-                    "kind": "trace_step",
-                    "op": step.op,
-                    "inputs": {k: json_safe(v) for k, v in step.inputs.items()},
-                    "result": step.result,
-                },
-                cfg.output_format,
-            )
+            _emit(sink, {"kind": "trace_step", **step.to_jsonable()}, cfg.output_format)
     _emit(
         sink,
         {
@@ -244,11 +232,7 @@ def _cmd_primdiv(cfg: CommandConfig, sink: IO[str]) -> int:
             "kind": "primitive_divisor",
             "p": opt["p"],
             "q": opt["q"],
-            "n": verdict.n,
-            "exists": verdict.exists,
-            "witness": None if verdict.witness is None else str(verdict.witness),
-            "obstruction": verdict.obstruction,
-            "indeterminate": verdict.indeterminate,
+            **verdict.to_jsonable(),
         },
         cfg.output_format,
     )

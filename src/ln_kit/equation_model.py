@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar
+from typing import Any, ClassVar
 
 
 class FamilyKind(str, Enum):
@@ -51,6 +51,10 @@ class Solution:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.n)
+
+    def to_jsonable(self) -> dict[str, Any]:
+        # decimal strings: x and y overflow a JSON consumer's doubles
+        return {"x": str(self.x), "y": str(self.y), "n": self.n}
 
     @property
     def sort_key(self) -> tuple[int, int, int]:

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import Any
 
 TRIAL_DIVISION_LIMIT = 10**6
 
@@ -55,6 +56,9 @@ class BhvRoute(str, Enum):
     CHECK_DEFECT_TABLE = "CheckDefectTable"
     SMALL_PRIME = "SmallPrime"
 
+    def to_jsonable(self) -> dict[str, str]:
+        return {"route": self.value}
+
 
 @dataclass(frozen=True)
 class PrimitiveDivisorVerdict:
@@ -71,6 +75,15 @@ class PrimitiveDivisorVerdict:
     obstruction: str | None = None
     indeterminate: bool = False
     factors: tuple[int, ...] = ()
+
+    def to_jsonable(self) -> dict[str, Any]:
+        return {
+            "n": self.n,
+            "exists": self.exists,
+            "witness": None if self.witness is None else str(self.witness),
+            "obstruction": self.obstruction,
+            "indeterminate": self.indeterminate,
+        }
 
 
 def lucas_sequence(pair: LucasPair, n: int) -> list[int]:
@@ -113,7 +126,7 @@ def bhv_gate(pair: LucasPair, p: int) -> BhvRoute:
     """Route the u_p = +-1 question: p > 13 never happens (primitive divisors
     always exist), p in {5, 7, 11, 13} needs the defective-pair tables, and
     p <= 3 is handled by dedicated congruence casework."""
-    if not _is_probable_prime(p):
+    if not is_probable_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p > 13:
         return BhvRoute.ALWAYS_PRIMITIVE
@@ -133,7 +146,8 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(sieve) if v)
 
 
-def _is_probable_prime(n: int) -> bool:
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin over _MR_BASES: exact below 3.317e24, probable above."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -208,7 +222,7 @@ def _factorize(n: int, budget: int) -> tuple[dict[int, int], int]:
             n //= p
     if n == 1:
         return factors, 1
-    if n < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or _is_probable_prime(n):
+    if n < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_probable_prime(n):
         # below the trial limit squared any survivor is prime
         factors[n] = factors.get(n, 0) + 1
         return factors, 1
@@ -217,7 +231,7 @@ def _factorize(n: int, budget: int) -> tuple[dict[int, int], int]:
     remaining = budget
     while stack:
         m = stack.pop()
-        if _is_probable_prime(m):
+        if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         g, used = _brent_rho(m, remaining, random.Random(m))

@@ -8,13 +8,9 @@ must not inherit the theorem's reductions.  All arithmetic is exact.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .equation_model import LNInstance, Solution, is_solution
-
-THREADS_ENV_VAR = "LN_KIT_THREADS"
 
 
 @dataclass(frozen=True)
@@ -37,11 +33,6 @@ class SearchWindow:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
 
 
-def isqrt(v: int) -> int:
-    """Exact integer square root: the r with r^2 <= v < (r+1)^2."""
-    return math.isqrt(v)
-
-
 def perfect_root(v: int, m: int) -> int | None:
     """The exact r with r^m == v, if one exists; bisection, no floating point."""
     if v < 1:
@@ -56,14 +47,6 @@ def perfect_root(v: int, m: int) -> int | None:
         else:
             hi = mid - 1
     return lo if lo**m == v else None
-
-
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _scan_one_n(D: int, n: int, x_max: int) -> list[Solution]:
@@ -87,15 +70,11 @@ def _scan_one_n(D: int, n: int, x_max: int) -> list[Solution]:
 def brute_force(window: SearchWindow) -> list[Solution]:
     """Every solution with n in [n_min, n_max] and x <= x_max, sorted by (n, y)."""
     inst = LNInstance(window.k)
-    D = inst.D
-    ns = range(window.n_min, window.n_max + 1)
-    workers = min(worker_count(), len(ns))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda n: _scan_one_n(D, n, window.x_max), ns))
-    else:
-        chunks = [_scan_one_n(D, n, window.x_max) for n in ns]
-    out = [s for chunk in chunks for s in chunk]
+    out = [
+        s
+        for n in range(window.n_min, window.n_max + 1)
+        for s in _scan_one_n(inst.D, n, window.x_max)
+    ]
     for s in out:
         assert is_solution(inst, *s.as_tuple())
     out.sort(key=lambda s: s.sort_key)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .lucas_engine import is_probable_prime
+
 RADICAND = -19
 
 
@@ -77,21 +79,6 @@ def qpow(u: QuadInt19, e: int) -> QuadInt19:
     return acc
 
 
-def conj(u: QuadInt19) -> QuadInt19:
-    return u.conj
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def imag_binomial_sum(a: int, b: int, p: int) -> int:
     """S = sum_{r=0}^{(p-1)/2} C(p, 2r+1) * a^(p-2r-1) * (-19)^r * b^(2r).
 
@@ -100,7 +87,7 @@ def imag_binomial_sum(a: int, b: int, p: int) -> int:
     """
     if a % 2 == 0 or b % 2 == 0:
         raise ValueError(f"a and b must be odd, got a={a}, b={b}")
-    if not _is_odd_prime(p):
+    if p % 2 == 0 or not is_probable_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     return sum(
         math.comb(p, 2 * r + 1) * a ** (p - 2 * r - 1) * (-19) ** r * b ** (2 * r)

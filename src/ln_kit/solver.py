@@ -2,8 +2,9 @@
 casework and the Lucas gate, scale solutions back through the 19-adic
 reduction, and cross-check the result against the brute-force oracle.
 
-Every pipeline step is recorded as (procedure, inputs, verdict) and can be
-replayed bit-for-bit through the registry at the bottom of this module.
+Every pipeline step runs through the step table ``STEPS`` at the bottom of
+this module, which records it as (procedure, inputs, JSON result); replay
+runs the same table, in memory or from the trace's JSON form.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ from typing import Any, Callable
 from . import caseworks
 from .caseworks import CaseVerdict, ValuationSplit
 from .equation_model import LNInstance, Solution, is_solution, theorem_solution_set
-from .lucas_engine import BhvRoute, LucasPair, bhv_gate, lucas_u, primitive_divisor
+from .lucas_engine import (
+    BhvRoute,
+    LucasPair,
+    bhv_gate,
+    is_probable_prime,
+    lucas_u,
+    primitive_divisor,
+)
 from .oracle import SearchWindow, brute_force, perfect_root
 from .quadratic_integers import QuadInt19, qpow
 
@@ -38,6 +46,17 @@ class ProofStep:
     inputs: dict[str, Any]
     result: dict[str, Any]
 
+    def to_jsonable(self) -> dict[str, Any]:
+        return {
+            "op": self.op,
+            "inputs": {k: caseworks.json_safe(v) for k, v in self.inputs.items()},
+            "result": self.result,
+        }
+
+
+def _jsonable(value: Any) -> dict[str, Any]:
+    return value if isinstance(value, dict) else value.to_jsonable()
+
 
 @dataclass
 class ProofTrace:
@@ -48,14 +67,11 @@ class ProofTrace:
     oracle_checked: bool = False
     oracle_x_max: int | None = None
 
-    def record(self, op: str, inputs: dict[str, Any], result: dict[str, Any]) -> None:
-        self.steps.append(ProofStep(op, dict(inputs), result))
-
-    def record_verdict(
-        self, op: str, inputs: dict[str, Any], verdict: CaseVerdict
-    ) -> CaseVerdict:
-        self.record(op, inputs, verdict.to_jsonable())
-        return verdict
+    def step(self, op: str, **inputs: int) -> Any:
+        """Run STEPS[op] on the inputs, record its JSON result, return its value."""
+        value = STEPS[op](**inputs)
+        self.steps.append(ProofStep(op, inputs, _jsonable(value)))
+        return value
 
     def ops(self) -> list[str]:
         return [s.op for s in self.steps]
@@ -64,14 +80,24 @@ class ProofTrace:
         return [s for s in self.steps if s.op == op]
 
     def replay(self) -> list[str]:
-        """Re-run every step through the registry; returns the ops that diverged."""
+        """Re-run every step through STEPS; returns the ops that diverged.
+
+        Every step input is an integer, possibly a decimal string after a
+        JSON round trip, so int() decodes it.  A step whose inputs its
+        procedure rejects has diverged too.
+        """
         bad = []
         for step in self.steps:
-            fn = REPLAY_REGISTRY.get(step.op)
+            fn = STEPS.get(step.op)
             if fn is None:
                 bad.append(f"{step.op}: not replayable")
                 continue
-            if fn(step.inputs) != step.result:
+            try:
+                result = _jsonable(fn(**{k: int(v) for k, v in step.inputs.items()}))
+            except (TypeError, ValueError) as exc:
+                bad.append(f"{step.op}: {exc}")
+                continue
+            if result != step.result:
                 bad.append(step.op)
         return bad
 
@@ -81,18 +107,28 @@ class ProofTrace:
             "n_max": self.n_max,
             "oracle_checked": self.oracle_checked,
             "oracle_x_max": self.oracle_x_max,
-            "solutions": [
-                {"x": str(s.x), "y": str(s.y), "n": s.n} for s in self.solutions
-            ],
-            "steps": [
-                {
-                    "op": s.op,
-                    "inputs": {k: caseworks.json_safe(v) for k, v in s.inputs.items()},
-                    "result": s.result,
-                }
-                for s in self.steps
-            ],
+            "solutions": [s.to_jsonable() for s in self.solutions],
+            "steps": [s.to_jsonable() for s in self.steps],
         }
+
+
+class _OracleScan(list):
+    """The oracle's solutions in a window.  solve raises before returning a
+    trace unless they agree with the pipeline, so a trace records the count."""
+
+    def to_jsonable(self) -> dict[str, Any]:
+        return {"agrees": True, "count": len(self)}
+
+
+def always_primitive_closure(p: int) -> CaseVerdict:
+    """u_p has a primitive divisor for every Lucas pair when p > 13 is prime
+    (Bilu-Hanrot-Voutier, cited), so u_p = +-1 is impossible."""
+    if p <= 13 or not is_probable_prime(p):
+        raise ValueError(f"p must be a prime above 13, got {p}")
+    return CaseVerdict.contradiction(
+        f"u_{p} has a primitive divisor for every Lucas pair (p > 13), "
+        f"contradicting u_p = +-1"
+    )
 
 
 def defect_table_route(p: int, k: int) -> CaseVerdict:
@@ -145,11 +181,6 @@ def defective_pair_expansion(k: int, p: int) -> CaseVerdict:
     return CaseVerdict.found(sols, trace)
 
 
-def _composite_lift(y: int, j: int) -> dict[str, Any]:
-    root = y if j == 1 else perfect_root(y, j)
-    return {"root": root}
-
-
 def _least_odd_prime_factor(n: int) -> int:
     f = 3
     while f * f <= n:
@@ -170,82 +201,47 @@ def _odd_prime_solutions(
     """Solutions of instance kk with n = p odd prime and 19 coprime to x."""
     # b = +-19^t with t < kk: the mod-19 and mod-2^(s+1) sieves
     for t in range(kk):
-        v1 = trace.record_verdict(
-            "mod19_forces_p", {"k": kk, "t": t, "p": p}, caseworks.mod19_forces_p(kk, t, p)
-        )
+        v1 = trace.step("mod19_forces_p", k=kk, t=t, p=p)
         if v1.outcome == caseworks.OUTCOME_CONTRADICTION:
             continue
-        v2 = trace.record_verdict(
-            "mod19_forces_kt", {"k": kk, "t": t}, caseworks.mod19_forces_kt(kk, t)
-        )
+        v2 = trace.step("mod19_forces_kt", k=kk, t=t)
         if v2.outcome == caseworks.OUTCOME_CONTRADICTION:
             continue
-        v3 = trace.record_verdict(
-            "mod_pow2_insoluble", {"p": 19, "t": t}, caseworks.mod_pow2_insoluble(19, t)
-        )
+        v3 = trace.step("mod_pow2_insoluble", p=19, t=t)
         if v3.outcome != caseworks.OUTCOME_CONTRADICTION:
             raise RuntimeError(
                 f"power-of-two sieve unexpectedly soluble at k={kk}, t={t}"
             )
     # b = +-19^k: the Lucas route through u_p = +-1
     pair = LucasPair(1, 5)  # the canonical instance pair (1 +- sqrt(-19))/2
-    route = bhv_gate(pair, p)
-    trace.record(
-        "bhv_gate", {"P": pair.P, "Q": pair.Q, "p": p}, {"route": route.value}
-    )
+    route = trace.step("bhv_gate", P=pair.P, Q=pair.Q, p=p)
     if route is BhvRoute.ALWAYS_PRIMITIVE:
-        trace.record_verdict(
-            "always_primitive_closure",
-            {"p": p},
-            CaseVerdict.contradiction(
-                f"u_{p} has a primitive divisor for every Lucas pair (p > 13), "
-                f"contradicting u_p = +-1"
-            ),
-        )
+        trace.step("always_primitive_closure", p=p)
         return []
     if route is BhvRoute.SMALL_PRIME:
-        trace.record_verdict(
-            "p3_case", {"k": kk, "search_bound": p3_bound}, caseworks.p3_case(kk, p3_bound)
-        )
+        trace.step("p3_case", k=kk, search_bound=p3_bound)
         return []
     # CheckDefectTable: p in {5, 7, 11, 13}
     if p in (5, 11, 13):
-        pd = primitive_divisor(pair, p, factoring_budget)
-        trace.record(
+        trace.step(
             "primitive_divisor",
-            {"P": pair.P, "Q": pair.Q, "n": p, "factoring_budget": factoring_budget},
-            _primdiv_jsonable(pd),
+            P=pair.P,
+            Q=pair.Q,
+            n=p,
+            factoring_budget=factoring_budget,
         )
-        trace.record_verdict("defect_table", {"p": p, "k": kk}, defect_table_route(p, kk))
+        trace.step("defect_table", p=p, k=kk)
         return []
     # p == 7
-    verdict = trace.record_verdict(
-        "defect_table", {"p": 7, "k": kk}, defect_table_route(7, kk)
-    )
+    verdict = trace.step("defect_table", p=7, k=kk)
     if verdict.outcome == caseworks.OUTCOME_CONTRADICTION:
         return []
-    u7 = lucas_u(pair, 7)
-    trace.record("lucas_u", {"P": pair.P, "Q": pair.Q, "n": 7}, {"value": u7})
-    pd = primitive_divisor(pair, 7, factoring_budget)
-    trace.record(
-        "primitive_divisor",
-        {"P": pair.P, "Q": pair.Q, "n": 7, "factoring_budget": factoring_budget},
-        _primdiv_jsonable(pd),
+    trace.step("lucas_u", P=pair.P, Q=pair.Q, n=7)
+    trace.step(
+        "primitive_divisor", P=pair.P, Q=pair.Q, n=7, factoring_budget=factoring_budget
     )
-    expansion = trace.record_verdict(
-        "defective_pair_expansion", {"k": kk, "p": 7}, defective_pair_expansion(kk, 7)
-    )
+    expansion = trace.step("defective_pair_expansion", k=kk, p=7)
     return list(expansion.solutions)
-
-
-def _primdiv_jsonable(pd) -> dict[str, Any]:
-    return {
-        "n": pd.n,
-        "exists": pd.exists,
-        "witness": None if pd.witness is None else str(pd.witness),
-        "obstruction": pd.obstruction,
-        "indeterminate": pd.indeterminate,
-    }
 
 
 def _primitive_solutions(
@@ -260,10 +256,7 @@ def _primitive_solutions(
     inst = LNInstance(kk)
     sols: list[Solution] = []
     for m in range(1, n_max // 2 + 1):
-        verdict = trace.record_verdict(
-            "even_case", {"k": kk, "m": m}, caseworks.even_case(kk, m)
-        )
-        sols.extend(verdict.solutions)
+        sols.extend(trace.step("even_case", k=kk, m=m).solutions)
     by_prime: dict[int, list[Solution]] = {}
     for p in sorted({_least_odd_prime_factor(n) for n in range(3, n_max + 1, 2)}):
         by_prime[p] = _odd_prime_solutions(
@@ -277,10 +270,9 @@ def _primitive_solutions(
                 sols.append(s)
                 continue
             # a solution for n = p*j needs y^j to hit the y-value found at p
-            lift = _composite_lift(s.y, j)
-            trace.record("composite_lift", {"y": s.y, "j": j, "n": n}, lift)
-            if lift["root"] is not None:
-                sols.append(Solution(s.x, lift["root"], n))
+            root = trace.step("composite_lift", y=s.y, j=j, n=n)["root"]
+            if root is not None:
+                sols.append(Solution(s.x, root, n))
     for s in sols:
         assert is_solution(inst, *s.as_tuple())
     return sols
@@ -308,11 +300,7 @@ def solve(
     trace = ProofTrace(k=k, n_max=n_max)
     # close the two symbolic 19|x branches that do not reduce: both land on
     # 19*Z^2 + 1 = 4*Y^n (bounded scan here, unbounded statement cited)
-    trace.record_verdict(
-        "no_19z2_solutions",
-        {"n_max": max(3, min(n_max, 20)), "z_max": le_z_max},
-        caseworks.no_19z2_solutions(max(3, min(n_max, 20)), le_z_max),
-    )
+    trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=le_z_max)
     primitive: dict[int, list[Solution]] = {}
     for kk in range(k + 1):
         primitive[kk] = _primitive_solutions(
@@ -324,11 +312,8 @@ def solve(
             if (2 * s_val) % sol.n != 0:
                 continue
             t = 2 * s_val // sol.n
-            split = ValuationSplit(s=s_val, t=t, X=sol.x, Y=sol.y)
-            verdict = trace.record_verdict(
-                "valuation_trichotomy",
-                {"k": k, "s": s_val, "t": t, "X": sol.x, "Y": sol.y, "n": sol.n},
-                caseworks.valuation_trichotomy(k, split, sol.n),
+            verdict = trace.step(
+                "valuation_trichotomy", k=k, s=s_val, t=t, X=sol.x, Y=sol.y, n=sol.n
             )
             if (
                 verdict.outcome == caseworks.OUTCOME_REDUCED
@@ -339,8 +324,9 @@ def solve(
                 full.append(lifted)
     full.sort(key=lambda s: s.sort_key)
     if cross_check:
-        window = SearchWindow(k=k, n_min=2, n_max=n_max, x_max=oracle_x_max)
-        found = brute_force(window)
+        found = trace.step(
+            "oracle_cross_check", k=k, n_min=2, n_max=n_max, x_max=oracle_x_max
+        )
         mine = [s for s in full if s.x <= oracle_x_max]
         if set(found) != set(mine):
             raise OracleMismatchError(
@@ -348,11 +334,6 @@ def solve(
             )
         trace.oracle_checked = True
         trace.oracle_x_max = oracle_x_max
-        trace.record(
-            "oracle_cross_check",
-            {"k": k, "n_min": 2, "n_max": n_max, "x_max": oracle_x_max},
-            {"agrees": True, "count": len(found)},
-        )
     trace.solutions = full
     return full, trace
 
@@ -378,62 +359,35 @@ def verify_solution_completeness(
             "n_max": window.n_max,
             "x_max": str(window.x_max),
         },
-        "oracle": [{"x": str(s.x), "y": str(s.y), "n": s.n} for s in found],
-        "theorem": [{"x": str(s.x), "y": str(s.y), "n": s.n} for s in claimed],
+        "oracle": [s.to_jsonable() for s in found],
+        "theorem": [s.to_jsonable() for s in claimed],
         "ok": ok,
     }
     return ok, report
 
 
-def _replay_verdict(fn: Callable[..., CaseVerdict]) -> Callable[[dict], dict]:
-    return lambda inputs: fn(**inputs).to_jsonable()
-
-
-REPLAY_REGISTRY: dict[str, Callable[[dict], dict]] = {
-    "even_case": _replay_verdict(caseworks.even_case),
-    "mod19_forces_p": _replay_verdict(caseworks.mod19_forces_p),
-    "mod19_forces_kt": _replay_verdict(caseworks.mod19_forces_kt),
-    "mod_pow2_insoluble": _replay_verdict(caseworks.mod_pow2_insoluble),
-    "p3_case": _replay_verdict(
-        lambda k, search_bound: caseworks.p3_case(k, search_bound)
+# op name -> procedure.  Each entry looks its procedure up when called, so
+# a name rebound on its module (a test double, a profiler) is what runs.
+STEPS: dict[str, Callable[..., Any]] = {
+    "no_19z2_solutions": lambda n_max, z_max: caseworks.no_19z2_solutions(n_max, z_max),
+    "even_case": lambda k, m: caseworks.even_case(k, m),
+    "mod19_forces_p": lambda k, t, p: caseworks.mod19_forces_p(k, t, p),
+    "mod19_forces_kt": lambda k, t: caseworks.mod19_forces_kt(k, t),
+    "mod_pow2_insoluble": lambda p, t: caseworks.mod_pow2_insoluble(p, t),
+    "bhv_gate": lambda P, Q, p: bhv_gate(LucasPair(P, Q), p),
+    "always_primitive_closure": lambda p: always_primitive_closure(p),
+    "p3_case": lambda k, search_bound: caseworks.p3_case(k, search_bound),
+    "primitive_divisor": lambda P, Q, n, factoring_budget: primitive_divisor(
+        LucasPair(P, Q), n, factoring_budget
     ),
-    "no_19z2_solutions": _replay_verdict(caseworks.no_19z2_solutions),
-    "valuation_trichotomy": lambda inputs: caseworks.valuation_trichotomy(
-        inputs["k"],
-        ValuationSplit(inputs["s"], inputs["t"], inputs["X"], inputs["Y"]),
-        inputs["n"],
-    ).to_jsonable(),
-    "defect_table": _replay_verdict(defect_table_route),
-    "defective_pair_expansion": _replay_verdict(defective_pair_expansion),
-    "always_primitive_closure": lambda inputs: CaseVerdict.contradiction(
-        f"u_{inputs['p']} has a primitive divisor for every Lucas pair (p > 13), "
-        f"contradicting u_p = +-1"
-    ).to_jsonable(),
-    "bhv_gate": lambda inputs: {
-        "route": bhv_gate(LucasPair(inputs["P"], inputs["Q"]), inputs["p"]).value
-    },
-    "lucas_u": lambda inputs: {
-        "value": lucas_u(LucasPair(inputs["P"], inputs["Q"]), inputs["n"])
-    },
-    "primitive_divisor": lambda inputs: _primdiv_jsonable(
-        primitive_divisor(
-            LucasPair(inputs["P"], inputs["Q"]),
-            inputs["n"],
-            inputs["factoring_budget"],
-        )
+    "defect_table": lambda p, k: defect_table_route(p, k),
+    "lucas_u": lambda P, Q, n: {"value": lucas_u(LucasPair(P, Q), n)},
+    "defective_pair_expansion": lambda k, p: defective_pair_expansion(k, p),
+    "composite_lift": lambda y, j, n: {"root": perfect_root(y, j)},
+    "valuation_trichotomy": lambda k, s, t, X, Y, n: caseworks.valuation_trichotomy(
+        k, ValuationSplit(s, t, X, Y), n
     ),
-    "composite_lift": lambda inputs: _composite_lift(inputs["y"], inputs["j"]),
-    "oracle_cross_check": lambda inputs: {
-        "agrees": True,
-        "count": len(
-            brute_force(
-                SearchWindow(
-                    k=inputs["k"],
-                    n_min=inputs["n_min"],
-                    n_max=inputs["n_max"],
-                    x_max=inputs["x_max"],
-                )
-            )
-        ),
-    },
+    "oracle_cross_check": lambda k, n_min, n_max, x_max: _OracleScan(
+        brute_force(SearchWindow(k=k, n_min=n_min, n_max=n_max, x_max=x_max))
+    ),
 }

@@ -12,7 +12,6 @@ from ln_kit.caseworks import (
     mod19_forces_kt,
     mod19_forces_p,
     mod_pow2_insoluble,
-    n1_parametric,
     no_19z2_solutions,
     p3_case,
     valuation_trichotomy,
@@ -25,7 +24,7 @@ from ln_kit.equation_model import FamilySpec, LNInstance, instantiate_family
     [(0, 0, (1, 5, 1)), (0, 1, (3, 7, 1)), (1, 0, (1, 1715, 1))],
 )
 def test_n1_parametric(k, t, expected):
-    assert n1_parametric(k, t).as_tuple() == expected
+    assert instantiate_family(LNInstance(k), FamilySpec.n1(t)).as_tuple() == expected
 
 
 def test_even_case_m1_gives_n2_family():

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from ln_kit import cli
+from ln_kit.solver import ProofStep, ProofTrace
 
 
 def run_cli(capsys, *argv):
@@ -35,15 +37,30 @@ def test_solve_deterministic_bytes(capsys):
 
 
 def test_solve_trace_lines_replayable(capsys):
-    code, out = run_cli(
-        capsys,
-        "solve", "--k", "0", "--n-max", "8", "--x-max", "1000", "--trace",
-    )
+    for k in (0, 7):
+        code, out = run_cli(capsys, "solve", "--k", str(k), "--skip-oracle", "--trace")
+        assert code == 0
+        lines = parse_lines(out)
+        steps = [
+            ProofStep(l["op"], l["inputs"], l["result"])
+            for l in lines
+            if l["kind"] == "trace_step"
+        ]
+        assert len(steps) == lines[-1]["steps"]
+        assert {"even_case", "bhv_gate", "no_19z2_solutions"} <= {s.op for s in steps}
+        assert ProofTrace(k=k, n_max=30, steps=steps).replay() == []
+    # at k = 7 the inputs X, Y exceed 2^53 and arrive as decimal strings
+    assert any(isinstance(v, str) for s in steps for v in s.inputs.values())
+
+
+def test_solve_trace_bytes_pinned(capsys):
+    # the same digest is recorded for this command in perfbench/golden.json
+    code, out = run_cli(capsys, "solve", "--k", "7", "--skip-oracle", "--trace")
     assert code == 0
-    steps = [l for l in parse_lines(out) if l["kind"] == "trace_step"]
-    assert steps
-    ops = {s["op"] for s in steps}
-    assert {"even_case", "bhv_gate", "no_19z2_solutions"} <= ops
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "47468d440c430da9267636f7e35d9042ce047c6af48bd9018b0b0d51084fefe2"
+    )
 
 
 def test_solve_skip_oracle(capsys):

@@ -2,24 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ln_kit.equation_model import LNInstance, is_solution
-from ln_kit.oracle import (
-    SearchWindow,
-    brute_force,
-    generalized_scan,
-    isqrt,
-    perfect_root,
-)
-
-
-@pytest.mark.parametrize("v, r", [(312500, 559), (0, 0), (100, 10), (1, 1), (2, 1)])
-def test_isqrt_examples(v, r):
-    assert isqrt(v) == r
-
-
-def test_isqrt_exact_brackets():
-    for v in [10**30, 10**30 + 1, (10**15 + 7) ** 2]:
-        r = isqrt(v)
-        assert r * r <= v < (r + 1) * (r + 1)
+from ln_kit.oracle import SearchWindow, brute_force, generalized_scan, perfect_root
 
 
 @pytest.mark.parametrize(
@@ -79,15 +62,6 @@ def test_brute_force_monotone_in_bounds():
     small = set(brute_force(SearchWindow(k=0, n_min=2, n_max=10, x_max=600)))
     large = set(brute_force(SearchWindow(k=0, n_min=2, n_max=30, x_max=10**4)))
     assert small <= large
-
-
-def test_threaded_scan_matches_sequential(monkeypatch):
-    window = SearchWindow(k=0, n_min=2, n_max=12, x_max=10**4)
-    sequential = brute_force(window)
-    monkeypatch.setenv("LN_KIT_THREADS", "4")
-    assert brute_force(window) == sequential
-    monkeypatch.setenv("LN_KIT_THREADS", "not-a-number")
-    assert brute_force(window) == sequential
 
 
 def test_generalized_scan_lebesgue_case():

@@ -4,6 +4,9 @@ from ln_kit.equation_model import LNInstance, is_solution, theorem_solution_set
 from ln_kit.oracle import SearchWindow
 from ln_kit.solver import (
     OracleMismatchError,
+    ProofStep,
+    ProofTrace,
+    always_primitive_closure,
     defect_table_route,
     defective_pair_expansion,
     solve,
@@ -83,6 +86,27 @@ def test_trace_contains_le_closure():
 def test_trace_replays_bit_for_bit():
     _, trace = solve(1, n_max=14, oracle_x_max=10**3, le_z_max=10**3)
     assert trace.replay() == []
+
+
+def test_replay_names_tampered_steps():
+    _, trace = solve(7, n_max=7, cross_check=False)
+    steps = list(trace.steps)
+    i = trace.ops().index("p3_case")
+    flipped = {**steps[i].result, "outcome": "solutions"}
+    steps[i] = ProofStep("p3_case", steps[i].inputs, flipped)
+    j = trace.ops().index("valuation_trichotomy")
+    x_times_19 = {**steps[j].inputs, "X": steps[j].inputs["X"] * 19}
+    steps[j] = ProofStep("valuation_trichotomy", x_times_19, steps[j].result)
+    bad = ProofTrace(k=7, n_max=7, steps=steps).replay()
+    assert [b.split(":")[0] for b in bad] == ["p3_case", "valuation_trichotomy"]
+    assert trace.replay() == []
+
+
+def test_always_primitive_closure_checks_its_precondition():
+    assert always_primitive_closure(17).outcome == "contradiction"
+    for p in (13, 21):
+        with pytest.raises(ValueError):
+            always_primitive_closure(p)
 
 
 def test_trace_serializes(tmp_path):
