@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Any, IO
+from typing import Any, Callable
 
 from .equation_model import FamilySpec, LNInstance, instantiate_family, theorem_solution_set
 from .lucas_engine import LucasPair, lucas_u, primitive_divisor
@@ -24,18 +23,21 @@ DEFAULT_X_MAX = 10**7
 DEFAULT_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    command: str
-    output_format: str
-    options: dict[str, Any]
+Emit = Callable[[dict[str, Any]], None]
 
 
-def _emit(sink: IO[str], obj: dict[str, Any], fmt: str) -> None:
-    if fmt == "json":
-        sink.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        sink.write(" ".join(f"{k}={v}" for k, v in sorted(obj.items())) + "\n")
+def _emitter(fmt: str) -> Emit:
+    """Write one object per line to stdout, as compact JSON or key=value text."""
+    sink = sys.stdout
+
+    def emit(obj: dict[str, Any]) -> None:
+        if fmt == "json":
+            line = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        else:
+            line = " ".join(f"{k}={v}" for k, v in sorted(obj.items()))
+        sink.write(line + "\n")
+
+    return emit
 
 
 def _solution_obj(sol, **extra: Any) -> dict[str, Any]:
@@ -53,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the full decision procedure")
+    p_solve.set_defaults(handler=_cmd_solve)
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p_solve.add_argument("--x-max", type=int, default=DEFAULT_X_MAX)
@@ -65,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_oracle = sub.add_parser("oracle", help="brute-force enumeration only")
+    p_oracle.set_defaults(handler=_cmd_oracle)
     p_oracle.add_argument("--k", type=int)
     p_oracle.add_argument("--d", type=int, help="generalized constant D")
     p_oracle.add_argument("--lam", type=int, help="generalized coefficient lambda")
@@ -73,29 +77,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--x-max", type=int, default=DEFAULT_X_MAX)
 
     p_family = sub.add_parser("family", help="materialize theorem solution families")
+    p_family.set_defaults(handler=_cmd_family)
     p_family.add_argument("--k", type=int, required=True)
-    p_family.add_argument(
-        "--kind", choices=("n1", "n2", "n7", "all"), required=True
-    )
+    p_family.add_argument("--kind", choices=("n1", "n2", "n7", "all"), required=True)
     p_family.add_argument("--t", type=int, help="parameter for n1/n2")
     p_family.add_argument("--m", type=int, help="parameter for n7")
     p_family.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
 
     p_lucas = sub.add_parser("lucas", help="Lucas number u_n for a pair (P, Q)")
+    p_lucas.set_defaults(handler=_cmd_lucas)
     p_lucas.add_argument("--p", type=int, required=True)
     p_lucas.add_argument("--q", type=int, required=True)
     p_lucas.add_argument("--n", type=int, required=True)
 
     p_primdiv = sub.add_parser("primdiv", help="primitive-divisor test for u_n")
+    p_primdiv.set_defaults(handler=_cmd_primdiv)
     p_primdiv.add_argument("--p", type=int, required=True)
     p_primdiv.add_argument("--q", type=int, required=True)
     p_primdiv.add_argument("--n", type=int, required=True)
     p_primdiv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p_class = sub.add_parser("classnum", help="class number by reduced forms")
+    p_class.set_defaults(handler=_cmd_classnum)
     p_class.add_argument("--disc", type=int, required=True)
 
     p_verify = sub.add_parser("verify", help="oracle vs theorem set comparison")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--k", type=int, required=True)
     p_verify.add_argument("--n-min", type=int, default=2)
     p_verify.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
@@ -103,190 +110,124 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(cfg: CommandConfig, sink: IO[str]) -> int:
-    opt = cfg.options
+def _cmd_solve(args: argparse.Namespace, emit: Emit) -> int:
     try:
         solutions, trace = solve(
-            opt["k"],
-            opt["n_max"],
-            opt["x_max"],
-            cross_check=not opt["skip_oracle"],
-            factoring_budget=opt["budget"],
+            args.k,
+            args.n_max,
+            args.x_max,
+            cross_check=not args.skip_oracle,
+            factoring_budget=args.budget,
         )
     except OracleMismatchError as exc:
-        _emit(
-            sink,
+        emit(
             {
                 "kind": "oracle_mismatch",
                 "k": exc.k,
                 "pipeline_only": [list(map(str, t)) for t in exc.only_pipeline],
                 "oracle_only": [list(map(str, t)) for t in exc.only_oracle],
-            },
-            cfg.output_format,
+            }
         )
         return 1
     for sol in solutions:
-        _emit(sink, _solution_obj(sol, k=opt["k"]), cfg.output_format)
-    if opt["trace"]:
+        emit(_solution_obj(sol, k=args.k))
+    if args.trace:
         for step in trace.steps:
-            _emit(sink, {"kind": "trace_step", **step.to_jsonable()}, cfg.output_format)
-    _emit(
-        sink,
+            emit({"kind": "trace_step", **step.to_jsonable()})
+    emit(
         {
             "kind": "trace_summary",
-            "k": opt["k"],
+            "k": args.k,
             "steps": len(trace.steps),
             "solutions": len(solutions),
             "oracle_checked": trace.oracle_checked,
-        },
-        cfg.output_format,
+        }
     )
     return 0
 
 
-def _cmd_oracle(cfg: CommandConfig, sink: IO[str]) -> int:
-    opt = cfg.options
-    if opt.get("d") is not None or opt.get("lam") is not None:
-        if opt.get("d") is None or opt.get("lam") is None:
+def _cmd_oracle(args: argparse.Namespace, emit: Emit) -> int:
+    if args.d is not None or args.lam is not None:
+        if args.d is None or args.lam is None:
             print("ln-kit oracle: --d and --lam must be given together", file=sys.stderr)
             raise SystemExit(2)
-        triples = generalized_scan(
-            opt["d"], opt["lam"], opt["n_min"], opt["n_max"], opt["x_max"]
-        )
+        triples = generalized_scan(args.d, args.lam, args.n_min, args.n_max, args.x_max)
         for x, y, n in triples:
-            _emit(
-                sink,
-                {
-                    "kind": "triple",
-                    "d": opt["d"],
-                    "lam": opt["lam"],
-                    "x": str(x),
-                    "y": str(y),
-                    "n": n,
-                },
-                cfg.output_format,
-            )
+            row = {"x": str(x), "y": str(y), "n": n}
+            emit({"kind": "triple", "d": args.d, "lam": args.lam, **row})
         return 0
-    if opt.get("k") is None:
+    if args.k is None:
         print("ln-kit oracle: provide --k, or both --d and --lam", file=sys.stderr)
         raise SystemExit(2)
     window = SearchWindow(
-        k=opt["k"], n_min=opt["n_min"], n_max=opt["n_max"], x_max=opt["x_max"]
+        k=args.k, n_min=args.n_min, n_max=args.n_max, x_max=args.x_max
     )
     for sol in brute_force(window):
-        _emit(sink, _solution_obj(sol, k=opt["k"]), cfg.output_format)
+        emit(_solution_obj(sol, k=args.k))
     return 0
 
 
-def _cmd_family(cfg: CommandConfig, sink: IO[str]) -> int:
-    opt = cfg.options
-    inst = LNInstance(opt["k"])
-    if opt["kind"] == "all":
-        for sol in theorem_solution_set(inst, opt["n_max"]):
-            _emit(sink, _solution_obj(sol, k=opt["k"]), cfg.output_format)
+def _cmd_family(args: argparse.Namespace, emit: Emit) -> int:
+    inst = LNInstance(args.k)
+    if args.kind == "all":
+        for sol in theorem_solution_set(inst, args.n_max):
+            emit(_solution_obj(sol, k=args.k))
         return 0
-    if opt["kind"] in ("n1", "n2"):
-        if opt.get("t") is None:
+    if args.kind in ("n1", "n2"):
+        if args.t is None:
             print("ln-kit family: --t is required for n1/n2", file=sys.stderr)
             raise SystemExit(2)
-        spec = FamilySpec.n1(opt["t"]) if opt["kind"] == "n1" else FamilySpec.n2(opt["t"])
+        spec = FamilySpec.n1(args.t) if args.kind == "n1" else FamilySpec.n2(args.t)
     else:
-        if opt.get("m") is None:
+        if args.m is None:
             print("ln-kit family: --m is required for n7", file=sys.stderr)
             raise SystemExit(2)
-        spec = FamilySpec.n7(opt["m"])
+        spec = FamilySpec.n7(args.m)
     sol = instantiate_family(inst, spec)
-    _emit(
-        sink,
-        _solution_obj(sol, k=opt["k"], family=opt["kind"], param=spec.param),
-        cfg.output_format,
+    emit(_solution_obj(sol, k=args.k, family=args.kind, param=spec.param))
+    return 0
+
+
+def _cmd_lucas(args: argparse.Namespace, emit: Emit) -> int:
+    value = lucas_u(LucasPair(args.p, args.q), args.n)
+    emit({"kind": "lucas_u", "p": args.p, "q": args.q, "n": args.n, "u_n": str(value)})
+    return 0
+
+
+def _cmd_primdiv(args: argparse.Namespace, emit: Emit) -> int:
+    verdict = primitive_divisor(LucasPair(args.p, args.q), args.n, args.budget)
+    emit(
+        {"kind": "primitive_divisor", "p": args.p, "q": args.q, **verdict.to_jsonable()}
     )
     return 0
 
 
-def _cmd_lucas(cfg: CommandConfig, sink: IO[str]) -> int:
-    opt = cfg.options
-    value = lucas_u(LucasPair(opt["p"], opt["q"]), opt["n"])
-    _emit(
-        sink,
-        {
-            "kind": "lucas_u",
-            "p": opt["p"],
-            "q": opt["q"],
-            "n": opt["n"],
-            "u_n": str(value),
-        },
-        cfg.output_format,
-    )
-    return 0
-
-
-def _cmd_primdiv(cfg: CommandConfig, sink: IO[str]) -> int:
-    opt = cfg.options
-    verdict = primitive_divisor(
-        LucasPair(opt["p"], opt["q"]), opt["n"], opt["budget"]
-    )
-    _emit(
-        sink,
-        {
-            "kind": "primitive_divisor",
-            "p": opt["p"],
-            "q": opt["q"],
-            **verdict.to_jsonable(),
-        },
-        cfg.output_format,
-    )
-    return 0
-
-
-def _cmd_classnum(cfg: CommandConfig, sink: IO[str]) -> int:
-    count = class_number_imag(cfg.options["disc"])
-    _emit(
-        sink,
+def _cmd_classnum(args: argparse.Namespace, emit: Emit) -> int:
+    count = class_number_imag(args.disc)
+    emit(
         {
             "kind": "class_number",
             "disc": count.discriminant,
             "h": count.h,
             "forms": [list(f) for f in count.forms],
-        },
-        cfg.output_format,
+        }
     )
     return 0
 
 
-def _cmd_verify(cfg: CommandConfig, sink: IO[str]) -> int:
-    opt = cfg.options
+def _cmd_verify(args: argparse.Namespace, emit: Emit) -> int:
     window = SearchWindow(
-        k=opt["k"], n_min=opt["n_min"], n_max=opt["n_max"], x_max=opt["x_max"]
+        k=args.k, n_min=args.n_min, n_max=args.n_max, x_max=args.x_max
     )
-    ok, report = verify_solution_completeness(opt["k"], window)
-    _emit(sink, {"kind": "verify_report", **report}, cfg.output_format)
+    ok, report = verify_solution_completeness(args.k, window)
+    emit({"kind": "verify_report", **report})
     return 0 if ok else 1
-
-
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "oracle": _cmd_oracle,
-    "family": _cmd_family,
-    "lucas": _cmd_lucas,
-    "primdiv": _cmd_primdiv,
-    "classnum": _cmd_classnum,
-    "verify": _cmd_verify,
-}
-
-
-def run(cfg: CommandConfig, sink: IO[str]) -> int:
-    return _HANDLERS[cfg.command](cfg, sink)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    options = {k: v for k, v in vars(args).items() if k not in ("command", "output_format")}
-    cfg = CommandConfig(
-        command=args.command, output_format=args.output_format, options=options
-    )
     try:
-        return run(cfg, sys.stdout)
+        return args.handler(args, _emitter(args.output_format))
     except (ValueError, OverflowError) as exc:
         print(f"ln-kit: {exc}", file=sys.stderr)
         return 2

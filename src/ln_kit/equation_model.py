@@ -123,22 +123,17 @@ def instantiate_family(inst: LNInstance, spec: FamilySpec) -> Solution:
     return sol
 
 
-def theorem_solution_set(
-    inst: LNInstance, n_max: int, t_max: int | None = None
-) -> list[Solution]:
+def theorem_solution_set(inst: LNInstance, n_max: int) -> list[Solution]:
     """Every admitted solution with 2 <= n <= n_max, sorted by (n, y).
 
-    Yields the n2 member for each t in [0, min(k, t_max)] and the n7 member
+    Yields the n2 member for each t in [0, k] and the n7 member
     when 7 | k and 7 <= n_max.  The infinite n = 1 family is excluded;
     completeness of this list is the theorem's claim, checked independently
     by the oracle module.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    if t_max is not None and t_max < 0:
-        raise ValueError(f"t_max must be non-negative, got {t_max}")
-    cap = inst.k if t_max is None else min(inst.k, t_max)
-    sols = [instantiate_family(inst, FamilySpec.n2(t)) for t in range(cap + 1)]
+    sols = [instantiate_family(inst, FamilySpec.n2(t)) for t in range(inst.k + 1)]
     if inst.k % 7 == 0 and n_max >= 7:
         sols.append(instantiate_family(inst, FamilySpec.n7(inst.k // 7)))
     sols.sort(key=lambda s: s.sort_key)

@@ -97,7 +97,8 @@ def lucas_sequence(pair: LucasPair, n: int) -> list[int]:
 
 
 def lucas_u(pair: LucasPair, n: int) -> int:
-    return lucas_sequence(pair, n)[n] if n > 0 else 0
+    """u_n for n >= 0; u_{-n} = -u_n / Q^n is not an integer in general."""
+    return lucas_sequence(pair, n)[n]
 
 
 def lehmer_u(R: int, Q: int, n: int) -> int:
@@ -150,7 +151,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin over _MR_BASES: exact below 3.317e24, probable above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

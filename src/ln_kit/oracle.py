@@ -1,8 +1,11 @@
-"""Assumption-free brute-force enumeration of the equation within a window.
+"""Assumption-free brute-force enumeration of x^2 + D = lambda*y^n within a
+window; the main equation is D = 19^(2k+1), lambda = 4.
 
-The scan iterates n outer, y inner, with early exit once lambda*y^n outgrows
-x_max^2 + D.  Composite n are scanned too: the oracle is the ground truth and
-must not inherit the theorem's reductions.  All arithmetic is exact.
+One scan serves every (D, lambda): n outer, y inner, with early exit once
+lambda*y^n outgrows x_max^2 + D.  Even y are skipped only for an n where a
+mod-8 check on the inputs shows none can give a square.  Composite n are
+scanned too: the oracle is the ground truth and must not inherit the
+theorem's reductions.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -49,36 +52,14 @@ def perfect_root(v: int, m: int) -> int | None:
     return lo if lo**m == v else None
 
 
-def _scan_one_n(D: int, n: int, x_max: int) -> list[Solution]:
-    # y restricted to odd values: x is odd, so 4 | x^2 + D forces y odd
-    limit = x_max * x_max + D
-    out = []
-    y = 1
-    while True:
-        v = 4 * y**n
-        if v > limit:
-            break
-        c = v - D
-        if c > 0:
-            x = math.isqrt(c)
-            if x * x == c:
-                out.append(Solution(x, y, n))
-        y += 2
-    return out
+def _y_step(D: int, lam: int, n: int) -> int:
+    """2 when no even y can make lam*y^n - D a square, else 1.
 
-
-def brute_force(window: SearchWindow) -> list[Solution]:
-    """Every solution with n in [n_min, n_max] and x <= x_max, sorted by (n, y)."""
-    inst = LNInstance(window.k)
-    out = [
-        s
-        for n in range(window.n_min, window.n_max + 1)
-        for s in _scan_one_n(inst.D, n, window.x_max)
-    ]
-    for s in out:
-        assert is_solution(inst, *s.as_tuple())
-    out.sort(key=lambda s: s.sort_key)
-    return out
+    For even y = r (mod 8), lam*y^n - D = lam*r^n - D (mod 8); when that is
+    never a square mod 8 (0, 1 or 4) for r in {0, 2, 4, 6}, only odd y remain.
+    """
+    even_y = any((lam * pow(r, n, 8) - D) % 8 in (0, 1, 4) for r in (0, 2, 4, 6))
+    return 1 if even_y else 2
 
 
 def generalized_scan(
@@ -86,16 +67,16 @@ def generalized_scan(
 ) -> list[tuple[int, int, int]]:
     """Positive triples (x, y, n) with x^2 + D = lam * y^n in the window.
 
-    Neighbouring-equation sanity checks; no parity restriction on y here
-    because that argument is specific to D odd with lam = 4.
+    Emitted in ascending (n, y) order; x is fixed by y and n.
     """
     if D < 1 or lam < 1:
         raise ValueError(f"D and lambda must be positive, got D={D}, lambda={lam}")
-    if n_min < 1 or n_max < n_min or x_max < 1:
+    if n_min < 2 or n_max < n_min or x_max < 1:
         raise ValueError(f"bad window n=[{n_min},{n_max}], x_max={x_max}")
     limit = x_max * x_max + D
     out = []
     for n in range(n_min, n_max + 1):
+        step = _y_step(D, lam, n)
         y = 1
         while True:
             v = lam * y**n
@@ -106,6 +87,17 @@ def generalized_scan(
                 x = math.isqrt(c)
                 if x * x == c:
                     out.append((x, y, n))
-            y += 1
-    out.sort(key=lambda s: (s[2], s[1], s[0]))
+            y += step
+    return out
+
+
+def brute_force(window: SearchWindow) -> list[Solution]:
+    """Every solution with n in [n_min, n_max] and x <= x_max, sorted by (n, y)."""
+    inst = LNInstance(window.k)
+    scan = generalized_scan(
+        inst.D, LNInstance.LAMBDA, window.n_min, window.n_max, window.x_max
+    )
+    out = [Solution(*t) for t in scan]
+    for s in out:
+        assert is_solution(inst, *s.as_tuple())
     return out

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 from .lucas_engine import is_probable_prime
 
-RADICAND = -19
-
 
 @dataclass(frozen=True)
 class QuadInt19:

@@ -26,6 +26,11 @@ from .lucas_engine import (
 from .oracle import SearchWindow, brute_force, perfect_root
 from .quadratic_integers import QuadInt19, qpow
 
+# Bounds of the pipeline's two bounded searches, recorded as step inputs:
+# p3_case's candidate bound and the z bound of the 19*Z^2 + 1 = 4*Y^n scan.
+P3_SEARCH_BOUND = 500
+LE_Z_MAX = 10**5
+
 
 class OracleMismatchError(RuntimeError):
     """The pipeline and the brute-force oracle disagree: the primary alarm."""
@@ -191,12 +196,7 @@ def _least_odd_prime_factor(n: int) -> int:
 
 
 def _odd_prime_solutions(
-    kk: int,
-    p: int,
-    trace: ProofTrace,
-    *,
-    p3_bound: int,
-    factoring_budget: int,
+    kk: int, p: int, trace: ProofTrace, *, factoring_budget: int
 ) -> list[Solution]:
     """Solutions of instance kk with n = p odd prime and 19 coprime to x."""
     # b = +-19^t with t < kk: the mod-19 and mod-2^(s+1) sieves
@@ -219,7 +219,7 @@ def _odd_prime_solutions(
         trace.step("always_primitive_closure", p=p)
         return []
     if route is BhvRoute.SMALL_PRIME:
-        trace.step("p3_case", k=kk, search_bound=p3_bound)
+        trace.step("p3_case", k=kk, search_bound=P3_SEARCH_BOUND)
         return []
     # CheckDefectTable: p in {5, 7, 11, 13}
     if p in (5, 11, 13):
@@ -245,12 +245,7 @@ def _odd_prime_solutions(
 
 
 def _primitive_solutions(
-    kk: int,
-    n_max: int,
-    trace: ProofTrace,
-    *,
-    p3_bound: int,
-    factoring_budget: int,
+    kk: int, n_max: int, trace: ProofTrace, *, factoring_budget: int
 ) -> list[Solution]:
     """All solutions of instance kk with 2 <= n <= n_max and 19 coprime to x."""
     inst = LNInstance(kk)
@@ -260,7 +255,7 @@ def _primitive_solutions(
     by_prime: dict[int, list[Solution]] = {}
     for p in sorted({_least_odd_prime_factor(n) for n in range(3, n_max + 1, 2)}):
         by_prime[p] = _odd_prime_solutions(
-            kk, p, trace, p3_bound=p3_bound, factoring_budget=factoring_budget
+            kk, p, trace, factoring_budget=factoring_budget
         )
     for n in range(3, n_max + 1, 2):
         p = _least_odd_prime_factor(n)
@@ -284,8 +279,6 @@ def solve(
     oracle_x_max: int = 10**7,
     *,
     cross_check: bool = True,
-    p3_bound: int = 500,
-    le_z_max: int = 10**5,
     factoring_budget: int = 10**6,
 ) -> tuple[list[Solution], ProofTrace]:
     """Complete solution set for 2 <= n <= n_max plus a replayable proof trace.
@@ -300,11 +293,11 @@ def solve(
     trace = ProofTrace(k=k, n_max=n_max)
     # close the two symbolic 19|x branches that do not reduce: both land on
     # 19*Z^2 + 1 = 4*Y^n (bounded scan here, unbounded statement cited)
-    trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=le_z_max)
+    trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=LE_Z_MAX)
     primitive: dict[int, list[Solution]] = {}
     for kk in range(k + 1):
         primitive[kk] = _primitive_solutions(
-            kk, n_max, trace, p3_bound=p3_bound, factoring_budget=factoring_budget
+            kk, n_max, trace, factoring_budget=factoring_budget
         )
     full = list(primitive[k])
     for s_val in range(1, k + 1):
@@ -344,7 +337,10 @@ def verify_solution_completeness(
     """Set-compare brute force against the theorem's families inside a window.
 
     Disagreement is reported, not raised; the report lists both sides.
+    k must be the window's k: the scan and the theorem set are of one equation.
     """
+    if k != window.k:
+        raise ValueError(f"k={k} differs from the window's k={window.k}")
     found = brute_force(window)
     claimed = [
         s

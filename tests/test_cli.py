@@ -120,6 +120,19 @@ def test_lucas_command(capsys):
     ]
 
 
+def test_lucas_negative_index_exit_2(capsys):
+    # u_{-3} = -u_3 / Q^3 = 4/125 for (P, Q) = (1, 5): not an integer
+    assert cli.main(["lucas", "--p", "1", "--q", "5", "--n", "-3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_oracle_n_min_below_2_exit_2(capsys):
+    # n = 1 has infinitely many solutions; without the check this scans ~10^14 y
+    argv = ["oracle", "--d", "7", "--lam", "1", "--n-min", "1", "--n-max", "1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_primdiv_command(capsys):
     code, out = run_cli(capsys, "primdiv", "--p", "1", "--q", "5", "--n", "13")
     assert code == 0

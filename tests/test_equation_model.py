@@ -90,9 +90,7 @@ def test_theorem_solution_set_sorted_by_n_then_y():
     assert sols[-1].n == 7  # n = 7 member present exactly when 7 | k
 
 
-def test_theorem_solution_set_t_cap():
-    sols = theorem_solution_set(LNInstance(3), 30, t_max=1)
-    assert len(sols) == 2
+def test_theorem_solution_set_rejects_n_max_below_2():
     with pytest.raises(ValueError):
         theorem_solution_set(LNInstance(0), 1)
 

@@ -57,6 +57,13 @@ def test_lucas_u1_is_one_for_any_pair():
     assert lucas_u(LucasPair(1, 5), 0) == 0
 
 
+def test_lucas_u_rejects_negative_index():
+    # u_{-n} = -u_n / Q^n, e.g. 4/125 at n = 3 for (1, 5): not an integer
+    for n in (-1, -3):
+        with pytest.raises(ValueError):
+            lucas_u(LucasPair(1, 5), n)
+
+
 def test_degenerate_pairs_rejected():
     for P, Q in [(1, 1), (-1, 1), (2, 1), (-2, 1)]:
         with pytest.raises(DegenerateSequenceError):

@@ -1,8 +1,29 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ln_kit.equation_model import LNInstance, is_solution
-from ln_kit.oracle import SearchWindow, brute_force, generalized_scan, perfect_root
+from ln_kit.oracle import (
+    SearchWindow,
+    _y_step,
+    brute_force,
+    generalized_scan,
+    perfect_root,
+)
+
+
+def naive_scan(D, lam, n_min, n_max, x_max):
+    """Reference: every y from 1 up, no skipping, triples in (n, y) order."""
+    out = []
+    for n in range(n_min, n_max + 1):
+        y = 1
+        while lam * y**n <= x_max * x_max + D:
+            c = lam * y**n - D
+            if c > 0 and math.isqrt(c) ** 2 == c:
+                out.append((math.isqrt(c), y, n))
+            y += 1
+    return out
 
 
 @pytest.mark.parametrize(
@@ -72,10 +93,31 @@ def test_generalized_scan_fermat_case():
     assert generalized_scan(2, 1, 3, 3, 100) == [(5, 3, 3)]
 
 
-def test_generalized_scan_specializes_to_brute_force():
-    triples = generalized_scan(19, 4, 2, 10, 10**4)
-    sols = [s.as_tuple() for s in brute_force(SearchWindow(k=0, n_min=2, n_max=10, x_max=10**4))]
-    assert triples == sols
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_brute_force_matches_naive_scan(k):
+    window = SearchWindow(k=k, n_min=2, n_max=30, x_max=10**5)
+    sols = [s.as_tuple() for s in brute_force(window)]
+    assert sols == naive_scan(LNInstance(k).D, 4, 2, 30, 10**5)
+
+
+def test_generalized_scan_matches_naive_scan_on_a_grid():
+    for D in range(1, 40):
+        for lam in (1, 2, 3, 4, 5, 8, 12):
+            assert generalized_scan(D, lam, 2, 9, 400) == naive_scan(D, lam, 2, 9, 400)
+
+
+def test_scan_skips_even_y_only_where_no_square_is_possible():
+    # the main equation (D = 19^(2k+1) = 3 mod 8, lam = 4) scans odd y only
+    for k in range(4):
+        assert {_y_step(LNInstance(k).D, 4, n) for n in range(2, 31)} == {2}
+    # D = 7, lam = 1 keeps every y: 1^2 + 7 = 2^3 has y even
+    assert {_y_step(7, 1, n) for n in range(2, 16)} == {1}
+    assert (1, 2, 3) in generalized_scan(7, 1, 3, 3, 10)
+
+
+def test_generalized_scan_requires_n_min_2():
+    with pytest.raises(ValueError):
+        generalized_scan(7, 1, 1, 1, 10**7)
 
 
 def test_generalized_scan_validation():

@@ -84,7 +84,7 @@ def test_trace_contains_le_closure():
 
 
 def test_trace_replays_bit_for_bit():
-    _, trace = solve(1, n_max=14, oracle_x_max=10**3, le_z_max=10**3)
+    _, trace = solve(1, n_max=14, oracle_x_max=10**3)
     assert trace.replay() == []
 
 
@@ -112,7 +112,7 @@ def test_always_primitive_closure_checks_its_precondition():
 def test_trace_serializes(tmp_path):
     import json
 
-    _, trace = solve(0, n_max=8, oracle_x_max=10**3, le_z_max=10**2)
+    _, trace = solve(0, n_max=8, oracle_x_max=10**3)
     blob = json.dumps(trace.to_jsonable(), sort_keys=True)
     parsed = json.loads(blob)
     assert parsed["k"] == 0
@@ -152,6 +152,12 @@ def test_verify_completeness_window_excludes_both_sides():
     triples = {d["x"] for d in report["oracle"]} | {d["x"] for d in report["theorem"]}
     assert "559" not in triples
     assert "9" in triples
+
+
+def test_verify_completeness_rejects_a_window_of_another_k():
+    # the scan would be of k = 1 and the theorem set of k = 0
+    with pytest.raises(ValueError):
+        verify_solution_completeness(0, SearchWindow(k=1, x_max=10**3))
 
 
 def test_defect_table_route():
