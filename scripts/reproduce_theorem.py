@@ -44,7 +44,12 @@ def main() -> int:
         )
         print(f"  proof steps: {len(trace.steps)} ({closed} branch closures)")
         print("  step kinds:", ", ".join(f"{op} x{n}" for op, n in sorted(ops.items())))
-        print(f"  oracle cross-check: {'ran, agreed' if trace.oracle_checked else 'skipped'}")
+        if trace.oracle_checked:
+            (scan,) = trace.find("oracle_cross_check")
+            found = len(scan.result["solutions"])
+            print(f"  oracle cross-check: {found} triples with x <= {args.x_max}, agreed")
+        else:
+            print("  oracle cross-check: skipped")
         if args.replay:
             diverged = trace.replay()
             print(f"  replay: {'all steps reproduced' if not diverged else diverged}")

@@ -243,15 +243,15 @@ def p3_case(k: int, search_bound: int = 500) -> CaseVerdict:
     squares_mod3 = sorted({a * a % 3 for a in range(3)})
     forced_square = 2 * ((target % 9 + 8) // 3) % 3
     a_mod3 = [a for a in range(3) if (6 * a * a - 8) % 9 == target % 9]
+    odd = range(1, search_bound + 1, 2)
+    b_cubes = [(b, 19 * b**3) for b_abs in odd for b in (b_abs, -b_abs)]
     witnesses = []
-    candidates = 0
-    for a in range(1, search_bound + 1, 2):  # a enters squared: sign irrelevant
+    for a in odd:  # a enters squared: sign irrelevant
         aa3 = 3 * a * a
-        for b_abs in range(1, search_bound + 1, 2):
-            for b in (b_abs, -b_abs):
-                candidates += 1
-                if aa3 * b - 19 * b**3 == target:
-                    witnesses.append((a, b))
+        for b, b3 in b_cubes:
+            if aa3 * b - b3 == target:
+                witnesses.append((a, b))
+    candidates = len(odd) * len(b_cubes)
     trace = (
         {"check": "mod3_forces_b", "lhs_mod_3": target % 3, "b_mod_3": b_mod3},
         {

@@ -1,11 +1,20 @@
 """Assumption-free brute-force enumeration of x^2 + D = lambda*y^n within a
 window; the main equation is D = 19^(2k+1), lambda = 4.
 
-One scan serves every (D, lambda): n outer, y inner, with early exit once
-lambda*y^n outgrows x_max^2 + D.  Even y are skipped only for an n where a
-mod-8 check on the inputs shows none can give a square.  Composite n are
-scanned too: the oracle is the ground truth and must not inherit the
-theorem's reductions.  All arithmetic is exact.
+Two exact enumerations serve every (D, lambda); for each n the scan runs
+whichever has fewer candidates, known before either starts:
+
+- the y-scan tries every y with D < lambda*y^n <= x_max^2 + D, the window
+  where x is positive and at most x_max.  Even y are skipped only for an n
+  where a mod-8 check on the inputs shows none can give a square;
+- the divisor walk, for even n = 2m and lambda = c^2, uses
+  x^2 + D = z^2 with z = c*y^m: d = z - x is a divisor of D below sqrt(D),
+  so trial division finds every pair, and y is read off z.
+
+Neither uses coprimality or the theorem, and composite n are scanned too:
+the oracle is the ground truth and must not inherit the theorem's
+reductions.  All arithmetic is exact.  A window whose candidates, summed
+over n, exceed SCAN_BUDGET is refused before any is tried.
 """
 
 from __future__ import annotations
@@ -14,6 +23,9 @@ import math
 from dataclasses import dataclass
 
 from .equation_model import LNInstance, Solution, is_solution
+
+# Most candidates one scan may try; every n counts as at least one.
+SCAN_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -36,20 +48,30 @@ class SearchWindow:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
 
 
-def perfect_root(v: int, m: int) -> int | None:
-    """The exact r with r^m == v, if one exists; bisection, no floating point."""
-    if v < 1:
-        raise ValueError(f"v must be positive, got {v}")
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
-    lo, hi = 1, 1 << ((v.bit_length() + m - 1) // m)
+def iroot(v: int, m: int) -> int:
+    """The largest r with r^m <= v; bisection, no floating point."""
+    if v < 0:
+        raise ValueError(f"v must be non-negative, got {v}")
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    lo, hi = 0, 1 << ((v.bit_length() + m - 1) // m)
     while lo < hi:  # invariant: lo^m <= v < (hi+1)^m
         mid = (lo + hi + 1) // 2
         if mid**m <= v:
             lo = mid
         else:
             hi = mid - 1
-    return lo if lo**m == v else None
+    return lo
+
+
+def perfect_root(v: int, m: int) -> int | None:
+    """The exact r with r^m == v, if one exists."""
+    if v < 1:
+        raise ValueError(f"v must be positive, got {v}")
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    r = iroot(v, m)
+    return r if r**m == v else None
 
 
 def _y_step(D: int, lam: int, n: int) -> int:
@@ -62,32 +84,100 @@ def _y_step(D: int, lam: int, n: int) -> int:
     return 1 if even_y else 2
 
 
+def _y_window(D: int, lam: int, n: int, limit: int) -> range:
+    """The y with D < lam*y^n <= limit, less those _y_step rules out."""
+    step = _y_step(D, lam, n)
+    y0 = iroot(D // lam, n) + 1
+    return range(y0 | 1 if step == 2 else y0, iroot(limit // lam, n) + 1, step)
+
+
+def _divisor_window(D: int, x_max: int) -> range:
+    """The d that can be z - x for x^2 + D = z^2 with 0 < x <= x_max.
+
+    d*(D/d) = D with d < D/d = z + x <= isqrt(x_max^2 + D) + x_max, and
+    every divisor of an odd D is odd.
+    """
+    z_plus_x = math.isqrt(x_max * x_max + D) + x_max
+    d0 = max(1, D // (z_plus_x + 1))
+    if D % 2:
+        return range(d0 | 1, math.isqrt(D) + 1, 2)
+    return range(d0, math.isqrt(D) + 1)
+
+
+def _square_pairs(D: int, x_max: int, ds: range) -> list[tuple[int, int]]:
+    """(x, z) with x^2 + D = z^2 and 0 < x <= x_max, ascending in z."""
+    out = []
+    for d in reversed(ds):  # z = (d + D/d)/2 grows as d falls below sqrt(D)
+        if D % d == 0:
+            e = D // d
+            if (e - d) % 2 == 0 and 0 < e - d <= 2 * x_max:
+                out.append(((e - d) // 2, (e + d) // 2))
+    return out
+
+
+def _size(r: range) -> int:
+    """len(r), without its overflow past sys.maxsize."""
+    return max(0, -((r.start - r.stop) // r.step))
+
+
+def _check_budget(candidates: int) -> None:
+    if candidates > SCAN_BUDGET:
+        raise ValueError(
+            f"the window needs {candidates} candidates, "
+            f"over the scan budget of {SCAN_BUDGET}"
+        )
+
+
+def _paths(
+    D: int, lam: int, n_min: int, n_max: int, x_max: int, ds: range | None
+):
+    """Per n: (n, the y-window to scan), or (n, None) where walking ds is shorter."""
+    limit = x_max * x_max + D
+    for n in range(n_min, n_max + 1):
+        ys = _y_window(D, lam, n, limit)
+        walk = ds is not None and n % 2 == 0 and _size(ds) < _size(ys)
+        yield n, None if walk else ys
+
+
 def generalized_scan(
     D: int, lam: int, n_min: int, n_max: int, x_max: int
 ) -> list[tuple[int, int, int]]:
     """Positive triples (x, y, n) with x^2 + D = lam * y^n in the window.
 
-    Emitted in ascending (n, y) order; x is fixed by y and n.
+    Emitted in ascending (n, y) order; x is fixed by y and n.  Raises
+    ValueError when the window needs more than SCAN_BUDGET candidates.
     """
     if D < 1 or lam < 1:
         raise ValueError(f"D and lambda must be positive, got D={D}, lambda={lam}")
     if n_min < 2 or n_max < n_min or x_max < 1:
         raise ValueError(f"bad window n=[{n_min},{n_max}], x_max={x_max}")
-    limit = x_max * x_max + D
+    _check_budget(n_max - n_min + 1)
+    c = math.isqrt(lam)
+    ds = _divisor_window(D, x_max) if c * c == lam else None
+    _check_budget(
+        sum(
+            max(1, _size(ds if ys is None else ys))
+            for _, ys in _paths(D, lam, n_min, n_max, x_max, ds)
+        )
+    )
+    pairs = None  # the walk runs at most once, for the first n that takes it
     out = []
-    for n in range(n_min, n_max + 1):
-        step = _y_step(D, lam, n)
-        y = 1
-        while True:
-            v = lam * y**n
-            if v > limit:
-                break
-            c = v - D
-            if c > 0:
-                x = math.isqrt(c)
-                if x * x == c:
-                    out.append((x, y, n))
-            y += step
+    for n, ys in _paths(D, lam, n_min, n_max, x_max, ds):
+        if ys is None:
+            if pairs is None:
+                pairs = _square_pairs(D, x_max, ds)
+            m = n // 2
+            for x, z in pairs:
+                if z % c == 0:
+                    y = iroot(z // c, m)
+                    if y**m * c == z:
+                        out.append((x, y, n))
+            continue
+        for y in ys:
+            v = lam * y**n - D
+            x = math.isqrt(v)
+            if x * x == v:
+                out.append((x, y, n))
     return out
 
 

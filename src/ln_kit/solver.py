@@ -118,11 +118,11 @@ class ProofTrace:
 
 
 class _OracleScan(list):
-    """The oracle's solutions in a window.  solve raises before returning a
-    trace unless they agree with the pipeline, so a trace records the count."""
+    """The oracle's solutions in a window, recorded in full so that replay
+    compares the scan itself."""
 
     def to_jsonable(self) -> dict[str, Any]:
-        return {"agrees": True, "count": len(self)}
+        return {"solutions": [s.to_jsonable() for s in self]}
 
 
 def always_primitive_closure(p: int) -> CaseVerdict:

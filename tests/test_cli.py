@@ -133,6 +133,25 @@ def test_oracle_n_min_below_2_exit_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_oracle_over_scan_budget_exit_2(capsys):
+    argv = ["oracle", "--d", "7", "--lam", "2", "--n-min", "2", "--n-max", "2"]
+    assert cli.main([*argv, "--x-max", str(10**12)]) == 2
+    assert capsys.readouterr().out == ""
+    code, out = run_cli(capsys, "--format", "text", "oracle", "--d", "7", "--lam", "1",
+                        "--n-min", "2", "--n-max", "2", "--x-max", str(10**12))
+    assert code == 0
+    assert out == "d=7 kind=triple lam=1 n=2 x=3 y=4\n"
+
+
+def test_verify_k7_default_window(capsys):
+    # no member of k = 7 has x <= 10^7: both sides are empty and agree
+    code, out = run_cli(capsys, "verify", "--k", "7")
+    assert code == 0
+    (report,) = parse_lines(out)
+    assert report["ok"] is True
+    assert report["oracle"] == [] and report["theorem"] == []
+
+
 def test_primdiv_command(capsys):
     code, out = run_cli(capsys, "primdiv", "--p", "1", "--q", "5", "--n", "13")
     assert code == 0

@@ -5,10 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from ln_kit.equation_model import LNInstance, is_solution
 from ln_kit.oracle import (
+    SCAN_BUDGET,
     SearchWindow,
+    _divisor_window,
+    _size,
     _y_step,
+    _y_window,
     brute_force,
     generalized_scan,
+    iroot,
     perfect_root,
 )
 
@@ -44,6 +49,12 @@ def test_perfect_root_roundtrip(r, m):
 def test_perfect_root_near_misses(r, m):
     assert perfect_root(r**m - 1, m) is None
     assert perfect_root(r**m + 1, m) is None
+
+
+@given(st.integers(0, 10**40), st.integers(1, 12))
+def test_iroot_brackets(v, m):
+    r = iroot(v, m)
+    assert r**m <= v < (r + 1) ** m
 
 
 def test_window_validation():
@@ -104,6 +115,33 @@ def test_generalized_scan_matches_naive_scan_on_a_grid():
     for D in range(1, 40):
         for lam in (1, 2, 3, 4, 5, 8, 12):
             assert generalized_scan(D, lam, 2, 9, 400) == naive_scan(D, lam, 2, 9, 400)
+
+
+def test_divisor_walk_matches_naive_scan():
+    # square lambda, so even n may take the walk; x_max spans the crossover
+    paths = set()
+    for D in list(range(1, 201)) + [945, 3465, 45045]:
+        for lam in (1, 4, 9, 16, 25, 36):
+            for x_max in (3, 40, 500):
+                assert generalized_scan(D, lam, 2, 9, x_max) == naive_scan(
+                    D, lam, 2, 9, x_max
+                )
+                ds = _divisor_window(D, x_max)
+                for n in range(2, 10, 2):
+                    ys = _y_window(D, lam, n, x_max * x_max + D)
+                    paths.add(_size(ds) < _size(ys))
+    assert paths == {True, False}
+
+
+def test_scan_budget_refuses_before_scanning():
+    # about 7*10^11 values of y at n = 2: refused, not scanned
+    with pytest.raises(ValueError, match="scan budget"):
+        generalized_scan(7, 2, 2, 2, 10**12)
+    # every n counts, even one with an empty window
+    with pytest.raises(ValueError, match="scan budget"):
+        generalized_scan(7, 1, 2, SCAN_BUDGET + 2, 10)
+    # lam = 1 is a square: the walk tries the two odd d <= sqrt(7)
+    assert generalized_scan(7, 1, 2, 2, 10**12) == [(3, 4, 2)]
 
 
 def test_scan_skips_even_y_only_where_no_square_is_possible():

@@ -102,6 +102,17 @@ def test_replay_names_tampered_steps():
     assert trace.replay() == []
 
 
+def test_replay_names_a_dropped_oracle_triple():
+    _, trace = solve(1, n_max=10, oracle_x_max=10**4)
+    steps = list(trace.steps)
+    i = trace.ops().index("oracle_cross_check")
+    assert len(steps[i].result["solutions"]) == 2
+    dropped = {"solutions": steps[i].result["solutions"][1:]}
+    steps[i] = ProofStep("oracle_cross_check", steps[i].inputs, dropped)
+    assert ProofTrace(k=1, n_max=10, steps=steps).replay() == ["oracle_cross_check"]
+    assert trace.replay() == []
+
+
 def test_always_primitive_closure_checks_its_precondition():
     assert always_primitive_closure(17).outcome == "contradiction"
     for p in (13, 21):
