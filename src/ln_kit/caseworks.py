@@ -225,13 +225,34 @@ def mod_pow2_insoluble(p: int, t: int) -> CaseVerdict:
     )
 
 
+def _cubic_witnesses(target: int, bound: int) -> list[tuple[int, int]]:
+    """Odd a, b with 0 < a <= bound, 0 < |b| <= bound and 3a^2 b - 19b^3 = target.
+
+    A fixed b pins a^2 = (target + 19b^3) / (3b), so one exact division and
+    one isqrt decide every a for that b.  Sorted by a, then by b in the order
+    1, -1, 3, -3, ...
+    """
+    found = []
+    for b_abs in range(1, bound + 1, 2):
+        for b in (b_abs, -b_abs):
+            q, r = divmod(target + 19 * b**3, 3 * b)
+            if r == 0 and q > 0:
+                a = math.isqrt(q)
+                if a * a == q and a % 2 and a <= bound:
+                    found.append((a, b))
+    found.sort(key=lambda w: w[0])  # stable: b keeps its order within one a
+    return found
+
+
 def p3_case(k: int, search_bound: int = 500) -> CaseVerdict:
     """n = 3 with 19 not dividing x is impossible, shown two independent ways.
 
     Residue path: 4*19^k = 3a^2 b - 19 b^3 read mod 3 forces b = 2 (mod 3);
     substituting b = 3r + 2 and reading mod 9 leaves a^2 = 2 (mod 3), which
     no square satisfies.  Exhaustive path: no odd |a|, |b| <= search_bound
-    satisfy the cubic identity at all.
+    satisfy the cubic identity at all.  The box is decided one b at a time
+    (a^2 is fixed by b), exactly and without residues; candidates_checked
+    still counts every (a, b) pair in it.
     """
     if k < 0 or search_bound < 1:
         raise ValueError(f"need k >= 0 and search_bound >= 1, got {k}, {search_bound}")
@@ -243,15 +264,9 @@ def p3_case(k: int, search_bound: int = 500) -> CaseVerdict:
     squares_mod3 = sorted({a * a % 3 for a in range(3)})
     forced_square = 2 * ((target % 9 + 8) // 3) % 3
     a_mod3 = [a for a in range(3) if (6 * a * a - 8) % 9 == target % 9]
-    odd = range(1, search_bound + 1, 2)
-    b_cubes = [(b, 19 * b**3) for b_abs in odd for b in (b_abs, -b_abs)]
-    witnesses = []
-    for a in odd:  # a enters squared: sign irrelevant
-        aa3 = 3 * a * a
-        for b, b3 in b_cubes:
-            if aa3 * b - b3 == target:
-                witnesses.append((a, b))
-    candidates = len(odd) * len(b_cubes)
+    witnesses = _cubic_witnesses(target, search_bound)  # a > 0: it enters squared
+    odd = len(range(1, search_bound + 1, 2))
+    candidates = odd * 2 * odd
     trace = (
         {"check": "mod3_forces_b", "lhs_mod_3": target % 3, "b_mod_3": b_mod3},
         {

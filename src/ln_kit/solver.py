@@ -31,6 +31,10 @@ from .quadratic_integers import QuadInt19, qpow
 P3_SEARCH_BOUND = 500
 LE_Z_MAX = 10**5
 
+# Most steps one solve may record, checked against step_bound before any
+# step runs.  solve(49) records 14,153 steps against a bound of 61,981.
+STEP_BUDGET = 10**5
+
 
 class OracleMismatchError(RuntimeError):
     """The pipeline and the brute-force oracle disagree: the primary alarm."""
@@ -273,6 +277,24 @@ def _primitive_solutions(
     return sols
 
 
+def step_bound(k: int, n_max: int) -> int:
+    """An upper bound on the steps solve(k, n_max) records, from its loops alone.
+
+    Per instance kk <= k: n_max // 2 even_case steps; for each odd n (at
+    least as many as the odd primes p) at most 3 sieve steps per t < kk, the
+    gate and 4 more; at most 4 solutions per p, so at most 4 composite_lift
+    steps per odd n.  An instance thus has at most n_max // 2 + 4 * odd
+    solutions, each met by one valuation_trichotomy per s <= k.  Plus
+    no_19z2_solutions and the oracle step.
+    """
+    even, odd = n_max // 2, (n_max - 1) // 2
+    sieves = odd * (3 * k * (k + 1) // 2 + 5 * (k + 1))
+    # per instance: the even_case plus composite_lift steps, and as many
+    # solutions; k + 1 instances, then k valuation_trichotomy passes
+    per_instance = even + 4 * odd
+    return 2 + sieves + (2 * k + 1) * per_instance
+
+
 def solve(
     k: int,
     n_max: int = 30,
@@ -284,12 +306,19 @@ def solve(
     """Complete solution set for 2 <= n <= n_max plus a replayable proof trace.
 
     Raises OracleMismatchError when the brute-force cross-check (over
-    x <= oracle_x_max) disagrees with the pipeline.
+    x <= oracle_x_max) disagrees with the pipeline, and ValueError before
+    any step runs when step_bound(k, n_max) exceeds STEP_BUDGET.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    bound = step_bound(k, n_max)
+    if bound > STEP_BUDGET:
+        raise ValueError(
+            f"solve(k={k}, n_max={n_max}) may take up to {bound} steps, "
+            f"over the step budget of {STEP_BUDGET}"
+        )
     trace = ProofTrace(k=k, n_max=n_max)
     # close the two symbolic 19|x branches that do not reduce: both land on
     # 19*Z^2 + 1 = 4*Y^n (bounded scan here, unbounded statement cited)

@@ -13,6 +13,7 @@ from ln_kit.caseworks import (
     mod19_forces_p,
     mod_pow2_insoluble,
     no_19z2_solutions,
+    _cubic_witnesses,
     p3_case,
     valuation_trichotomy,
 )
@@ -135,7 +136,8 @@ def test_p3_case(k):
     assert by_check["mod9_reduction"]["a_mod_3_solutions"] == []
     assert by_check["mod9_reduction"]["squares_mod_3"] == [0, 1]
     assert by_check["exhaustive_search"]["witnesses"] == []
-    # 250 odd a, 250 odd |b|, both signs of b: the full odd grid was visited
+    # 250 odd a, 250 odd |b|, both signs of b: every pair of the odd box is
+    # decided (one b at a time) and counted
     assert by_check["exhaustive_search"]["candidates_checked"] == 250 * 250 * 2
 
 
@@ -145,6 +147,47 @@ def test_p3_case_paths_agree_up_to_k4():
         by_check = {step["check"]: step for step in verdict.trace}
         assert by_check["mod9_reduction"]["a_mod_3_solutions"] == []
         assert by_check["exhaustive_search"]["witnesses"] == []
+
+
+def naive_cubic_witnesses(target, bound):
+    """Reference: every odd a, then every odd b in the order 1, -1, 3, -3, ..."""
+    odd = range(1, bound + 1, 2)
+    return [
+        (a, b)
+        for a in odd
+        for b_abs in odd
+        for b in (b_abs, -b_abs)
+        if 3 * a * a * b - 19 * b**3 == target
+    ]
+
+
+def test_cubic_witnesses_match_naive_search():
+    bound = 39
+    # two witnesses each: one a with two b, and a order against b order
+    targets = {0, 1, -1, 4, 76, 1064, -1064, 13176, -13176}
+    for a in (1, 3, 19, bound, bound + 2, 2, 4, 38, 40):  # odd, past the bound, even
+        for b in (1, -1, 3, -3, 9, -9, bound, -bound, bound + 2, 2, -4):
+            for delta in (0, 1, 2, -1, -2):
+                targets.add(3 * a * a * b - 19 * b**3 + delta)
+    for target in sorted(targets):
+        assert _cubic_witnesses(target, bound) == naive_cubic_witnesses(target, bound)
+    assert _cubic_witnesses(1064, bound) == [(19, 1), (19, 7)]
+    assert _cubic_witnesses(-13176, bound) == [(5, 9), (39, -3)]
+
+
+def test_cubic_witnesses_reject_what_the_box_excludes():
+    assert _cubic_witnesses(3 * 15**2 * 1 - 19, 15) == [(15, 1)]  # a = bound
+    assert _cubic_witnesses(3 * 15**2 * -1 + 19, 15) == [(15, -1)]  # b < 0
+    assert _cubic_witnesses(3 * 17**2 * 1 - 19, 15) == []  # a = 17 > bound
+    assert _cubic_witnesses(3 * 4**2 * 1 - 19, 15) == []  # a = 4 is even
+    assert _cubic_witnesses(-19, 15) == []  # a^2 = 0 at b = 1
+    assert _cubic_witnesses(-22, 15) == []  # a^2 = -1 at b = 1
+    assert _cubic_witnesses(-18, 15) == []  # 3b does not divide at b = +-1
+
+
+def test_cubic_witnesses_none_for_the_p3_targets():
+    for k in range(61):
+        assert _cubic_witnesses(4 * 19**k, 501) == []
 
 
 def test_p3_cross_check_against_ring_power():

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,43 @@ def test_solve_trace_bytes_pinned(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "47468d440c430da9267636f7e35d9042ce047c6af48bd9018b0b0d51084fefe2"
     )
+
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
+)
+
+# the commands whose stdout digests perfbench/golden.json records
+GOLDEN_COMMANDS = {
+    "classnum": "classnum --disc -19",
+    "lucas": "lucas --p 1 --q 5 --n 7",
+    "primdiv": "primdiv --p 1 --q 5 --n 13",
+    "family": "family --k 7 --kind all",
+    "oracle": "oracle --d 7 --lam 1 --n-min 2 --n-max 15 --x-max 1000000",
+    "solve": "solve --k 7 --skip-oracle --trace",
+    "verify": "verify --k 1 --x-max 100000",
+}
+
+
+def test_golden_commands_cover_the_golden_file():
+    assert set(GOLDEN_COMMANDS) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_stdout_matches_golden_digest(capsys, name):
+    code, out = run_cli(capsys, *GOLDEN_COMMANDS[name].split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("argv", ["solve --k 3000", "solve --k 0 --n-max 100000"])
+def test_solve_over_step_budget_exit_2(capsys, argv):
+    start = time.perf_counter()
+    assert cli.main([*argv.split(), "--skip-oracle"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "step budget" in captured.err
 
 
 def test_solve_skip_oracle(capsys):

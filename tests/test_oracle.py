@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ln_kit.equation_model import LNInstance, is_solution
+from ln_kit import oracle
 from ln_kit.oracle import (
     SCAN_BUDGET,
+    WALK_PER_Y,
     SearchWindow,
     _divisor_window,
     _size,
@@ -129,8 +131,34 @@ def test_divisor_walk_matches_naive_scan():
                 ds = _divisor_window(D, x_max)
                 for n in range(2, 10, 2):
                     ys = _y_window(D, lam, n, x_max * x_max + D)
-                    paths.add(_size(ds) < _size(ys))
+                    paths.add(_size(ds) < WALK_PER_Y * _size(ys))
     assert paths == {True, False}
+
+
+@pytest.mark.parametrize(
+    "D, lam, x_max",
+    [(720720, 1, 1000), (720720, 4, 1000), (255255, 4, 300), (45045, 9, 300)],
+)
+def test_walk_runs_where_it_costs_less_but_has_more_candidates(
+    D, lam, x_max, monkeypatch
+):
+    # at n = 2 the walk has more candidates than the y-scan, but fewer than
+    # WALK_PER_Y times as many, so the cost rule picks it
+    ds = _divisor_window(D, x_max)
+    ys = _y_window(D, lam, 2, x_max * x_max + D)
+    assert _size(ys) <= _size(ds) < WALK_PER_Y * _size(ys)
+    walks = []
+    square_pairs = oracle._square_pairs
+
+    def spy(*args):
+        walks.append(args)
+        return square_pairs(*args)
+
+    monkeypatch.setattr(oracle, "_square_pairs", spy)
+    got = generalized_scan(D, lam, 2, 9, x_max)
+    assert len(walks) == 1
+    assert got == naive_scan(D, lam, 2, 9, x_max)
+    assert any(n == 2 for _, _, n in got)
 
 
 def test_scan_budget_refuses_before_scanning():

@@ -3,6 +3,7 @@ import pytest
 from ln_kit.equation_model import LNInstance, is_solution, theorem_solution_set
 from ln_kit.oracle import SearchWindow
 from ln_kit.solver import (
+    STEP_BUDGET,
     OracleMismatchError,
     ProofStep,
     ProofTrace,
@@ -10,6 +11,7 @@ from ln_kit.solver import (
     defect_table_route,
     defective_pair_expansion,
     solve,
+    step_bound,
     verify_solution_completeness,
 )
 
@@ -144,6 +146,29 @@ def test_solve_input_validation():
         solve(-1)
     with pytest.raises(ValueError):
         solve(0, n_max=1)
+
+
+def test_step_bound_covers_every_recorded_step():
+    for k in range(6):
+        for n_max in (2, 3, 7, 14, 30):
+            _, trace = solve(k, n_max, cross_check=False)
+            # the oracle step is not recorded here but is counted in the bound
+            assert len(trace.steps) + 1 <= step_bound(k, n_max)
+    assert step_bound(49, 30) <= STEP_BUDGET
+
+
+def test_solve_refuses_over_step_budget_before_any_step(monkeypatch):
+    import ln_kit.solver as solver_mod
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(solver_mod.ProofTrace, "step", no_step)
+    bound = step_bound(3000, 30)
+    with pytest.raises(ValueError, match=f"{bound} steps.*{STEP_BUDGET}"):
+        solve(3000, 30, cross_check=False)
+    with pytest.raises(ValueError, match="step budget"):
+        solve(0, 100000)
 
 
 def test_verify_completeness_k0():
