@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .equation_model import Solution
-from .oracle import perfect_root
+from .oracle import generalized_scan, iroot, perfect_root
 
 OUTCOME_CONTRADICTION = "contradiction"
 OUTCOME_FORCED = "forced"
@@ -380,26 +380,20 @@ def valuation_trichotomy(k: int, split: ValuationSplit, n: int) -> CaseVerdict:
 def no_19z2_solutions(n_max: int = 20, z_max: int = 10**5) -> CaseVerdict:
     """Bounded verification that 19*Z^2 + 1 = 4*Y^n has no solutions with odd
     Z <= z_max and 3 <= n <= n_max.  The unbounded statement is cited, not
-    reproved; this scan guards the reduction that relies on it."""
+    reproved; this scan guards the reduction that relies on it.
+
+    Times 19 the equation reads (19Z)^2 + 19 = 76*Y^n, so the oracle's scan
+    of x^2 + 19 = 76*y^n over x <= 19*z_max decides it.  Every x it finds is
+    odd and divisible by 19 (x^2 = 19*(4y^n - 1)), so Z = x/19 is odd.
+    candidates_checked counts every Y >= 1 with 4*Y^n <= 19*z_max^2 + 1.
+    Raises ValueError when the window is over the oracle's SCAN_BUDGET.
+    """
     if n_max < 3 or z_max < 1:
         raise ValueError(f"need n_max >= 3 and z_max >= 1, got {n_max}, {z_max}")
+    scan = generalized_scan(19, 76, 3, n_max, 19 * z_max)
+    witnesses = [(x // 19, y, n) for x, y, n in scan]
     limit = 19 * z_max * z_max + 1
-    witnesses = []
-    checked = 0
-    for n in range(3, n_max + 1):
-        y = 1
-        while True:
-            v = 4 * y**n
-            if v > limit:
-                break
-            checked += 1
-            m = v - 1
-            if m % 19 == 0:
-                z2 = m // 19
-                z = math.isqrt(z2)
-                if z * z == z2 and z % 2 == 1:
-                    witnesses.append((z, y, n))
-            y += 1
+    checked = sum(iroot(limit // 4, n) for n in range(3, n_max + 1))
     trace = (
         {
             "check": "exhaustive_scan",

@@ -13,14 +13,13 @@ import sys
 from typing import Any, Callable
 
 from .equation_model import FamilySpec, LNInstance, instantiate_family, theorem_solution_set
-from .lucas_engine import LucasPair, lucas_u, primitive_divisor
+from .lucas_engine import FACTORING_BUDGET, LucasPair, lucas_u, primitive_divisor
 from .oracle import SearchWindow, brute_force, generalized_scan
 from .quadratic_integers import class_number_imag
 from .solver import OracleMismatchError, solve, verify_solution_completeness
 
 DEFAULT_N_MAX = 30
 DEFAULT_X_MAX = 10**7
-DEFAULT_BUDGET = 10**6
 
 
 Emit = Callable[[dict[str, Any]], None]
@@ -59,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p_solve.add_argument("--x-max", type=int, default=DEFAULT_X_MAX)
-    p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_solve.add_argument(
         "--skip-oracle", action="store_true", help="skip the brute-force cross-check"
     )
@@ -95,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_primdiv.add_argument("--p", type=int, required=True)
     p_primdiv.add_argument("--q", type=int, required=True)
     p_primdiv.add_argument("--n", type=int, required=True)
-    p_primdiv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_primdiv.add_argument("--budget", type=int, default=FACTORING_BUDGET)
 
     p_class = sub.add_parser("classnum", help="class number by reduced forms")
     p_class.set_defaults(handler=_cmd_classnum)
@@ -113,11 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args: argparse.Namespace, emit: Emit) -> int:
     try:
         solutions, trace = solve(
-            args.k,
-            args.n_max,
-            args.x_max,
-            cross_check=not args.skip_oracle,
-            factoring_budget=args.budget,
+            args.k, args.n_max, args.x_max, cross_check=not args.skip_oracle
         )
     except OracleMismatchError as exc:
         emit(

@@ -1,10 +1,11 @@
-"""Lucas and Lehmer sequences, the u_p = +-1 criterion, and primitive divisors.
+"""Lucas sequences, the u_p = +-1 criterion, and primitive divisors.
 
 A prime q is a primitive divisor of u_n when q | u_n but q divides neither
 the discriminant (alpha - beta)^2 nor any earlier term u_2 ... u_{n-1}.
 Factoring is trial division below 10^6 followed by deterministically seeded
-Brent-Pollard splitting under an iteration budget; an unfactored composite
-cofactor yields an explicit indeterminate verdict, never a silent negative.
+Brent-Pollard splitting under an iteration budget (FACTORING_BUDGET unless
+given); an unfactored composite cofactor yields an explicit indeterminate
+verdict, never a silent negative.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ from functools import cache
 from typing import Any
 
 TRIAL_DIVISION_LIMIT = 10**6
+
+# Brent-rho iterations primitive_divisor may spend on a cofactor that trial
+# division leaves composite.  The solver's steps record it as their input;
+# the Lucas numbers they factor (|u_5| .. |u_13| of the pair (1, 5), all at
+# most 15,679) never get past trial division, so it changes none of them.
+FACTORING_BUDGET = 10**6
 
 # Bases giving a deterministic Miller-Rabin answer for n < 3.317e24; for
 # larger n the same bases act as a strong probable-prime test.
@@ -99,28 +106,6 @@ def lucas_sequence(pair: LucasPair, n: int) -> list[int]:
 def lucas_u(pair: LucasPair, n: int) -> int:
     """u_n for n >= 0; u_{-n} = -u_n / Q^n is not an integer in general."""
     return lucas_sequence(pair, n)[n]
-
-
-def lehmer_u(R: int, Q: int, n: int) -> int:
-    """Lehmer number for (alpha+beta)^2 = R: the (alpha^n - beta^n) quotient
-    by (alpha - beta) for odd n and by (alpha^2 - beta^2) for even n."""
-    if R == 0:
-        raise ValueError("R = (alpha+beta)^2 must be nonzero")
-    if Q == 0:
-        raise ValueError("Q = alpha*beta must be nonzero")
-    if math.gcd(R, Q) != 1:
-        raise ValueError(f"R and Q must be coprime, got ({R}, {Q})")
-    if R in (Q, 2 * Q, 3 * Q, 4 * Q):
-        raise DegenerateSequenceError(f"(R, Q) = ({R}, {Q}) is a degenerate pair")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    us = [0, 1]
-    for i in range(2, n + 1):
-        if i % 2 == 0:
-            us.append(us[-1] - Q * us[-2])
-        else:
-            us.append(R * us[-1] - Q * us[-2])
-    return us[n]
 
 
 def bhv_gate(pair: LucasPair, p: int) -> BhvRoute:
@@ -245,7 +230,7 @@ def _factorize(n: int, budget: int) -> tuple[dict[int, int], int]:
 
 
 def primitive_divisor(
-    pair: LucasPair, n: int, factoring_budget: int = 10**6
+    pair: LucasPair, n: int, factoring_budget: int = FACTORING_BUDGET
 ) -> PrimitiveDivisorVerdict:
     """Decide whether u_n has a primitive divisor, factoring within budget."""
     if n < 2:

@@ -18,6 +18,10 @@ the oracle is the ground truth and must not inherit the theorem's
 reductions.  All arithmetic is exact.  A window whose cost, summed over n
 in y-candidate units (WALK_PER_Y walk candidates make one), exceeds
 SCAN_BUDGET is refused before any candidate is tried.
+
+The same scan decides the bounded closure of 19*Z^2 + 1 = 4*Y^n in
+caseworks.no_19z2_solutions: multiplied by 19 it reads
+(19Z)^2 + 19 = 76*Y^n, so it is the window D = 19, lambda = 76.
 """
 
 from __future__ import annotations
@@ -61,19 +65,21 @@ class SearchWindow:
 
 
 def iroot(v: int, m: int) -> int:
-    """The largest r with r^m <= v; bisection, no floating point."""
+    """The largest r with r^m <= v; integer Newton, no floating point."""
     if v < 0:
         raise ValueError(f"v must be non-negative, got {v}")
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    lo, hi = 0, 1 << ((v.bit_length() + m - 1) // m)
-    while lo < hi:  # invariant: lo^m <= v < (hi+1)^m
-        mid = (lo + hi + 1) // 2
-        if mid**m <= v:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    if v < 2 or m == 1:
+        return v
+    # 2^ceil(bits/m) is above the root, and from above each Newton step
+    # falls strictly until it reaches the floor root, where it stops falling
+    r = 1 << -(-v.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + v // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
 
 
 def perfect_root(v: int, m: int) -> int | None:
@@ -142,13 +148,15 @@ def _check_budget(candidates: int) -> None:
 
 def _paths(
     D: int, lam: int, n_min: int, n_max: int, x_max: int, ds: range | None
-):
+) -> list[tuple[int, range | None]]:
     """Per n: (n, the y-window to scan), or (n, None) where walking ds costs less."""
     limit = x_max * x_max + D
+    out = []
     for n in range(n_min, n_max + 1):
         ys = _y_window(D, lam, n, limit)
         walk = ds is not None and n % 2 == 0 and _size(ds) < WALK_PER_Y * _size(ys)
-        yield n, None if walk else ys
+        out.append((n, None if walk else ys))
+    return out
 
 
 def generalized_scan(
@@ -166,15 +174,16 @@ def generalized_scan(
     _check_budget(n_max - n_min + 1)
     c = math.isqrt(lam)
     ds = _divisor_window(D, x_max) if c * c == lam else None
+    paths = _paths(D, lam, n_min, n_max, x_max, ds)
     _check_budget(
         sum(
             max(1, -(-_size(ds) // WALK_PER_Y) if ys is None else _size(ys))
-            for _, ys in _paths(D, lam, n_min, n_max, x_max, ds)
+            for _, ys in paths
         )
     )
     pairs = None  # the walk runs at most once, for the first n that takes it
     out = []
-    for n, ys in _paths(D, lam, n_min, n_max, x_max, ds):
+    for n, ys in paths:
         if ys is None:
             if pairs is None:
                 pairs = _square_pairs(D, x_max, ds)

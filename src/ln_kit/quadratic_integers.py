@@ -34,9 +34,6 @@ class QuadInt19:
     def from_int(cls, m: int) -> QuadInt19:
         return cls(2 * m, 0)
 
-    def __str__(self) -> str:
-        return f"({self.a} {self.b:+}*sqrt(-19))/2"
-
     def __mul__(self, other: QuadInt19) -> QuadInt19:
         return qmul(self, other)
 

@@ -16,6 +16,7 @@ from . import caseworks
 from .caseworks import CaseVerdict, ValuationSplit
 from .equation_model import LNInstance, Solution, is_solution, theorem_solution_set
 from .lucas_engine import (
+    FACTORING_BUDGET,
     BhvRoute,
     LucasPair,
     bhv_gate,
@@ -73,8 +74,17 @@ class ProofTrace:
     n_max: int
     steps: list[ProofStep] = field(default_factory=list)
     solutions: list[Solution] = field(default_factory=list)
-    oracle_checked: bool = False
-    oracle_x_max: int | None = None
+
+    @property
+    def oracle_checked(self) -> bool:
+        """Whether the trace holds the oracle cross-check step."""
+        return bool(self.find("oracle_cross_check"))
+
+    @property
+    def oracle_x_max(self) -> int | None:
+        """The x bound of the oracle cross-check, or None without one."""
+        found = self.find("oracle_cross_check")
+        return int(found[0].inputs["x_max"]) if found else None
 
     def step(self, op: str, **inputs: int) -> Any:
         """Run STEPS[op] on the inputs, record its JSON result, return its value."""
@@ -199,9 +209,7 @@ def _least_odd_prime_factor(n: int) -> int:
     return n
 
 
-def _odd_prime_solutions(
-    kk: int, p: int, trace: ProofTrace, *, factoring_budget: int
-) -> list[Solution]:
+def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
     """Solutions of instance kk with n = p odd prime and 19 coprime to x."""
     # b = +-19^t with t < kk: the mod-19 and mod-2^(s+1) sieves
     for t in range(kk):
@@ -232,7 +240,7 @@ def _odd_prime_solutions(
             P=pair.P,
             Q=pair.Q,
             n=p,
-            factoring_budget=factoring_budget,
+            factoring_budget=FACTORING_BUDGET,
         )
         trace.step("defect_table", p=p, k=kk)
         return []
@@ -242,15 +250,13 @@ def _odd_prime_solutions(
         return []
     trace.step("lucas_u", P=pair.P, Q=pair.Q, n=7)
     trace.step(
-        "primitive_divisor", P=pair.P, Q=pair.Q, n=7, factoring_budget=factoring_budget
+        "primitive_divisor", P=pair.P, Q=pair.Q, n=7, factoring_budget=FACTORING_BUDGET
     )
     expansion = trace.step("defective_pair_expansion", k=kk, p=7)
     return list(expansion.solutions)
 
 
-def _primitive_solutions(
-    kk: int, n_max: int, trace: ProofTrace, *, factoring_budget: int
-) -> list[Solution]:
+def _primitive_solutions(kk: int, n_max: int, trace: ProofTrace) -> list[Solution]:
     """All solutions of instance kk with 2 <= n <= n_max and 19 coprime to x."""
     inst = LNInstance(kk)
     sols: list[Solution] = []
@@ -258,9 +264,7 @@ def _primitive_solutions(
         sols.extend(trace.step("even_case", k=kk, m=m).solutions)
     by_prime: dict[int, list[Solution]] = {}
     for p in sorted({_least_odd_prime_factor(n) for n in range(3, n_max + 1, 2)}):
-        by_prime[p] = _odd_prime_solutions(
-            kk, p, trace, factoring_budget=factoring_budget
-        )
+        by_prime[p] = _odd_prime_solutions(kk, p, trace)
     for n in range(3, n_max + 1, 2):
         p = _least_odd_prime_factor(n)
         j = n // p
@@ -301,7 +305,6 @@ def solve(
     oracle_x_max: int = 10**7,
     *,
     cross_check: bool = True,
-    factoring_budget: int = 10**6,
 ) -> tuple[list[Solution], ProofTrace]:
     """Complete solution set for 2 <= n <= n_max plus a replayable proof trace.
 
@@ -325,9 +328,7 @@ def solve(
     trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=LE_Z_MAX)
     primitive: dict[int, list[Solution]] = {}
     for kk in range(k + 1):
-        primitive[kk] = _primitive_solutions(
-            kk, n_max, trace, factoring_budget=factoring_budget
-        )
+        primitive[kk] = _primitive_solutions(kk, n_max, trace)
     full = list(primitive[k])
     for s_val in range(1, k + 1):
         for sol in primitive[k - s_val]:
@@ -354,8 +355,6 @@ def solve(
             raise OracleMismatchError(
                 k, set(mine) - set(found), set(found) - set(mine)
             )
-        trace.oracle_checked = True
-        trace.oracle_x_max = oracle_x_max
     trace.solutions = full
     return full, trace
 

@@ -1,12 +1,15 @@
 import json
+import math
 
 import pytest
 
+from ln_kit import caseworks
 from ln_kit.caseworks import (
     OUTCOME_CONTRADICTION,
     OUTCOME_FORCED,
     OUTCOME_REDUCED,
     OUTCOME_SOLUTIONS,
+    CaseVerdict,
     ValuationSplit,
     even_case,
     mod19_forces_kt,
@@ -273,6 +276,67 @@ def test_no_19z2_wider_scan():
     verdict = no_19z2_solutions(20, 10**3)
     assert verdict.outcome == OUTCOME_CONTRADICTION
     assert verdict.trace[0]["candidates_checked"] > 0
+
+
+def reference_no_19z2(n_max, z_max):
+    """Reference: the y-loop no_19z2_solutions ran before it used the oracle's
+    scan, trying every y >= 1 with 4*y^n <= 19*z_max^2 + 1."""
+    limit = 19 * z_max * z_max + 1
+    witnesses = []
+    checked = 0
+    for n in range(3, n_max + 1):
+        y = 1
+        while 4 * y**n <= limit:
+            checked += 1
+            m = 4 * y**n - 1
+            if m % 19 == 0:
+                z = math.isqrt(m // 19)
+                if z * z == m // 19 and z % 2 == 1:
+                    witnesses.append((z, y, n))
+            y += 1
+    trace = (
+        {
+            "check": "exhaustive_scan",
+            "n_min": 3,
+            "n_max": n_max,
+            "z_max": z_max,
+            "candidates_checked": checked,
+            "witnesses": [list(w) for w in witnesses],
+        },
+    )
+    if witnesses:
+        return CaseVerdict.forced(
+            [("witness_count", len(witnesses))],
+            reason="scan found witnesses; the cited insolubility would be violated",
+            trace=trace,
+        )
+    return CaseVerdict.contradiction(
+        f"19*Z^2 + 1 = 4*Y^n has no solution with odd Z <= {z_max}, "
+        f"3 <= n <= {n_max} (unbounded claim cited, not reproved)",
+        trace,
+    )
+
+
+def test_no_19z2_matches_the_reference_loop():
+    for n_max in range(3, 21):
+        for z_max in (1, 2, 3, 10, 100, 10**3, 10**5):
+            got = no_19z2_solutions(n_max, z_max).to_jsonable()
+            assert got == reference_no_19z2(n_max, z_max).to_jsonable()
+
+
+def test_no_19z2_reads_witnesses_off_the_scan(monkeypatch):
+    # the equation has no solutions, so plant x = 19*3 in the scan's output
+    calls = []
+
+    def planted(*window):
+        calls.append(window)
+        return [(19 * 3, 5, 3)]
+
+    monkeypatch.setattr(caseworks, "generalized_scan", planted)
+    verdict = no_19z2_solutions(4, 10)
+    assert calls == [(19, 76, 3, 4, 190)]
+    assert verdict.outcome == OUTCOME_FORCED
+    assert verdict.trace[0]["witnesses"] == [[3, 5, 3]]
 
 
 def test_verdict_serialization_roundtrips_json():

@@ -102,6 +102,28 @@ def test_solve_over_step_budget_exit_2(capsys, argv):
     assert "step budget" in captured.err
 
 
+def test_solve_has_no_budget_flag(capsys):
+    # the factoring budget is solver-wide (lucas_engine.FACTORING_BUDGET)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--k", "0", "--budget", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+def test_k3000_window_ends_in_seconds(capsys, command):
+    # no y-window holds a candidate: the cost is the root work, plus the
+    # theorem set for verify
+    start = time.perf_counter()
+    code, out = run_cli(capsys, command, "--k", "3000")
+    assert code == 0
+    assert time.perf_counter() - start < 10.0
+    if command == "verify":
+        assert parse_lines(out)[0]["ok"] is True
+    else:
+        assert out == ""
+
+
 def test_solve_skip_oracle(capsys):
     code, out = run_cli(capsys, "solve", "--k", "7", "--n-max", "7", "--skip-oracle")
     assert code == 0

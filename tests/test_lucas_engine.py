@@ -6,7 +6,6 @@ from ln_kit.lucas_engine import (
     DegenerateSequenceError,
     LucasPair,
     bhv_gate,
-    lehmer_u,
     lucas_sequence,
     lucas_u,
     primitive_divisor,
@@ -97,36 +96,6 @@ def test_closed_form_via_ring_of_q_sqrt_minus19():
         assert pair.disc == -19
         for n in range(16):
             assert lucas_u(pair, n) == qpow(QuadInt19(P, 1), n).b
-
-
-def test_lehmer_examples():
-    assert lehmer_u(1, 5, 7) == 1
-    assert lehmer_u(1, 5, 1) == 1
-    assert lehmer_u(1, 5, 2) == 1
-
-
-def test_lehmer_matches_lucas():
-    # R = P^2 with P > 0: lehmer equals lucas on odd indices and lucas/P on even
-    for P, Q in [(1, 5), (3, 7), (5, -3), (3, -8)]:
-        pair = LucasPair(P, Q)
-        for n in range(1, 20):
-            lu = lucas_u(pair, n)
-            le = lehmer_u(P * P, Q, n)
-            if n % 2 == 1:
-                assert le == lu
-            else:
-                assert lu == le * P
-
-
-def test_lehmer_validation():
-    with pytest.raises(ValueError):
-        lehmer_u(0, 5, 3)
-    with pytest.raises(ValueError):
-        lehmer_u(4, 2, 3)  # not coprime
-    with pytest.raises(DegenerateSequenceError):
-        lehmer_u(1, 1, 3)  # R == Q
-    with pytest.raises(DegenerateSequenceError):
-        lehmer_u(4, 1, 3)  # R == 4Q
 
 
 @settings(max_examples=300)

@@ -53,8 +53,15 @@ def test_perfect_root_near_misses(r, m):
     assert perfect_root(r**m + 1, m) is None
 
 
-@given(st.integers(0, 10**40), st.integers(1, 12))
-def test_iroot_brackets(v, m):
+@given(
+    st.one_of(
+        st.tuples(st.integers(0, 10**40), st.integers(1, 12)),
+        # thousands of bits, as the y-window bounds of a large k (n up to 30)
+        st.tuples(st.integers(0, 2**4000), st.integers(1, 40)),
+    )
+)
+def test_iroot_brackets(vm):
+    v, m = vm
     r = iroot(v, m)
     assert r**m <= v < (r + 1) ** m
 
@@ -115,7 +122,7 @@ def test_brute_force_matches_naive_scan(k):
 
 def test_generalized_scan_matches_naive_scan_on_a_grid():
     for D in range(1, 40):
-        for lam in (1, 2, 3, 4, 5, 8, 12):
+        for lam in (1, 2, 3, 4, 5, 8, 12, 76):
             assert generalized_scan(D, lam, 2, 9, 400) == naive_scan(D, lam, 2, 9, 400)
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from ln_kit.equation_model import LNInstance, is_solution, theorem_solution_set
@@ -113,6 +116,40 @@ def test_replay_names_a_dropped_oracle_triple():
     steps[i] = ProofStep("oracle_cross_check", steps[i].inputs, dropped)
     assert ProofTrace(k=1, n_max=10, steps=steps).replay() == ["oracle_cross_check"]
     assert trace.replay() == []
+
+
+def test_replay_refuses_a_tampered_huge_z_max():
+    # the 19*Z^2 + 1 scan is under the oracle's scan budget: refused, not run
+    _, trace = solve(0, n_max=3, cross_check=False)
+    steps = list(trace.steps)
+    i = trace.ops().index("no_19z2_solutions")
+    huge = {**steps[i].inputs, "z_max": 10**15}
+    steps[i] = ProofStep("no_19z2_solutions", huge, steps[i].result)
+    (bad,) = ProofTrace(k=0, n_max=3, steps=steps).replay()
+    assert bad.startswith("no_19z2_solutions:") and "scan budget" in bad
+
+
+def test_oracle_fields_survive_a_json_round_trip():
+    for cross_check in (True, False):
+        _, trace = solve(1, n_max=10, oracle_x_max=10**4, cross_check=cross_check)
+        data = json.loads(json.dumps(trace.to_jsonable()))
+        rebuilt = ProofTrace(
+            k=data["k"],
+            n_max=data["n_max"],
+            steps=[ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]],
+        )
+        assert rebuilt.oracle_checked is trace.oracle_checked is cross_check
+        assert rebuilt.oracle_x_max == trace.oracle_x_max
+        assert trace.oracle_x_max == (10**4 if cross_check else None)
+
+
+def test_deep_trace_bytes_pinned():
+    _, trace = solve(49, cross_check=False)
+    blob = json.dumps(trace.to_jsonable()).encode()
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == "b5ed29ef3f9896132bf7a3a4d2665a1d50370cdd34ad97fece5745c24242aa05"
+    )
 
 
 def test_always_primitive_closure_checks_its_precondition():
