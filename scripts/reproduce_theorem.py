@@ -40,13 +40,15 @@ def main() -> int:
             print("  (no solutions in range)")
         ops = Counter(step.op for step in trace.steps)
         closed = sum(
-            1 for step in trace.steps if step.result.get("outcome") == "contradiction"
+            1
+            for step in trace.steps
+            if getattr(step.value, "outcome", None) == "contradiction"
         )
         print(f"  proof steps: {len(trace.steps)} ({closed} branch closures)")
         print("  step kinds:", ", ".join(f"{op} x{n}" for op, n in sorted(ops.items())))
         if trace.oracle_checked:
             (scan,) = trace.find("oracle_cross_check")
-            found = len(scan.result["solutions"])
+            found = len(scan.value)
             print(f"  oracle cross-check: {found} triples with x <= {args.x_max}, agreed")
         else:
             print("  oracle cross-check: skipped")

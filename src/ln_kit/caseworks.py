@@ -20,7 +20,7 @@ OUTCOME_REDUCED = "reduced"
 OUTCOME_SOLUTIONS = "solutions"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseVerdict:
     """Outcome of one proof step plus the congruence trace that supports it."""
 
@@ -77,13 +77,19 @@ class CaseVerdict:
         return out
 
 
+_JSON_INT_LIMIT = 2**53
+
+
 def json_safe(v: Any) -> Any:
-    # decimal strings for integers a JSON consumer could overflow on
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int) and abs(v) >= 2**53:
-        return str(v)
+    """v with every integer of magnitude 2^53 or more as a decimal string,
+    which a JSON consumer could otherwise overflow on.  A list or tuple
+    comes back as a new list.  bool is not int here: it stays a bool."""
+    if type(v) is int:
+        return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
     if isinstance(v, (list, tuple)):
+        # the common case, all small ints, checked without a call per element
+        if v and set(map(type, v)) == {int} and max(map(abs, v)) < _JSON_INT_LIMIT:
+            return list(v)
         return [json_safe(x) for x in v]
     return v
 
@@ -160,7 +166,7 @@ def mod19_forces_p(k: int, t: int, p: int) -> CaseVerdict:
             "residues": residues,
         },
     )
-    if all(r != 0 for r in residues):
+    if 0 not in residues:
         return CaseVerdict.contradiction(
             f"p*a^(p-1) is never 0 mod 19 for a in 1..18, so p = {p} is impossible "
             f"while 19 divides the left side",

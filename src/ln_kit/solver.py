@@ -3,12 +3,14 @@ casework and the Lucas gate, scale solutions back through the 19-adic
 reduction, and cross-check the result against the brute-force oracle.
 
 Every pipeline step runs through the step table ``STEPS`` at the bottom of
-this module, which records it as (procedure, inputs, JSON result); replay
-runs the same table, in memory or from the trace's JSON form.
+this module, which records it as (procedure, inputs, returned value); the
+value's JSON form is built only when the trace is serialized.  Replay runs
+the same table, in memory or from the trace's JSON form.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -50,11 +52,22 @@ class OracleMismatchError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofStep:
+    """One step: the op, its inputs and the value its procedure returned.
+
+    value is the procedure's own return value when the step was recorded,
+    and the JSON result when the trace was rebuilt from its JSON form.
+    """
+
     op: str
     inputs: dict[str, Any]
-    result: dict[str, Any]
+    value: Any
+
+    @property
+    def result(self) -> dict[str, Any]:
+        """The JSON form of the value, built on each access."""
+        return _jsonable(self.value)
 
     def to_jsonable(self) -> dict[str, Any]:
         return {
@@ -65,7 +78,9 @@ class ProofStep:
 
 
 def _jsonable(value: Any) -> dict[str, Any]:
-    return value if isinstance(value, dict) else value.to_jsonable()
+    # a dict is a small op's own result, or a JSON result rebuilt from a
+    # trace, with nested lists; a deep copy shares nothing mutable with it
+    return copy.deepcopy(value) if isinstance(value, dict) else value.to_jsonable()
 
 
 @dataclass
@@ -87,9 +102,10 @@ class ProofTrace:
         return int(found[0].inputs["x_max"]) if found else None
 
     def step(self, op: str, **inputs: int) -> Any:
-        """Run STEPS[op] on the inputs, record its JSON result, return its value."""
+        """Run STEPS[op] on the inputs, record the value it returns as it is,
+        and return it; the JSON form waits for to_jsonable."""
         value = STEPS[op](**inputs)
-        self.steps.append(ProofStep(op, inputs, _jsonable(value)))
+        self.steps.append(ProofStep(op, inputs, value))
         return value
 
     def ops(self) -> list[str]:
@@ -102,8 +118,9 @@ class ProofTrace:
         """Re-run every step through STEPS; returns the ops that diverged.
 
         Every step input is an integer, possibly a decimal string after a
-        JSON round trip, so int() decodes it.  A step whose inputs its
-        procedure rejects has diverged too.
+        JSON round trip, so int() decodes it.  A recorded value is compared
+        as it is, and a value rebuilt from JSON with the new value's JSON
+        form.  A step whose inputs its procedure rejects has diverged too.
         """
         bad = []
         for step in self.steps:
@@ -112,11 +129,11 @@ class ProofTrace:
                 bad.append(f"{step.op}: not replayable")
                 continue
             try:
-                result = _jsonable(fn(**{k: int(v) for k, v in step.inputs.items()}))
+                got = fn(**{k: int(v) for k, v in step.inputs.items()})
             except (TypeError, ValueError) as exc:
                 bad.append(f"{step.op}: {exc}")
                 continue
-            if result != step.result:
+            if got != step.value and _jsonable(got) != step.value:
                 bad.append(step.op)
         return bad
 
@@ -370,11 +387,18 @@ def verify_solution_completeness(
     if k != window.k:
         raise ValueError(f"k={k} differs from the window's k={window.k}")
     found = brute_force(window)
-    claimed = [
-        s
-        for s in theorem_solution_set(LNInstance(k), window.n_max)
-        if s.x <= window.x_max and window.n_min <= s.n <= window.n_max
-    ]
+    # the smallest member is n2(k), x = 9 * 19^k: every n2(t) has
+    # x >= 9 * 19^(2k - t) and n7 has x = 559 * 19^k, so above x_max the
+    # theorem side is empty and no member is built
+    claimed = (
+        []
+        if 9 * 19**k > window.x_max
+        else [
+            s
+            for s in theorem_solution_set(LNInstance(k), window.n_max)
+            if s.x <= window.x_max and window.n_min <= s.n <= window.n_max
+        ]
+    )
     ok = set(found) == set(claimed)
     report = {
         "k": k,

@@ -357,3 +357,45 @@ def test_verdict_big_int_stringified():
     blob = verdict.to_jsonable()
     split = [s for s in blob["trace"] if s["check"] == "coprime_factor_split"][0]
     assert isinstance(split["large_factor"], str)  # 19^19 exceeds 2^53
+
+
+def reference_json_safe(v):
+    # json_safe as it was before its fast paths, kept as the reference
+    if isinstance(v, bool):
+        return v
+    if isinstance(v, int) and abs(v) >= 2**53:
+        return str(v)
+    if isinstance(v, (list, tuple)):
+        return [reference_json_safe(x) for x in v]
+    return v
+
+
+def test_json_safe_matches_the_reference():
+    edges = [2**53 - 1, 2**53, -(2**53) + 1, -(2**53), 0, 1, -1, 19**19, -(19**19)]
+    values = [
+        *edges,
+        True,
+        False,
+        None,
+        "19",
+        1.5,
+        [],
+        (),
+        edges,
+        tuple(edges),
+        [3, 12, 8],
+        [True, 2],
+        [[1, 2**60], (3, -5)],
+        [1, "a", None],
+        [2**53 - 1, -(2**53) + 1],
+    ]
+    for v in values:
+        got = caseworks.json_safe(v)
+        # json.dumps tells True from 1 and "1" from 1
+        assert json.dumps(got) == json.dumps(reference_json_safe(v)), v
+        if isinstance(v, (list, tuple)):
+            assert type(got) is list and got is not v
+    nested = [[1, 2], [3]]
+    got = caseworks.json_safe(nested)
+    got[0].append(4)
+    assert nested == [[1, 2], [3]]

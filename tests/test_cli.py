@@ -124,6 +124,17 @@ def test_k3000_window_ends_in_seconds(capsys, command):
         assert out == ""
 
 
+def test_verify_k10000_builds_no_member_above_x_max(capsys):
+    # every n2 member has x >= 9 * 19^k, so none is built at this k
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "verify", "--k", "10000")
+    assert code == 0
+    assert time.perf_counter() - start < 10.0
+    (report,) = parse_lines(out)
+    assert report["ok"] is True
+    assert report["oracle"] == report["theorem"] == []
+
+
 def test_solve_skip_oracle(capsys):
     code, out = run_cli(capsys, "solve", "--k", "7", "--n-max", "7", "--skip-oracle")
     assert code == 0

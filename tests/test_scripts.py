@@ -1,9 +1,13 @@
 """Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,3 +43,91 @@ def test_reproduce_theorem_counts_oracle_triples():
     assert proc.returncode == 0, proc.stderr
     assert "oracle cross-check: 2 triples with x <= 1000, agreed" in proc.stdout
     assert "replay: all steps reproduced" in proc.stdout
+
+
+def load_bench_record():
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", ROOT / "scripts" / "bench_record.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(wall_s, peak_mb, failed=0, tree="abc123"):
+    final = {
+        "correct": failed == 0,
+        "attempted": 28,
+        "failed": failed,
+        "metrics": {
+            "wall_s": {"value": wall_s, "unit": "s"},
+            "peak_rss_mb": {"value": peak_mb, "unit": "MB"},
+        },
+    }
+    return "\n".join(
+        [
+            "perfbench workload=proof_deep seed=1 trace=0 passes=9 untraced + 0 traced",
+            "env python: 3.11.7",
+            "env nproc: 2",
+            f"env src_sha256: {tree}",
+            "env load_avg_before: (0.5, 0.4, 0.3)",
+            f"wall_s = {wall_s} s (median of 9 passes)",
+            json.dumps(final),
+        ]
+    )
+
+
+def test_bench_record_aggregates_canned_runs():
+    bench = load_bench_record()
+    pairs = ((0.4, 70.0), (0.2, 69.0), (0.3, 71.0), (0.1, 68.0))
+    parsed = [bench.parse_run(canned_run(w, m)) for w, m in pairs]
+    assert parsed[0]["env"]["src_sha256"] == "abc123"
+    assert parsed[0]["env"]["python"] == "3.11.7"
+    summary = bench.aggregate({"proof_deep": parsed})["proof_deep"]
+    assert (summary["runs"], summary["correct"], summary["failed"]) == (4, True, 0)
+    assert summary["attempted"] == 4 * 28
+    wall = summary["metrics"]["wall_s"]
+    assert wall["unit"] == "s"
+    assert wall["median"] == pytest.approx(0.25)
+    assert (wall["q1"], wall["q3"]) == (pytest.approx(0.175), pytest.approx(0.325))
+    assert wall["values"] == [0.4, 0.2, 0.3, 0.1]
+    assert summary["metrics"]["peak_rss_mb"]["median"] == pytest.approx(69.5)
+    failing = bench.aggregate({"w": [bench.parse_run(canned_run(0.3, 70.0, failed=1))]})
+    assert failing["w"]["correct"] is False and failing["w"]["failed"] == 1
+    mixed = [bench.parse_run(canned_run(0.3, 70.0, tree=t)) for t in ("abc", "def")]
+    with pytest.raises(ValueError, match="different source trees"):
+        bench.aggregate({"proof_deep": mixed})
+
+
+def test_bench_record_never_overwrites(tmp_path, monkeypatch, capsys):
+    bench = load_bench_record()
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    # a canned run for every workload and seed: 0.3 s on odd seeds, 0.5 s on even
+    monkeypatch.setattr(
+        bench,
+        "run_bench",
+        lambda workload, seed, seconds: bench.parse_run(
+            canned_run(0.3 if seed % 2 else 0.5, 70.0)
+        ),
+    )
+    argv = ["--number", "7"]
+    assert bench.main(argv) == 0
+    written = (tmp_path / "BENCH_7.json").read_text()
+    record = json.loads(written)
+    assert record["number"] == 7 and record["seeds"] == list(range(1, 11))
+    assert record["env"]["src_sha256"] == "abc123"
+    bench_spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench_spec["workloads"]]
+    assert list(record["workloads"]) == names
+    for summary in record["workloads"].values():
+        assert summary["runs"] == 10
+        assert summary["metrics"]["wall_s"]["median"] == pytest.approx(0.4)
+
+    def no_run(*args):
+        raise AssertionError("ran the benchmark although the record exists")
+
+    monkeypatch.setattr(bench, "run_bench", no_run)
+    assert bench.main(argv) == 2
+    assert "not overwritten" in capsys.readouterr().err
+    assert (tmp_path / "BENCH_7.json").read_text() == written

@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from ln_kit.equation_model import LNInstance, is_solution, theorem_solution_set
+from ln_kit import caseworks
+from ln_kit.equation_model import LNInstance, Solution, is_solution, theorem_solution_set
 from ln_kit.oracle import SearchWindow
 from ln_kit.solver import (
     STEP_BUDGET,
@@ -152,6 +154,72 @@ def test_deep_trace_bytes_pinned():
     )
 
 
+def rebuilt_from_json(trace):
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    return ProofTrace(
+        k=data["k"],
+        n_max=data["n_max"],
+        steps=[ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]],
+    )
+
+
+def test_replay_names_tampered_native_values():
+    _, trace = solve(2, n_max=7, cross_check=False)
+    steps = list(trace.steps)
+    i = trace.ops().index("even_case")
+    found = steps[i].value
+    (sol,) = found.solutions
+    moved = Solution(sol.x, sol.y + 2, sol.n)
+    moved_found = dataclasses.replace(found, solutions=(moved,))
+    steps[i] = ProofStep("even_case", steps[i].inputs, moved_found)
+    j = trace.ops().index("mod19_forces_p")
+    sieve = steps[j].value
+    (check,) = sieve.trace
+    zeroed = {**check, "residues": [0, *check["residues"][1:]]}
+    zeroed_sieve = dataclasses.replace(sieve, trace=(zeroed,))
+    steps[j] = ProofStep("mod19_forces_p", steps[j].inputs, zeroed_sieve)
+    tampered = ProofTrace(k=2, n_max=7, steps=steps)
+    assert tampered.replay() == ["even_case", "mod19_forces_p"]
+    assert rebuilt_from_json(tampered).replay() == ["even_case", "mod19_forces_p"]
+    assert trace.replay() == [] and rebuilt_from_json(trace).replay() == []
+
+
+def scribble(obj):
+    """Append to every list and add a key to every dict inside obj."""
+    if isinstance(obj, list):
+        for item in obj:
+            scribble(item)
+        obj.append("scribbled")
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            scribble(item)
+        obj["scribbled"] = True
+
+
+def test_step_result_shares_nothing_with_the_recorded_value():
+    _, trace = solve(1, n_max=30, oracle_x_max=10**4)
+    for t in (trace, rebuilt_from_json(trace)):
+        for step in t.steps:
+            scribble(step.result)
+        assert t.replay() == []
+
+
+def test_solve_and_replay_build_no_json(monkeypatch):
+    # the JSON form is built only by to_jsonable
+    def refuse(value):
+        raise AssertionError("json_safe called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(caseworks, "json_safe", refuse)
+        _, trace = solve(3, cross_check=False)
+        assert trace.replay() == []
+    blob = json.dumps(trace.to_jsonable()).encode()
+    assert (
+        hashlib.sha256(blob).hexdigest()
+        == "29652c274cd6afeeaed26649b5b88ddc124cb9c3b460dd1ef62b110a136dd369"
+    )
+
+
 def test_always_primitive_closure_checks_its_precondition():
     assert always_primitive_closure(17).outcome == "contradiction"
     for p in (13, 21):
@@ -231,6 +299,26 @@ def test_verify_completeness_rejects_a_window_of_another_k():
     # the scan would be of k = 1 and the theorem set of k = 0
     with pytest.raises(ValueError):
         verify_solution_completeness(0, SearchWindow(k=1, x_max=10**3))
+
+
+def test_verify_theorem_side_matches_the_filtered_theorem_set(monkeypatch):
+    import ln_kit.solver as solver_mod
+
+    # only the theorem side is under test: the oracle cannot scan up to 19^41
+    monkeypatch.setattr(solver_mod, "brute_force", lambda window: [])
+    for k in range(21):
+        for n_min, n_max in ((2, 30), (2, 6), (3, 30), (7, 7)):
+            full = theorem_solution_set(LNInstance(k), n_max)
+            for x_max in sorted({s.x + d for s in full for d in (-1, 0, 1)}):
+                window = SearchWindow(k, n_min, n_max, x_max)
+                _, report = verify_solution_completeness(k, window)
+                expected = [
+                    s.to_jsonable()
+                    for s in full
+                    if s.x <= x_max and n_min <= s.n <= n_max
+                ]
+                assert report["theorem"] == expected, (k, n_min, n_max, x_max)
+                assert report["ok"] is (expected == [])
 
 
 def test_defect_table_route():
