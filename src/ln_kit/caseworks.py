@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .equation_model import Solution
+from .lucas_engine import is_probable_prime
 from .oracle import generalized_scan, iroot, perfect_root
 
 OUTCOME_CONTRADICTION = "contradiction"
@@ -156,7 +157,7 @@ def mod19_forces_p(k: int, t: int, p: int) -> CaseVerdict:
     if not 0 <= t < k:
         raise ValueError(f"requires 0 <= t < k, got t={t}, k={k}")
     if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise ValueError(f"p must be odd and at least 3, got {p}")
     residues = [(p % 19) * pow(a, p - 1, 19) % 19 for a in range(1, 19)]
     trace = (
         {
@@ -197,7 +198,7 @@ def mod_pow2_insoluble(p: int, t: int) -> CaseVerdict:
     """
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    if p <= 3 or p % 4 != 3:
+    if p <= 3 or p % 4 != 3 or not is_probable_prime(p):
         raise ValueError(f"p must be a prime congruent to 3 mod 4 and > 3, got {p}")
     s = ((p - 3) & -(p - 3)).bit_length() - 1
     m = (p - 3) >> s

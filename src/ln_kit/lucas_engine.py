@@ -2,10 +2,12 @@
 
 A prime q is a primitive divisor of u_n when q | u_n but q divides neither
 the discriminant (alpha - beta)^2 nor any earlier term u_2 ... u_{n-1}.
-Factoring is trial division below 10^6 followed by deterministically seeded
-Brent-Pollard splitting under an iteration budget (FACTORING_BUDGET unless
-given); an unfactored composite cofactor yields an explicit indeterminate
-verdict, never a silent negative.
+Factoring trial-divides in place by 2, 3 and then 6j +- 1, up to the square
+root of what is left or TRIAL_DIVISION_LIMIT, whichever comes first, and
+then splits what survives by deterministically seeded Brent-Pollard under an
+iteration budget (FACTORING_BUDGET unless given); an unfactored composite
+cofactor yields an explicit indeterminate verdict, never a silent negative.
+is_probable_prime is the package's one primality test.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from typing import Any
 
 TRIAL_DIVISION_LIMIT = 10**6
@@ -81,7 +82,6 @@ class PrimitiveDivisorVerdict:
     witness: int | None = None
     obstruction: str | None = None
     indeterminate: bool = False
-    factors: tuple[int, ...] = ()
 
     def to_jsonable(self) -> dict[str, Any]:
         return {
@@ -121,17 +121,6 @@ def bhv_gate(pair: LucasPair, p: int) -> BhvRoute:
     return BhvRoute.SMALL_PRIME
 
 
-@cache
-def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray(b"\x01") * TRIAL_DIVISION_LIMIT
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(TRIAL_DIVISION_LIMIT) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start::p] = b"\x00" * ((TRIAL_DIVISION_LIMIT - 1 - start) // p + 1)
-    return tuple(i for i, v in enumerate(sieve) if v)
-
-
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin over _MR_BASES: exact below 3.317e24, probable above."""
     if n < 2:
@@ -158,9 +147,8 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int]:
-    """One Brent-Pollard attempt; returns (factor or None, iterations used)."""
-    if n % 2 == 0:
-        return 2, 0
+    """One Brent-Pollard attempt on an odd n; returns (factor or None,
+    iterations used)."""
     used = 0
     while used < budget:
         y = rng.randrange(1, n)
@@ -200,12 +188,15 @@ def _factorize(n: int, budget: int) -> tuple[dict[int, int], int]:
     leftover > 1 means a composite piece survived the budget.
     """
     factors: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+    # candidates 2, 3, then 6j - 1 and 6j + 1: every prime below the limit is
+    # one, and a composite candidate never divides, its primes being gone
+    f, gap = 2, 1
+    while f < TRIAL_DIVISION_LIMIT and f * f <= n:
+        while n % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            n //= f
+        f += gap
+        gap = 2 if f <= 5 else 6 - gap
     if n == 1:
         return factors, 1
     if n < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_probable_prime(n):
@@ -254,9 +245,7 @@ def primitive_divisor(
         if j is not None:
             reasons.append(f"{q} divides u_{j} = {us[j]}")
             continue
-        return PrimitiveDivisorVerdict(
-            n=n, exists=True, witness=q, factors=tuple(sorted(factors))
-        )
+        return PrimitiveDivisorVerdict(n=n, exists=True, witness=q)
     if leftover > 1:
         return PrimitiveDivisorVerdict(
             n=n,
@@ -265,11 +254,5 @@ def primitive_divisor(
                 reasons + [f"composite cofactor {leftover} unfactored within budget"]
             ),
             indeterminate=True,
-            factors=tuple(sorted(factors)),
         )
-    return PrimitiveDivisorVerdict(
-        n=n,
-        exists=False,
-        obstruction="; ".join(reasons),
-        factors=tuple(sorted(factors)),
-    )
+    return PrimitiveDivisorVerdict(n=n, exists=False, obstruction="; ".join(reasons))

@@ -30,16 +30,6 @@ class QuadInt19:
                 f"(a, b) = ({self.a}, {self.b}) is not a ring element: a != b (mod 2)"
             )
 
-    @classmethod
-    def from_int(cls, m: int) -> QuadInt19:
-        return cls(2 * m, 0)
-
-    def __mul__(self, other: QuadInt19) -> QuadInt19:
-        return qmul(self, other)
-
-    def __pow__(self, e: int) -> QuadInt19:
-        return qpow(self, e)
-
     @property
     def norm(self) -> int:
         return (self.a * self.a + 19 * self.b * self.b) // 4
@@ -49,7 +39,7 @@ class QuadInt19:
         return QuadInt19(self.a, -self.b)
 
 
-ONE = QuadInt19.from_int(1)
+ONE = QuadInt19(2, 0)
 
 
 def qmul(u: QuadInt19, v: QuadInt19) -> QuadInt19:

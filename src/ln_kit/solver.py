@@ -217,15 +217,6 @@ def defective_pair_expansion(k: int, p: int) -> CaseVerdict:
     return CaseVerdict.found(sols, trace)
 
 
-def _least_odd_prime_factor(n: int) -> int:
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
-
-
 def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
     """Solutions of instance kk with n = p odd prime and 19 coprime to x."""
     # b = +-19^t with t < kk: the mod-19 and mod-2^(s+1) sieves
@@ -279,11 +270,11 @@ def _primitive_solutions(kk: int, n_max: int, trace: ProofTrace) -> list[Solutio
     sols: list[Solution] = []
     for m in range(1, n_max // 2 + 1):
         sols.extend(trace.step("even_case", k=kk, m=m).solutions)
-    by_prime: dict[int, list[Solution]] = {}
-    for p in sorted({_least_odd_prime_factor(n) for n in range(3, n_max + 1, 2)}):
-        by_prime[p] = _odd_prime_solutions(kk, p, trace)
+    # the least prime factors of the odd n <= n_max are the odd primes <= n_max
+    primes = [p for p in range(3, n_max + 1, 2) if is_probable_prime(p)]
+    by_prime = {p: _odd_prime_solutions(kk, p, trace) for p in primes}
     for n in range(3, n_max + 1, 2):
-        p = _least_odd_prime_factor(n)
+        p = next(p for p in primes if n % p == 0)
         j = n // p
         for s in by_prime[p]:
             if j == 1:

@@ -129,6 +129,14 @@ def test_mod_pow2_insoluble_rejects_wrong_residue_class():
         mod_pow2_insoluble(3, 1)  # s undefined
 
 
+@pytest.mark.parametrize("p", [15, 27, 35])
+@pytest.mark.parametrize("t", [0, 1])
+def test_mod_pow2_insoluble_rejects_composite_p(p, t):
+    # 3 mod 4 and above 3, but not prime
+    with pytest.raises(ValueError, match="prime"):
+        mod_pow2_insoluble(p, t)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_p3_case(k):
     verdict = p3_case(k, 500)

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ln_kit.lucas_engine import (
+    FACTORING_BUDGET,
     BhvRoute,
     DegenerateSequenceError,
     LucasPair,
+    _factorize,
     bhv_gate,
     lucas_sequence,
     lucas_u,
@@ -156,7 +163,7 @@ def test_primitive_divisor_obstruction_bookkeeping():
     assert verdict.exists is True
     assert verdict.witness == 7
     verdict12 = primitive_divisor(LucasPair(1, 5), 12)
-    assert verdict12.factors  # factored fine at desk scale
+    assert verdict12.indeterminate is False  # factored fine at desk scale
 
 
 def test_primitive_divisor_indeterminate_on_zero_budget():
@@ -179,3 +186,63 @@ def test_primitive_divisor_deterministic():
     a = primitive_divisor(LucasPair(2, 9), 61, factoring_budget=10**6)
     b = primitive_divisor(LucasPair(2, 9), 61, factoring_budget=10**6)
     assert a == b
+
+
+def reference_factorization(n):
+    """Trial division by every integer from 2 up: slow, but plainly right."""
+    factors = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10**13))
+def test_factorize_matches_reference(n):
+    assert _factorize(n, FACTORING_BUDGET) == (reference_factorization(n), 1)
+
+
+@pytest.mark.parametrize(
+    "p, q, needs_rho",
+    [
+        # the last trial divisor below the limit, then a survivor below the
+        # limit squared, which is prime without a test
+        (999_983, 1_000_003, False),
+        # two primes above the limit: only rho splits them
+        (1_000_003, 1_000_033, True),
+        # rho on a prime square
+        (1_000_003, 1_000_003, True),
+    ],
+)
+def test_factorize_planted_paths(p, q, needs_rho):
+    n = p * q
+    expected = {p: 1, q: 1} if p != q else {p: 2}
+    assert _factorize(n, FACTORING_BUDGET) == (expected, 1)
+    # with no rho budget, what needs rho stays a composite leftover
+    assert _factorize(n, 0) == (({}, n) if needs_rho else (expected, 1))
+
+
+def test_first_primitive_divisor_call_builds_no_prime_table():
+    code = (
+        "import tracemalloc\n"
+        "from ln_kit.lucas_engine import LucasPair, primitive_divisor\n"
+        "tracemalloc.start()\n"
+        "primitive_divisor(LucasPair(1, 5), 13)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 256 * 1024
