@@ -14,14 +14,15 @@ import argparse
 import time
 from collections import Counter
 
+from ln_kit.oracle import SearchWindow
 from ln_kit.solver import solve
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--k-max", type=int, default=2)
-    ap.add_argument("--n-max", type=int, default=30)
-    ap.add_argument("--x-max", type=int, default=10**7)
+    ap.add_argument("--n-max", type=int, default=SearchWindow.n_max)
+    ap.add_argument("--x-max", type=int, default=SearchWindow.x_max)
     ap.add_argument("--skip-oracle", action="store_true")
     ap.add_argument("--replay", action="store_true", help="replay each trace step")
     args = ap.parse_args()
@@ -48,7 +49,7 @@ def main() -> int:
         print("  step kinds:", ", ".join(f"{op} x{n}" for op, n in sorted(ops.items())))
         if trace.oracle_checked:
             (scan,) = trace.find("oracle_cross_check")
-            found = len(scan.value)
+            found = len(scan.value["solutions"])
             print(f"  oracle cross-check: {found} triples with x <= {args.x_max}, agreed")
         else:
             print("  oracle cross-check: skipped")

@@ -1,95 +1,2 @@
 """Exact solver, proof replayer and brute-force verifier for
 x^2 + 19^(2k+1) = 4*y^n over the positive integers."""
-
-from .caseworks import (
-    CaseVerdict,
-    ValuationSplit,
-    even_case,
-    mod19_forces_kt,
-    mod19_forces_p,
-    mod_pow2_insoluble,
-    no_19z2_solutions,
-    p3_case,
-    valuation_trichotomy,
-)
-from .equation_model import (
-    FamilyConstraintError,
-    FamilyKind,
-    FamilySpec,
-    LNInstance,
-    Solution,
-    instantiate_family,
-    is_solution,
-    theorem_solution_set,
-)
-from .lucas_engine import (
-    BhvRoute,
-    DegenerateSequenceError,
-    LucasPair,
-    PrimitiveDivisorVerdict,
-    bhv_gate,
-    lucas_sequence,
-    lucas_u,
-    primitive_divisor,
-)
-from .oracle import SearchWindow, brute_force, generalized_scan, perfect_root
-from .quadratic_integers import (
-    QuadFormClassCount,
-    QuadInt19,
-    class_number_imag,
-    imag_binomial_sum,
-    qmul,
-    qpow,
-    reduced_forms,
-)
-from .solver import (
-    OracleMismatchError,
-    ProofStep,
-    ProofTrace,
-    solve,
-    verify_solution_completeness,
-)
-
-__all__ = [
-    "BhvRoute",
-    "CaseVerdict",
-    "DegenerateSequenceError",
-    "FamilyConstraintError",
-    "FamilyKind",
-    "FamilySpec",
-    "LNInstance",
-    "LucasPair",
-    "OracleMismatchError",
-    "PrimitiveDivisorVerdict",
-    "ProofStep",
-    "ProofTrace",
-    "QuadFormClassCount",
-    "QuadInt19",
-    "SearchWindow",
-    "Solution",
-    "ValuationSplit",
-    "bhv_gate",
-    "brute_force",
-    "class_number_imag",
-    "even_case",
-    "generalized_scan",
-    "imag_binomial_sum",
-    "instantiate_family",
-    "is_solution",
-    "lucas_sequence",
-    "lucas_u",
-    "mod19_forces_kt",
-    "mod19_forces_p",
-    "mod_pow2_insoluble",
-    "no_19z2_solutions",
-    "p3_case",
-    "perfect_root",
-    "primitive_divisor",
-    "qmul",
-    "qpow",
-    "reduced_forms",
-    "solve",
-    "theorem_solution_set",
-    "valuation_trichotomy",
-    "verify_solution_completeness",
-]

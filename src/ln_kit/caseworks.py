@@ -70,7 +70,7 @@ class CaseVerdict:
         if self.constraints:
             out["constraints"] = list(self.constraints)
         if self.solutions:
-            out["solutions"] = [s.to_jsonable() for s in self.solutions]
+            out["solutions"] = json_safe(self.solutions)
         if self.trace:
             out["trace"] = [
                 {k: json_safe(v) for k, v in step.items()} for step in self.trace
@@ -82,9 +82,14 @@ _JSON_INT_LIMIT = 2**53
 
 
 def json_safe(v: Any) -> Any:
-    """v with every integer of magnitude 2^53 or more as a decimal string,
-    which a JSON consumer could otherwise overflow on.  A list or tuple
-    comes back as a new list.  bool is not int here: it stays a bool."""
+    """The JSON form of v, the package's one encoder of nested values.
+
+    Every integer of magnitude 2^53 or more becomes a decimal string, which
+    a JSON consumer could otherwise overflow on; bool is not int here and
+    stays a bool.  A list or tuple comes back as a new list and a dict as a
+    new dict, their items encoded in turn, so the result shares no container
+    with v.  An object with to_jsonable (a Solution, a verdict, a route)
+    encodes itself; anything else comes back as it is."""
     if type(v) is int:
         return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
     if isinstance(v, (list, tuple)):
@@ -92,7 +97,10 @@ def json_safe(v: Any) -> Any:
         if v and set(map(type, v)) == {int} and max(map(abs, v)) < _JSON_INT_LIMIT:
             return list(v)
         return [json_safe(x) for x in v]
-    return v
+    if isinstance(v, dict):
+        return {k: json_safe(x) for k, x in v.items()}
+    to_jsonable = getattr(v, "to_jsonable", None)
+    return v if to_jsonable is None else to_jsonable()
 
 
 @dataclass(frozen=True)
@@ -251,7 +259,7 @@ def _cubic_witnesses(target: int, bound: int) -> list[tuple[int, int]]:
     return found
 
 
-def p3_case(k: int, search_bound: int = 500) -> CaseVerdict:
+def p3_case(k: int, search_bound: int) -> CaseVerdict:
     """n = 3 with 19 not dividing x is impossible, shown two independent ways.
 
     Residue path: 4*19^k = 3a^2 b - 19 b^3 read mod 3 forces b = 2 (mod 3);
@@ -306,10 +314,10 @@ def valuation_trichotomy(k: int, split: ValuationSplit, n: int) -> CaseVerdict:
     """Case 19 | x: compare min{2s, 2k+1, tn} in
     19^(2s) X^2 + 19^(2k+1) = 4 * 19^(tn) Y^n and close or reduce the instance.
 
-    min = 2k+1 forces tn = 2k+1 and lands on 19*Z^2 + 1 = 4*Y^n (insoluble);
-    min = tn needs tn = 2k+1 (same dead end) or 2s = tn; min = 2s forces
-    tn = 2s mod 19.  The surviving branches reduce to the instance k - s with
-    the constraint tn = 2s recorded.
+    min = 2k+1 forces tn = 2k+1 and lands on 19*Z^2 + 1 = 4*Y^n (insoluble).
+    Below 2k+1, dividing by 19^min leaves exactly one term prime to 19
+    unless 2s = tn, so the instance reduces to k - s, with the constraint
+    tn = 2s recorded, exactly when 2s = tn.
     """
     if k < 0 or n < 2:
         raise ValueError(f"need k >= 0 and n >= 2, got k={k}, n={n}")
@@ -348,43 +356,25 @@ def valuation_trichotomy(k: int, split: ValuationSplit, n: int) -> CaseVerdict:
             "(bounded scan in no_19z2_solutions; unbounded statement cited)",
             trace,
         )
-    if mn == tn:
-        trace = (
-            base,
-            {
-                "check": "mod19_forcing",
-                "forced": "2s == t*n (or t*n == 2k+1, handled above)",
-                "holds": two_s == tn,
-            },
-        )
-        if two_s != tn:
-            return CaseVerdict.contradiction(
-                f"after dividing by 19^(tn), both remaining terms are divisible "
-                f"by 19 while 4*Y^n is not: 2s = {two_s}, t*n = {tn}",
-                trace,
-            )
-        return CaseVerdict.reduced(
-            k - split.s,
-            (f"t*n == 2*s == {two_s}",),
-            trace,
-        )
-    # mn == two_s, strictly below t*n (parity rules out a tie with 2k+1)
+    # mn is 2s or t*n, strictly below 2k+1
     trace = (
         base,
         {
             "check": "mod19_forcing",
-            "forced": "t*n == 2s",
-            "holds": tn == two_s,
+            "forced": "2s == t*n (or t*n == 2k+1, handled above)",
+            "holds": two_s == tn,
         },
     )
-    return CaseVerdict.reduced(
-        k - split.s,
-        (f"t*n == 2*s == {two_s}",),
-        trace,
-    )
+    if two_s != tn:
+        return CaseVerdict.contradiction(
+            f"after dividing by 19^{mn}, exactly one of the three terms is "
+            f"prime to 19: 2s = {two_s}, t*n = {tn}",
+            trace,
+        )
+    return CaseVerdict.reduced(k - split.s, (f"t*n == 2*s == {two_s}",), trace)
 
 
-def no_19z2_solutions(n_max: int = 20, z_max: int = 10**5) -> CaseVerdict:
+def no_19z2_solutions(n_max: int, z_max: int) -> CaseVerdict:
     """Bounded verification that 19*Z^2 + 1 = 4*Y^n has no solutions with odd
     Z <= z_max and 3 <= n <= n_max.  The unbounded statement is cited, not
     reproved; this scan guards the reduction that relies on it.

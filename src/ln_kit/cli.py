@@ -18,10 +18,6 @@ from .oracle import SearchWindow, brute_force, generalized_scan
 from .quadratic_integers import class_number_imag
 from .solver import OracleMismatchError, solve, verify_solution_completeness
 
-DEFAULT_N_MAX = 30
-DEFAULT_X_MAX = 10**7
-
-
 Emit = Callable[[dict[str, Any]], None]
 
 
@@ -56,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the full decision procedure")
     p_solve.set_defaults(handler=_cmd_solve)
     p_solve.add_argument("--k", type=int, required=True)
-    p_solve.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    p_solve.add_argument("--x-max", type=int, default=DEFAULT_X_MAX)
+    p_solve.add_argument("--n-max", type=int, default=SearchWindow.n_max)
+    p_solve.add_argument("--x-max", type=int, default=SearchWindow.x_max)
     p_solve.add_argument(
         "--skip-oracle", action="store_true", help="skip the brute-force cross-check"
     )
@@ -70,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--k", type=int)
     p_oracle.add_argument("--d", type=int, help="generalized constant D")
     p_oracle.add_argument("--lam", type=int, help="generalized coefficient lambda")
-    p_oracle.add_argument("--n-min", type=int, default=2)
-    p_oracle.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    p_oracle.add_argument("--x-max", type=int, default=DEFAULT_X_MAX)
+    p_oracle.add_argument("--n-min", type=int, default=SearchWindow.n_min)
+    p_oracle.add_argument("--n-max", type=int, default=SearchWindow.n_max)
+    p_oracle.add_argument("--x-max", type=int, default=SearchWindow.x_max)
 
     p_family = sub.add_parser("family", help="materialize theorem solution families")
     p_family.set_defaults(handler=_cmd_family)
@@ -80,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--kind", choices=("n1", "n2", "n7", "all"), required=True)
     p_family.add_argument("--t", type=int, help="parameter for n1/n2")
     p_family.add_argument("--m", type=int, help="parameter for n7")
-    p_family.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    p_family.add_argument("--n-max", type=int, default=SearchWindow.n_max)
 
     p_lucas = sub.add_parser("lucas", help="Lucas number u_n for a pair (P, Q)")
     p_lucas.set_defaults(handler=_cmd_lucas)
@@ -102,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="oracle vs theorem set comparison")
     p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--k", type=int, required=True)
-    p_verify.add_argument("--n-min", type=int, default=2)
-    p_verify.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    p_verify.add_argument("--x-max", type=int, default=DEFAULT_X_MAX)
+    p_verify.add_argument("--n-min", type=int, default=SearchWindow.n_min)
+    p_verify.add_argument("--n-max", type=int, default=SearchWindow.n_max)
+    p_verify.add_argument("--x-max", type=int, default=SearchWindow.x_max)
     return parser
 
 

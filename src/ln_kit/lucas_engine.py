@@ -104,8 +104,14 @@ def lucas_sequence(pair: LucasPair, n: int) -> list[int]:
 
 
 def lucas_u(pair: LucasPair, n: int) -> int:
-    """u_n for n >= 0; u_{-n} = -u_n / Q^n is not an integer in general."""
-    return lucas_sequence(pair, n)[n]
+    """u_n for n >= 0; u_{-n} = -u_n / Q^n is not an integer in general.
+    Only the last two terms are kept, so memory grows with n, not n^2."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    u, u_next = 0, 1
+    for _ in range(n):
+        u, u_next = u_next, pair.P * u_next - pair.Q * u
+    return u
 
 
 def bhv_gate(pair: LucasPair, p: int) -> BhvRoute:

@@ -10,7 +10,6 @@ the same table, in memory or from the trace's JSON form.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -57,7 +56,8 @@ class ProofStep:
     """One step: the op, its inputs and the value its procedure returned.
 
     value is the procedure's own return value when the step was recorded,
-    and the JSON result when the trace was rebuilt from its JSON form.
+    and the JSON result when the trace was rebuilt from its JSON form;
+    caseworks.json_safe turns either into the JSON result.
     """
 
     op: str
@@ -66,8 +66,9 @@ class ProofStep:
 
     @property
     def result(self) -> dict[str, Any]:
-        """The JSON form of the value, built on each access."""
-        return _jsonable(self.value)
+        """The JSON form of the value, built by caseworks.json_safe on each
+        access; it shares no container with the value."""
+        return caseworks.json_safe(self.value)
 
     def to_jsonable(self) -> dict[str, Any]:
         return {
@@ -75,12 +76,6 @@ class ProofStep:
             "inputs": {k: caseworks.json_safe(v) for k, v in self.inputs.items()},
             "result": self.result,
         }
-
-
-def _jsonable(value: Any) -> dict[str, Any]:
-    # a dict is a small op's own result, or a JSON result rebuilt from a
-    # trace, with nested lists; a deep copy shares nothing mutable with it
-    return copy.deepcopy(value) if isinstance(value, dict) else value.to_jsonable()
 
 
 @dataclass
@@ -133,7 +128,7 @@ class ProofTrace:
             except (TypeError, ValueError) as exc:
                 bad.append(f"{step.op}: {exc}")
                 continue
-            if got != step.value and _jsonable(got) != step.value:
+            if got != step.value and caseworks.json_safe(got) != step.value:
                 bad.append(step.op)
         return bad
 
@@ -143,17 +138,9 @@ class ProofTrace:
             "n_max": self.n_max,
             "oracle_checked": self.oracle_checked,
             "oracle_x_max": self.oracle_x_max,
-            "solutions": [s.to_jsonable() for s in self.solutions],
+            "solutions": caseworks.json_safe(self.solutions),
             "steps": [s.to_jsonable() for s in self.steps],
         }
-
-
-class _OracleScan(list):
-    """The oracle's solutions in a window, recorded in full so that replay
-    compares the scan itself."""
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"solutions": [s.to_jsonable() for s in self]}
 
 
 def always_primitive_closure(p: int) -> CaseVerdict:
@@ -309,8 +296,8 @@ def step_bound(k: int, n_max: int) -> int:
 
 def solve(
     k: int,
-    n_max: int = 30,
-    oracle_x_max: int = 10**7,
+    n_max: int = SearchWindow.n_max,
+    oracle_x_max: int = SearchWindow.x_max,
     *,
     cross_check: bool = True,
 ) -> tuple[list[Solution], ProofTrace]:
@@ -357,7 +344,7 @@ def solve(
     if cross_check:
         found = trace.step(
             "oracle_cross_check", k=k, n_min=2, n_max=n_max, x_max=oracle_x_max
-        )
+        )["solutions"]
         mine = [s for s in full if s.x <= oracle_x_max]
         if set(found) != set(mine):
             raise OracleMismatchError(
@@ -398,8 +385,8 @@ def verify_solution_completeness(
             "n_max": window.n_max,
             "x_max": str(window.x_max),
         },
-        "oracle": [s.to_jsonable() for s in found],
-        "theorem": [s.to_jsonable() for s in claimed],
+        "oracle": caseworks.json_safe(found),
+        "theorem": caseworks.json_safe(claimed),
         "ok": ok,
     }
     return ok, report
@@ -426,7 +413,8 @@ STEPS: dict[str, Callable[..., Any]] = {
     "valuation_trichotomy": lambda k, s, t, X, Y, n: caseworks.valuation_trichotomy(
         k, ValuationSplit(s, t, X, Y), n
     ),
-    "oracle_cross_check": lambda k, n_min, n_max, x_max: _OracleScan(
-        brute_force(SearchWindow(k=k, n_min=n_min, n_max=n_max, x_max=x_max))
-    ),
+    # the oracle's solutions in full, so that replay compares the scan itself
+    "oracle_cross_check": lambda k, n_min, n_max, x_max: {
+        "solutions": brute_force(SearchWindow(k, n_min, n_max, x_max))
+    },
 }

@@ -20,7 +20,8 @@ from ln_kit.caseworks import (
     p3_case,
     valuation_trichotomy,
 )
-from ln_kit.equation_model import FamilySpec, LNInstance, instantiate_family
+from ln_kit.equation_model import FamilySpec, LNInstance, Solution, instantiate_family
+from ln_kit.lucas_engine import BhvRoute, LucasPair, primitive_divisor
 
 
 @pytest.mark.parametrize(
@@ -230,12 +231,28 @@ def test_trichotomy_reduces_n2_scaling():
 
 
 def test_trichotomy_min_2s_records_constraint():
-    # min = 2s with t*n != 2s: reduced instance with the forcing recorded
+    # min = 2s with t*n != 2s: X^2 + 19 = 76*Y^3 forces 19 | X, so the branch
+    # closes, with the failed forcing recorded
     verdict = valuation_trichotomy(1, ValuationSplit(1, 1, 9, 5), 3)
-    assert verdict.outcome == OUTCOME_REDUCED
-    assert verdict.reduced_k == 0
+    assert verdict.outcome == OUTCOME_CONTRADICTION
+    assert verdict.reduced_k is None
     forcing = [s for s in verdict.trace if s["check"] == "mod19_forcing"]
     assert forcing and forcing[0]["holds"] is False
+
+
+def test_trichotomy_reduces_iff_2s_equals_tn_below_2k1():
+    # after dividing by 19^min, one term is prime to 19 unless the two
+    # smallest valuations tie, and only 2s = t*n < 2k+1 can tie
+    for k in range(6):
+        for s_val in range(1, k + 3):
+            for t in range(7):
+                for n in range(2, 11):
+                    verdict = valuation_trichotomy(k, ValuationSplit(s_val, t, 9, 5), n)
+                    if 2 * s_val == t * n < 2 * k + 1:
+                        assert verdict.outcome == OUTCOME_REDUCED, (k, s_val, t, n)
+                        assert verdict.reduced_k == k - s_val
+                    else:
+                        assert verdict.outcome == OUTCOME_CONTRADICTION, (k, s_val, t, n)
 
 
 def test_trichotomy_min_2k1_le_branch():
@@ -375,6 +392,8 @@ def reference_json_safe(v):
         return str(v)
     if isinstance(v, (list, tuple)):
         return [reference_json_safe(x) for x in v]
+    if isinstance(v, dict):
+        return {k: reference_json_safe(x) for k, x in v.items()}
     return v
 
 
@@ -396,6 +415,10 @@ def test_json_safe_matches_the_reference():
         [[1, 2**60], (3, -5)],
         [1, "a", None],
         [2**53 - 1, -(2**53) + 1],
+        {},
+        {"a": 2**53, "b": 2**53 - 1, "c": True, "d": "19", "e": None},
+        {"a": {"b": [1, 2**60], "c": (3, -(19**19))}, "d": {"e": {"f": 2**53}}},
+        [{"x": 1}, {"y": -(2**53)}, ()],
     ]
     for v in values:
         got = caseworks.json_safe(v)
@@ -403,7 +426,38 @@ def test_json_safe_matches_the_reference():
         assert json.dumps(got) == json.dumps(reference_json_safe(v)), v
         if isinstance(v, (list, tuple)):
             assert type(got) is list and got is not v
+        if isinstance(v, dict):
+            assert type(got) is dict and got is not v
     nested = [[1, 2], [3]]
     got = caseworks.json_safe(nested)
     got[0].append(4)
     assert nested == [[1, 2], [3]]
+
+
+def test_json_safe_of_dicts_shares_nothing():
+    nested = {"a": [1, 2], "b": {"c": [3, {"d": 4}], "e": (5,)}, "f": 19**19}
+    got = caseworks.json_safe(nested)
+    assert got == {"a": [1, 2], "b": {"c": [3, {"d": 4}], "e": [5]}, "f": str(19**19)}
+    got["a"].append(0)
+    got["b"]["c"][1]["d"] = 0
+    got["b"]["c"].append(0)
+    got["b"]["g"] = 0
+    got["h"] = 0
+    assert nested == {"a": [1, 2], "b": {"c": [3, {"d": 4}], "e": (5,)}, "f": 19**19}
+
+
+def test_json_safe_encodes_what_has_to_jsonable():
+    objects = [
+        Solution(9, 5, 2),
+        Solution(19**19, 5, 7),
+        even_case(9, 1),
+        mod19_forces_p(2, 0, 19),
+        BhvRoute.SMALL_PRIME,
+        primitive_divisor(LucasPair(1, 5), 13),
+        primitive_divisor(LucasPair(2, 9), 61, 0),
+    ]
+    for obj in objects:
+        assert caseworks.json_safe(obj) == obj.to_jsonable(), obj
+    assert caseworks.json_safe({"solutions": objects[:2]}) == {
+        "solutions": [objects[0].to_jsonable(), objects[1].to_jsonable()]
+    }

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -284,3 +287,28 @@ def test_text_format(capsys):
 
 def test_classnum_bad_disc_exit_2(capsys):
     assert cli.main(["classnum", "--disc", "-5"]) == 2
+
+
+def loaded_submodules(statement):
+    """The ln_kit submodules a fresh interpreter holds after statement."""
+    code = (
+        "import json, sys\n"
+        f"{statement}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ln_kit.'))))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_package_import_loads_only_what_is_named():
+    # the package re-exports nothing, so a module loads only its own imports
+    assert loaded_submodules("import ln_kit") == []
+    assert loaded_submodules("import ln_kit.lucas_engine") == ["ln_kit.lucas_engine"]

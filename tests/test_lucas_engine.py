@@ -92,6 +92,7 @@ def test_closed_form_agreement_small_pairs():
             seq = lucas_sequence(pair, 25)
             for n in range(26):
                 assert seq[n] == closed_form_u(P, Q, n), (P, Q, n)
+                assert lucas_u(pair, n) == seq[n], (P, Q, n)
 
 
 def test_closed_form_via_ring_of_q_sqrt_minus19():
@@ -228,12 +229,14 @@ def test_factorize_planted_paths(p, q, needs_rho):
     assert _factorize(n, 0) == (({}, n) if needs_rho else (expected, 1))
 
 
-def test_first_primitive_divisor_call_builds_no_prime_table():
+def fresh_tracemalloc_peak(call):
+    """tracemalloc's peak, in bytes, of one lucas_engine call made first
+    thing in a fresh interpreter."""
     code = (
         "import tracemalloc\n"
-        "from ln_kit.lucas_engine import LucasPair, primitive_divisor\n"
+        "from ln_kit.lucas_engine import LucasPair, lucas_u, primitive_divisor\n"
         "tracemalloc.start()\n"
-        "primitive_divisor(LucasPair(1, 5), 13)\n"
+        f"{call}\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -245,4 +248,13 @@ def test_first_primitive_divisor_call_builds_no_prime_table():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 256 * 1024
+    return int(proc.stdout)
+
+
+def test_first_primitive_divisor_call_builds_no_prime_table():
+    assert fresh_tracemalloc_peak("primitive_divisor(LucasPair(1, 5), 13)") < 256 * 1024
+
+
+def test_lucas_u_keeps_no_sequence():
+    # the whole list u_0 .. u_n would peak near 20 MB at n = 16000
+    assert fresh_tracemalloc_peak("lucas_u(LucasPair(1, 5), 16000)") < 256 * 1024
