@@ -13,7 +13,7 @@ from typing import Any
 
 from .equation_model import Solution
 from .lucas_engine import is_probable_prime
-from .oracle import generalized_scan, iroot, perfect_root
+from .oracle import SCAN_BUDGET, generalized_scan, iroot, perfect_root
 
 OUTCOME_CONTRADICTION = "contradiction"
 OUTCOME_FORCED = "forced"
@@ -101,29 +101,6 @@ def json_safe(v: Any) -> Any:
         return {k: json_safe(x) for k, x in v.items()}
     to_jsonable = getattr(v, "to_jsonable", None)
     return v if to_jsonable is None else to_jsonable()
-
-
-@dataclass(frozen=True)
-class ValuationSplit:
-    """x = 19^s * X, y = 19^t * Y with X, Y positive, odd and coprime to 19."""
-
-    s: int
-    t: int
-    X: int
-    Y: int
-
-    def __post_init__(self) -> None:
-        if self.s < 0 or self.t < 0:
-            raise ValueError(f"valuations must be non-negative: s={self.s}, t={self.t}")
-        if self.X < 1 or self.Y < 1:
-            raise ValueError(f"X and Y must be positive: X={self.X}, Y={self.Y}")
-        if self.X % 19 == 0 or self.Y % 19 == 0:
-            raise ValueError(
-                f"19 must not divide X or Y (x not divisible by 19^s exactly): "
-                f"X={self.X}, Y={self.Y}"
-            )
-        if self.X % 2 == 0:
-            raise ValueError(f"X must be odd (x is odd), got {self.X}")
 
 
 def even_case(k: int, m: int) -> CaseVerdict:
@@ -267,10 +244,17 @@ def p3_case(k: int, search_bound: int) -> CaseVerdict:
     no square satisfies.  Exhaustive path: no odd |a|, |b| <= search_bound
     satisfy the cubic identity at all.  The box is decided one b at a time
     (a^2 is fixed by b), exactly and without residues; candidates_checked
-    still counts every (a, b) pair in it.
+    still counts every (a, b) pair in it.  Raises ValueError before the
+    search when its values of b are more than the oracle's SCAN_BUDGET.
     """
     if k < 0 or search_bound < 1:
         raise ValueError(f"need k >= 0 and search_bound >= 1, got {k}, {search_bound}")
+    odd = len(range(1, search_bound + 1, 2))
+    if 2 * odd > SCAN_BUDGET:
+        raise ValueError(
+            f"p3_case(search_bound={search_bound}) would try {2 * odd} values "
+            f"of b, over the scan budget of {SCAN_BUDGET}"
+        )
     target = 4 * 19**k
     # mod 3: RHS = -b^3 = -b, LHS = 1
     b_mod3 = [b for b in range(3) if (3 * b - 19 * b**3) % 3 == target % 3]
@@ -280,7 +264,6 @@ def p3_case(k: int, search_bound: int) -> CaseVerdict:
     forced_square = 2 * ((target % 9 + 8) // 3) % 3
     a_mod3 = [a for a in range(3) if (6 * a * a - 8) % 9 == target % 9]
     witnesses = _cubic_witnesses(target, search_bound)  # a > 0: it enters squared
-    odd = len(range(1, search_bound + 1, 2))
     candidates = odd * 2 * odd
     trace = (
         {"check": "mod3_forces_b", "lhs_mod_3": target % 3, "b_mod_3": b_mod3},
@@ -310,20 +293,24 @@ def p3_case(k: int, search_bound: int) -> CaseVerdict:
     )
 
 
-def valuation_trichotomy(k: int, split: ValuationSplit, n: int) -> CaseVerdict:
-    """Case 19 | x: compare min{2s, 2k+1, tn} in
-    19^(2s) X^2 + 19^(2k+1) = 4 * 19^(tn) Y^n and close or reduce the instance.
+def valuation_trichotomy(k: int, s: int, t: int, X: int, Y: int, n: int) -> CaseVerdict:
+    """Case 19 | x with x = 19^s * X, y = 19^t * Y: compare min{2s, 2k+1, tn}
+    in 19^(2s) X^2 + 19^(2k+1) = 4 * 19^(tn) Y^n and close or reduce the
+    instance.
 
     min = 2k+1 forces tn = 2k+1 and lands on 19*Z^2 + 1 = 4*Y^n (insoluble).
     Below 2k+1, dividing by 19^min leaves exactly one term prime to 19
     unless 2s = tn, so the instance reduces to k - s, with the constraint
-    tn = 2s recorded, exactly when 2s = tn.
+    tn = 2s recorded, exactly when 2s = tn.  Raises ValueError unless
+    s >= 1, t >= 0, X and Y are positive and prime to 19, and X is odd.
     """
     if k < 0 or n < 2:
         raise ValueError(f"need k >= 0 and n >= 2, got k={k}, n={n}")
-    if split.s < 1:
-        raise ValueError(f"19 | x requires s >= 1, got s={split.s}")
-    two_s, odd_e, tn = 2 * split.s, 2 * k + 1, split.t * n
+    if s < 1 or t < 0 or X < 1 or Y < 1:
+        raise ValueError(f"need s >= 1, t >= 0, X >= 1, Y >= 1: {s}, {t}, {X}, {Y}")
+    if X % 19 == 0 or Y % 19 == 0 or X % 2 == 0:
+        raise ValueError(f"X must be odd and X, Y prime to 19: X={X}, Y={Y}")
+    two_s, odd_e, tn = 2 * s, 2 * k + 1, t * n
     mn = min(two_s, odd_e, tn)
     base = {
         "check": "valuation_minimum",
@@ -371,7 +358,7 @@ def valuation_trichotomy(k: int, split: ValuationSplit, n: int) -> CaseVerdict:
             f"prime to 19: 2s = {two_s}, t*n = {tn}",
             trace,
         )
-    return CaseVerdict.reduced(k - split.s, (f"t*n == 2*s == {two_s}",), trace)
+    return CaseVerdict.reduced(k - s, (f"t*n == 2*s == {two_s}",), trace)
 
 
 def no_19z2_solutions(n_max: int, z_max: int) -> CaseVerdict:

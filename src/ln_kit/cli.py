@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Any, Callable
 
-from .equation_model import FamilySpec, LNInstance, instantiate_family, theorem_solution_set
+from .equation_model import LNInstance, instantiate_family, theorem_solution_set
 from .lucas_engine import FACTORING_BUDGET, LucasPair, lucas_u, primitive_divisor
 from .oracle import SearchWindow, brute_force, generalized_scan
 from .quadratic_integers import class_number_imag
@@ -137,18 +137,17 @@ def _cmd_solve(args: argparse.Namespace, emit: Emit) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace, emit: Emit) -> int:
-    if args.d is not None or args.lam is not None:
-        if args.d is None or args.lam is None:
-            print("ln-kit oracle: --d and --lam must be given together", file=sys.stderr)
-            raise SystemExit(2)
+    # either --k alone, or --d and --lam together
+    generalized = args.d is not None
+    if (args.k is None) != generalized or (args.lam is None) == generalized:
+        print("ln-kit oracle: provide --k, or both --d and --lam", file=sys.stderr)
+        raise SystemExit(2)
+    if generalized:
         triples = generalized_scan(args.d, args.lam, args.n_min, args.n_max, args.x_max)
         for x, y, n in triples:
             row = {"x": str(x), "y": str(y), "n": n}
             emit({"kind": "triple", "d": args.d, "lam": args.lam, **row})
         return 0
-    if args.k is None:
-        print("ln-kit oracle: provide --k, or both --d and --lam", file=sys.stderr)
-        raise SystemExit(2)
     window = SearchWindow(
         k=args.k, n_min=args.n_min, n_max=args.n_max, x_max=args.x_max
     )
@@ -163,18 +162,13 @@ def _cmd_family(args: argparse.Namespace, emit: Emit) -> int:
         for sol in theorem_solution_set(inst, args.n_max):
             emit(_solution_obj(sol, k=args.k))
         return 0
-    if args.kind in ("n1", "n2"):
-        if args.t is None:
-            print("ln-kit family: --t is required for n1/n2", file=sys.stderr)
-            raise SystemExit(2)
-        spec = FamilySpec.n1(args.t) if args.kind == "n1" else FamilySpec.n2(args.t)
-    else:
-        if args.m is None:
-            print("ln-kit family: --m is required for n7", file=sys.stderr)
-            raise SystemExit(2)
-        spec = FamilySpec.n7(args.m)
-    sol = instantiate_family(inst, spec)
-    emit(_solution_obj(sol, k=args.k, family=args.kind, param=spec.param))
+    param = args.m if args.kind == "n7" else args.t
+    if param is None:
+        flag, kinds = ("--m", "n7") if args.kind == "n7" else ("--t", "n1/n2")
+        print(f"ln-kit family: {flag} is required for {kinds}", file=sys.stderr)
+        raise SystemExit(2)
+    sol = instantiate_family(inst, args.kind, param)
+    emit(_solution_obj(sol, k=args.k, family=args.kind, param=param))
     return 0
 
 
@@ -193,13 +187,13 @@ def _cmd_primdiv(args: argparse.Namespace, emit: Emit) -> int:
 
 
 def _cmd_classnum(args: argparse.Namespace, emit: Emit) -> int:
-    count = class_number_imag(args.disc)
+    forms = class_number_imag(args.disc)
     emit(
         {
             "kind": "class_number",
-            "disc": count.discriminant,
-            "h": count.h,
-            "forms": [list(f) for f in count.forms],
+            "disc": args.disc,
+            "h": len(forms),
+            "forms": [list(f) for f in forms],
         }
     )
     return 0

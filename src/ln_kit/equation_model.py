@@ -3,18 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, ClassVar
-
-
-class FamilyKind(str, Enum):
-    N1 = "n1"  # n = 1 parametric family, one member per t >= 0 (infinite)
-    N2 = "n2"  # n = 2 family scaled by 19^t, 0 <= t <= k
-    N7 = "n7"  # exceptional n = 7 family, present only when k = 7m
-
-
-class FamilyConstraintError(ValueError):
-    """A FamilySpec violates its parameter constraints for the given instance."""
 
 
 @dataclass(frozen=True)
@@ -62,30 +51,6 @@ class Solution:
         return (self.n, self.y, self.x)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """One member of a solution family: kind plus its parameter (t or m)."""
-
-    kind: FamilyKind
-    param: int
-
-    def __post_init__(self) -> None:
-        if self.param < 0:
-            raise ValueError(f"family parameter must be non-negative, got {self.param}")
-
-    @classmethod
-    def n1(cls, t: int) -> FamilySpec:
-        return cls(FamilyKind.N1, t)
-
-    @classmethod
-    def n2(cls, t: int) -> FamilySpec:
-        return cls(FamilyKind.N2, t)
-
-    @classmethod
-    def n7(cls, m: int) -> FamilySpec:
-        return cls(FamilyKind.N7, m)
-
-
 def is_solution(inst: LNInstance, x: int, y: int, n: int) -> bool:
     """True iff x^2 + 19^(2k+1) = 4*y^n holds exactly for positive x, y, n."""
     if x <= 0 or y <= 0 or n < 1:
@@ -93,32 +58,35 @@ def is_solution(inst: LNInstance, x: int, y: int, n: int) -> bool:
     return x * x + inst.D == 4 * y**n
 
 
-def instantiate_family(inst: LNInstance, spec: FamilySpec) -> Solution:
-    """Materialize one family member; rejects parameter/instance mismatches.
+def instantiate_family(inst: LNInstance, kind: str, param: int) -> Solution:
+    """The member of family kind ("n1", "n2" or "n7") at param, t or m.
 
-    n1(t): (2t+1, t^2 + t + (1+D)/4, 1)
+    n1(t): (2t+1, t^2 + t + (1+D)/4, 1), the infinite n = 1 family
     n2(t): (19^t*(19^(2(k-t)+1)-1)/2, 19^t*(19^(2(k-t)+1)+1)/4, 2), t <= k
     n7(m): (559*19^(7m), 5*19^(2m), 7), k = 7m
+
+    Raises ValueError for a negative param, t > k for n2, k != 7m for n7
+    and any other kind.
     """
-    k, t = inst.k, spec.param
-    if spec.kind is FamilyKind.N1:
+    k, t = inst.k, param
+    if t < 0:
+        raise ValueError(f"family parameter must be non-negative, got {t}")
+    if kind == "n1":
         sol = Solution(2 * t + 1, t * t + t + (1 + inst.D) // 4, 1)
-    elif spec.kind is FamilyKind.N2:
+    elif kind == "n2":
         if t > k:
-            raise FamilyConstraintError(
+            raise ValueError(
                 f"n2 family requires t <= k: got t={t}, k={k} "
                 f"(the scaling 19^t exhausts the 19-adic budget of the instance)"
             )
         e = 2 * (k - t) + 1
         sol = Solution(19**t * (19**e - 1) // 2, 19**t * (19**e + 1) // 4, 2)
-    elif spec.kind is FamilyKind.N7:
+    elif kind == "n7":
         if k != 7 * t:
-            raise FamilyConstraintError(
-                f"n7 family exists only for k = 7m: got k={k}, m={t}"
-            )
+            raise ValueError(f"n7 family exists only for k = 7m: got k={k}, m={t}")
         sol = Solution(559 * 19 ** (7 * t), 5 * 19 ** (2 * t), 7)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown family kind {spec.kind!r}")
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
     assert is_solution(inst, *sol.as_tuple()), f"family member failed recheck: {sol}"
     return sol
 
@@ -133,8 +101,8 @@ def theorem_solution_set(inst: LNInstance, n_max: int) -> list[Solution]:
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    sols = [instantiate_family(inst, FamilySpec.n2(t)) for t in range(inst.k + 1)]
+    sols = [instantiate_family(inst, "n2", t) for t in range(inst.k + 1)]
     if inst.k % 7 == 0 and n_max >= 7:
-        sols.append(instantiate_family(inst, FamilySpec.n7(inst.k // 7)))
+        sols.append(instantiate_family(inst, "n7", inst.k // 7))
     sols.sort(key=lambda s: s.sort_key)
     return sols

@@ -93,19 +93,10 @@ class PrimitiveDivisorVerdict:
         }
 
 
-def lucas_sequence(pair: LucasPair, n: int) -> list[int]:
-    """u_0 .. u_n with u_0 = 0, u_1 = 1, u_i = P*u_{i-1} - Q*u_{i-2}."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    us = [0, 1]
-    for _ in range(n - 1):
-        us.append(pair.P * us[-1] - pair.Q * us[-2])
-    return us[: n + 1]
-
-
 def lucas_u(pair: LucasPair, n: int) -> int:
-    """u_n for n >= 0; u_{-n} = -u_n / Q^n is not an integer in general.
-    Only the last two terms are kept, so memory grows with n, not n^2."""
+    """u_n for n >= 0, where u_0 = 0, u_1 = 1, u_i = P*u_{i-1} - Q*u_{i-2};
+    u_{-n} = -u_n / Q^n is not an integer in general.  Only the last two
+    terms are kept, so memory grows with n, not n^2."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     u, u_next = 0, 1
@@ -229,29 +220,40 @@ def _factorize(n: int, budget: int) -> tuple[dict[int, int], int]:
 def primitive_divisor(
     pair: LucasPair, n: int, factoring_budget: int = FACTORING_BUDGET
 ) -> PrimitiveDivisorVerdict:
-    """Decide whether u_n has a primitive divisor, factoring within budget."""
+    """Decide whether u_n has a primitive divisor, factoring within budget.
+
+    u_n comes from lucas_u.  One more pass of the recurrence finds, for each
+    prime factor q of u_n, the first j in [2, n) with q | u_j and that u_j,
+    which the obstruction quotes.  No list of terms is kept, so memory grows
+    with n, not n^2.
+    """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    us = lucas_sequence(pair, n)
-    if us[n] == 0:
+    value = abs(lucas_u(pair, n))
+    if value == 0:
         raise DegenerateSequenceError(f"u_{n} = 0 for pair {pair}")
-    value = abs(us[n])
     if value == 1:
         return PrimitiveDivisorVerdict(
             n=n, exists=False, obstruction="u_n is a unit: no prime factors at all"
         )
     factors, leftover = _factorize(value, factoring_budget)
     disc = pair.disc
+    earlier: dict[int, tuple[int, int]] = {}  # q -> (j, u_j), j least
+    u, u_next = 1, pair.P  # u_1, u_2
+    for j in range(2, n):
+        u, u_next = u_next, pair.P * u_next - pair.Q * u
+        for q in factors:
+            if q not in earlier and u % q == 0:
+                earlier[q] = (j, u)
     reasons = []
     for q in sorted(factors):
         if disc % q == 0:
             reasons.append(f"{q} divides the discriminant {disc}")
-            continue
-        j = next((j for j in range(2, n) if us[j] % q == 0), None)
-        if j is not None:
-            reasons.append(f"{q} divides u_{j} = {us[j]}")
-            continue
-        return PrimitiveDivisorVerdict(n=n, exists=True, witness=q)
+        elif q in earlier:
+            j, u_j = earlier[q]
+            reasons.append(f"{q} divides u_{j} = {u_j}")
+        else:
+            return PrimitiveDivisorVerdict(n=n, exists=True, witness=q)
     if leftover > 1:
         return PrimitiveDivisorVerdict(
             n=n,

@@ -80,20 +80,12 @@ def imag_binomial_sum(a: int, b: int, p: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class QuadFormClassCount:
-    """Class number of a negative discriminant with its reduced-form list."""
+def class_number_imag(disc: int) -> list[tuple[int, int, int]]:
+    """The reduced primitive forms (A, B, C) of a negative discriminant, sorted.
 
-    discriminant: int
-    h: int
-    forms: tuple[tuple[int, int, int], ...]
-
-
-def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
-    """All reduced primitive forms (A, B, C) of the given discriminant.
-
-    Reduced means |B| <= A <= C with B >= 0 whenever |B| = A or A = C;
-    exactly one per equivalence class, so the count is the class number.
+    Reduced means |B| <= A <= C with B >= 0 whenever |B| = A or A = C:
+    exactly one per equivalence class, so their count is the class number.
+    The enumeration is exhaustive, exact and bit-stable.
     """
     if disc >= 0:
         raise ValueError(f"discriminant must be negative, got {disc}")
@@ -118,9 +110,3 @@ def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
             out.append((A, B, C))
     out.sort()
     return out
-
-
-def class_number_imag(disc: int) -> QuadFormClassCount:
-    """Class number by exhaustive reduced-form enumeration; exact and bit-stable."""
-    forms = tuple(reduced_forms(disc))
-    return QuadFormClassCount(discriminant=disc, h=len(forms), forms=forms)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import caseworks
-from .caseworks import CaseVerdict, ValuationSplit
+from .caseworks import CaseVerdict
 from .equation_model import LNInstance, Solution, is_solution, theorem_solution_set
 from .lucas_engine import (
     FACTORING_BUDGET,
@@ -411,7 +411,7 @@ STEPS: dict[str, Callable[..., Any]] = {
     "defective_pair_expansion": lambda k, p: defective_pair_expansion(k, p),
     "composite_lift": lambda y, j, n: {"root": perfect_root(y, j)},
     "valuation_trichotomy": lambda k, s, t, X, Y, n: caseworks.valuation_trichotomy(
-        k, ValuationSplit(s, t, X, Y), n
+        k, s, t, X, Y, n
     ),
     # the oracle's solutions in full, so that replay compares the scan itself
     "oracle_cross_check": lambda k, n_min, n_max, x_max: {

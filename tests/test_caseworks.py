@@ -10,7 +10,6 @@ from ln_kit.caseworks import (
     OUTCOME_REDUCED,
     OUTCOME_SOLUTIONS,
     CaseVerdict,
-    ValuationSplit,
     even_case,
     mod19_forces_kt,
     mod19_forces_p,
@@ -20,7 +19,7 @@ from ln_kit.caseworks import (
     p3_case,
     valuation_trichotomy,
 )
-from ln_kit.equation_model import FamilySpec, LNInstance, Solution, instantiate_family
+from ln_kit.equation_model import LNInstance, Solution, instantiate_family
 from ln_kit.lucas_engine import BhvRoute, LucasPair, primitive_divisor
 
 
@@ -29,7 +28,7 @@ from ln_kit.lucas_engine import BhvRoute, LucasPair, primitive_divisor
     [(0, 0, (1, 5, 1)), (0, 1, (3, 7, 1)), (1, 0, (1, 1715, 1))],
 )
 def test_n1_parametric(k, t, expected):
-    assert instantiate_family(LNInstance(k), FamilySpec.n1(t)).as_tuple() == expected
+    assert instantiate_family(LNInstance(k), "n1", t).as_tuple() == expected
 
 
 def test_even_case_m1_gives_n2_family():
@@ -43,7 +42,7 @@ def test_even_case_m1_gives_n2_family():
 def test_even_case_matches_family_generator():
     for k in range(7):
         verdict = even_case(k, 1)
-        expected = instantiate_family(LNInstance(k), FamilySpec.n2(0))
+        expected = instantiate_family(LNInstance(k), "n2", 0)
         assert list(verdict.solutions) == [expected]
 
 
@@ -214,17 +213,17 @@ def test_p3_cross_check_against_ring_power():
 
 def test_valuation_split_validation():
     with pytest.raises(ValueError):
-        ValuationSplit(1, 1, 19, 5)  # 19 | X
+        valuation_trichotomy(1, 1, 1, 19, 5, 2)  # 19 | X
     with pytest.raises(ValueError):
-        ValuationSplit(1, 1, 9, 38)  # 19 | Y
+        valuation_trichotomy(1, 1, 1, 9, 38, 2)  # 19 | Y
     with pytest.raises(ValueError):
-        ValuationSplit(1, 1, 4, 5)  # even X
+        valuation_trichotomy(1, 1, 1, 4, 5, 2)  # even X
     with pytest.raises(ValueError):
-        ValuationSplit(-1, 1, 9, 5)
+        valuation_trichotomy(1, -1, 1, 9, 5, 2)
 
 
 def test_trichotomy_reduces_n2_scaling():
-    verdict = valuation_trichotomy(1, ValuationSplit(1, 1, 9, 5), 2)
+    verdict = valuation_trichotomy(1, 1, 1, 9, 5, 2)
     assert verdict.outcome == OUTCOME_REDUCED
     assert verdict.reduced_k == 0
     assert any("2*s" in c for c in verdict.constraints)
@@ -233,7 +232,7 @@ def test_trichotomy_reduces_n2_scaling():
 def test_trichotomy_min_2s_records_constraint():
     # min = 2s with t*n != 2s: X^2 + 19 = 76*Y^3 forces 19 | X, so the branch
     # closes, with the failed forcing recorded
-    verdict = valuation_trichotomy(1, ValuationSplit(1, 1, 9, 5), 3)
+    verdict = valuation_trichotomy(1, 1, 1, 9, 5, 3)
     assert verdict.outcome == OUTCOME_CONTRADICTION
     assert verdict.reduced_k is None
     forcing = [s for s in verdict.trace if s["check"] == "mod19_forcing"]
@@ -247,7 +246,7 @@ def test_trichotomy_reduces_iff_2s_equals_tn_below_2k1():
         for s_val in range(1, k + 3):
             for t in range(7):
                 for n in range(2, 11):
-                    verdict = valuation_trichotomy(k, ValuationSplit(s_val, t, 9, 5), n)
+                    verdict = valuation_trichotomy(k, s_val, t, 9, 5, n)
                     if 2 * s_val == t * n < 2 * k + 1:
                         assert verdict.outcome == OUTCOME_REDUCED, (k, s_val, t, n)
                         assert verdict.reduced_k == k - s_val
@@ -257,38 +256,38 @@ def test_trichotomy_reduces_iff_2s_equals_tn_below_2k1():
 
 def test_trichotomy_min_2k1_le_branch():
     # min = 2k+1 = t*n: closes on the cited 19Z^2+1 = 4Y^n dead end
-    verdict = valuation_trichotomy(1, ValuationSplit(2, 1, 9, 5), 3)
+    verdict = valuation_trichotomy(1, 2, 1, 9, 5, 3)
     assert verdict.outcome == OUTCOME_CONTRADICTION
     assert "19*Z^2" in verdict.reason
 
 
 def test_trichotomy_min_2k1_forcing_violated():
-    verdict = valuation_trichotomy(1, ValuationSplit(2, 2, 9, 5), 2)
+    verdict = valuation_trichotomy(1, 2, 2, 9, 5, 2)
     assert verdict.outcome == OUTCOME_CONTRADICTION
     assert "t*n = 2k+1" in verdict.reason or "forces t*n" in verdict.reason
 
 
 def test_trichotomy_min_tn_mismatch():
-    verdict = valuation_trichotomy(3, ValuationSplit(2, 1, 9, 5), 3)
+    verdict = valuation_trichotomy(3, 2, 1, 9, 5, 3)
     assert verdict.outcome == OUTCOME_CONTRADICTION
 
 
 def test_trichotomy_n7_scaling_needs_7_dividing_s():
     # k = 7, s = 7, n = 7: t = 2 satisfies t*n = 2s, reduction hits k' = 0
-    verdict = valuation_trichotomy(7, ValuationSplit(7, 2, 559, 5), 7)
+    verdict = valuation_trichotomy(7, 7, 2, 559, 5, 7)
     assert verdict.outcome == OUTCOME_REDUCED
     assert verdict.reduced_k == 0
 
 
 def test_trichotomy_t0_is_contradiction():
     # t = 0 means 19 divides x but not y: impossible, caught by min = tn = 0
-    verdict = valuation_trichotomy(2, ValuationSplit(1, 0, 9, 5), 2)
+    verdict = valuation_trichotomy(2, 1, 0, 9, 5, 2)
     assert verdict.outcome == OUTCOME_CONTRADICTION
 
 
 def test_trichotomy_preconditions():
     with pytest.raises(ValueError):
-        valuation_trichotomy(1, ValuationSplit(0, 1, 9, 5), 2)
+        valuation_trichotomy(1, 0, 1, 9, 5, 2)
 
 
 def test_no_19z2_small_scan():
@@ -370,7 +369,7 @@ def test_verdict_serialization_roundtrips_json():
         mod19_forces_p(2, 0, 19),
         mod_pow2_insoluble(19, 1),
         p3_case(0, 50),
-        valuation_trichotomy(1, ValuationSplit(1, 1, 9, 5), 2),
+        valuation_trichotomy(1, 1, 1, 9, 5, 2),
         no_19z2_solutions(3, 10),
     ]:
         blob = json.dumps(verdict.to_jsonable(), sort_keys=True)

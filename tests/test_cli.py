@@ -168,9 +168,16 @@ def test_oracle_generalized(capsys):
 
 
 def test_oracle_requires_k_or_generalized_pair(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["oracle", "--n-max", "5"])
-    assert err.value.code == 2
+    for argv in (
+        ["oracle", "--n-max", "5"],
+        ["oracle", "--d", "7", "--n-max", "5"],
+        ["oracle", "--k", "1", "--d", "7", "--lam", "1", "--n-max", "5"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == "" and err_text.count("\n") == 1, argv
 
 
 def test_family_command(capsys):
@@ -185,6 +192,17 @@ def test_family_command(capsys):
 def test_family_rejects_out_of_range_parameter(capsys):
     code = cli.main(["family", "--k", "0", "--kind", "n2", "--t", "5"])
     assert code == 2
+    for args in (
+        ["--k", "3", "--kind", "n7", "--m", "1"],
+        ["--k", "3", "--kind", "n2", "--t", "-1"],
+    ):
+        assert cli.main(["family", *args]) == 2, args
+    # a missing parameter is a usage error before any member is built
+    for args in (["--k", "3", "--kind", "n1"], ["--k", "7", "--kind", "n7"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["family", *args])
+        assert err.value.code == 2, args
+    assert capsys.readouterr().out == ""
 
 
 def test_lucas_command(capsys):

@@ -2,8 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ln_kit.equation_model import (
-    FamilyConstraintError,
-    FamilySpec,
     LNInstance,
     Solution,
     instantiate_family,
@@ -45,26 +43,28 @@ def test_is_solution_rejects_nonpositive():
 @pytest.mark.parametrize(
     "k, spec, expected",
     [
-        (0, FamilySpec.n2(0), (9, 5, 2)),
-        (1, FamilySpec.n2(1), (171, 95, 2)),
-        (1, FamilySpec.n2(0), (3429, 1715, 2)),
-        (0, FamilySpec.n7(0), (559, 5, 7)),
-        (0, FamilySpec.n1(0), (1, 5, 1)),
-        (0, FamilySpec.n1(1), (3, 7, 1)),
-        (1, FamilySpec.n1(0), (1, 1715, 1)),
+        (0, ("n2", 0), (9, 5, 2)),
+        (1, ("n2", 1), (171, 95, 2)),
+        (1, ("n2", 0), (3429, 1715, 2)),
+        (0, ("n7", 0), (559, 5, 7)),
+        (0, ("n1", 0), (1, 5, 1)),
+        (0, ("n1", 1), (3, 7, 1)),
+        (1, ("n1", 0), (1, 1715, 1)),
     ],
 )
 def test_instantiate_family_examples(k, spec, expected):
-    assert instantiate_family(LNInstance(k), spec).as_tuple() == expected
+    assert instantiate_family(LNInstance(k), *spec).as_tuple() == expected
 
 
 def test_family_constraints_rejected():
-    with pytest.raises(FamilyConstraintError):
-        instantiate_family(LNInstance(0), FamilySpec.n2(1))
-    with pytest.raises(FamilyConstraintError):
-        instantiate_family(LNInstance(3), FamilySpec.n7(1))
-    with pytest.raises(ValueError):
-        FamilySpec.n2(-1)
+    with pytest.raises(ValueError, match="t <= k"):
+        instantiate_family(LNInstance(0), "n2", 1)
+    with pytest.raises(ValueError, match="k = 7m"):
+        instantiate_family(LNInstance(3), "n7", 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        instantiate_family(LNInstance(0), "n2", -1)
+    with pytest.raises(ValueError, match="unknown family kind"):
+        instantiate_family(LNInstance(0), "n3", 0)
 
 
 def test_theorem_solution_set_k0():
@@ -99,17 +99,17 @@ def test_family_closure_all_k_up_to_8():
     for k in range(9):
         inst = LNInstance(k)
         for t in range(k + 1):
-            assert is_solution(inst, *instantiate_family(inst, FamilySpec.n2(t)).as_tuple())
+            assert is_solution(inst, *instantiate_family(inst, "n2", t).as_tuple())
         for t in range(4):
-            assert is_solution(inst, *instantiate_family(inst, FamilySpec.n1(t)).as_tuple())
+            assert is_solution(inst, *instantiate_family(inst, "n1", t).as_tuple())
         if k % 7 == 0:
-            assert is_solution(inst, *instantiate_family(inst, FamilySpec.n7(k // 7)).as_tuple())
+            assert is_solution(inst, *instantiate_family(inst, "n7", k // 7).as_tuple())
 
 
 def test_n2_t0_congruences():
     # at t = 0: x divisible by 3 and y = 2 mod 3, for every k <= 8
     for k in range(9):
-        sol = instantiate_family(LNInstance(k), FamilySpec.n2(0))
+        sol = instantiate_family(LNInstance(k), "n2", 0)
         assert sol.x % 3 == 0
         assert sol.y % 3 == 2
 
@@ -126,7 +126,7 @@ def test_solution_validation():
 @given(st.integers(0, 6), st.integers(0, 200))
 def test_n1_family_always_solves(k, t):
     inst = LNInstance(k)
-    sol = instantiate_family(inst, FamilySpec.n1(t))
+    sol = instantiate_family(inst, "n1", t)
     assert sol.x == 2 * t + 1
     assert sol.n == 1
     assert is_solution(inst, *sol.as_tuple())

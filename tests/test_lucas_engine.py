@@ -13,11 +13,18 @@ from ln_kit.lucas_engine import (
     LucasPair,
     _factorize,
     bhv_gate,
-    lucas_sequence,
     lucas_u,
     primitive_divisor,
 )
 from ln_kit.quadratic_integers import QuadInt19, qpow
+
+
+def recurrence_terms(P, Q, n):
+    """u_0 .. u_n straight from u_0 = 0, u_1 = 1, u_i = P*u_{i-1} - Q*u_{i-2}."""
+    us = [0, 1]
+    while len(us) <= n:
+        us.append(P * us[-1] - Q * us[-2])
+    return us[: n + 1]
 
 
 def closed_form_u(P, Q, n):
@@ -50,9 +57,10 @@ def valid_pair(P, Q):
         return None
 
 
-def test_lucas_sequence_for_paper_pair():
+def test_lucas_terms_for_paper_pair():
     pair = LucasPair(1, 5)
-    assert lucas_sequence(pair, 7) == [0, 1, 1, -4, -9, 11, 56, 1]
+    assert recurrence_terms(1, 5, 7) == [0, 1, 1, -4, -9, 11, 56, 1]
+    assert [lucas_u(pair, n) for n in range(8)] == recurrence_terms(1, 5, 7)
     assert lucas_u(pair, 7) == 1
     assert lucas_u(pair, 3) == -4
 
@@ -89,7 +97,7 @@ def test_closed_form_agreement_small_pairs():
             pair = valid_pair(P, Q)
             if pair is None:
                 continue
-            seq = lucas_sequence(pair, 25)
+            seq = recurrence_terms(P, Q, 25)
             for n in range(26):
                 assert seq[n] == closed_form_u(P, Q, n), (P, Q, n)
                 assert lucas_u(pair, n) == seq[n], (P, Q, n)
@@ -258,3 +266,9 @@ def test_first_primitive_divisor_call_builds_no_prime_table():
 def test_lucas_u_keeps_no_sequence():
     # the whole list u_0 .. u_n would peak near 20 MB at n = 16000
     assert fresh_tracemalloc_peak("lucas_u(LucasPair(1, 5), 16000)") < 256 * 1024
+
+
+def test_primitive_divisor_keeps_no_sequence():
+    # the whole list u_0 .. u_n peaked near 1.4 MB at n = 4000
+    call = "primitive_divisor(LucasPair(1, 5), 4000, 0)"
+    assert fresh_tracemalloc_peak(call) < 256 * 1024

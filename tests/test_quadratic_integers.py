@@ -10,7 +10,6 @@ from ln_kit.quadratic_integers import (
     imag_binomial_sum,
     qmul,
     qpow,
-    reduced_forms,
 )
 
 
@@ -130,40 +129,34 @@ def test_imag_identity_moderate_grid():
 
 
 def test_class_number_minus_19():
-    count = class_number_imag(-19)
-    assert count.h == 1
-    assert count.forms == ((1, 1, 5),)
+    assert class_number_imag(-19) == [(1, 1, 5)]
 
 
 def test_class_number_minus_4():
-    count = class_number_imag(-4)
-    assert count.h == 1
-    assert count.forms == ((1, 0, 1),)
+    assert class_number_imag(-4) == [(1, 0, 1)]
 
 
 def test_class_number_minus_23():
-    count = class_number_imag(-23)
-    assert count.h == 3
-    assert set(count.forms) == {(1, 1, 6), (2, -1, 3), (2, 1, 3)}
+    assert class_number_imag(-23) == [(1, 1, 6), (2, -1, 3), (2, 1, 3)]
 
 
 def test_class_number_minus_7():
-    assert class_number_imag(-7).h == 1
+    assert len(class_number_imag(-7)) == 1
 
 
 def test_class_number_known_table():
     # classical h(-d) values for small discriminants
     known = {-3: 1, -8: 1, -11: 1, -15: 2, -20: 2, -24: 2, -31: 3, -43: 1, -67: 1, -163: 1}
     for disc, h in known.items():
-        assert class_number_imag(disc).h == h, disc
+        assert len(class_number_imag(disc)) == h, disc
 
 
-def test_reduced_forms_validation():
+def test_class_number_imag_validation():
     with pytest.raises(ValueError):
-        reduced_forms(-5)  # 3 mod 4
+        class_number_imag(-5)  # 3 mod 4
     with pytest.raises(ValueError):
-        reduced_forms(19)
-    for A, B, C in reduced_forms(-71):
+        class_number_imag(19)
+    for A, B, C in class_number_imag(-71):
         assert B * B - 4 * A * C == -71
         assert abs(B) <= A <= C
         if abs(B) == A or A == C:

@@ -131,6 +131,17 @@ def test_replay_refuses_a_tampered_huge_z_max():
     assert bad.startswith("no_19z2_solutions:") and "scan budget" in bad
 
 
+def test_replay_refuses_a_tampered_huge_p3_search_bound():
+    # p3_case's box is under the oracle's scan budget too: refused, not run
+    _, trace = solve(0, n_max=3, cross_check=False)
+    steps = list(trace.steps)
+    i = trace.ops().index("p3_case")
+    huge = {**steps[i].inputs, "search_bound": 10**15}
+    steps[i] = ProofStep("p3_case", huge, steps[i].result)
+    (bad,) = ProofTrace(k=0, n_max=3, steps=steps).replay()
+    assert bad.startswith("p3_case:") and "scan budget" in bad
+
+
 def test_oracle_fields_survive_a_json_round_trip():
     for cross_check in (True, False):
         _, trace = solve(1, n_max=10, oracle_x_max=10**4, cross_check=cross_check)
@@ -182,6 +193,20 @@ def test_replay_names_tampered_native_values():
     assert tampered.replay() == ["even_case", "mod19_forces_p"]
     assert rebuilt_from_json(tampered).replay() == ["even_case", "mod19_forces_p"]
     assert trace.replay() == [] and rebuilt_from_json(trace).replay() == []
+
+
+def test_replay_names_a_valuation_step_tampered_to_a_bad_split():
+    # x = 19^s * X leaves X odd and prime to 19; 19 | X or an even X diverges
+    _, trace = solve(1, n_max=7, cross_check=False)
+    i = trace.ops().index("valuation_trichotomy")
+    step = trace.steps[i]
+    for X in (step.inputs["X"] * 19, step.inputs["X"] + 1):
+        steps = list(trace.steps)
+        steps[i] = ProofStep(step.op, {**step.inputs, "X": X}, step.value)
+        tampered = ProofTrace(k=1, n_max=7, steps=steps)
+        for replayed in (tampered, rebuilt_from_json(tampered)):
+            (bad,) = replayed.replay()
+            assert bad.startswith("valuation_trichotomy:"), (X, bad)
 
 
 def scribble(obj):
