@@ -1,51 +1,72 @@
-"""Command-line front end with deterministic JSON-lines output.
+"""Command-line front end; its only output is JSON lines.
 
-One JSON object per line; big integers are emitted as decimal strings so
-downstream consumers cannot overflow.  Identical flags produce identical
-bytes.  Exit status: 0 success, 1 verification mismatch, 2 usage error.
+One compact, key-sorted JSON object per line; big integers are emitted as
+decimal strings so downstream consumers cannot overflow.  Identical flags
+produce identical bytes.  Exit status: 0 success, 1 verification mismatch,
+2 usage error or refused input, 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
-from typing import Any, Callable
+from typing import Any
 
 from .equation_model import LNInstance, instantiate_family, theorem_solution_set
 from .lucas_engine import FACTORING_BUDGET, LucasPair, lucas_u, primitive_divisor
 from .oracle import SearchWindow, brute_force, generalized_scan
 from .quadratic_integers import class_number_imag
-from .solver import OracleMismatchError, solve, verify_solution_completeness
+from .solver import (
+    STEP_BUDGET,
+    OracleMismatchError,
+    solve,
+    step_bound,
+    verify_solution_completeness,
+)
 
-Emit = Callable[[dict[str, Any]], None]
 
-
-def _emitter(fmt: str) -> Emit:
-    """Write one object per line to stdout, as compact JSON or key=value text."""
-    sink = sys.stdout
-
-    def emit(obj: dict[str, Any]) -> None:
-        if fmt == "json":
-            line = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        else:
-            line = " ".join(f"{k}={v}" for k, v in sorted(obj.items()))
-        sink.write(line + "\n")
-
-    return emit
+def _write(obj: dict[str, Any]) -> None:
+    """Write obj to stdout as one compact, key-sorted JSON line."""
+    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _solution_obj(sol, **extra: Any) -> dict[str, Any]:
     return {"kind": "solution", **sol.to_jsonable(), **extra}
 
 
+def _check_digits(value: str, log10: float) -> None:
+    """Refuse, before any work, to print a value near 10^log10 that has more
+    digits than the interpreter converts to a string."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and log10 >= limit:
+        raise ValueError(
+            f"{value} would have about {math.floor(log10) + 1} digits, over the "
+            f"{limit}-digit limit of int-to-str conversion "
+            "(sys.get_int_max_str_digits())"
+        )
+
+
+def _u_n_log10(pair: LucasPair, n: int) -> float:
+    """An upper bound on log10|u_n|: u_n = (alpha^n - beta^n)/(alpha - beta),
+    so |u_n| <= 2|alpha|^n / sqrt(|disc|), alpha the root of z^2 - P*z + Q
+    of larger modulus."""
+    disc = pair.disc
+    if disc < 0:
+        log_alpha = math.log10(pair.Q) / 2  # |alpha|^2 = alpha * conj(alpha) = Q
+    else:
+        # 2|alpha| = |P| + sqrt(disc), times 2^64 and rounded up
+        scaled = (abs(pair.P) << 64) + math.isqrt(disc << 128) + 1
+        log_alpha = math.log10(scaled) - 65 * math.log10(2)
+    return n * log_alpha + math.log10(2) - math.log10(abs(disc)) / 2
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ln-kit",
         description="solve and verify x^2 + 19^(2k+1) = 4*y^n",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "text"), default="json", dest="output_format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -104,13 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args: argparse.Namespace, emit: Emit) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
+    # a run over the step budget is refused by solve itself, naming that budget
+    if step_bound(args.k, args.n_max) <= STEP_BUDGET:
+        _check_digits("19^(2k+1)", (2 * args.k + 1) * math.log10(19))
     try:
         solutions, trace = solve(
             args.k, args.n_max, args.x_max, cross_check=not args.skip_oracle
         )
     except OracleMismatchError as exc:
-        emit(
+        _write(
             {
                 "kind": "oracle_mismatch",
                 "k": exc.k,
@@ -120,11 +144,11 @@ def _cmd_solve(args: argparse.Namespace, emit: Emit) -> int:
         )
         return 1
     for sol in solutions:
-        emit(_solution_obj(sol, k=args.k))
+        _write(_solution_obj(sol, k=args.k))
     if args.trace:
         for step in trace.steps:
-            emit({"kind": "trace_step", **step.to_jsonable()})
-    emit(
+            _write({"kind": "trace_step", **step.to_jsonable()})
+    _write(
         {
             "kind": "trace_summary",
             "k": args.k,
@@ -136,7 +160,7 @@ def _cmd_solve(args: argparse.Namespace, emit: Emit) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace, emit: Emit) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> int:
     # either --k alone, or --d and --lam together
     generalized = args.d is not None
     if (args.k is None) != generalized or (args.lam is None) == generalized:
@@ -146,49 +170,65 @@ def _cmd_oracle(args: argparse.Namespace, emit: Emit) -> int:
         triples = generalized_scan(args.d, args.lam, args.n_min, args.n_max, args.x_max)
         for x, y, n in triples:
             row = {"x": str(x), "y": str(y), "n": n}
-            emit({"kind": "triple", "d": args.d, "lam": args.lam, **row})
+            _write({"kind": "triple", "d": args.d, "lam": args.lam, **row})
         return 0
     window = SearchWindow(
         k=args.k, n_min=args.n_min, n_max=args.n_max, x_max=args.x_max
     )
     for sol in brute_force(window):
-        emit(_solution_obj(sol, k=args.k))
+        _write(_solution_obj(sol, k=args.k))
     return 0
 
 
-def _cmd_family(args: argparse.Namespace, emit: Emit) -> int:
+def _cmd_family(args: argparse.Namespace) -> int:
     inst = LNInstance(args.k)
+    log19 = math.log10(19)
     if args.kind == "all":
+        _check_digits("19^(2k+1)", (2 * args.k + 1) * log19)
         for sol in theorem_solution_set(inst, args.n_max):
-            emit(_solution_obj(sol, k=args.k))
+            _write(_solution_obj(sol, k=args.k))
         return 0
     param = args.m if args.kind == "n7" else args.t
     if param is None:
         flag, kinds = ("--m", "n7") if args.kind == "n7" else ("--t", "n1/n2")
         print(f"ln-kit family: {flag} is required for {kinds}", file=sys.stderr)
         raise SystemExit(2)
+    # each member's longest value: n1's y, and n2's and n7's x
+    if args.kind == "n1":
+        t_log10 = 2 * math.log10(abs(param) + 1)
+        _check_digits("y", max((2 * args.k + 1) * log19, t_log10))
+    elif args.kind == "n2":
+        _check_digits("x", (2 * args.k - param + 1) * log19)
+    else:
+        _check_digits("x", 7 * param * log19 + math.log10(559))
     sol = instantiate_family(inst, args.kind, param)
-    emit(_solution_obj(sol, k=args.k, family=args.kind, param=param))
+    _write(_solution_obj(sol, k=args.k, family=args.kind, param=param))
     return 0
 
 
-def _cmd_lucas(args: argparse.Namespace, emit: Emit) -> int:
-    value = lucas_u(LucasPair(args.p, args.q), args.n)
-    emit({"kind": "lucas_u", "p": args.p, "q": args.q, "n": args.n, "u_n": str(value)})
+def _cmd_lucas(args: argparse.Namespace) -> int:
+    pair = LucasPair(args.p, args.q)
+    _check_digits("u_n", _u_n_log10(pair, args.n))
+    value = lucas_u(pair, args.n)
+    row = {"p": args.p, "q": args.q, "n": args.n, "u_n": str(value)}
+    _write({"kind": "lucas_u", **row})
     return 0
 
 
-def _cmd_primdiv(args: argparse.Namespace, emit: Emit) -> int:
-    verdict = primitive_divisor(LucasPair(args.p, args.q), args.n, args.budget)
-    emit(
+def _cmd_primdiv(args: argparse.Namespace) -> int:
+    pair = LucasPair(args.p, args.q)
+    # the verdict quotes u_n's factors and earlier terms, none longer than u_n
+    _check_digits("u_n", _u_n_log10(pair, args.n))
+    verdict = primitive_divisor(pair, args.n, args.budget)
+    _write(
         {"kind": "primitive_divisor", "p": args.p, "q": args.q, **verdict.to_jsonable()}
     )
     return 0
 
 
-def _cmd_classnum(args: argparse.Namespace, emit: Emit) -> int:
+def _cmd_classnum(args: argparse.Namespace) -> int:
     forms = class_number_imag(args.disc)
-    emit(
+    _write(
         {
             "kind": "class_number",
             "disc": args.disc,
@@ -199,22 +239,29 @@ def _cmd_classnum(args: argparse.Namespace, emit: Emit) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, emit: Emit) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     window = SearchWindow(
         k=args.k, n_min=args.n_min, n_max=args.n_max, x_max=args.x_max
     )
     ok, report = verify_solution_completeness(args.k, window)
-    emit({"kind": "verify_report", **report})
+    _write({"kind": "verify_report", **report})
     return 0 if ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, _emitter(args.output_format))
+        code = args.handler(args)
+        sys.stdout.flush()
     except (ValueError, OverflowError) as exc:
         print(f"ln-kit: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered nowhere, and
+        # end as a shell reports a process that SIGPIPE stopped (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

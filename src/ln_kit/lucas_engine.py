@@ -4,9 +4,10 @@ A prime q is a primitive divisor of u_n when q | u_n but q divides neither
 the discriminant (alpha - beta)^2 nor any earlier term u_2 ... u_{n-1}.
 Factoring trial-divides in place by 2, 3 and then 6j +- 1, up to the square
 root of what is left or TRIAL_DIVISION_LIMIT, whichever comes first, and
-then splits what survives by deterministically seeded Brent-Pollard under an
-iteration budget (FACTORING_BUDGET unless given); an unfactored composite
-cofactor yields an explicit indeterminate verdict, never a silent negative.
+then splits what survives by deterministically seeded Brent-Pollard under a
+budget of word-size multiplications (FACTORING_BUDGET unless given); an
+unfactored composite cofactor yields an explicit indeterminate verdict, never
+a silent negative.
 is_probable_prime is the package's one primality test.
 """
 
@@ -20,10 +21,12 @@ from typing import Any
 
 TRIAL_DIVISION_LIMIT = 10**6
 
-# Brent-rho iterations primitive_divisor may spend on a cofactor that trial
-# division leaves composite.  The solver's steps record it as their input;
-# the Lucas numbers they factor (|u_5| .. |u_13| of the pair (1, 5), all at
-# most 15,679) never get past trial division, so it changes none of them.
+# Word-size multiplications primitive_divisor may spend in Brent-rho on a
+# cofactor that trial division leaves composite; an iteration on a b-bit
+# cofactor costs max(1, (b // 64)^2) of them, so the budget bounds time.
+# The solver's steps record it as their input; the Lucas numbers they factor
+# (|u_5| .. |u_13| of the pair (1, 5), all at most 15,679) never get past
+# trial division, so it changes none of them.
 FACTORING_BUDGET = 10**6
 
 # Bases giving a deterministic Miller-Rabin answer for n < 3.317e24; for
@@ -32,7 +35,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class DegenerateSequenceError(ValueError):
-    """The pair's root ratio alpha/beta is a root of unity (or u_n = 0)."""
+    """The pair's root ratio alpha/beta is a root of unity."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,9 @@ def is_probable_prime(n: int) -> bool:
 
 def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int]:
     """One Brent-Pollard attempt on an odd n; returns (factor or None,
-    iterations used)."""
+    word-size multiplications used), charging max(1, (bits // 64)^2) for
+    each iteration."""
+    cost = max(1, (n.bit_length() // 64) ** 2)
     used = 0
     while used < budget:
         y = rng.randrange(1, n)
@@ -163,7 +168,7 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                used += min(m, r - k)
+                used += cost * min(m, r - k)
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -172,7 +177,7 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
             while g == 1 and used < budget:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
-                used += 1
+                used += cost
         if 1 < g < n:
             return g, used
     return None, used
@@ -194,18 +199,14 @@ def _factorize(n: int, budget: int) -> tuple[dict[int, int], int]:
             n //= f
         f += gap
         gap = 2 if f <= 5 else 6 - gap
-    if n == 1:
-        return factors, 1
-    if n < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_probable_prime(n):
-        # below the trial limit squared any survivor is prime
-        factors[n] = factors.get(n, 0) + 1
-        return factors, 1
     leftover = 1
-    stack = [n]
+    stack = [n] if n > 1 else []
     remaining = budget
     while stack:
         m = stack.pop()
-        if is_probable_prime(m):
+        # m has no prime factor trial division tried, so below the trial
+        # limit squared it is prime; each m is tested for primality once
+        if m < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         g, used = _brent_rho(m, remaining, random.Random(m))
@@ -229,9 +230,7 @@ def primitive_divisor(
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    value = abs(lucas_u(pair, n))
-    if value == 0:
-        raise DegenerateSequenceError(f"u_{n} = 0 for pair {pair}")
+    value = abs(lucas_u(pair, n))  # never 0: LucasPair rejects degenerate pairs
     if value == 1:
         return PrimitiveDivisorVerdict(
             n=n, exists=False, obstruction="u_n is a unit: no prime factors at all"

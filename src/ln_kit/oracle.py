@@ -72,6 +72,8 @@ def iroot(v: int, m: int) -> int:
         raise ValueError(f"m must be positive, got {m}")
     if v < 2 or m == 1:
         return v
+    if v.bit_length() <= m:  # v < 2^m, so the root is 1; a large m builds nothing
+        return 1
     # 2^ceil(bits/m) is above the root, and from above each Newton step
     # falls strictly until it reaches the floor root, where it stops falling
     r = 1 << -(-v.bit_length() // m)
@@ -164,22 +166,28 @@ def generalized_scan(
 ) -> list[tuple[int, int, int]]:
     """Positive triples (x, y, n) with x^2 + D = lam * y^n in the window.
 
-    Emitted in ascending (n, y) order; x is fixed by y and n.  Raises
-    ValueError when the window costs more than SCAN_BUDGET y-candidates.
+    Emitted in ascending (n, y) order; x is fixed by y and n.  Only the n
+    with lam * 2^n <= x_max^2 + D are scanned: above them only y = 1 is
+    left, and it solves every n at once or none.  Raises ValueError when the
+    window costs more than SCAN_BUDGET y-candidates.
     """
     if D < 1 or lam < 1:
         raise ValueError(f"D and lambda must be positive, got D={D}, lambda={lam}")
     if n_min < 2 or n_max < n_min or x_max < 1:
         raise ValueError(f"bad window n=[{n_min},{n_max}], x_max={x_max}")
     _check_budget(n_max - n_min + 1)
+    # the last n where some y >= 2 fits: lam * 2^n <= x_max^2 + D
+    n_top = min(n_max, ((x_max * x_max + D) // lam).bit_length() - 1)
     c = math.isqrt(lam)
     ds = _divisor_window(D, x_max) if c * c == lam else None
-    paths = _paths(D, lam, n_min, n_max, x_max, ds)
+    paths = _paths(D, lam, n_min, n_top, x_max, ds)
     _check_budget(
         sum(
             max(1, -(-_size(ds) // WALK_PER_Y) if ys is None else _size(ys))
             for _, ys in paths
         )
+        # each n above n_top costs one: its y-window holds y = 1 at most
+        + n_max - max(n_min, n_top + 1) + 1
     )
     pairs = None  # the walk runs at most once, for the first n that takes it
     out = []
@@ -199,6 +207,10 @@ def generalized_scan(
             x = math.isqrt(v)
             if x * x == v:
                 out.append((x, y, n))
+    # y = 1 above n_top: x^2 = lam - D, the same x for every n
+    r = math.isqrt(lam - D) if lam > D else 0
+    if 0 < r <= x_max and r * r == lam - D:
+        out.extend((r, 1, n) for n in range(max(n_min, n_top + 1), n_max + 1))
     return out
 
 

@@ -230,10 +230,10 @@ def test_oracle_over_scan_budget_exit_2(capsys):
     argv = ["oracle", "--d", "7", "--lam", "2", "--n-min", "2", "--n-max", "2"]
     assert cli.main([*argv, "--x-max", str(10**12)]) == 2
     assert capsys.readouterr().out == ""
-    code, out = run_cli(capsys, "--format", "text", "oracle", "--d", "7", "--lam", "1",
+    code, out = run_cli(capsys, "oracle", "--d", "7", "--lam", "1",
                         "--n-min", "2", "--n-max", "2", "--x-max", str(10**12))
     assert code == 0
-    assert out == "d=7 kind=triple lam=1 n=2 x=3 y=4\n"
+    assert out == '{"d":7,"kind":"triple","lam":1,"n":2,"x":"3","y":"4"}\n'
 
 
 def test_verify_k7_default_window(capsys):
@@ -295,12 +295,12 @@ def test_usage_error_exit_2(capsys):
     assert err.value.code == 2
 
 
-def test_text_format(capsys):
-    code, out = run_cli(
-        capsys, "--format", "text", "lucas", "--p", "1", "--q", "5", "--n", "7"
-    )
-    assert code == 0
-    assert "u_n=1" in out
+def test_format_flag_is_gone(capsys):
+    # JSON lines are the only output
+    with pytest.raises(SystemExit) as err:
+        cli.main(["--format", "text", "lucas", "--p", "1", "--q", "5", "--n", "7"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_classnum_bad_disc_exit_2(capsys):

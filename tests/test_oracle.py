@@ -126,6 +126,22 @@ def test_generalized_scan_matches_naive_scan_on_a_grid():
             assert generalized_scan(D, lam, 2, 9, 400) == naive_scan(D, lam, 2, 9, 400)
 
 
+def test_scan_past_the_last_y2_exponent_matches_naive_scan():
+    # only y = 1 fits once lam * 2^n > x_max^2 + D; lam = D + r^2 makes it a
+    # solution for every such n
+    for D in range(1, 40):
+        for lam in (1, 4, 5, 76, D + 1, D + 4, D + 25):
+            assert generalized_scan(D, lam, 2, 40, 20) == naive_scan(D, lam, 2, 40, 20)
+
+
+def test_y1_triples_above_the_cutoff_come_in_one_step():
+    # lam - D = 2^2, and at x_max = 3 no y >= 2 fits for any n >= 2
+    n_max = 10**5
+    triples = [(2, 1, n) for n in range(2, n_max + 1)]
+    assert generalized_scan(1, 5, 2, n_max, 3) == triples
+    assert iroot(3**100, 10**9) == 1
+
+
 def test_divisor_walk_matches_naive_scan():
     # square lambda, so even n may take the walk; x_max spans the crossover
     paths = set()
