@@ -2,12 +2,15 @@
 
 A prime q is a primitive divisor of u_n when q | u_n but q divides neither
 the discriminant (alpha - beta)^2 nor any earlier term u_2 ... u_{n-1}.
-Factoring trial-divides in place by 2, 3 and then 6j +- 1, up to the square
-root of what is left or TRIAL_DIVISION_LIMIT, whichever comes first, and
-then splits what survives by deterministically seeded Brent-Pollard under a
-budget of word-size multiplications (FACTORING_BUDGET unless given); an
-unfactored composite cofactor yields an explicit indeterminate verdict, never
-a silent negative.
+trial_divide is the package's one trial-division loop: it divides out 2, 3
+and then 6j +- 1, up to the square root of what is left or a given limit,
+whichever comes first, and says whether what is left is proven 1 or prime.
+Factoring runs it up to TRIAL_DIVISION_LIMIT and then splits what survives
+by deterministically seeded Brent-Pollard under a budget of word-size
+multiplications (FACTORING_BUDGET unless given); an unfactored composite
+cofactor yields an explicit indeterminate verdict, never a silent negative.
+The oracle runs it alone, to read the divisors of D off an exact
+factorization.
 is_probable_prime is the package's one primality test.
 """
 
@@ -183,22 +186,35 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
     return None, used
 
 
+def trial_divide(n: int, limit: int) -> tuple[dict[int, int], int, bool]:
+    """Divide out of n >= 1 its primes below limit, while their square fits.
+
+    Returns (the primes divided out, with multiplicity; what is left of n;
+    finished).  finished is true when what is left is 1 or proven prime: it
+    has no prime below the first untried candidate f, and f^2 exceeds it.
+    Otherwise the limit stopped the loop first, and what is left has no prime
+    below the limit.  No primality test is used, so finished is exact.
+    """
+    factors: dict[int, int] = {}
+    # candidates 2, 3, then 6j - 1 and 6j + 1: every prime below the limit is
+    # one, and a composite candidate never divides, its primes being gone
+    f, gap = 2, 1
+    while f < limit and f * f <= n:
+        while n % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            n //= f
+        f += gap
+        gap = 2 if f <= 5 else 6 - gap
+    return factors, n, f * f > n
+
+
 def _factorize(n: int, budget: int) -> tuple[dict[int, int], int]:
     """Factor n by trial division then budgeted rho splitting.
 
     Returns (verified prime factors with multiplicity, leftover cofactor);
     leftover > 1 means a composite piece survived the budget.
     """
-    factors: dict[int, int] = {}
-    # candidates 2, 3, then 6j - 1 and 6j + 1: every prime below the limit is
-    # one, and a composite candidate never divides, its primes being gone
-    f, gap = 2, 1
-    while f < TRIAL_DIVISION_LIMIT and f * f <= n:
-        while n % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            n //= f
-        f += gap
-        gap = 2 if f <= 5 else 6 - gap
+    factors, n, _ = trial_divide(n, TRIAL_DIVISION_LIMIT)
     leftover = 1
     stack = [n] if n > 1 else []
     remaining = budget

@@ -9,9 +9,14 @@ whichever costs less, known before either starts:
   where a mod-8 check on the inputs shows none can give a square;
 - the divisor walk, for even n = 2m and lambda = c^2, uses
   x^2 + D = z^2 with z = c*y^m: d = z - x is a divisor of D below sqrt(D),
-  so trial division finds every pair, and y is read off z.  A walk
-  candidate is one modulo, far cheaper than a y-scan candidate, so the walk
-  runs unless it has WALK_PER_Y times as many candidates as the y-scan.
+  so the divisors of D in the window give every pair, and y is read off z.
+  They are built from D's factorization when trial division, capped at a
+  tenth of the walk's cost, proves it (lucas_engine.trial_divide, no
+  primality test); otherwise every d in the window is tried.  The main
+  equation's D = 19^(2k+1) factors at once: k+1 divisors lie below sqrt(D).
+  A walk candidate is one modulo, far cheaper than a y-scan candidate, so
+  the walk runs unless it has WALK_PER_Y times as many candidates as the
+  y-scan; the price is that of the full window, factored or not.
 
 Neither uses coprimality or the theorem, and composite n are scanned too:
 the oracle is the ground truth and must not inherit the theorem's
@@ -30,17 +35,21 @@ import math
 from dataclasses import dataclass
 
 from .equation_model import LNInstance, Solution, is_solution
+from .lucas_engine import trial_divide
 
 # Most candidates one scan may try, in y-candidate units; every n counts as
 # at least one.
 SCAN_BUDGET = 10**8
 
 # Walk candidates that cost about one y-scan candidate.  A walk candidate is
-# one modulo; a y-candidate is a power, an isqrt and a product.  At D = 19^11,
-# lambda = 4, n = 2, x_max = 10^7 the 3,039,730-candidate walk took 0.23-0.28 s
-# and the 980,136-candidate y-scan 0.61-0.86 s (Python 3.11, 2-CPU host); on
-# D near 10^10 and 10^11 the ratio per candidate was 7 to 9 as well.  4 errs
-# towards the y-scan.
+# one modulo; a y-candidate is a power, an isqrt and a product.  Trying every
+# d of the window at D = 19^11, lambda = 4, n = 2, x_max = 10^7, the
+# 3,039,730-candidate walk took 0.23-0.28 s and the 980,136-candidate y-scan
+# 0.61-0.86 s (Python 3.11, 2-CPU host); on D near 10^10 and 10^11 the ratio
+# per candidate was 7 to 9 as well.  4 errs towards the y-scan.  That timing
+# is of the walk that tries every d, which runs only where D does not factor
+# within the cap; 19^11 factors, and its walk tests only the divisors of D in
+# the window (none at x_max = 10^7).
 WALK_PER_Y = 4
 
 
@@ -124,10 +133,35 @@ def _divisor_window(D: int, x_max: int) -> range:
     return range(d0, math.isqrt(D) + 1)
 
 
+def _divisors_in(D: int, ds: range) -> list[int] | None:
+    """The divisors of D in ds, descending, read off D's trial factorization.
+
+    None when trial division stops at its cap before D is factored, or when
+    D has more divisors than ds has candidates: then walking ds costs less.
+    """
+    # one integer in three is a trial candidate and costs about three walk
+    # candidates, so trial division up to a cap costs about cap walk
+    # candidates; |ds| / (3 * WALK_PER_Y) adds under a tenth to a walk it
+    # cannot shorten
+    factors, rest, finished = trial_divide(D, _size(ds) // (3 * WALK_PER_Y))
+    if not finished:
+        return None
+    if rest > 1:
+        factors[rest] = 1
+    if math.prod(e + 1 for e in factors.values()) > _size(ds):
+        return None
+    divisors = [1]
+    for p, e in factors.items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    return sorted((d for d in divisors if d in ds), reverse=True)
+
+
 def _square_pairs(D: int, x_max: int, ds: range) -> list[tuple[int, int]]:
     """(x, z) with x^2 + D = z^2 and 0 < x <= x_max, ascending in z."""
+    divisors = _divisors_in(D, ds)
     out = []
-    for d in reversed(ds):  # z = (d + D/d)/2 grows as d falls below sqrt(D)
+    # z = (d + D/d)/2 grows as d falls below sqrt(D)
+    for d in reversed(ds) if divisors is None else divisors:
         if D % d == 0:
             e = D // d
             if (e - d) % 2 == 0 and 0 < e - d <= 2 * x_max:

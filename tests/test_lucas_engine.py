@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from ln_kit.lucas_engine import (
     bhv_gate,
     lucas_u,
     primitive_divisor,
+    trial_divide,
 )
 from ln_kit.quadratic_integers import QuadInt19, qpow
 
@@ -235,6 +237,53 @@ def test_factorize_planted_paths(p, q, needs_rho):
     assert _factorize(n, FACTORING_BUDGET) == (expected, 1)
     # with no rho budget, what needs rho stays a composite leftover
     assert _factorize(n, 0) == (({}, n) if needs_rho else (expected, 1))
+
+
+REFERENCE_UP_TO_10K = {n: reference_factorization(n) for n in range(1, 10**4 + 1)}
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 25, 101, 10**4])
+def test_trial_divide_finishes_exactly_when_the_rest_is_proven(limit):
+    for n, expected in REFERENCE_UP_TO_10K.items():
+        factors, rest, finished = trial_divide(n, limit)
+        assert math.prod(p**e for p, e in factors.items()) * rest == n
+        assert all(p < limit and expected[p] == e for p, e in factors.items())
+        if finished:
+            # what is left is 1 or prime, so factors and rest are all of n
+            whole = dict(factors)
+            if rest > 1:
+                whole[rest] = whole.get(rest, 0) + 1
+            assert whole == expected
+        else:
+            # the limit stopped the loop: nothing below it divides what is
+            # left, and f^2 <= rest for an untried f >= limit
+            assert rest >= max(limit * limit, 4)
+            assert all(p >= limit for p in REFERENCE_UP_TO_10K[rest])
+        # a limit past sqrt(n) always finishes
+        assert finished or limit * limit <= n
+
+
+@pytest.mark.parametrize(
+    "n, limit, expected",
+    [
+        # f^2 = rest: p^2 left whole is not proven prime
+        (1_000_003**2, 1_000_003, None),
+        (1_000_003**2, 1_000_004, {1_000_003: 2}),
+        # p*q with p the first untried candidate: p^2 <= p*q, not proven
+        (1_000_003 * 1_000_033, 1_000_003, None),
+        (1_000_003 * 1_000_033, 1_000_004, {1_000_003: 1, 1_000_033: 1}),
+        # 25 = 5^2 with 5 untried at limit 5, then tried at limit 6
+        (25, 5, None),
+        (25, 6, {5: 2}),
+    ],
+)
+def test_trial_divide_at_the_square_edge(n, limit, expected):
+    factors, rest, finished = trial_divide(n, limit)
+    if expected is None:
+        assert (factors, rest, finished) == ({}, n, False)
+    else:
+        assert finished
+        assert {**factors, **({rest: 1} if rest > 1 else {})} == expected
 
 
 def fresh_tracemalloc_peak(call):

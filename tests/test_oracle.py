@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ln_kit.equation_model import LNInstance, is_solution
+from ln_kit.lucas_engine import trial_divide
 from ln_kit import oracle
 from ln_kit.oracle import (
     SCAN_BUDGET,
@@ -142,8 +143,23 @@ def test_y1_triples_above_the_cutoff_come_in_one_step():
     assert iroot(3**100, 10**9) == 1
 
 
-def test_divisor_walk_matches_naive_scan():
+def spy_divisors_in(monkeypatch):
+    """Record what each walk's _divisors_in returns: a list, or None for the
+    fallback walk over every d of the window."""
+    seen = []
+    divisors_in = oracle._divisors_in
+
+    def spy(D, ds):
+        seen.append(divisors_in(D, ds))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, "_divisors_in", spy)
+    return seen
+
+
+def test_divisor_walk_matches_naive_scan(monkeypatch):
     # square lambda, so even n may take the walk; x_max spans the crossover
+    walks = spy_divisors_in(monkeypatch)
     paths = set()
     for D in list(range(1, 201)) + [945, 3465, 45045]:
         for lam in (1, 4, 9, 16, 25, 36):
@@ -156,6 +172,42 @@ def test_divisor_walk_matches_naive_scan():
                     ys = _y_window(D, lam, n, x_max * x_max + D)
                     paths.add(_size(ds) < WALK_PER_Y * _size(ys))
     assert paths == {True, False}
+    # both the factored walk and the fallback over every d ran
+    assert {divisors is None for divisors in walks} == {True, False}
+
+
+@pytest.mark.parametrize(
+    "D, lam, x_max, factors",
+    [
+        # two primes above the trial-division cap: 2^2 + D = 1011^2
+        (1009 * 1013, 1, 500, False),
+        # factors within the cap, but 90 divisors against 84 candidates
+        (25200, 1, 130, True),
+        (25200, 4, 130, True),
+    ],
+)
+def test_fallback_walk_matches_naive_scan(D, lam, x_max, factors, monkeypatch):
+    ds = _divisor_window(D, x_max)
+    _, _, finished = trial_divide(D, _size(ds) // (3 * WALK_PER_Y))
+    assert finished == factors
+    walks = spy_divisors_in(monkeypatch)
+    assert generalized_scan(D, lam, 2, 9, x_max) == naive_scan(D, lam, 2, 9, x_max)
+    assert walks == [None]
+
+
+def test_k5_walk_tests_only_the_divisors_of_D(monkeypatch):
+    # verify --k 5's window: the walk over its 3,039,730 odd d is replaced by
+    # the divisors 19^j of D that fall in it, of which there are none
+    walks = spy_divisors_in(monkeypatch)
+    D = LNInstance(5).D
+    ds = _divisor_window(D, 10**7)
+    assert _size(ds) == 3_039_730
+    assert brute_force(SearchWindow(k=5)) == []
+    assert walks == [[19**j for j in range(5, -1, -1) if 19**j in ds]] == [[]]
+    # with every x admitted, the walk tests exactly the 19^j, j <= 5
+    assert oracle._divisors_in(D, _divisor_window(D, (D - 1) // 2)) == [
+        19**j for j in range(5, -1, -1)
+    ]
 
 
 @pytest.mark.parametrize(
