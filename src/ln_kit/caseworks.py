@@ -13,7 +13,7 @@ from typing import Any
 
 from .equation_model import Solution
 from .lucas_engine import is_probable_prime
-from .oracle import SCAN_BUDGET, generalized_scan, iroot, perfect_root
+from .oracle import check_budget, generalized_scan, iroot, perfect_root
 
 OUTCOME_CONTRADICTION = "contradiction"
 OUTCOME_FORCED = "forced"
@@ -245,16 +245,12 @@ def p3_case(k: int, search_bound: int) -> CaseVerdict:
     satisfy the cubic identity at all.  The box is decided one b at a time
     (a^2 is fixed by b), exactly and without residues; candidates_checked
     still counts every (a, b) pair in it.  Raises ValueError before the
-    search when its values of b are more than the oracle's SCAN_BUDGET.
+    search when its values of b are over the scan budget (oracle.check_budget).
     """
     if k < 0 or search_bound < 1:
         raise ValueError(f"need k >= 0 and search_bound >= 1, got {k}, {search_bound}")
     odd = len(range(1, search_bound + 1, 2))
-    if 2 * odd > SCAN_BUDGET:
-        raise ValueError(
-            f"p3_case(search_bound={search_bound}) would try {2 * odd} values "
-            f"of b, over the scan budget of {SCAN_BUDGET}"
-        )
+    check_budget(f"p3_case(search_bound={search_bound})", 2 * odd)
     target = 4 * 19**k
     # mod 3: RHS = -b^3 = -b, LHS = 1
     b_mod3 = [b for b in range(3) if (3 * b - 19 * b**3) % 3 == target % 3]

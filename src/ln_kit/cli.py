@@ -16,16 +16,17 @@ import sys
 from typing import Any
 
 from .equation_model import LNInstance, instantiate_family, theorem_solution_set
-from .lucas_engine import FACTORING_BUDGET, LucasPair, lucas_u, primitive_divisor
+from .lucas_engine import (
+    FACTORING_BUDGET,
+    LucasPair,
+    check_digits,
+    lucas_u,
+    primitive_divisor,
+    u_n_log10,
+)
 from .oracle import SearchWindow, brute_force, generalized_scan
 from .quadratic_integers import class_number_imag
-from .solver import (
-    STEP_BUDGET,
-    OracleMismatchError,
-    solve,
-    step_bound,
-    verify_solution_completeness,
-)
+from .solver import OracleMismatchError, solve, verify_solution_completeness
 
 
 def _write(obj: dict[str, Any]) -> None:
@@ -35,32 +36,6 @@ def _write(obj: dict[str, Any]) -> None:
 
 def _solution_obj(sol, **extra: Any) -> dict[str, Any]:
     return {"kind": "solution", **sol.to_jsonable(), **extra}
-
-
-def _check_digits(value: str, log10: float) -> None:
-    """Refuse, before any work, to print a value near 10^log10 that has more
-    digits than the interpreter converts to a string."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    if limit and log10 >= limit:
-        raise ValueError(
-            f"{value} would have about {math.floor(log10) + 1} digits, over the "
-            f"{limit}-digit limit of int-to-str conversion "
-            "(sys.get_int_max_str_digits())"
-        )
-
-
-def _u_n_log10(pair: LucasPair, n: int) -> float:
-    """An upper bound on log10|u_n|: u_n = (alpha^n - beta^n)/(alpha - beta),
-    so |u_n| <= 2|alpha|^n / sqrt(|disc|), alpha the root of z^2 - P*z + Q
-    of larger modulus."""
-    disc = pair.disc
-    if disc < 0:
-        log_alpha = math.log10(pair.Q) / 2  # |alpha|^2 = alpha * conj(alpha) = Q
-    else:
-        # 2|alpha| = |P| + sqrt(disc), times 2^64 and rounded up
-        scaled = (abs(pair.P) << 64) + math.isqrt(disc << 128) + 1
-        log_alpha = math.log10(scaled) - 65 * math.log10(2)
-    return n * log_alpha + math.log10(2) - math.log10(abs(disc)) / 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    # a run over the step budget is refused by solve itself, naming that budget
-    if step_bound(args.k, args.n_max) <= STEP_BUDGET:
-        _check_digits("19^(2k+1)", (2 * args.k + 1) * math.log10(19))
     try:
         solutions, trace = solve(
             args.k, args.n_max, args.x_max, cross_check=not args.skip_oracle
@@ -184,7 +156,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     inst = LNInstance(args.k)
     log19 = math.log10(19)
     if args.kind == "all":
-        _check_digits("19^(2k+1)", (2 * args.k + 1) * log19)
+        check_digits("19^(2k+1)", (2 * args.k + 1) * log19)
         for sol in theorem_solution_set(inst, args.n_max):
             _write(_solution_obj(sol, k=args.k))
         return 0
@@ -196,11 +168,11 @@ def _cmd_family(args: argparse.Namespace) -> int:
     # each member's longest value: n1's y, and n2's and n7's x
     if args.kind == "n1":
         t_log10 = 2 * math.log10(abs(param) + 1)
-        _check_digits("y", max((2 * args.k + 1) * log19, t_log10))
+        check_digits("y", max((2 * args.k + 1) * log19, t_log10))
     elif args.kind == "n2":
-        _check_digits("x", (2 * args.k - param + 1) * log19)
+        check_digits("x", (2 * args.k - param + 1) * log19)
     else:
-        _check_digits("x", 7 * param * log19 + math.log10(559))
+        check_digits("x", 7 * param * log19 + math.log10(559))
     sol = instantiate_family(inst, args.kind, param)
     _write(_solution_obj(sol, k=args.k, family=args.kind, param=param))
     return 0
@@ -208,7 +180,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_lucas(args: argparse.Namespace) -> int:
     pair = LucasPair(args.p, args.q)
-    _check_digits("u_n", _u_n_log10(pair, args.n))
+    check_digits("u_n", u_n_log10(pair, args.n))
     value = lucas_u(pair, args.n)
     row = {"p": args.p, "q": args.q, "n": args.n, "u_n": str(value)}
     _write({"kind": "lucas_u", **row})
@@ -216,10 +188,7 @@ def _cmd_lucas(args: argparse.Namespace) -> int:
 
 
 def _cmd_primdiv(args: argparse.Namespace) -> int:
-    pair = LucasPair(args.p, args.q)
-    # the verdict quotes u_n's factors and earlier terms, none longer than u_n
-    _check_digits("u_n", _u_n_log10(pair, args.n))
-    verdict = primitive_divisor(pair, args.n, args.budget)
+    verdict = primitive_divisor(LucasPair(args.p, args.q), args.n, args.budget)
     _write(
         {"kind": "primitive_divisor", "p": args.p, "q": args.q, **verdict.to_jsonable()}
     )

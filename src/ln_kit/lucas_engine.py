@@ -2,22 +2,21 @@
 
 A prime q is a primitive divisor of u_n when q | u_n but q divides neither
 the discriminant (alpha - beta)^2 nor any earlier term u_2 ... u_{n-1}.
-trial_divide is the package's one trial-division loop: it divides out 2, 3
-and then 6j +- 1, up to the square root of what is left or a given limit,
-whichever comes first, and says whether what is left is proven 1 or prime.
-Factoring runs it up to TRIAL_DIVISION_LIMIT and then splits what survives
-by deterministically seeded Brent-Pollard under a budget of word-size
-multiplications (FACTORING_BUDGET unless given); an unfactored composite
-cofactor yields an explicit indeterminate verdict, never a silent negative.
-The oracle runs it alone, to read the divisors of D off an exact
-factorization.
-is_probable_prime is the package's one primality test.
+trial_divide is the package's one trial-division loop, is_probable_prime its
+one primality test, and check_digits its one test of the int-to-str digit
+limit.  Factoring runs trial_divide up to TRIAL_DIVISION_LIMIT and then
+splits what survives by deterministically seeded Brent-Pollard under a
+budget of word-size multiplications (FACTORING_BUDGET unless given); an
+unfactored composite cofactor yields an explicit indeterminate verdict,
+never a silent negative.  The oracle runs trial_divide alone, to read the
+divisors of D off an exact factorization.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -109,6 +108,32 @@ def lucas_u(pair: LucasPair, n: int) -> int:
     for _ in range(n):
         u, u_next = u_next, pair.P * u_next - pair.Q * u
     return u
+
+
+def check_digits(value: str, log10: float) -> None:
+    """Refuse, before any work, a value near 10^log10 that has more digits
+    than the interpreter converts to a string; value names it."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and log10 >= limit:
+        raise ValueError(
+            f"{value} would have about {math.floor(log10) + 1} digits, over the "
+            f"{limit}-digit limit of int-to-str conversion "
+            "(sys.get_int_max_str_digits())"
+        )
+
+
+def u_n_log10(pair: LucasPair, n: int) -> float:
+    """An upper bound on log10|u_n|: u_n = (alpha^n - beta^n)/(alpha - beta),
+    so |u_n| <= 2|alpha|^n / sqrt(|disc|), alpha the root of z^2 - P*z + Q
+    of larger modulus."""
+    disc = pair.disc
+    if disc < 0:
+        log_alpha = math.log10(pair.Q) / 2  # |alpha|^2 = alpha * conj(alpha) = Q
+    else:
+        # 2|alpha| = |P| + sqrt(disc), times 2^64 and rounded up
+        scaled = (abs(pair.P) << 64) + math.isqrt(disc << 128) + 1
+        log_alpha = math.log10(scaled) - 65 * math.log10(2)
+    return n * log_alpha + math.log10(2) - math.log10(abs(disc)) / 2
 
 
 def bhv_gate(pair: LucasPair, p: int) -> BhvRoute:
@@ -239,13 +264,16 @@ def primitive_divisor(
 ) -> PrimitiveDivisorVerdict:
     """Decide whether u_n has a primitive divisor, factoring within budget.
 
-    u_n comes from lucas_u.  One more pass of the recurrence finds, for each
-    prime factor q of u_n, the first j in [2, n) with q | u_j and that u_j,
-    which the obstruction quotes.  No list of terms is kept, so memory grows
-    with n, not n^2.
+    Raises ValueError before any work when u_n_log10, which bounds u_n and
+    each earlier term the verdict quotes, is over check_digits.  u_n comes
+    from lucas_u.  One more pass of the recurrence finds, for each prime
+    factor q of u_n, the first j in [2, n) with q | u_j and that u_j, which
+    the obstruction quotes.  No list of terms is kept, so memory grows with
+    n, not n^2.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
+    check_digits("u_n", u_n_log10(pair, n))
     value = abs(lucas_u(pair, n))  # never 0: LucasPair rejects degenerate pairs
     if value == 1:
         return PrimitiveDivisorVerdict(

@@ -22,11 +22,7 @@ Neither uses coprimality or the theorem, and composite n are scanned too:
 the oracle is the ground truth and must not inherit the theorem's
 reductions.  All arithmetic is exact.  A window whose cost, summed over n
 in y-candidate units (WALK_PER_Y walk candidates make one), exceeds
-SCAN_BUDGET is refused before any candidate is tried.
-
-The same scan decides the bounded closure of 19*Z^2 + 1 = 4*Y^n in
-caseworks.no_19z2_solutions: multiplied by 19 it reads
-(19Z)^2 + 19 = 76*Y^n, so it is the window D = 19, lambda = 76.
+SCAN_BUDGET is refused by check_budget before any candidate is tried.
 """
 
 from __future__ import annotations
@@ -174,10 +170,13 @@ def _size(r: range) -> int:
     return max(0, -((r.start - r.stop) // r.step))
 
 
-def _check_budget(candidates: int) -> None:
-    if candidates > SCAN_BUDGET:
+def check_budget(what: str, count: int) -> None:
+    """Refuse, before any work, what needs count candidates over SCAN_BUDGET;
+    the package's one comparison with it.  caseworks.p3_case counts a value
+    of b, and quadratic_integers.class_number_imag an (A, B) pair, as one."""
+    if count > SCAN_BUDGET:
         raise ValueError(
-            f"the window needs {candidates} candidates (y-scan units), "
+            f"{what} needs {count} candidates (y-scan units), "
             f"over the scan budget of {SCAN_BUDGET}"
         )
 
@@ -209,13 +208,14 @@ def generalized_scan(
         raise ValueError(f"D and lambda must be positive, got D={D}, lambda={lam}")
     if n_min < 2 or n_max < n_min or x_max < 1:
         raise ValueError(f"bad window n=[{n_min},{n_max}], x_max={x_max}")
-    _check_budget(n_max - n_min + 1)
+    check_budget("the window", n_max - n_min + 1)
     # the last n where some y >= 2 fits: lam * 2^n <= x_max^2 + D
     n_top = min(n_max, ((x_max * x_max + D) // lam).bit_length() - 1)
     c = math.isqrt(lam)
     ds = _divisor_window(D, x_max) if c * c == lam else None
     paths = _paths(D, lam, n_min, n_top, x_max, ds)
-    _check_budget(
+    check_budget(
+        "the window",
         sum(
             max(1, -(-_size(ds) // WALK_PER_Y) if ys is None else _size(ys))
             for _, ys in paths

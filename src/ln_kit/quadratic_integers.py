@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .lucas_engine import is_probable_prime
-from .oracle import SCAN_BUDGET
+from .oracle import check_budget
 
 
 @dataclass(frozen=True)
@@ -87,20 +87,16 @@ def class_number_imag(disc: int) -> list[tuple[int, int, int]]:
     Reduced means |B| <= A <= C with B >= 0 whenever |B| = A or A = C:
     exactly one per equivalence class, so their count is the class number.
     The enumeration is exhaustive, exact and bit-stable.  Raises ValueError
-    before it starts when its (A, B) pairs are more than the oracle's
-    SCAN_BUDGET.
+    before it starts when its (A, B) pairs are over the scan budget
+    (oracle.check_budget).
     """
     if disc >= 0:
         raise ValueError(f"discriminant must be negative, got {disc}")
     if disc % 4 not in (0, 1):
         raise ValueError(f"discriminant must be 0 or 1 mod 4, got {disc}")
     a_max = math.isqrt(-disc // 3)
-    pairs = a_max * a_max + 2 * a_max  # 2A + 1 values of B for each A
-    if pairs > SCAN_BUDGET:
-        raise ValueError(
-            f"discriminant {disc} needs {pairs} (A, B) pairs, "
-            f"over the scan budget of {SCAN_BUDGET}"
-        )
+    # 2A + 1 values of B for each A
+    check_budget(f"discriminant {disc}", a_max * a_max + 2 * a_max)
     out = []
     for A in range(1, a_max + 1):
         for B in range(-A, A + 1):

@@ -10,6 +10,7 @@ the same table, in memory or from the trace's JSON form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -21,9 +22,11 @@ from .lucas_engine import (
     BhvRoute,
     LucasPair,
     bhv_gate,
+    check_digits,
     is_probable_prime,
     lucas_u,
     primitive_divisor,
+    u_n_log10,
 )
 from .oracle import SearchWindow, brute_force, perfect_root
 from .quadratic_integers import QuadInt19, qpow
@@ -115,7 +118,8 @@ class ProofTrace:
         Every step input is an integer, possibly a decimal string after a
         JSON round trip, so int() decodes it.  A recorded value is compared
         as it is, and a value rebuilt from JSON with the new value's JSON
-        form.  A step whose inputs its procedure rejects has diverged too.
+        form.  A step whose inputs its procedure rejects, or whose value is
+        too long to encode, has diverged too.
         """
         bad = []
         for step in self.steps:
@@ -125,11 +129,10 @@ class ProofTrace:
                 continue
             try:
                 got = fn(**{k: int(v) for k, v in step.inputs.items()})
+                if got != step.value and caseworks.json_safe(got) != step.value:
+                    bad.append(step.op)
             except (TypeError, ValueError) as exc:
                 bad.append(f"{step.op}: {exc}")
-                continue
-            if got != step.value and caseworks.json_safe(got) != step.value:
-                bad.append(step.op)
         return bad
 
     def to_jsonable(self) -> dict[str, Any]:
@@ -305,18 +308,19 @@ def solve(
 
     Raises OracleMismatchError when the brute-force cross-check (over
     x <= oracle_x_max) disagrees with the pipeline, and ValueError before
-    any step runs when step_bound(k, n_max) exceeds STEP_BUDGET.
+    any step runs when step_bound(k, n_max) exceeds STEP_BUDGET or when
+    19^(2k+1), which the trace writes, is over check_digits.
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    inst = LNInstance(k)
     bound = step_bound(k, n_max)
     if bound > STEP_BUDGET:
         raise ValueError(
             f"solve(k={k}, n_max={n_max}) may take up to {bound} steps, "
             f"over the step budget of {STEP_BUDGET}"
         )
+    check_digits("19^(2k+1)", (2 * k + 1) * math.log10(19))
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     trace = ProofTrace(k=k, n_max=n_max)
     # close the two symbolic 19|x branches that do not reduce: both land on
     # 19*Z^2 + 1 = 4*Y^n (bounded scan here, unbounded statement cited)
@@ -338,7 +342,7 @@ def solve(
                 and verdict.reduced_k == k - s_val
             ):
                 lifted = Solution(19**s_val * sol.x, 19**t * sol.y, sol.n)
-                assert is_solution(LNInstance(k), *lifted.as_tuple())
+                assert is_solution(inst, *lifted.as_tuple())
                 full.append(lifted)
     full.sort(key=lambda s: s.sort_key)
     if cross_check:
@@ -392,6 +396,12 @@ def verify_solution_completeness(
     return ok, report
 
 
+def _lucas_u_step(pair: LucasPair, n: int) -> dict[str, int]:
+    """u_n as the trace writes it, refused before any work when too long."""
+    check_digits("u_n", u_n_log10(pair, n))
+    return {"value": lucas_u(pair, n)}
+
+
 # op name -> procedure.  Each entry looks its procedure up when called, so
 # a name rebound on its module (a test double, a profiler) is what runs.
 STEPS: dict[str, Callable[..., Any]] = {
@@ -407,7 +417,7 @@ STEPS: dict[str, Callable[..., Any]] = {
         LucasPair(P, Q), n, factoring_budget
     ),
     "defect_table": lambda p, k: defect_table_route(p, k),
-    "lucas_u": lambda P, Q, n: {"value": lucas_u(LucasPair(P, Q), n)},
+    "lucas_u": lambda P, Q, n: _lucas_u_step(LucasPair(P, Q), n),
     "defective_pair_expansion": lambda k, p: defective_pair_expansion(k, p),
     "composite_lift": lambda y, j, n: {"root": perfect_root(y, j)},
     "valuation_trichotomy": lambda k, s, t, X, Y, n: caseworks.valuation_trichotomy(

@@ -460,3 +460,9 @@ def test_json_safe_encodes_what_has_to_jsonable():
     assert caseworks.json_safe({"solutions": objects[:2]}) == {
         "solutions": [objects[0].to_jsonable(), objects[1].to_jsonable()]
     }
+
+
+def test_p3_case_refuses_over_the_scan_budget_with_its_count():
+    # 10^15 odd values of |b|, each with both signs
+    with pytest.raises(ValueError, match="needs 1000000000000000 candidates.*scan budget"):
+        p3_case(0, 10**15)

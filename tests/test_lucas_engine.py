@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from ln_kit.lucas_engine import (
     lucas_u,
     primitive_divisor,
     trial_divide,
+    u_n_log10,
 )
 from ln_kit.quadratic_integers import QuadInt19, qpow
 
@@ -321,3 +323,24 @@ def test_primitive_divisor_keeps_no_sequence():
     # the whole list u_0 .. u_n peaked near 1.4 MB at n = 4000
     call = "primitive_divisor(LucasPair(1, 5), 4000, 0)"
     assert fresh_tracemalloc_peak(call) < 256 * 1024
+
+
+def test_u_n_log10_bounds_every_term():
+    for P in range(-9, 10):
+        for Q in range(-9, 10):
+            try:
+                pair = LucasPair(P, Q)
+            except ValueError:
+                continue
+            for n, u in enumerate(recurrence_terms(P, Q, 40)):
+                if u:
+                    assert math.log10(abs(u)) <= u_n_log10(pair, n), (P, Q, n)
+
+
+def test_primitive_divisor_refuses_past_the_digit_limit_before_factoring():
+    # |u_13000| of (1, 5) would have about 4,543 digits; factoring it took
+    # seconds before the verdict's text failed to convert
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="about 4543 digits.*int-to-str conversion"):
+        primitive_divisor(LucasPair(1, 5), 13000, 0)
+    assert time.perf_counter() - start < 1.0

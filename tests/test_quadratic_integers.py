@@ -161,3 +161,9 @@ def test_class_number_imag_validation():
         assert abs(B) <= A <= C
         if abs(B) == A or A == C:
             assert B >= 0
+
+
+def test_class_number_refuses_over_the_scan_budget_with_its_count():
+    # a = isqrt(|disc| / 3) = 182,574 gives a^2 + 2a pairs (A, B)
+    with pytest.raises(ValueError, match="needs 33333630624 candidates.*scan budget"):
+        class_number_imag(-100000000003)

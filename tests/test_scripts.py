@@ -31,6 +31,33 @@ def test_oracle_sweep_anchors():
     assert "D=2, lam=1, n=3, x <= 100: [(5, 3, 3)] (expected [(5, 3, 3)])" in proc.stdout
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_sweep_exits_1_when_an_anchor_differs(monkeypatch, capsys):
+    sweep = load_script("oracle_sweep")
+    argv = ["--k-max", "0", "--x-max", "1000"]
+    assert sweep.main(argv) == 0
+    # a scanner that finds nothing misses the one D=2 triple
+    monkeypatch.setattr(sweep, "generalized_scan", lambda *window: [])
+    capsys.readouterr()
+    assert sweep.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "D=2, lam=1, n=3, x <= 100: none (expected [(5, 3, 3)])" in captured.out
+    assert captured.err == "anchor differs: D=2, lam=1, n=3, x <= 100\n"
+
+
+def test_oracle_sweep_n_max_defaults_to_the_search_window(monkeypatch, capsys):
+    sweep = load_script("oracle_sweep")
+    monkeypatch.setattr(sweep.SearchWindow, "n_max", 12)
+    assert sweep.main(["--k-max", "0", "--x-max", "1000"]) == 0
+    assert "main equation, n in [2, 12], x <= 1000" in capsys.readouterr().out
+
+
 def test_reproduce_theorem_replays():
     proc = run_script("reproduce_theorem.py", "--k-max", "0", "--skip-oracle", "--replay")
     assert proc.returncode == 0, proc.stderr
@@ -43,15 +70,6 @@ def test_reproduce_theorem_counts_oracle_triples():
     assert proc.returncode == 0, proc.stderr
     assert "oracle cross-check: 2 triples with x <= 1000, agreed" in proc.stdout
     assert "replay: all steps reproduced" in proc.stdout
-
-
-def load_bench_record():
-    spec = importlib.util.spec_from_file_location(
-        "bench_record", ROOT / "scripts" / "bench_record.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def canned_run(wall_s, peak_mb, failed=0, tree="abc123"):
@@ -78,7 +96,7 @@ def canned_run(wall_s, peak_mb, failed=0, tree="abc123"):
 
 
 def test_bench_record_aggregates_canned_runs():
-    bench = load_bench_record()
+    bench = load_script("bench_record")
     pairs = ((0.4, 70.0), (0.2, 69.0), (0.3, 71.0), (0.1, 68.0))
     parsed = [bench.parse_run(canned_run(w, m)) for w, m in pairs]
     assert parsed[0]["env"]["src_sha256"] == "abc123"
@@ -100,7 +118,7 @@ def test_bench_record_aggregates_canned_runs():
 
 
 def test_bench_record_never_overwrites(tmp_path, monkeypatch, capsys):
-    bench = load_bench_record()
+    bench = load_script("bench_record")
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     # a canned run for every workload and seed: 0.3 s on odd seeds, 0.5 s on even

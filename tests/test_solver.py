@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -209,6 +210,43 @@ def test_replay_names_a_valuation_step_tampered_to_a_bad_split():
             assert bad.startswith("valuation_trichotomy:"), (X, bad)
 
 
+def with_inputs(trace, op, **inputs):
+    """A copy of trace whose first op step has these inputs, its value kept."""
+    steps = list(trace.steps)
+    i = trace.ops().index(op)
+    steps[i] = ProofStep(op, {**steps[i].inputs, **inputs}, steps[i].value)
+    return ProofTrace(k=trace.k, n_max=trace.n_max, steps=steps)
+
+
+@pytest.mark.parametrize("n", [200_000, 10**9])
+def test_replay_names_steps_tampered_past_the_digit_limit(n):
+    # 19^40001 and u_n are too long to write: even_case's value fails to
+    # encode, and lucas_u is refused from its bound before it runs
+    _, trace = solve(0, n_max=7, cross_check=False)
+    tampered = with_inputs(with_inputs(trace, "even_case", k=20000), "lucas_u", n=n)
+    for replayed in (tampered, rebuilt_from_json(tampered)):
+        start = time.perf_counter()
+        bad = replayed.replay()
+        assert time.perf_counter() - start < 1.0
+        assert [b.split(":")[0] for b in bad] == ["even_case", "lucas_u"]
+        assert "digit limit of int-to-str conversion" in bad[1]
+
+
+def test_composite_lift_is_recorded_and_replayed():
+    # n = 49 = 7 * 7 is the first n that lifts the (k, p) = (0, 7) solution
+    # y = 5, and 5 is no 7th power
+    _, trace = solve(0, n_max=49, cross_check=False)
+    (lift,) = trace.find("composite_lift")
+    assert (lift.inputs, lift.result) == ({"y": 5, "j": 7, "n": 49}, {"root": None})
+    assert trace.replay() == [] and rebuilt_from_json(trace).replay() == []
+    steps = list(trace.steps)
+    i = trace.ops().index("composite_lift")
+    steps[i] = ProofStep("composite_lift", lift.inputs, {"root": 5})
+    tampered = ProofTrace(k=0, n_max=49, steps=steps)
+    assert tampered.replay() == ["composite_lift"]
+    assert rebuilt_from_json(tampered).replay() == ["composite_lift"]
+
+
 def scribble(obj):
     """Append to every list and add a key to every dict inside obj."""
     if isinstance(obj, list):
@@ -299,6 +337,19 @@ def test_solve_refuses_over_step_budget_before_any_step(monkeypatch):
         solve(3000, 30, cross_check=False)
     with pytest.raises(ValueError, match="step budget"):
         solve(0, 100000)
+
+
+def test_solve_refuses_past_the_digit_limit_before_any_step(monkeypatch):
+    # 3,403 steps fit the step budget, but 19^3401 has 4,350 digits
+    import ln_kit.solver as solver_mod
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(solver_mod.ProofTrace, "step", no_step)
+    assert step_bound(1700, 2) <= STEP_BUDGET
+    with pytest.raises(ValueError, match=r"19\^\(2k\+1\) would have about 4350 digits"):
+        solve(1700, n_max=2)
 
 
 def test_verify_completeness_k0():
