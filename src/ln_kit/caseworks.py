@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .equation_model import Solution
+from .equation_model import Solution, check_D_digits
 from .lucas_engine import is_probable_prime
 from .oracle import check_budget, generalized_scan, iroot, perfect_root
 
@@ -109,10 +109,12 @@ def even_case(k: int, m: int) -> CaseVerdict:
     19^(2k+1) = (2y^m - x)(2y^m + x) and the factors are coprime (a common
     factor 19 would divide x), so 2y^m - x = 1 and 2y^m + x = 19^(2k+1).
     That pins y^m = (19^(2k+1)+1)/4 and x = (19^(2k+1)-1)/2; a solution with
-    this n exists iff the pinned value is a perfect m-th power.
+    this n exists iff the pinned value is a perfect m-th power.  Raises
+    ValueError before D is built when check_D_digits refuses k.
     """
     if k < 0 or m < 1:
         raise ValueError(f"need k >= 0 and m >= 1, got k={k}, m={m}")
+    check_D_digits(k)
     D = 19 ** (2 * k + 1)
     x = (D - 1) // 2
     ym = (D + 1) // 4
@@ -245,10 +247,12 @@ def p3_case(k: int, search_bound: int) -> CaseVerdict:
     satisfy the cubic identity at all.  The box is decided one b at a time
     (a^2 is fixed by b), exactly and without residues; candidates_checked
     still counts every (a, b) pair in it.  Raises ValueError before the
-    search when its values of b are over the scan budget (oracle.check_budget).
+    search when its values of b are over the scan budget (oracle.check_budget),
+    and before 4*19^k is built when check_D_digits refuses k.
     """
     if k < 0 or search_bound < 1:
         raise ValueError(f"need k >= 0 and search_bound >= 1, got {k}, {search_bound}")
+    check_D_digits(k)
     odd = len(range(1, search_bound + 1, 2))
     check_budget(f"p3_case(search_bound={search_bound})", 2 * odd)
     target = 4 * 19**k
@@ -329,10 +333,6 @@ def valuation_trichotomy(k: int, s: int, t: int, X: int, Y: int, n: int) -> Case
                 f"dividing by 19^(2k+1) and reading mod 19 forces t*n = 2k+1, "
                 f"but t*n = {tn} and 2k+1 = {odd_e}",
                 trace,
-            )
-        if n % 2 == 0:
-            return CaseVerdict.contradiction(
-                f"t*n = 2k+1 = {odd_e} is odd, impossible for even n = {n}", trace
             )
         return CaseVerdict.contradiction(
             "reduces to 19*Z^2 + 1 = 4*Y^n, which has no solutions "

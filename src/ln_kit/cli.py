@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Any
@@ -72,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--kind", choices=("n1", "n2", "n7", "all"), required=True)
     p_family.add_argument("--t", type=int, help="parameter for n1/n2")
     p_family.add_argument("--m", type=int, help="parameter for n7")
-    p_family.add_argument("--n-max", type=int, default=SearchWindow.n_max)
 
     p_lucas = sub.add_parser("lucas", help="Lucas number u_n for a pair (P, Q)")
     p_lucas.set_defaults(handler=_cmd_lucas)
@@ -154,10 +152,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     inst = LNInstance(args.k)
-    log19 = math.log10(19)
     if args.kind == "all":
-        check_digits("19^(2k+1)", (2 * args.k + 1) * log19)
-        for sol in theorem_solution_set(inst, args.n_max):
+        for sol in theorem_solution_set(inst, SearchWindow.n_max):
             _write(_solution_obj(sol, k=args.k))
         return 0
     param = args.m if args.kind == "n7" else args.t
@@ -165,14 +161,6 @@ def _cmd_family(args: argparse.Namespace) -> int:
         flag, kinds = ("--m", "n7") if args.kind == "n7" else ("--t", "n1/n2")
         print(f"ln-kit family: {flag} is required for {kinds}", file=sys.stderr)
         raise SystemExit(2)
-    # each member's longest value: n1's y, and n2's and n7's x
-    if args.kind == "n1":
-        t_log10 = 2 * math.log10(abs(param) + 1)
-        check_digits("y", max((2 * args.k + 1) * log19, t_log10))
-    elif args.kind == "n2":
-        check_digits("x", (2 * args.k - param + 1) * log19)
-    else:
-        check_digits("x", 7 * param * log19 + math.log10(559))
     sol = instantiate_family(inst, args.kind, param)
     _write(_solution_obj(sol, k=args.k, family=args.kind, param=param))
     return 0

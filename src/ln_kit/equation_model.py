@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, ClassVar
+
+from .lucas_engine import check_digits
 
 
 @dataclass(frozen=True)
@@ -22,6 +25,15 @@ class LNInstance:
     def D(self) -> int:
         """The odd constant 19^(2k+1); always congruent to 3 mod 4."""
         return 19 ** (2 * self.k + 1)
+
+
+def check_D_digits(k: int) -> None:
+    """Refuse, before any work, a k whose D = 19^(2k+1) is over check_digits.
+
+    solve runs it on its k, and every step that builds a power of 19 from
+    its k runs it too, so a replayed step refuses a k that solve would have.
+    """
+    check_digits("19^(2k+1)", (2 * k + 1) * math.log10(19))
 
 
 @dataclass(frozen=True)
@@ -66,12 +78,15 @@ def instantiate_family(inst: LNInstance, kind: str, param: int) -> Solution:
     n7(m): (559*19^(7m), 5*19^(2m), 7), k = 7m
 
     Raises ValueError for a negative param, t > k for n2, k != 7m for n7
-    and any other kind.
+    and any other kind, and, before the member is built, when its longest
+    value (y for n1, x for n2 and n7) is over check_digits.
     """
     k, t = inst.k, param
     if t < 0:
         raise ValueError(f"family parameter must be non-negative, got {t}")
+    log19 = math.log10(19)
     if kind == "n1":
+        check_digits("y", max((2 * k + 1) * log19, 2 * math.log10(t + 1)))
         sol = Solution(2 * t + 1, t * t + t + (1 + inst.D) // 4, 1)
     elif kind == "n2":
         if t > k:
@@ -79,11 +94,13 @@ def instantiate_family(inst: LNInstance, kind: str, param: int) -> Solution:
                 f"n2 family requires t <= k: got t={t}, k={k} "
                 f"(the scaling 19^t exhausts the 19-adic budget of the instance)"
             )
+        check_digits("x", (2 * k - t + 1) * log19)
         e = 2 * (k - t) + 1
         sol = Solution(19**t * (19**e - 1) // 2, 19**t * (19**e + 1) // 4, 2)
     elif kind == "n7":
         if k != 7 * t:
             raise ValueError(f"n7 family exists only for k = 7m: got k={k}, m={t}")
+        check_digits("x", 7 * t * log19 + math.log10(559))
         sol = Solution(559 * 19 ** (7 * t), 5 * 19 ** (2 * t), 7)
     else:
         raise ValueError(f"unknown family kind {kind!r}")
@@ -97,7 +114,8 @@ def theorem_solution_set(inst: LNInstance, n_max: int) -> list[Solution]:
     Yields the n2 member for each t in [0, k] and the n7 member
     when 7 | k and 7 <= n_max.  The infinite n = 1 family is excluded;
     completeness of this list is the theorem's claim, checked independently
-    by the oracle module.
+    by the oracle module.  n2(0), built first, has the longest x for k >= 1,
+    so a set too long to write is refused before any member is built.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")

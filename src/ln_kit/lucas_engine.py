@@ -6,10 +6,11 @@ trial_divide is the package's one trial-division loop, is_probable_prime its
 one primality test, and check_digits its one test of the int-to-str digit
 limit.  Factoring runs trial_divide up to TRIAL_DIVISION_LIMIT and then
 splits what survives by deterministically seeded Brent-Pollard under a
-budget of word-size multiplications (FACTORING_BUDGET unless given); an
-unfactored composite cofactor yields an explicit indeterminate verdict,
-never a silent negative.  The oracle runs trial_divide alone, to read the
-divisors of D off an exact factorization.
+budget of word-size multiplications (FACTORING_BUDGET unless given), which
+pays for the primality test of each piece too; a cofactor left unsplit or
+untested yields an explicit indeterminate verdict, never a silent negative.
+The oracle runs trial_divide alone, to read the divisors of D off an exact
+factorization.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from typing import Any
 
 TRIAL_DIVISION_LIMIT = 10**6
 
-# Word-size multiplications primitive_divisor may spend in Brent-rho on a
-# cofactor that trial division leaves composite; an iteration on a b-bit
-# cofactor costs max(1, (b // 64)^2) of them, so the budget bounds time.
+# Word-size multiplications primitive_divisor may spend on what trial
+# division leaves: an iteration of Brent-rho on a b-bit cofactor costs
+# max(1, (b // 64)^2) of them and its primality test b times that per
+# Miller-Rabin base, so the budget bounds time.
 # The solver's steps record it as their input; the Lucas numbers they factor
 # (|u_5| .. |u_13| of the pair (1, 5), all at most 15,679) never get past
 # trial division, so it changes none of them.
@@ -234,10 +236,13 @@ def trial_divide(n: int, limit: int) -> tuple[dict[int, int], int, bool]:
 
 
 def _factorize(n: int, budget: int) -> tuple[dict[int, int], int]:
-    """Factor n by trial division then budgeted rho splitting.
+    """Factor n by trial division then budgeted primality tests and rho.
 
     Returns (verified prime factors with multiplicity, leftover cofactor);
-    leftover > 1 means a composite piece survived the budget.
+    leftover > 1 means a piece survived the budget unsplit or untested.  The
+    primality test of a b-bit piece is charged b * max(1, (b // 64)^2) per
+    Miller-Rabin base before it runs, rho's price for b iterations; a piece
+    the rest of the budget cannot pay for stays in leftover untested.
     """
     factors, n, _ = trial_divide(n, TRIAL_DIVISION_LIMIT)
     leftover = 1
@@ -247,7 +252,16 @@ def _factorize(n: int, budget: int) -> tuple[dict[int, int], int]:
         m = stack.pop()
         # m has no prime factor trial division tried, so below the trial
         # limit squared it is prime; each m is tested for primality once
-        if m < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_probable_prime(m):
+        if m < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT:
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        bits = m.bit_length()
+        price = len(_MR_BASES) * bits * max(1, (bits // 64) ** 2)
+        if price > remaining:
+            leftover *= m
+            continue
+        remaining -= price
+        if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         g, used = _brent_rho(m, remaining, random.Random(m))
@@ -302,7 +316,7 @@ def primitive_divisor(
             n=n,
             exists=False,
             obstruction="; ".join(
-                reasons + [f"composite cofactor {leftover} unfactored within budget"]
+                reasons + [f"cofactor {leftover} unfactored within budget"]
             ),
             indeterminate=True,
         )

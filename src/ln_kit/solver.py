@@ -10,13 +10,18 @@ the same table, in memory or from the trace's JSON form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import caseworks
 from .caseworks import CaseVerdict
-from .equation_model import LNInstance, Solution, is_solution, theorem_solution_set
+from .equation_model import (
+    LNInstance,
+    Solution,
+    check_D_digits,
+    is_solution,
+    theorem_solution_set,
+)
 from .lucas_engine import (
     FACTORING_BUDGET,
     BhvRoute,
@@ -308,8 +313,9 @@ def solve(
 
     Raises OracleMismatchError when the brute-force cross-check (over
     x <= oracle_x_max) disagrees with the pipeline, and ValueError before
-    any step runs when step_bound(k, n_max) exceeds STEP_BUDGET or when
-    19^(2k+1), which the trace writes, is over check_digits.
+    any step runs when step_bound(k, n_max) exceeds STEP_BUDGET, when
+    19^(2k+1), which the trace writes, is over check_D_digits, or when the
+    cross-check's SearchWindow is invalid.
     """
     inst = LNInstance(k)
     bound = step_bound(k, n_max)
@@ -318,9 +324,11 @@ def solve(
             f"solve(k={k}, n_max={n_max}) may take up to {bound} steps, "
             f"over the step budget of {STEP_BUDGET}"
         )
-    check_digits("19^(2k+1)", (2 * k + 1) * math.log10(19))
+    check_D_digits(k)
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    if cross_check:
+        SearchWindow(k, 2, n_max, oracle_x_max)
     trace = ProofTrace(k=k, n_max=n_max)
     # close the two symbolic 19|x branches that do not reduce: both land on
     # 19*Z^2 + 1 = 4*Y^n (bounded scan here, unbounded statement cited)
@@ -402,6 +410,13 @@ def _lucas_u_step(pair: LucasPair, n: int) -> dict[str, int]:
     return {"value": lucas_u(pair, n)}
 
 
+def _oracle_step(window: SearchWindow) -> dict[str, list[Solution]]:
+    """The oracle's solutions in full, so that replay compares the scan
+    itself; a k past the one solve accepts is refused before D is built."""
+    check_D_digits(window.k)
+    return {"solutions": brute_force(window)}
+
+
 # op name -> procedure.  Each entry looks its procedure up when called, so
 # a name rebound on its module (a test double, a profiler) is what runs.
 STEPS: dict[str, Callable[..., Any]] = {
@@ -423,8 +438,7 @@ STEPS: dict[str, Callable[..., Any]] = {
     "valuation_trichotomy": lambda k, s, t, X, Y, n: caseworks.valuation_trichotomy(
         k, s, t, X, Y, n
     ),
-    # the oracle's solutions in full, so that replay compares the scan itself
-    "oracle_cross_check": lambda k, n_min, n_max, x_max: {
-        "solutions": brute_force(SearchWindow(k, n_min, n_max, x_max))
-    },
+    "oracle_cross_check": lambda k, n_min, n_max, x_max: _oracle_step(
+        SearchWindow(k, n_min, n_max, x_max)
+    ),
 }

@@ -90,6 +90,28 @@ def test_theorem_solution_set_sorted_by_n_then_y():
     assert sols[-1].n == 7  # n = 7 member present exactly when 7 | k
 
 
+@pytest.mark.parametrize(
+    "build, digits",
+    [
+        # x = 559 * 19^7000 and x = (19^6001 - 1)/2 are too long to write
+        (lambda: instantiate_family(LNInstance(7000), "n7", 1000), 8955),
+        (lambda: theorem_solution_set(LNInstance(3000), 30), 7674),
+    ],
+    ids=["n7", "theorem_set"],
+)
+def test_families_refuse_past_the_digit_limit_before_any_member(
+    monkeypatch, build, digits
+):
+    import ln_kit.equation_model as model
+
+    def no_member(*args):
+        raise AssertionError("a member was built")
+
+    monkeypatch.setattr(model, "Solution", no_member)
+    with pytest.raises(ValueError, match=f"x would have about {digits} digits.*limit"):
+        build()
+
+
 def test_theorem_solution_set_rejects_n_max_below_2():
     with pytest.raises(ValueError):
         theorem_solution_set(LNInstance(0), 1)

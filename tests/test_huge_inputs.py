@@ -31,7 +31,6 @@ HUGE_INPUTS = [
     ("family --k 3000 --kind n2 --t 3000", 0),
     ("family --k 7000 --kind n7 --m 1000", 2),
     (f"family --k 0 --kind n1 --t {10**2200}", 2),
-    ("family --k 0 --kind all --n-max 1000000000", 0),
     (f"lucas --p {BIG} --q 1 --n 6", 2),
     (f"primdiv --p 1 --q {BIG} --n 10", 2),
     ("primdiv --p 1 --q 5 --n 1000000000", 2),

@@ -15,6 +15,7 @@ from ln_kit.lucas_engine import (
     LucasPair,
     _factorize,
     bhv_gate,
+    is_probable_prime,
     lucas_u,
     primitive_divisor,
     trial_divide,
@@ -193,6 +194,34 @@ def test_primitive_divisor_budget_resolves_indeterminate():
     assert verdict.indeterminate is False
     assert verdict.exists is True
     assert verdict.witness == 55001102182751
+
+
+def test_primality_tests_are_paid_from_the_budget(monkeypatch):
+    # u_4000 of (1, 5) leaves a 4,333-bit cofactor whose 12-base test costs
+    # about 2.3e8 multiplications; run unpaid, that test took about 0.3 s
+    import ln_kit.lucas_engine as engine
+
+    tested = []
+
+    def spy(n):
+        tested.append(n.bit_length())
+        return is_probable_prime(n)
+
+    monkeypatch.setattr(engine, "is_probable_prime", spy)
+    verdict = primitive_divisor(LucasPair(1, 5), 4000)
+    assert verdict.indeterminate is True
+    for bits in tested:
+        assert 12 * bits * max(1, (bits // 64) ** 2) <= FACTORING_BUDGET, bits
+
+
+def test_an_unpaid_primality_test_leaves_the_cofactor_unfactored():
+    # |u_37| of (1, 5) is the 41-bit prime 1841983774399; its 12-base test
+    # costs 12 * 41 multiplications
+    unpaid = primitive_divisor(LucasPair(1, 5), 37, factoring_budget=12 * 41 - 1)
+    assert unpaid.indeterminate is True
+    assert unpaid.obstruction == "cofactor 1841983774399 unfactored within budget"
+    paid = primitive_divisor(LucasPair(1, 5), 37, factoring_budget=12 * 41)
+    assert (paid.exists, paid.witness) == (True, 1841983774399)
 
 
 def test_primitive_divisor_deterministic():

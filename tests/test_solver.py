@@ -232,6 +232,25 @@ def test_replay_names_steps_tampered_past_the_digit_limit(n):
         assert "digit limit of int-to-str conversion" in bad[1]
 
 
+def test_replay_names_steps_tampered_to_a_huge_k():
+    # even_case builds 19^(2k+1), p3_case 4*19^k and the oracle step D: each
+    # refuses a k whose 19^(2k+1) solve would refuse, before building it
+    _, trace = solve(0, n_max=3, oracle_x_max=10**3)
+    tampered = trace
+    for op in ("even_case", "p3_case", "oracle_cross_check"):
+        tampered = with_inputs(tampered, op, k=10**7)
+    for replayed in (tampered, rebuilt_from_json(tampered)):
+        start = time.perf_counter()
+        bad = replayed.replay()
+        assert time.perf_counter() - start < 1.0
+        assert [b.split(":")[0] for b in bad] == [
+            "even_case",
+            "p3_case",
+            "oracle_cross_check",
+        ]
+        assert all("19^(2k+1) would have about" in b for b in bad), bad
+
+
 def test_composite_lift_is_recorded_and_replayed():
     # n = 49 = 7 * 7 is the first n that lifts the (k, p) = (0, 7) solution
     # y = 5, and 5 is no 7th power
@@ -350,6 +369,17 @@ def test_solve_refuses_past_the_digit_limit_before_any_step(monkeypatch):
     assert step_bound(1700, 2) <= STEP_BUDGET
     with pytest.raises(ValueError, match=r"19\^\(2k\+1\) would have about 4350 digits"):
         solve(1700, n_max=2)
+
+
+def test_solve_refuses_a_bad_oracle_window_before_any_step(monkeypatch):
+    import ln_kit.solver as solver_mod
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(solver_mod.ProofTrace, "step", no_step)
+    with pytest.raises(ValueError, match="x_max must be positive, got 0"):
+        solve(63, oracle_x_max=0)
 
 
 def test_verify_completeness_k0():
