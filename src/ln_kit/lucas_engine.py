@@ -3,11 +3,12 @@
 A prime q is a primitive divisor of u_n when q | u_n but q divides neither
 the discriminant (alpha - beta)^2 nor any earlier term u_2 ... u_{n-1}.
 trial_divide is the package's one trial-division loop, is_probable_prime its
-one primality test, and check_digits its one test of the int-to-str digit
-limit.  Factoring runs trial_divide up to TRIAL_DIVISION_LIMIT and then
-splits what survives by deterministically seeded Brent-Pollard under a
-budget of word-size multiplications (FACTORING_BUDGET unless given), which
-pays for the primality test of each piece too; a cofactor left unsplit or
+one primality test (its Miller-Rabin rounds, _passes_base, are the one such
+loop), and check_digits its one test of the int-to-str digit limit.
+Factoring runs trial_divide up to TRIAL_DIVISION_LIMIT and then splits what
+survives by deterministically seeded Brent-Pollard under a budget of
+word-size multiplications (FACTORING_BUDGET unless given), which pays for
+each Miller-Rabin round on each piece too; a cofactor left unsplit or
 untested yields an explicit indeterminate verdict, never a silent negative.
 The oracle runs trial_divide alone, to read the divisors of D off an exact
 factorization.
@@ -158,22 +159,21 @@ def is_probable_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return all(_passes_base(n, a) for a in _MR_BASES)
+
+
+def _passes_base(n: int, a: int) -> bool:
+    """One Miller-Rabin round: whether the odd n > a is a strong probable
+    prime to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int]:
@@ -239,10 +239,11 @@ def _factorize(n: int, budget: int) -> tuple[dict[int, int], int]:
     """Factor n by trial division then budgeted primality tests and rho.
 
     Returns (verified prime factors with multiplicity, leftover cofactor);
-    leftover > 1 means a piece survived the budget unsplit or untested.  The
-    primality test of a b-bit piece is charged b * max(1, (b // 64)^2) per
-    Miller-Rabin base before it runs, rho's price for b iterations; a piece
-    the rest of the budget cannot pay for stays in leftover untested.
+    leftover > 1 means a piece survived the budget unsplit or untested.  Each
+    Miller-Rabin base run on a b-bit piece is charged b * max(1, (b // 64)^2)
+    before it runs, rho's price for b iterations, so a composite that fails
+    the first base pays for one; a piece the rest of the budget cannot test
+    to the last base stays in leftover.
     """
     factors, n, _ = trial_divide(n, TRIAL_DIVISION_LIMIT)
     leftover = 1
@@ -256,13 +257,19 @@ def _factorize(n: int, budget: int) -> tuple[dict[int, int], int]:
             factors[m] = factors.get(m, 0) + 1
             continue
         bits = m.bit_length()
-        price = len(_MR_BASES) * bits * max(1, (bits // 64) ** 2)
-        if price > remaining:
-            leftover *= m
-            continue
-        remaining -= price
-        if is_probable_prime(m):
+        price = bits * max(1, (bits // 64) ** 2)
+        composite = False
+        for a in _MR_BASES:  # m is odd and above every base
+            if price > remaining:
+                leftover *= m
+                break
+            remaining -= price
+            if not _passes_base(m, a):
+                composite = True
+                break
+        else:
             factors[m] = factors.get(m, 0) + 1
+        if not composite:
             continue
         g, used = _brent_rho(m, remaining, random.Random(m))
         remaining -= used

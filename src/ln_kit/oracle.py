@@ -1,8 +1,8 @@
 """Assumption-free brute-force enumeration of x^2 + D = lambda*y^n within a
 window; the main equation is D = 19^(2k+1), lambda = 4.
 
-Two exact enumerations serve every (D, lambda); for each n the scan runs
-whichever costs less, known before either starts:
+Two exact enumerations serve every (D, lambda); the scan runs whichever
+costs less, known before either starts:
 
 - the y-scan tries every y with D < lambda*y^n <= x_max^2 + D, the window
   where x is positive and at most x_max.  Even y are skipped only for an n
@@ -14,9 +14,9 @@ whichever costs less, known before either starts:
   tenth of the walk's cost, proves it (lucas_engine.trial_divide, no
   primality test); otherwise every d in the window is tried.  The main
   equation's D = 19^(2k+1) factors at once: k+1 divisors lie below sqrt(D).
-  A walk candidate is one modulo, far cheaper than a y-scan candidate, so
-  the walk runs unless it has WALK_PER_Y times as many candidates as the
-  y-scan; the price is that of the full window, factored or not.
+  One walk serves every even n of the window, so it runs unless it has
+  WALK_PER_Y times as many candidates as their y-scans together; its
+  price, charged once, is that of the full window, factored or not.
 
 Neither uses coprimality or the theorem, and composite n are scanned too:
 the oracle is the ground truth and must not inherit the theorem's
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from .equation_model import LNInstance, Solution, is_solution
 from .lucas_engine import trial_divide
 
-# Most candidates one scan may try, in y-candidate units; every n counts as
-# at least one.
+# Most candidates one scan may try, in y-candidate units; every y-scanned n
+# counts as at least one, and so does the walk.
 SCAN_BUDGET = 10**8
 
 # Walk candidates that cost about one y-scan candidate.  A walk candidate is
@@ -42,10 +42,11 @@ SCAN_BUDGET = 10**8
 # d of the window at D = 19^11, lambda = 4, n = 2, x_max = 10^7, the
 # 3,039,730-candidate walk took 0.23-0.28 s and the 980,136-candidate y-scan
 # 0.61-0.86 s (Python 3.11, 2-CPU host); on D near 10^10 and 10^11 the ratio
-# per candidate was 7 to 9 as well.  4 errs towards the y-scan.  That timing
-# is of the walk that tries every d, which runs only where D does not factor
-# within the cap; 19^11 factors, and its walk tests only the divisors of D in
-# the window (none at x_max = 10^7).
+# per candidate was 7 to 9 as well.  4 errs towards the y-scan, which the walk
+# is set against summed over the even n it serves.  That timing is of the walk
+# that tries every d, which runs only where D does not factor within the cap;
+# 19^11 factors, and its walk tests only the divisors of D in the window (none
+# at x_max = 10^7).
 WALK_PER_Y = 4
 
 
@@ -70,18 +71,30 @@ class SearchWindow:
 
 
 def iroot(v: int, m: int) -> int:
-    """The largest r with r^m <= v; integer Newton, no floating point."""
+    """The largest r with r^m <= v, by integer Newton; a float may choose
+    where Newton starts, never what it returns."""
     if v < 0:
         raise ValueError(f"v must be non-negative, got {v}")
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if v < 2 or m == 1:
         return v
+    if m == 2:
+        return math.isqrt(v)
     if v.bit_length() <= m:  # v < 2^m, so the root is 1; a large m builds nothing
         return 1
-    # 2^ceil(bits/m) is above the root, and from above each Newton step
-    # falls strictly until it reaches the floor root, where it stops falling
-    r = 1 << -(-v.bit_length() // m)
+    # start next to the root, so that Newton takes a few steps: a root past a
+    # double's 53 bits starts from the exact root of v's top half, shifted
+    # back; a shorter one from a float estimate
+    bits = v.bit_length() // m
+    if bits > 52:
+        r = iroot(v >> m * (bits // 2), m) << bits // 2
+    else:
+        r = int(2 ** (math.log2(v) / m)) + 1
+    # one Newton step from any r > 0 lands at or above the floor root (the
+    # arithmetic mean of the m factors bounds their geometric mean); from
+    # there each step falls strictly until it reaches it, and stops falling
+    r = ((m - 1) * r + v // r ** (m - 1)) // m
     while True:
         s = ((m - 1) * r + v // r ** (m - 1)) // m
         if s >= r:
@@ -181,19 +194,6 @@ def check_budget(what: str, count: int) -> None:
         )
 
 
-def _paths(
-    D: int, lam: int, n_min: int, n_max: int, x_max: int, ds: range | None
-) -> list[tuple[int, range | None]]:
-    """Per n: (n, the y-window to scan), or (n, None) where walking ds costs less."""
-    limit = x_max * x_max + D
-    out = []
-    for n in range(n_min, n_max + 1):
-        ys = _y_window(D, lam, n, limit)
-        walk = ds is not None and n % 2 == 0 and _size(ds) < WALK_PER_Y * _size(ys)
-        out.append((n, None if walk else ys))
-    return out
-
-
 def generalized_scan(
     D: int, lam: int, n_min: int, n_max: int, x_max: int
 ) -> list[tuple[int, int, int]]:
@@ -209,26 +209,28 @@ def generalized_scan(
     if n_min < 2 or n_max < n_min or x_max < 1:
         raise ValueError(f"bad window n=[{n_min},{n_max}], x_max={x_max}")
     check_budget("the window", n_max - n_min + 1)
+    limit = x_max * x_max + D
     # the last n where some y >= 2 fits: lam * 2^n <= x_max^2 + D
-    n_top = min(n_max, ((x_max * x_max + D) // lam).bit_length() - 1)
+    n_top = min(n_max, (limit // lam).bit_length() - 1)
+    windows = [(n, _y_window(D, lam, n, limit)) for n in range(n_min, n_top + 1)]
     c = math.isqrt(lam)
-    ds = _divisor_window(D, x_max) if c * c == lam else None
-    paths = _paths(D, lam, n_min, n_top, x_max, ds)
+    ds = _divisor_window(D, x_max)
+    # one walk serves every even n, so it runs when it costs less than their
+    # y-scans together, and it is charged once
+    walk = c * c == lam and _size(ds) < WALK_PER_Y * sum(
+        _size(ys) for n, ys in windows if n % 2 == 0
+    )
     check_budget(
         "the window",
-        sum(
-            max(1, -(-_size(ds) // WALK_PER_Y) if ys is None else _size(ys))
-            for _, ys in paths
-        )
+        sum(max(1, _size(ys)) for n, ys in windows if not (walk and n % 2 == 0))
+        + (max(1, -(-_size(ds) // WALK_PER_Y)) if walk else 0)
         # each n above n_top costs one: its y-window holds y = 1 at most
         + n_max - max(n_min, n_top + 1) + 1
     )
-    pairs = None  # the walk runs at most once, for the first n that takes it
+    pairs = _square_pairs(D, x_max, ds) if walk else []
     out = []
-    for n, ys in paths:
-        if ys is None:
-            if pairs is None:
-                pairs = _square_pairs(D, x_max, ds)
+    for n, ys in windows:
+        if walk and n % 2 == 0:
             m = n // 2
             for x, z in pairs:
                 if z % c == 0:

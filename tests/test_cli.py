@@ -286,6 +286,24 @@ def test_verify_command_exit_codes(capsys, monkeypatch):
     assert code == 1
 
 
+def test_solve_oracle_mismatch_exit_1(capsys, monkeypatch):
+    import ln_kit.solver as solver_mod
+
+    brute_force = solver_mod.brute_force
+    # the oracle loses (9, 5, 2), which the proof side still finds
+    monkeypatch.setattr(solver_mod, "brute_force", lambda w: brute_force(w)[1:])
+    code, out = run_cli(capsys, "solve", "--k", "0", "--x-max", "1000")
+    assert code == 1
+    assert parse_lines(out) == [
+        {
+            "k": 0,
+            "kind": "oracle_mismatch",
+            "oracle_only": [],
+            "pipeline_only": [["9", "5", "2"]],
+        }
+    ]
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["solve"])  # missing --k

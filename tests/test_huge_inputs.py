@@ -16,6 +16,9 @@ BIG = str(10**1000)
 HUGE_INPUTS = [
     ("oracle --k 0 --n-max 1000000 --x-max 10", 0),
     ("verify --k 0 --n-max 1000000", 0),
+    ("oracle --k 3000 --n-max 1000", 0),
+    ("verify --k 3000 --n-max 1000", 0),
+    ("oracle --k 30000", 0),
     ("classnum --disc -100000000003", 2),
     ("solve --k 2000 --n-max 2 --skip-oracle", 2),
     ("family --k 3000 --kind all", 2),

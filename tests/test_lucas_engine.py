@@ -171,6 +171,13 @@ def test_primitive_divisor_exists_for_paper_pair(n, witness):
     assert verdict.witness == witness
 
 
+def test_primitive_divisor_obstruction_by_the_discriminant():
+    # Fibonacci: u_5 = 5, and 5 divides the discriminant 1 + 4 = 5
+    verdict = primitive_divisor(LucasPair(1, -1), 5)
+    assert (verdict.exists, verdict.indeterminate) == (False, False)
+    assert verdict.obstruction == "5 divides the discriminant 5"
+
+
 def test_primitive_divisor_obstruction_bookkeeping():
     # u_6 = 56 = 2^3 * 7 for (1, 5): 2 divides u_3, 7 divides u_6 first
     verdict = primitive_divisor(LucasPair(1, 5), 6)
@@ -202,16 +209,17 @@ def test_primality_tests_are_paid_from_the_budget(monkeypatch):
     import ln_kit.lucas_engine as engine
 
     tested = []
+    passes_base = engine._passes_base
 
-    def spy(n):
+    def spy(n, a):
         tested.append(n.bit_length())
-        return is_probable_prime(n)
+        return passes_base(n, a)
 
-    monkeypatch.setattr(engine, "is_probable_prime", spy)
+    monkeypatch.setattr(engine, "_passes_base", spy)
     verdict = primitive_divisor(LucasPair(1, 5), 4000)
     assert verdict.indeterminate is True
-    for bits in tested:
-        assert 12 * bits * max(1, (bits // 64) ** 2) <= FACTORING_BUDGET, bits
+    # every base run, on every piece, was paid from the one budget
+    assert sum(bits * max(1, (bits // 64) ** 2) for bits in tested) <= FACTORING_BUDGET
 
 
 def test_an_unpaid_primality_test_leaves_the_cofactor_unfactored():
@@ -222,6 +230,23 @@ def test_an_unpaid_primality_test_leaves_the_cofactor_unfactored():
     assert unpaid.obstruction == "cofactor 1841983774399 unfactored within budget"
     paid = primitive_divisor(LucasPair(1, 5), 37, factoring_budget=12 * 41)
     assert (paid.exists, paid.witness) == (True, 1841983774399)
+
+
+def test_a_composite_pays_only_for_the_bases_it_runs():
+    # |u_637| of (1, 5) has the primitive divisor 3740298379, which the
+    # default budget reaches only when each composite piece pays for the
+    # Miller-Rabin bases it runs, not for all 12 up front
+    verdict = primitive_divisor(LucasPair(1, 5), 637)
+    assert (verdict.exists, verdict.indeterminate) == (True, False)
+    assert verdict.witness == 3740298379
+
+
+def test_is_probable_prime_matches_trial_division():
+    for n in range(-2, 5000):
+        assert is_probable_prime(n) == (n > 1 and reference_factorization(n) == {n: 1})
+    # strong pseudoprimes to base 2, and the prime 2^61 - 1
+    assert not any(is_probable_prime(n) for n in (2047, 3277, 4033, 3215031751))
+    assert is_probable_prime(2**61 - 1)
 
 
 def test_primitive_divisor_deterministic():

@@ -59,6 +59,21 @@ def test_perfect_root_near_misses(r, m):
         st.tuples(st.integers(0, 10**40), st.integers(1, 12)),
         # thousands of bits, as the y-window bounds of a large k (n up to 30)
         st.tuples(st.integers(0, 2**4000), st.integers(1, 40)),
+        # m in the thousands and a short root, as a large k with a large n_max
+        st.tuples(st.integers(0, 2**6000), st.integers(1000, 3000)),
+        # exact powers and their neighbours, short roots and long ones
+        st.builds(
+            lambda r, m, d: (r**m + d, m),
+            st.one_of(st.integers(2, 2**20), st.integers(2**60, 2**300)),
+            st.integers(2, 40),
+            st.sampled_from((-1, 0, 1)),
+        ),
+        st.builds(
+            lambda r, m, d: (r**m + d, m),
+            st.integers(2, 9),
+            st.integers(1000, 3000),
+            st.sampled_from((-1, 0, 1)),
+        ),
     )
 )
 def test_iroot_brackets(vm):
@@ -167,10 +182,11 @@ def test_divisor_walk_matches_naive_scan(monkeypatch):
                 assert generalized_scan(D, lam, 2, 9, x_max) == naive_scan(
                     D, lam, 2, 9, x_max
                 )
+                # one walk decision for the window, against every even n
                 ds = _divisor_window(D, x_max)
-                for n in range(2, 10, 2):
-                    ys = _y_window(D, lam, n, x_max * x_max + D)
-                    paths.add(_size(ds) < WALK_PER_Y * _size(ys))
+                limit = x_max * x_max + D
+                even = sum(_size(_y_window(D, lam, n, limit)) for n in (2, 4, 6, 8))
+                paths.add(_size(ds) < WALK_PER_Y * even)
     assert paths == {True, False}
     # both the factored walk and the fallback over every d ran
     assert {divisors is None for divisors in walks} == {True, False}
@@ -234,6 +250,30 @@ def test_walk_runs_where_it_costs_less_but_has_more_candidates(
     assert len(walks) == 1
     assert got == naive_scan(D, lam, 2, 9, x_max)
     assert any(n == 2 for _, _, n in got)
+
+
+def test_one_walk_serves_every_even_n_and_is_charged_once(monkeypatch):
+    # D = 7, lam = 1: the window holds the one divisor d = 1, and its walk
+    # serves all 15 even n; charged once, not once per even n
+    D, lam, x_max = 7, 1, 10**6
+    limit = x_max * x_max + D
+    assert _size(_divisor_window(D, x_max)) == 1
+    odd = sum(max(1, _size(_y_window(D, lam, n, limit))) for n in range(3, 31, 2))
+    walks = []
+    square_pairs = oracle._square_pairs
+
+    def spy(*args):
+        walks.append(args)
+        return square_pairs(*args)
+
+    monkeypatch.setattr(oracle, "_square_pairs", spy)
+    monkeypatch.setattr(oracle, "SCAN_BUDGET", odd + 1)
+    assert generalized_scan(D, lam, 2, 30, x_max) == naive_scan(D, lam, 2, 30, x_max)
+    assert len(walks) == 1
+    monkeypatch.setattr(oracle, "SCAN_BUDGET", odd)
+    with pytest.raises(ValueError, match="scan budget"):
+        generalized_scan(D, lam, 2, 30, x_max)
+    assert len(walks) == 1
 
 
 def test_scan_budget_refuses_before_scanning():

@@ -121,6 +121,14 @@ def test_replay_names_a_dropped_oracle_triple():
     assert trace.replay() == []
 
 
+def test_replay_names_an_op_outside_the_step_table():
+    _, trace = solve(0, n_max=3, cross_check=False)
+    steps = list(trace.steps)
+    steps[0] = ProofStep("no_such_op", steps[0].inputs, steps[0].value)
+    bad = ProofTrace(k=0, n_max=3, steps=steps).replay()
+    assert bad == ["no_such_op: not replayable"]
+
+
 def test_replay_refuses_a_tampered_huge_z_max():
     # the 19*Z^2 + 1 scan is under the oracle's scan budget: refused, not run
     _, trace = solve(0, n_max=3, cross_check=False)
