@@ -320,38 +320,24 @@ def valuation_trichotomy(k: int, s: int, t: int, X: int, Y: int, n: int) -> Case
         "minimum": mn,
     }
     if mn == odd_e:
-        trace = (
-            base,
-            {
-                "check": "mod19_forcing",
-                "forced": "t*n == 2k+1",
-                "holds": tn == odd_e,
-            },
+        forced, holds = "t*n == 2k+1", tn == odd_e
+        failure = (
+            f"dividing by 19^(2k+1) and reading mod 19 forces t*n = 2k+1, "
+            f"but t*n = {tn} and 2k+1 = {odd_e}"
         )
-        if tn != odd_e:
-            return CaseVerdict.contradiction(
-                f"dividing by 19^(2k+1) and reading mod 19 forces t*n = 2k+1, "
-                f"but t*n = {tn} and 2k+1 = {odd_e}",
-                trace,
-            )
+    else:  # mn is 2s or t*n, strictly below 2k+1
+        forced, holds = "2s == t*n (or t*n == 2k+1, handled above)", two_s == tn
+        failure = (
+            f"after dividing by 19^{mn}, exactly one of the three terms is "
+            f"prime to 19: 2s = {two_s}, t*n = {tn}"
+        )
+    trace = (base, {"check": "mod19_forcing", "forced": forced, "holds": holds})
+    if not holds:
+        return CaseVerdict.contradiction(failure, trace)
+    if mn == odd_e:
         return CaseVerdict.contradiction(
             "reduces to 19*Z^2 + 1 = 4*Y^n, which has no solutions "
             "(bounded scan in no_19z2_solutions; unbounded statement cited)",
-            trace,
-        )
-    # mn is 2s or t*n, strictly below 2k+1
-    trace = (
-        base,
-        {
-            "check": "mod19_forcing",
-            "forced": "2s == t*n (or t*n == 2k+1, handled above)",
-            "holds": two_s == tn,
-        },
-    )
-    if two_s != tn:
-        return CaseVerdict.contradiction(
-            f"after dividing by 19^{mn}, exactly one of the three terms is "
-            f"prime to 19: 2s = {two_s}, t*n = {tn}",
             trace,
         )
     return CaseVerdict.reduced(k - s, (f"t*n == 2*s == {two_s}",), trace)

@@ -14,6 +14,7 @@ import os
 import sys
 from typing import Any
 
+from .caseworks import json_safe
 from .equation_model import LNInstance, instantiate_family, theorem_solution_set
 from .lucas_engine import (
     FACTORING_BUDGET,
@@ -139,8 +140,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if generalized:
         triples = generalized_scan(args.d, args.lam, args.n_min, args.n_max, args.x_max)
         for x, y, n in triples:
-            row = {"x": str(x), "y": str(y), "n": n}
-            _write({"kind": "triple", "d": args.d, "lam": args.lam, **row})
+            row = {"d": args.d, "lam": args.lam, "x": str(x), "y": str(y), "n": n}
+            _write({"kind": "triple", **json_safe(row)})
         return 0
     window = SearchWindow(
         k=args.k, n_min=args.n_min, n_max=args.n_max, x_max=args.x_max
@@ -171,15 +172,14 @@ def _cmd_lucas(args: argparse.Namespace) -> int:
     check_digits("u_n", u_n_log10(pair, args.n))
     value = lucas_u(pair, args.n)
     row = {"p": args.p, "q": args.q, "n": args.n, "u_n": str(value)}
-    _write({"kind": "lucas_u", **row})
+    _write({"kind": "lucas_u", **json_safe(row)})
     return 0
 
 
 def _cmd_primdiv(args: argparse.Namespace) -> int:
     verdict = primitive_divisor(LucasPair(args.p, args.q), args.n, args.budget)
-    _write(
-        {"kind": "primitive_divisor", "p": args.p, "q": args.q, **verdict.to_jsonable()}
-    )
+    row = {"p": args.p, "q": args.q, **verdict.to_jsonable()}
+    _write({"kind": "primitive_divisor", **json_safe(row)})
     return 0
 
 
@@ -219,7 +219,3 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

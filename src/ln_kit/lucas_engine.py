@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Any
 
@@ -39,10 +39,6 @@ FACTORING_BUDGET = 10**6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class DegenerateSequenceError(ValueError):
-    """The pair's root ratio alpha/beta is a root of unity."""
-
-
 @dataclass(frozen=True)
 class LucasPair:
     """(P, Q) = (alpha + beta, alpha * beta), coprime, nonzero, nondegenerate."""
@@ -58,9 +54,7 @@ class LucasPair:
         # alpha/beta is a root of unity exactly when P^2 / Q is 0, 1, 2, 3 or 4;
         # P^2 = 4Q is also the zero-discriminant case.
         if self.P * self.P in (self.Q, 2 * self.Q, 3 * self.Q, 4 * self.Q):
-            raise DegenerateSequenceError(
-                f"({self.P}, {self.Q}) is a degenerate Lucas pair"
-            )
+            raise ValueError(f"({self.P}, {self.Q}) is a degenerate Lucas pair")
 
     @property
     def disc(self) -> int:
@@ -92,13 +86,8 @@ class PrimitiveDivisorVerdict:
     indeterminate: bool = False
 
     def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "exists": self.exists,
-            "witness": None if self.witness is None else str(self.witness),
-            "obstruction": self.obstruction,
-            "indeterminate": self.indeterminate,
-        }
+        witness = None if self.witness is None else str(self.witness)
+        return asdict(self) | {"witness": witness}
 
 
 def lucas_u(pair: LucasPair, n: int) -> int:

@@ -62,12 +62,17 @@ class SearchWindow:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValueError(f"k must be non-negative, got {self.k}")
-        if self.n_min < 2:
-            raise ValueError(f"n_min must be at least 2, got {self.n_min}")
-        if self.n_max < self.n_min:
-            raise ValueError(f"empty n range [{self.n_min}, {self.n_max}]")
-        if self.x_max < 1:
-            raise ValueError(f"x_max must be positive, got {self.x_max}")
+        _check_window(self.n_min, self.n_max, self.x_max)
+
+
+def _check_window(n_min: int, n_max: int, x_max: int) -> None:
+    """Refuse an n range that is empty or reaches below 2, or x_max < 1."""
+    if n_min < 2:
+        raise ValueError(f"n_min must be at least 2, got {n_min}")
+    if n_max < n_min:
+        raise ValueError(f"empty n range [{n_min}, {n_max}]")
+    if x_max < 1:
+        raise ValueError(f"x_max must be positive, got {x_max}")
 
 
 def iroot(v: int, m: int) -> int:
@@ -206,8 +211,7 @@ def generalized_scan(
     """
     if D < 1 or lam < 1:
         raise ValueError(f"D and lambda must be positive, got D={D}, lambda={lam}")
-    if n_min < 2 or n_max < n_min or x_max < 1:
-        raise ValueError(f"bad window n=[{n_min},{n_max}], x_max={x_max}")
+    _check_window(n_min, n_max, x_max)
     check_budget("the window", n_max - n_min + 1)
     limit = x_max * x_max + D
     # the last n where some y >= 2 fits: lam * 2^n <= x_max^2 + D

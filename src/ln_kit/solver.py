@@ -96,7 +96,7 @@ class ProofTrace:
     @property
     def oracle_checked(self) -> bool:
         """Whether the trace holds the oracle cross-check step."""
-        return bool(self.find("oracle_cross_check"))
+        return self.oracle_x_max is not None
 
     @property
     def oracle_x_max(self) -> int | None:

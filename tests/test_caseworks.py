@@ -288,6 +288,8 @@ def test_trichotomy_t0_is_contradiction():
 def test_trichotomy_preconditions():
     with pytest.raises(ValueError):
         valuation_trichotomy(1, 0, 1, 9, 5, 2)
+    with pytest.raises(ValueError, match="need k >= 0 and n >= 2, got k=1, n=1"):
+        valuation_trichotomy(1, 1, 1, 9, 5, 1)
 
 
 def test_no_19z2_small_scan():

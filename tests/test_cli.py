@@ -325,6 +325,27 @@ def test_classnum_bad_disc_exit_2(capsys):
     assert cli.main(["classnum", "--disc", "-5"]) == 2
 
 
+def test_echoed_flags_are_strings_from_2_53(capsys):
+    d, lam, p = str(2**60), str(2**60 + 1), str(10**20)
+    # 1 + D = lam * 1^n: one triple for each n of the window
+    _, out = run_cli(capsys, "oracle", "--d", d, "--lam", lam, "--x-max", "1")
+    assert parse_lines(out)[0] == {
+        "kind": "triple", "d": d, "lam": lam, "n": 2, "x": "1", "y": "1"
+    }
+    _, out = run_cli(capsys, "lucas", "--p", p, "--q", "1", "--n", "1")
+    assert parse_lines(out) == [{"kind": "lucas_u", "p": p, "q": 1, "n": 1, "u_n": "1"}]
+    # u_2 = P = 2^20 * 5^20; 2 divides P^2 - 4Q and 5 does not
+    _, out = run_cli(capsys, "primdiv", "--p", p, "--q", "1", "--n", "2")
+    (row,) = parse_lines(out)
+    assert (row["p"], row["q"], row["witness"]) == (p, 1, "5")
+
+
+@pytest.mark.parametrize("form", [["--k", "0"], ["--d", "7", "--lam", "1"]])
+def test_both_oracle_forms_refuse_a_bad_window_alike(capsys, form):
+    assert cli.main(["oracle", *form, "--n-min", "1"]) == 2
+    assert capsys.readouterr().err == "ln-kit: n_min must be at least 2, got 1\n"
+
+
 def loaded_submodules(statement):
     """The ln_kit submodules a fresh interpreter holds after statement."""
     code = (

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from ln_kit.lucas_engine import (
     FACTORING_BUDGET,
     BhvRoute,
-    DegenerateSequenceError,
     LucasPair,
     _factorize,
     bhv_gate,
@@ -85,7 +84,7 @@ def test_lucas_u_rejects_negative_index():
 
 def test_degenerate_pairs_rejected():
     for P, Q in [(1, 1), (-1, 1), (2, 1), (-2, 1)]:
-        with pytest.raises(DegenerateSequenceError):
+        with pytest.raises(ValueError, match="degenerate Lucas pair"):
             LucasPair(P, Q)
     with pytest.raises(ValueError):
         LucasPair(0, 1)  # zero trace
@@ -293,6 +292,12 @@ def test_factorize_planted_paths(p, q, needs_rho):
     assert _factorize(n, FACTORING_BUDGET) == (expected, 1)
     # with no rho budget, what needs rho stays a composite leftover
     assert _factorize(n, 0) == (({}, n) if needs_rho else (expected, 1))
+
+
+def test_factorize_keeps_what_a_failed_rho_leaves():
+    # 500 pays the first Miller-Rabin base (40) and leaves rho too little to
+    # split: the cofactor must come back as leftover, not vanish
+    assert _factorize(1_000_003 * 1_000_033, 500) == ({}, 1_000_036_000_099)
 
 
 REFERENCE_UP_TO_10K = {n: reference_factorization(n) for n in range(1, 10**4 + 1)}

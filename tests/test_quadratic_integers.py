@@ -147,6 +147,9 @@ def test_class_number_minus_7():
 def test_class_number_known_table():
     # classical h(-d) values for small discriminants
     known = {-3: 1, -8: 1, -11: 1, -15: 2, -20: 2, -24: 2, -31: 3, -43: 1, -67: 1, -163: 1}
+    # [(1,0,3)], [(1,0,4)] and [(1,0,12), (3,0,4)]: (2,2,2), (2,0,2), (2,0,6)
+    # and (4,4,4) are not primitive, and (4,0,3) has C < A
+    known |= {-12: 1, -16: 1, -48: 2}
     for disc, h in known.items():
         assert len(class_number_imag(disc)) == h, disc
 

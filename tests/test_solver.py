@@ -7,7 +7,8 @@ import pytest
 
 from ln_kit import caseworks
 from ln_kit.equation_model import LNInstance, Solution, is_solution, theorem_solution_set
-from ln_kit.oracle import SearchWindow
+from ln_kit.lucas_engine import LucasPair, primitive_divisor
+from ln_kit.oracle import SearchWindow, iroot, perfect_root
 from ln_kit.solver import (
     STEP_BUDGET,
     OracleMismatchError,
@@ -443,6 +444,31 @@ def test_defect_table_route():
     assert defect_table_route(7, 0).outcome == "forced"
     with pytest.raises(ValueError):
         defect_table_route(3, 0)
+    with pytest.raises(ValueError, match="k must be non-negative, got -1"):
+        defect_table_route(7, -1)
+
+
+@pytest.mark.parametrize(
+    "procedure, args, message",
+    [
+        # without its own check, even_case would fail in perfect_root, and
+        # no_19z2_solutions in the oracle's window check, in other words
+        (caseworks.even_case, (0, 0), "need k >= 0 and m >= 1, got k=0, m=0"),
+        (caseworks.mod19_forces_kt, (2, 2), "requires 0 <= t < k, got t=2, k=2"),
+        (caseworks.mod_pow2_insoluble, (7, -1), "t must be non-negative, got -1"),
+        (caseworks.p3_case, (0, 0), "need k >= 0 and search_bound >= 1, got 0, 0"),
+        (caseworks.no_19z2_solutions, (3, 0), "need n_max >= 3 and z_max >= 1"),
+        (lambda n: primitive_divisor(LucasPair(1, 5), n), (1,), "n must be at least 2"),
+        (iroot, (-1, 2), "v must be non-negative, got -1"),
+        (iroot, (10, 0), "m must be positive, got 0"),
+        (perfect_root, (0, 2), "v must be positive, got 0"),
+        (perfect_root, (8, 1), "m must be at least 2, got 1"),
+    ],
+)
+def test_step_procedures_refuse_bad_inputs(procedure, args, message):
+    # a replay whose recorded inputs were tampered into these diverges here
+    with pytest.raises(ValueError, match=message):
+        procedure(*args)
 
 
 def test_defective_pair_expansion_unique_solution():
