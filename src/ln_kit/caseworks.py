@@ -7,8 +7,10 @@ instead of being trusted as a bare boolean.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any
 
 from .equation_model import Solution, check_D_digits
@@ -86,10 +88,11 @@ def json_safe(v: Any) -> Any:
 
     Every integer of magnitude 2^53 or more becomes a decimal string, which
     a JSON consumer could otherwise overflow on; bool is not int here and
-    stays a bool.  A list or tuple comes back as a new list and a dict as a
-    new dict, their items encoded in turn, so the result shares no container
-    with v.  An object with to_jsonable (a Solution, a verdict, a route)
-    encodes itself; anything else comes back as it is."""
+    stays a bool.  A list or tuple comes back as a new list, and a dict or
+    a read-only MappingProxyType as a new dict in the same key order, their
+    items encoded in turn, so the result shares no container with v.  An
+    object with to_jsonable (a Solution, a verdict, a route) encodes
+    itself; anything else comes back as it is."""
     if type(v) is int:
         return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
     if isinstance(v, (list, tuple)):
@@ -97,7 +100,7 @@ def json_safe(v: Any) -> Any:
         if v and set(map(type, v)) == {int} and max(map(abs, v)) < _JSON_INT_LIMIT:
             return list(v)
         return [json_safe(x) for x in v]
-    if isinstance(v, dict):
+    if isinstance(v, (dict, MappingProxyType)):
         return {k: json_safe(x) for k, x in v.items()}
     to_jsonable = getattr(v, "to_jsonable", None)
     return v if to_jsonable is None else to_jsonable()
@@ -138,21 +141,39 @@ def even_case(k: int, m: int) -> CaseVerdict:
     return CaseVerdict.found([Solution(x, root, 2 * m)], trace)
 
 
+# Distinct p that mod19_forces_p keeps a verdict for; a replayed trace may
+# name any number of them, so the cache is bounded.
+MOD19_P_CACHE_SIZE = 256
+
+
 def mod19_forces_p(k: int, t: int, p: int) -> CaseVerdict:
     """When 19 still divides the reduced left side (t < k), the surviving
-    term mod 19 is p*a^(p-1); with 19 coprime to a that forces p = 19."""
+    term mod 19 is p*a^(p-1); with 19 coprime to a that forces p = 19.
+
+    The checks on k, t and p run on every call.  The verdict depends on p
+    alone, so one verdict per p is shared by every (k, t); it is immutable
+    throughout (its trace entry is read-only and its residues a tuple), so
+    no caller can edit what another step recorded."""
     if not 0 <= t < k:
         raise ValueError(f"requires 0 <= t < k, got t={t}, k={k}")
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be odd and at least 3, got {p}")
-    residues = [(p % 19) * pow(a, p - 1, 19) % 19 for a in range(1, 19)]
+    return _mod19_verdict(p)
+
+
+@functools.lru_cache(maxsize=MOD19_P_CACHE_SIZE)
+def _mod19_verdict(p: int) -> CaseVerdict:
+    """mod19_forces_p's verdict for p, built once per p while it is cached."""
+    residues = tuple((p % 19) * pow(a, p - 1, 19) % 19 for a in range(1, 19))
     trace = (
-        {
-            "check": "mod19_exhaustive",
-            "modulus": 19,
-            "term": "p*a^(p-1)",
-            "residues": residues,
-        },
+        MappingProxyType(
+            {
+                "check": "mod19_exhaustive",
+                "modulus": 19,
+                "term": "p*a^(p-1)",
+                "residues": residues,
+            }
+        ),
     )
     if 0 not in residues:
         return CaseVerdict.contradiction(

@@ -117,8 +117,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     for sol in solutions:
         _write(_solution_obj(sol, k=args.k))
     if args.trace:
-        for step in trace.steps:
-            _write({"kind": "trace_step", **step.to_jsonable()})
+        for step in trace.jsonable_steps():
+            _write({"kind": "trace_step", **step})
     _write(
         {
             "kind": "trace_summary",

@@ -4,14 +4,16 @@ reduction, and cross-check the result against the brute-force oracle.
 
 Every pipeline step runs through the step table ``STEPS`` at the bottom of
 this module, which records it as (procedure, inputs, returned value); the
-value's JSON form is built only when the trace is serialized.  Replay runs
-the same table, in memory or from the trace's JSON form.
+value's JSON form is built only when the trace is serialized, once per
+distinct value object (many steps share one, e.g. the single mod19_forces_p
+verdict per p).  Replay runs the same table on every step, in memory or
+from the trace's JSON form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import caseworks
 from .caseworks import CaseVerdict
@@ -78,11 +80,12 @@ class ProofStep:
         access; it shares no container with the value."""
         return caseworks.json_safe(self.value)
 
-    def to_jsonable(self) -> dict[str, Any]:
+    def to_jsonable(self, result: Any = None) -> dict[str, Any]:
+        """The step as JSON; result, when given, is self.result already built."""
         return {
             "op": self.op,
             "inputs": {k: caseworks.json_safe(v) for k, v in self.inputs.items()},
-            "result": self.result,
+            "result": self.result if result is None else result,
         }
 
 
@@ -140,14 +143,27 @@ class ProofTrace:
                 bad.append(f"{step.op}: {exc}")
         return bad
 
+    def jsonable_steps(self) -> Iterator[dict[str, Any]]:
+        """Each step's to_jsonable(), in order, with one result dict built
+        per distinct value object (see to_jsonable)."""
+        results: dict[int, Any] = {}
+        for s in self.steps:
+            key = id(s.value)
+            if key not in results:
+                results[key] = s.result
+            yield s.to_jsonable(results[key])
+
     def to_jsonable(self) -> dict[str, Any]:
+        """The trace as JSON, its steps from jsonable_steps: steps that share
+        a value object share one result dict, so treat the output as
+        read-only input to json.dumps."""
         return {
             "k": self.k,
             "n_max": self.n_max,
             "oracle_checked": self.oracle_checked,
             "oracle_x_max": self.oracle_x_max,
             "solutions": caseworks.json_safe(self.solutions),
-            "steps": [s.to_jsonable() for s in self.steps],
+            "steps": list(self.jsonable_steps()),
         }
 
 

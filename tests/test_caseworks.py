@@ -1,5 +1,6 @@
 import json
 import math
+from types import MappingProxyType
 
 import pytest
 
@@ -80,10 +81,45 @@ def test_mod19_forces_p_iff_19_over_all_small_primes():
 
 
 def test_mod19_forces_p_precondition():
-    with pytest.raises(ValueError):
-        mod19_forces_p(2, 2, 19)  # t == k not allowed
-    with pytest.raises(ValueError):
-        mod19_forces_p(1, 0, 4)
+    # the checks run on every call, also once a verdict for p is cached
+    mod19_forces_p(5, 0, 19)
+    mod19_forces_p(5, 0, 7)
+    bad = [(2, 2, 19), (2, 3, 7), (2, -1, 7), (1, 0, 4), (2, 0, 8), (2, 0, 1), (2, 0, -7)]
+    for k, t, p in bad:  # (2, 2, 19): t == k is not allowed
+        with pytest.raises(ValueError):
+            mod19_forces_p(k, t, p)
+
+
+def test_mod19_forces_p_shares_one_verdict_per_p():
+    for p in (3, 19, 29):
+        first = mod19_forces_p(2, 0, p)
+        assert mod19_forces_p(7, 5, p) is first
+        assert mod19_forces_p(49, 48, p) is first
+    assert mod19_forces_p(2, 0, 3) is not mod19_forces_p(2, 0, 5)
+
+
+def test_mod19_forces_p_verdict_is_immutable():
+    verdict = mod19_forces_p(3, 1, 7)
+    (check,) = verdict.trace
+    with pytest.raises(TypeError):
+        check["residues"] = []
+    with pytest.raises(TypeError):
+        check["extra"] = 0
+    with pytest.raises(TypeError):
+        del check["check"]
+    with pytest.raises(TypeError):
+        check["residues"][0] = 0
+    with pytest.raises(AttributeError):
+        check["residues"].append(0)
+    assert mod19_forces_p(3, 1, 7).trace[0]["residues"] == tuple(
+        7 * pow(a, 6, 19) % 19 for a in range(1, 19)
+    )
+
+
+def test_mod19_forces_p_cache_is_bounded():
+    # a replayed trace may name any number of distinct p
+    maxsize = caseworks._mod19_verdict.cache_info().maxsize
+    assert maxsize is not None and maxsize == caseworks.MOD19_P_CACHE_SIZE
 
 
 def test_mod19_forces_kt():
@@ -445,6 +481,22 @@ def test_json_safe_of_dicts_shares_nothing():
     got["b"]["g"] = 0
     got["h"] = 0
     assert nested == {"a": [1, 2], "b": {"c": [3, {"d": 4}], "e": (5,)}, "f": 19**19}
+
+
+def test_json_safe_of_a_read_only_mapping_is_a_fresh_dict():
+    inner = {"e": [1, 2**60]}
+    plain = {"z": 1, "a": (3, 19**19), "m": inner, "b": [4]}
+    proxy = MappingProxyType(plain)
+    got = caseworks.json_safe(proxy)
+    assert type(got) is dict
+    assert got == caseworks.json_safe(plain)
+    assert list(got) == ["z", "a", "m", "b"]
+    assert json.dumps(got) == json.dumps(caseworks.json_safe(plain))
+    assert got["m"] is not inner and got["b"] is not plain["b"]
+    got["m"]["e"].append(0)
+    got["b"].append(0)
+    got["n"] = 0
+    assert plain == {"z": 1, "a": (3, 19**19), "m": {"e": [1, 2**60]}, "b": [4]}
 
 
 def test_json_safe_encodes_what_has_to_jsonable():

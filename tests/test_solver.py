@@ -295,6 +295,18 @@ def test_step_result_shares_nothing_with_the_recorded_value():
         assert t.replay() == []
 
 
+@pytest.mark.parametrize("k", range(8))
+def test_trace_json_equals_its_steps_serialized_one_by_one(k):
+    # to_jsonable builds one result per distinct value object; each step
+    # serialized on its own, with no memo, must give the same bytes
+    _, trace = solve(k)
+    for t in (trace, rebuilt_from_json(trace)):
+        data = t.to_jsonable()
+        alone = {**data, "steps": [s.to_jsonable() for s in t.steps]}
+        assert json.dumps(data) == json.dumps(alone)
+        assert [s["result"] for s in data["steps"]] == [s.result for s in t.steps]
+
+
 def test_solve_and_replay_build_no_json(monkeypatch):
     # the JSON form is built only by to_jsonable
     def refuse(value):
