@@ -244,11 +244,14 @@ def _cubic_witnesses(target: int, bound: int) -> list[tuple[int, int]]:
     """Odd a, b with 0 < a <= bound, 0 < |b| <= bound and 3a^2 b - 19b^3 = target.
 
     A fixed b pins a^2 = (target + 19b^3) / (3b), so one exact division and
-    one isqrt decide every a for that b.  Sorted by a, then by b in the order
-    1, -1, 3, -3, ...
+    one isqrt decide every a for that b; b divides 3a^2 b - 19b^3, so a b
+    that does not divide target has no a.  Sorted by a, then by b in the
+    order 1, -1, 3, -3, ...
     """
     found = []
     for b_abs in range(1, bound + 1, 2):
+        if target % b_abs:
+            continue
         for b in (b_abs, -b_abs):
             q, r = divmod(target + 19 * b**3, 3 * b)
             if r == 0 and q > 0:

@@ -123,22 +123,30 @@ class ProofTrace:
     def replay(self) -> list[str]:
         """Re-run every step through STEPS; returns the ops that diverged.
 
-        Every step input is an integer, possibly a decimal string after a
-        JSON round trip, so int() decodes it.  A recorded value is compared
-        as it is, and a value rebuilt from JSON with the new value's JSON
-        form.  A step whose inputs its procedure rejects, or whose value is
-        too long to encode, has diverged too.
+        Every step input is an integer: an int, or after a JSON round trip
+        possibly the exact decimal string the writer emits; anything else (a
+        bool, a float, a padded or signed-plus string) has diverged.  A
+        recorded value is compared as it is, and a value rebuilt from JSON
+        with the new value's JSON form, built once per distinct new value
+        object in one call.  A step whose inputs its procedure rejects, or
+        whose value is too long to encode, has diverged too.
         """
         bad = []
+        # id(value) -> (value, its JSON form); holding value keeps its id
+        # from being reused by another object during this call
+        encoded: dict[int, tuple[Any, Any]] = {}
         for step in self.steps:
             fn = STEPS.get(step.op)
             if fn is None:
                 bad.append(f"{step.op}: not replayable")
                 continue
             try:
-                got = fn(**{k: int(v) for k, v in step.inputs.items()})
-                if got != step.value and caseworks.json_safe(got) != step.value:
-                    bad.append(step.op)
+                got = fn(**{k: _step_input(k, v) for k, v in step.inputs.items()})
+                if got != step.value:
+                    if id(got) not in encoded:
+                        encoded[id(got)] = (got, caseworks.json_safe(got))
+                    if encoded[id(got)][1] != step.value:
+                        bad.append(step.op)
             except (TypeError, ValueError) as exc:
                 bad.append(f"{step.op}: {exc}")
         return bad
@@ -165,6 +173,18 @@ class ProofTrace:
             "solutions": caseworks.json_safe(self.solutions),
             "steps": list(self.jsonable_steps()),
         }
+
+
+def _step_input(name: str, v: Any) -> int:
+    """A step input as the int it stands for: an int that is not a bool, or
+    a string that is exactly str() of an int; ValueError otherwise."""
+    if type(v) is int:  # a bool is an int too, but not this type
+        return v
+    if type(v) is str:
+        i = int(v)
+        if str(i) == v:
+            return i
+    raise ValueError(f"input {name}={v!r} is not an integer")
 
 
 def always_primitive_closure(p: int) -> CaseVerdict:

@@ -12,6 +12,7 @@ from ln_kit.oracle import (
     SearchWindow,
     _divisor_window,
     _size,
+    _wheel,
     _y_step,
     _y_window,
     brute_force,
@@ -172,6 +173,19 @@ def spy_divisors_in(monkeypatch):
     return seen
 
 
+def spy_square_pairs(monkeypatch):
+    """Record the arguments of each walk's _square_pairs call."""
+    walks = []
+    square_pairs = oracle._square_pairs
+
+    def spy(*args):
+        walks.append(args)
+        return square_pairs(*args)
+
+    monkeypatch.setattr(oracle, "_square_pairs", spy)
+    return walks
+
+
 def test_divisor_walk_matches_naive_scan(monkeypatch):
     # square lambda, so even n may take the walk; x_max spans the crossover
     walks = spy_divisors_in(monkeypatch)
@@ -238,14 +252,7 @@ def test_walk_runs_where_it_costs_less_but_has_more_candidates(
     ds = _divisor_window(D, x_max)
     ys = _y_window(D, lam, 2, x_max * x_max + D)
     assert _size(ys) <= _size(ds) < WALK_PER_Y * _size(ys)
-    walks = []
-    square_pairs = oracle._square_pairs
-
-    def spy(*args):
-        walks.append(args)
-        return square_pairs(*args)
-
-    monkeypatch.setattr(oracle, "_square_pairs", spy)
+    walks = spy_square_pairs(monkeypatch)
     got = generalized_scan(D, lam, 2, 9, x_max)
     assert len(walks) == 1
     assert got == naive_scan(D, lam, 2, 9, x_max)
@@ -259,14 +266,7 @@ def test_one_walk_serves_every_even_n_and_is_charged_once(monkeypatch):
     limit = x_max * x_max + D
     assert _size(_divisor_window(D, x_max)) == 1
     odd = sum(max(1, _size(_y_window(D, lam, n, limit))) for n in range(3, 31, 2))
-    walks = []
-    square_pairs = oracle._square_pairs
-
-    def spy(*args):
-        walks.append(args)
-        return square_pairs(*args)
-
-    monkeypatch.setattr(oracle, "_square_pairs", spy)
+    walks = spy_square_pairs(monkeypatch)
     monkeypatch.setattr(oracle, "SCAN_BUDGET", odd + 1)
     assert generalized_scan(D, lam, 2, 30, x_max) == naive_scan(D, lam, 2, 30, x_max)
     assert len(walks) == 1
@@ -274,6 +274,18 @@ def test_one_walk_serves_every_even_n_and_is_charged_once(monkeypatch):
     with pytest.raises(ValueError, match="scan budget"):
         generalized_scan(D, lam, 2, 30, x_max)
     assert len(walks) == 1
+
+
+def test_main_equation_walks_up_to_k5_and_y_scans_k6_to_k8(monkeypatch):
+    # the default window's walk-or-scan choice, priced by whole y-windows:
+    # the walk for k <= 5 (at most k + 1 divisors), a y-scan for k = 6..8
+    walks = spy_square_pairs(monkeypatch)
+    chose = []
+    for k in range(9):
+        walks.clear()
+        brute_force(SearchWindow(k=k))
+        chose.append("walk" if walks else "y-scan")
+    assert chose == ["walk"] * 6 + ["y-scan"] * 3
 
 
 def test_scan_budget_refuses_before_scanning():
@@ -294,6 +306,95 @@ def test_scan_skips_even_y_only_where_no_square_is_possible():
     # D = 7, lam = 1 keeps every y: 1^2 + 7 = 2^3 has y even
     assert {_y_step(7, 1, n) for n in range(2, 16)} == {1}
     assert (1, 2, 3) in generalized_scan(7, 1, 3, 3, 10)
+    # the wheel, whatever its modulus, keeps no even y of the main equation,
+    # and keeps y = 2 for D = 7, lam = 1, n = 3
+    for span in (8, 100, 10**4, 10**6):
+        for k in range(4):
+            for n in range(2, 31):
+                _, offsets = _wheel(LNInstance(k).D, 4, n, span)
+                assert all(r % 2 for r in offsets), (k, n, span)
+        M, offsets = _wheel(7, 1, 3, span)
+        assert 2 % M in offsets
+
+
+@pytest.mark.parametrize(
+    "D, lam, n, span",
+    [
+        (19, 4, 3, 2 * 10**5),
+        (19**3, 4, 5, 10**9),
+        (7, 1, 3, 10**4),
+        (2, 1, 3, 500),
+        (6, 2, 4, 10**4),
+        (12, 3, 2, 10**4),
+        (5, 76, 7, 10**4),
+        (1, 1, 6, 10**4),
+    ],
+)
+def test_wheel_keeps_exactly_the_residues_where_a_square_is_possible(D, lam, n, span):
+    # M = 8 * (primes), pairwise coprime, so a value is a square mod M iff it
+    # is one mod each factor: the wheel is the square test mod M itself
+    M, offsets = _wheel(D, lam, n, span)
+    assert M % 8 == 0 and M <= max(8, min(oracle.WHEEL_CAP, span))
+    squares = {i * i % M for i in range(M)}
+    assert offsets == [r for r in range(M) if (lam * pow(r, n, M) - D) % M in squares]
+
+
+def test_wheel_scan_matches_naive_scan():
+    # non-square lambda, even D, lambda > D, and windows shorter than one
+    # turn of the wheel (x_max = 1 and 4: a few y against M >= 8)
+    short = 0
+    for D in (2, 4, 6, 7, 10, 12, 16, 19, 24, 48, 96, 6859):
+        for lam in (2, 3, 5, 6, 7, 10, 12, 27, 100, 200):
+            for x_max in (1, 4, 300, 3000):
+                got = generalized_scan(D, lam, 2, 12, x_max)
+                assert got == naive_scan(D, lam, 2, 12, x_max), (D, lam, x_max)
+                ys = _y_window(D, lam, 3, x_max * x_max + D)
+                span = ys.stop - ys.start
+                short += 0 < span < _wheel(D, lam, 3, span)[0]
+    assert short > 0
+
+
+@pytest.mark.parametrize("q", [8, 3, 5])
+def test_a_planted_wrong_residue_table_misses_its_triple(q, monkeypatch):
+    # (5, 3, 3) of x^2 + 2 = y^3 is found; a table that wrongly drops the
+    # class of y = 3 mod q, 8 or a prime of the wheel, makes the scan miss it
+    assert generalized_scan(2, 1, 3, 3, 10**4) == [(5, 3, 3)]
+    kept = oracle._kept
+
+    def planted(D, lam, n, m):
+        table = kept(D, lam, n, m)
+        if m == q:
+            table[3 % q] = False
+        return table
+
+    monkeypatch.setattr(oracle, "_kept", planted)
+    assert _wheel(2, 1, 3, 10**4)[0] % q == 0
+    assert generalized_scan(2, 1, 3, 3, 10**4) == []
+
+
+def test_exact_tests_never_exceed_the_priced_count(monkeypatch):
+    # each y-scanned n is priced at its whole y-window (_size); the wheel
+    # tests a subset of it, never a y the window's own step leaves out
+    tested = []
+    wheel_ys = oracle._wheel_ys
+
+    def spy(ys, M, offsets):
+        kept = list(wheel_ys(ys, M, offsets))
+        assert all(y in ys for y in kept)
+        tested.append((_size(ys), len(kept)))
+        return iter(kept)
+
+    monkeypatch.setattr(oracle, "_wheel_ys", spy)
+    for D in list(range(1, 40)) + [LNInstance(k).D for k in range(3)]:
+        for lam in (1, 2, 3, 4, 5, 8, 12, 76):
+            for x_max in (3, 400, 10**4):
+                generalized_scan(D, lam, 2, 9, x_max)
+    assert tested and all(tried <= priced for priced, tried in tested)
+    # on the main equation's default window the wheel tests under a tenth
+    tested.clear()
+    brute_force(SearchWindow(k=0))
+    priced = sum(priced for priced, _ in tested)
+    assert 10 * sum(tried for _, tried in tested) < priced
 
 
 def test_generalized_scan_requires_n_min_2():

@@ -260,6 +260,66 @@ def test_replay_names_steps_tampered_to_a_huge_k():
         assert all("19^(2k+1) would have about" in b for b in bad), bad
 
 
+def test_replay_names_steps_whose_inputs_are_not_integers():
+    # int() would read t = 0.9, p = 3.4 as the step's own t = 0, p = 3 and
+    # m = True as m = 1; only an int or its exact decimal string is an input
+    _, trace = solve(1, n_max=7, cross_check=False)
+    assert trace.find("mod19_forces_p")[0].inputs == {"k": 1, "t": 0, "p": 3}
+    assert trace.find("even_case")[0].inputs == {"k": 0, "m": 1}
+    tampered = with_inputs(
+        with_inputs(trace, "mod19_forces_p", t=0.9, p=3.4), "even_case", m=True
+    )
+    for replayed in (tampered, rebuilt_from_json(tampered)):
+        bad = replayed.replay()
+        assert [b.split(":")[0] for b in bad] == ["even_case", "mod19_forces_p"]
+        assert "not an integer" in bad[0] and "not an integer" in bad[1]
+    for m in (" 1", "+1", "01", "1.0", 1.0, None):
+        (bad,) = with_inputs(trace, "even_case", m=m).replay()
+        assert bad.startswith("even_case:"), m
+    # the decimal string the writer emits for a large int replays
+    assert with_inputs(trace, "even_case", m="1").replay() == []
+
+
+def test_json_replay_encodes_each_shared_verdict_once(monkeypatch):
+    _, trace = solve(7, cross_check=False)
+    steps = trace.find("mod19_forces_p")
+    shared = {id(s.value): s.value for s in steps}
+    assert len(steps) > 2 * len(shared)
+    rebuilt = rebuilt_from_json(trace)
+    encoded = []
+    json_safe = caseworks.json_safe
+
+    def spy(value):
+        encoded.append(value)
+        return json_safe(value)
+
+    monkeypatch.setattr(caseworks, "json_safe", spy)
+    assert rebuilt.replay() == []
+    assert [sum(v is value for v in encoded) for value in shared.values()] == [1] * len(
+        shared
+    )
+
+
+def test_json_replay_names_only_the_step_whose_shared_verdict_was_tampered():
+    _, trace = solve(7, cross_check=False)
+    rebuilt = rebuilt_from_json(trace)
+    ops = rebuilt.ops()
+    mod19 = [i for i, op in enumerate(ops) if op == "mod19_forces_p"]
+    # the first step of a verdict, and a later step that shares it
+    p = rebuilt.steps[mod19[0]].inputs["p"]
+    same_p = [i for i in mod19 if rebuilt.steps[i].inputs["p"] == p]
+    assert len(same_p) > 2
+    for i in (same_p[0], same_p[len(same_p) // 2]):
+        steps = list(rebuilt.steps)
+        step = steps[i]
+        (check,) = step.value["trace"]
+        zeroed = {**check, "residues": [0, *check["residues"][1:]]}
+        steps[i] = ProofStep(step.op, step.inputs, {**step.value, "trace": [zeroed]})
+        assert ProofTrace(k=7, n_max=rebuilt.n_max, steps=steps).replay() == [
+            "mod19_forces_p"
+        ]
+
+
 def test_composite_lift_is_recorded_and_replayed():
     # n = 49 = 7 * 7 is the first n that lifts the (k, p) = (0, 7) solution
     # y = 5, and 5 is no 7th power
