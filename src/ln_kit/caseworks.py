@@ -202,7 +202,9 @@ def mod_pow2_insoluble(p: int, t: int) -> CaseVerdict:
     where p = 3 + 2^s * m with s >= 2 and m odd.  Exhausts all odd residues.
 
     t is the 19-adic valuation of b; t = 0 is the b = +-1 route, which meets
-    the same congruence with the 19^(2t) factor collapsed to 1.
+    the same congruence with the 19^(2t) factor collapsed to 1.  Raises
+    ValueError before the enumeration when its 2^s residues are over the
+    scan budget (oracle.check_budget).
     """
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
@@ -211,8 +213,9 @@ def mod_pow2_insoluble(p: int, t: int) -> CaseVerdict:
     s = ((p - 3) & -(p - 3)).bit_length() - 1
     m = (p - 3) >> s
     modulus = 1 << (s + 1)
+    check_budget(f"mod_pow2_insoluble(p={p})", modulus // 2)
     target = pow(19, 2 * t, modulus) * (2 + (1 << (s - 1))) % modulus
-    odd_residues = list(range(1, modulus, 2))
+    odd_residues = range(1, modulus, 2)
     squares = sorted({a * a % modulus for a in odd_residues})
     solutions = [a for a in odd_residues if a * a % modulus == target]
     trace = (

@@ -16,14 +16,7 @@ from typing import Any
 
 from .caseworks import json_safe
 from .equation_model import LNInstance, instantiate_family, theorem_solution_set
-from .lucas_engine import (
-    FACTORING_BUDGET,
-    LucasPair,
-    check_digits,
-    lucas_u,
-    primitive_divisor,
-    u_n_log10,
-)
+from .lucas_engine import FACTORING_BUDGET, LucasPair, lucas_u, primitive_divisor
 from .oracle import SearchWindow, brute_force, generalized_scan
 from .quadratic_integers import class_number_imag
 from .solver import OracleMismatchError, solve, verify_solution_completeness
@@ -35,7 +28,7 @@ def _write(obj: dict[str, Any]) -> None:
 
 
 def _solution_obj(sol, **extra: Any) -> dict[str, Any]:
-    return {"kind": "solution", **sol.to_jsonable(), **extra}
+    return {"kind": "solution", **sol.to_jsonable(), **json_safe(extra)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,9 +161,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_lucas(args: argparse.Namespace) -> int:
-    pair = LucasPair(args.p, args.q)
-    check_digits("u_n", u_n_log10(pair, args.n))
-    value = lucas_u(pair, args.n)
+    value = lucas_u(LucasPair(args.p, args.q), args.n)
     row = {"p": args.p, "q": args.q, "n": args.n, "u_n": str(value)}
     _write({"kind": "lucas_u", **json_safe(row)})
     return 0

@@ -92,10 +92,13 @@ class PrimitiveDivisorVerdict:
 
 def lucas_u(pair: LucasPair, n: int) -> int:
     """u_n for n >= 0, where u_0 = 0, u_1 = 1, u_i = P*u_{i-1} - Q*u_{i-2};
-    u_{-n} = -u_n / Q^n is not an integer in general.  Only the last two
-    terms are kept, so memory grows with n, not n^2."""
+    u_{-n} = -u_n / Q^n is not an integer in general.  Raises ValueError
+    before the recurrence when u_n_log10, which bounds u_n and every earlier
+    term, is over check_digits: the package's one check of u_n's length.
+    Only the last two terms are kept, so memory grows with n, not n^2."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    check_digits("u_n", u_n_log10(pair, n))
     u, u_next = 0, 1
     for _ in range(n):
         u, u_next = u_next, pair.P * u_next - pair.Q * u
@@ -274,16 +277,14 @@ def primitive_divisor(
 ) -> PrimitiveDivisorVerdict:
     """Decide whether u_n has a primitive divisor, factoring within budget.
 
-    Raises ValueError before any work when u_n_log10, which bounds u_n and
-    each earlier term the verdict quotes, is over check_digits.  u_n comes
-    from lucas_u.  One more pass of the recurrence finds, for each prime
-    factor q of u_n, the first j in [2, n) with q | u_j and that u_j, which
-    the obstruction quotes.  No list of terms is kept, so memory grows with
+    u_n comes from lucas_u, which refuses it before any work when it, or an
+    earlier term the verdict quotes, is too long to write.  One more pass of
+    the recurrence finds, for each prime factor q of u_n, the first j in
+    [2, n) with q | u_j and that u_j, which the obstruction quotes.  No list of terms is kept, so memory grows with
     n, not n^2.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    check_digits("u_n", u_n_log10(pair, n))
     value = abs(lucas_u(pair, n))  # never 0: LucasPair rejects degenerate pairs
     if value == 1:
         return PrimitiveDivisorVerdict(

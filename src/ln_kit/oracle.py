@@ -9,8 +9,9 @@ costs less, known before either starts:
   y that a residue wheel keeps.  For q = 8 and then a few small primes, the
   wheel keeps the residues y mod q at which lambda*y^n - D can be a square
   mod q, combined into one modulus M (Chinese remainder theorem), no larger
-  than WHEEL_CAP or the window's length.  Its residues rest on (D, lambda,
-  n) alone, and it decides nothing: the exact test decides every y it keeps;
+  than the window's length or the product 2,042,040 of 8 and every prime of
+  WHEEL_PRIMES.  Its residues rest on (D, lambda, n) alone, and it decides
+  nothing: the exact test decides every y it keeps;
 - the divisor walk, for even n = 2m and lambda = c^2, uses
   x^2 + D = z^2 with z = c*y^m: d = z - x is a divisor of D below sqrt(D),
   so the divisors of D in the window give every pair, and y is read off z.
@@ -58,13 +59,12 @@ SCAN_BUDGET = 10**8
 # at x_max = 10^7).
 WALK_PER_Y = 4
 
-# The primes a y-scan's residue wheel may combine after 8, in order, and the
-# largest modulus it may reach; the window's length bounds it too, so the cap
-# binds only on a y-window over 2^21 long.  At k = 1, n = 3 and
-# x_max = 10^12 the wheel of M = 2,042,040 keeps 46,656 residues, built in
-# about 15 ms against about 1.5 s of exact tests (Python 3.11, 2-CPU host).
-WHEEL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
-WHEEL_CAP = 2**21
+# The primes a y-scan's residue wheel may combine after 8, in order; they
+# are its cap too, as 8 times all of them is M = 2,042,040.  The window's
+# length bounds M as well.  At k = 1, n = 3 and x_max = 10^12 the wheel of
+# M = 2,042,040 keeps 46,656 residues, built in about 15 ms against about
+# 1.5 s of exact tests (Python 3.11, 2-CPU host).
+WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,16 @@ def _wheel(D: int, lam: int, n: int, span: int) -> tuple[int, list[int]]:
     """A modulus M and the ascending residues y mod M that may give a square.
 
     M is 8 times the primes of WHEEL_PRIMES whose table (_kept) rules out a
-    residue, taken in order while M stays within WHEEL_CAP and span, the
-    window's length; a residue is kept when each factor keeps it (Chinese
-    remainder theorem).  8 is always a factor, so no y that _y_step rules
-    out is kept.  Adding q costs about M*q steps, each cheaper than an exact
-    test, so M*q <= span keeps the build below the tests it saves.
+    residue, taken in order while M stays within span, the window's length;
+    a residue is kept when each factor keeps it (Chinese remainder
+    theorem).  8 is always a factor, so no y that _y_step rules out is kept.
+    Adding q costs about M*q steps, each cheaper than an exact test, so
+    M*q <= span keeps the build below the tests it saves.
     """
     keep = _kept(D, lam, n, 8)
     M, offsets = 8, [r for r in range(8) if keep[r]]
     for q in WHEEL_PRIMES:
-        if M * q > min(WHEEL_CAP, span) or not offsets:
+        if M * q > span or not offsets:
             break
         keep = _kept(D, lam, n, q)
         if all(keep):
@@ -212,8 +212,8 @@ def _divisor_window(D: int, x_max: int) -> range:
 def _divisors_in(D: int, ds: range) -> list[int] | None:
     """The divisors of D in ds, descending, read off D's trial factorization.
 
-    None when trial division stops at its cap before D is factored, or when
-    D has more divisors than ds has candidates: then walking ds costs less.
+    None when trial division stops at its cap before D is factored: then
+    every d of ds is walked.
     """
     # one integer in three is a trial candidate and costs about three walk
     # candidates, so trial division up to a cap costs about cap walk
@@ -224,8 +224,6 @@ def _divisors_in(D: int, ds: range) -> list[int] | None:
         return None
     if rest > 1:
         factors[rest] = 1
-    if math.prod(e + 1 for e in factors.values()) > _size(ds):
-        return None
     divisors = [1]
     for p, e in factors.items():
         divisors = [d * p**i for d in divisors for i in range(e + 1)]

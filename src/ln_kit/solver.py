@@ -29,11 +29,9 @@ from .lucas_engine import (
     BhvRoute,
     LucasPair,
     bhv_gate,
-    check_digits,
     is_probable_prime,
     lucas_u,
     primitive_divisor,
-    u_n_log10,
 )
 from .oracle import SearchWindow, brute_force, perfect_root
 from .quadratic_integers import QuadInt19, qpow
@@ -428,11 +426,9 @@ def verify_solution_completeness(
     ok = set(found) == set(claimed)
     report = {
         "k": k,
-        "window": {
-            "n_min": window.n_min,
-            "n_max": window.n_max,
-            "x_max": str(window.x_max),
-        },
+        "window": caseworks.json_safe(
+            {"n_min": window.n_min, "n_max": window.n_max, "x_max": str(window.x_max)}
+        ),
         "oracle": caseworks.json_safe(found),
         "theorem": caseworks.json_safe(claimed),
         "ok": ok,
@@ -440,10 +436,15 @@ def verify_solution_completeness(
     return ok, report
 
 
-def _lucas_u_step(pair: LucasPair, n: int) -> dict[str, int]:
-    """u_n as the trace writes it, refused before any work when too long."""
-    check_digits("u_n", u_n_log10(pair, n))
-    return {"value": lucas_u(pair, n)}
+def _primitive_divisor_step(P: int, Q: int, n: int, factoring_budget: int) -> Any:
+    """primitive_divisor at most at the budget solve records; a larger one,
+    which no solve spends, is refused before any work."""
+    if factoring_budget > FACTORING_BUDGET:
+        raise ValueError(
+            f"factoring_budget={factoring_budget} is over the solver's "
+            f"FACTORING_BUDGET of {FACTORING_BUDGET}"
+        )
+    return primitive_divisor(LucasPair(P, Q), n, factoring_budget)
 
 
 def _oracle_step(window: SearchWindow) -> dict[str, list[Solution]]:
@@ -464,11 +465,9 @@ STEPS: dict[str, Callable[..., Any]] = {
     "bhv_gate": lambda P, Q, p: bhv_gate(LucasPair(P, Q), p),
     "always_primitive_closure": lambda p: always_primitive_closure(p),
     "p3_case": lambda k, search_bound: caseworks.p3_case(k, search_bound),
-    "primitive_divisor": lambda P, Q, n, factoring_budget: primitive_divisor(
-        LucasPair(P, Q), n, factoring_budget
-    ),
+    "primitive_divisor": _primitive_divisor_step,
     "defect_table": lambda p, k: defect_table_route(p, k),
-    "lucas_u": lambda P, Q, n: _lucas_u_step(LucasPair(P, Q), n),
+    "lucas_u": lambda P, Q, n: {"value": lucas_u(LucasPair(P, Q), n)},
     "defective_pair_expansion": lambda k, p: defective_pair_expansion(k, p),
     "composite_lift": lambda y, j, n: {"root": perfect_root(y, j)},
     "valuation_trichotomy": lambda k, s, t, X, Y, n: caseworks.valuation_trichotomy(

@@ -4,7 +4,7 @@ from types import MappingProxyType
 
 import pytest
 
-from ln_kit import caseworks
+from ln_kit import caseworks, oracle
 from ln_kit.caseworks import (
     OUTCOME_CONTRADICTION,
     OUTCOME_FORCED,
@@ -156,6 +156,15 @@ def test_mod_pow2_insoluble_t0_route():
     verdict = mod_pow2_insoluble(19, 0)
     assert verdict.outcome == OUTCOME_CONTRADICTION
     assert verdict.trace[0]["target"] == 10
+
+
+def test_mod_pow2_insoluble_prices_its_residues_before_listing_them(monkeypatch):
+    # p = 3 + 2^20 * 5 lists the 2^20 odd residues mod 2^21: over a budget of
+    # 2^19 it is refused before the first one
+    monkeypatch.setattr(oracle, "SCAN_BUDGET", 2**19)
+    with pytest.raises(ValueError, match="mod_pow2_insoluble.*scan budget"):
+        mod_pow2_insoluble(5_242_883, 0)
+    assert mod_pow2_insoluble(19, 0).trace[0]["odd_residues_checked"] == 16
 
 
 def test_mod_pow2_insoluble_rejects_wrong_residue_class():

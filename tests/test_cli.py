@@ -219,6 +219,17 @@ def test_lucas_negative_index_exit_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_lucas_past_the_digit_limit_exit_2(capsys):
+    # refused by lucas_u itself, in the words the CLI's own check used
+    assert cli.main(["lucas", "--p", "1", "--q", "5", "--n", str(10**12)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "ln-kit: u_n would have about 349485002168 digits, over the 4300-digit "
+        "limit of int-to-str conversion (sys.get_int_max_str_digits())\n"
+    )
+
+
 def test_oracle_n_min_below_2_exit_2(capsys):
     # n = 1 has infinitely many solutions; without the check this scans ~10^14 y
     argv = ["oracle", "--d", "7", "--lam", "1", "--n-min", "1", "--n-max", "1"]
@@ -338,6 +349,21 @@ def test_echoed_flags_are_strings_from_2_53(capsys):
     _, out = run_cli(capsys, "primdiv", "--p", p, "--q", "1", "--n", "2")
     (row,) = parse_lines(out)
     assert (row["p"], row["q"], row["witness"]) == (p, 1, "5")
+
+
+def test_family_row_echoes_its_param_as_a_string_from_2_53(capsys):
+    t = str(2**53 + 1)
+    _, out = run_cli(capsys, "family", "--k", "0", "--kind", "n1", "--t", t)
+    (row,) = parse_lines(out)
+    assert (row["family"], row["param"], row["k"]) == ("n1", t, 0)
+
+
+def test_verify_window_echoes_n_as_a_string_from_2_53(capsys):
+    n = str(10**17)
+    _, out = run_cli(capsys, "verify", "--k", "0", "--n-min", n, "--n-max", n)
+    (row,) = parse_lines(out)
+    assert row["window"] == {"n_min": n, "n_max": n, "x_max": "10000000"}
+    assert row["ok"] is True
 
 
 @pytest.mark.parametrize("form", [["--k", "0"], ["--d", "7", "--lam", "1"]])

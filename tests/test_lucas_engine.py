@@ -374,8 +374,9 @@ def test_first_primitive_divisor_call_builds_no_prime_table():
 
 
 def test_lucas_u_keeps_no_sequence():
-    # the whole list u_0 .. u_n would peak near 20 MB at n = 16000
-    assert fresh_tracemalloc_peak("lucas_u(LucasPair(1, 5), 16000)") < 256 * 1024
+    # the whole list u_0 .. u_n would take about 10 MB at n = 12000, whose
+    # u_n is near the digit limit that lucas_u refuses past
+    assert fresh_tracemalloc_peak("lucas_u(LucasPair(1, 5), 12000)") < 256 * 1024
 
 
 def test_primitive_divisor_keeps_no_sequence():
@@ -394,6 +395,16 @@ def test_u_n_log10_bounds_every_term():
             for n, u in enumerate(recurrence_terms(P, Q, 40)):
                 if u:
                     assert math.log10(abs(u)) <= u_n_log10(pair, n), (P, Q, n)
+
+
+@pytest.mark.parametrize("n", [13_000, 10**9])
+def test_lucas_u_refuses_past_the_digit_limit_before_the_recurrence(n):
+    # lucas_u holds the one check of u_n's length: the CLI, the solver's
+    # lucas_u step and primitive_divisor are refused through it
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="u_n would have about .* int-to-str conversion"):
+        lucas_u(LucasPair(1, 5), n)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_primitive_divisor_refuses_past_the_digit_limit_before_factoring():

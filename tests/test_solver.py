@@ -7,7 +7,7 @@ import pytest
 
 from ln_kit import caseworks
 from ln_kit.equation_model import LNInstance, Solution, is_solution, theorem_solution_set
-from ln_kit.lucas_engine import LucasPair, primitive_divisor
+from ln_kit.lucas_engine import FACTORING_BUDGET, LucasPair, primitive_divisor
 from ln_kit.oracle import SearchWindow, iroot, perfect_root
 from ln_kit.solver import (
     STEP_BUDGET,
@@ -258,6 +258,36 @@ def test_replay_names_steps_tampered_to_a_huge_k():
             "oracle_cross_check",
         ]
         assert all("19^(2k+1) would have about" in b for b in bad), bad
+
+
+def test_replay_refuses_a_mod_pow2_prime_over_the_scan_budget():
+    # p = 3 + 2^30 would list 2^30 odd residues
+    _, trace = solve(1, n_max=30, cross_check=False)
+    tampered = with_inputs(trace, "mod_pow2_insoluble", p=1_073_741_827)
+    for replayed in (tampered, rebuilt_from_json(tampered)):
+        start = time.perf_counter()
+        (bad,) = replayed.replay()
+        assert time.perf_counter() - start < 1.0
+        assert bad.startswith("mod_pow2_insoluble:") and "scan budget" in bad
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        {"factoring_budget": FACTORING_BUDGET + 1},
+        # u_3000 is short enough to write, but factoring it would run for as
+        # long as the budget lets it
+        {"n": 3000, "factoring_budget": 10**30},
+    ],
+)
+def test_replay_refuses_a_factoring_budget_over_the_solvers(inputs):
+    _, trace = solve(0, n_max=13, cross_check=False)
+    tampered = with_inputs(trace, "primitive_divisor", **inputs)
+    for replayed in (tampered, rebuilt_from_json(tampered)):
+        start = time.perf_counter()
+        (bad,) = replayed.replay()
+        assert time.perf_counter() - start < 1.0
+        assert bad.startswith("primitive_divisor:") and "FACTORING_BUDGET" in bad
 
 
 def test_replay_names_steps_whose_inputs_are_not_integers():
