@@ -6,16 +6,26 @@ Usage:
     python scripts/reproduce_theorem.py                # k = 0, 1, 2
     python scripts/reproduce_theorem.py --k-max 4 --x-max 1000000
     python scripts/reproduce_theorem.py --replay       # re-run every step
+
+--replay re-runs each trace twice: as recorded, and rebuilt from its JSON form.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import time
 from collections import Counter
 
 from ln_kit.oracle import SearchWindow
-from ln_kit.solver import solve
+from ln_kit.solver import ProofStep, ProofTrace, solve
+
+
+def rebuilt_from_json(trace: ProofTrace) -> ProofTrace:
+    """The trace as a reader of its JSON form rebuilds it."""
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    steps = [ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]]
+    return ProofTrace(k=data["k"], n_max=data["n_max"], steps=steps)
 
 
 def main() -> int:
@@ -24,7 +34,9 @@ def main() -> int:
     ap.add_argument("--n-max", type=int, default=SearchWindow.n_max)
     ap.add_argument("--x-max", type=int, default=SearchWindow.x_max)
     ap.add_argument("--skip-oracle", action="store_true")
-    ap.add_argument("--replay", action="store_true", help="replay each trace step")
+    ap.add_argument(
+        "--replay", action="store_true", help="replay each trace, as recorded and from JSON"
+    )
     args = ap.parse_args()
 
     for k in range(args.k_max + 1):
@@ -56,6 +68,9 @@ def main() -> int:
         if args.replay:
             diverged = trace.replay()
             print(f"  replay: {'all steps reproduced' if not diverged else diverged}")
+            diverged = rebuilt_from_json(trace).replay()
+            verdict = "all steps reproduced" if not diverged else diverged
+            print(f"  replay from JSON: {verdict}")
         print()
     return 0
 

@@ -280,7 +280,7 @@ def p3_case(k: int, search_bound: int) -> CaseVerdict:
     if k < 0 or search_bound < 1:
         raise ValueError(f"need k >= 0 and search_bound >= 1, got {k}, {search_bound}")
     check_D_digits(k)
-    odd = len(range(1, search_bound + 1, 2))
+    odd = (search_bound + 1) // 2  # the odd b in [1, search_bound]
     check_budget(f"p3_case(search_bound={search_bound})", 2 * odd)
     target = 4 * 19**k
     # mod 3: RHS = -b^3 = -b, LHS = 1
@@ -386,7 +386,8 @@ def no_19z2_solutions(n_max: int, z_max: int) -> CaseVerdict:
     scan = generalized_scan(19, 76, 3, n_max, 19 * z_max)
     witnesses = [(x // 19, y, n) for x, y, n in scan]
     limit = 19 * z_max * z_max + 1
-    checked = sum(iroot(limit // 4, n) for n in range(3, n_max + 1))
+    n_top = min(n_max, (limit // 4).bit_length() - 1)  # above it only Y = 1 fits
+    checked = sum(iroot(limit // 4, n) for n in range(3, n_top + 1)) + n_max - n_top
     trace = (
         {
             "check": "exhaustive_scan",

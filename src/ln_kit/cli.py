@@ -27,6 +27,10 @@ def _write(obj: dict[str, Any]) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _window(args: argparse.Namespace) -> SearchWindow:
+    return SearchWindow(args.k, args.n_min, args.n_max, args.x_max)
+
+
 def _solution_obj(sol, **extra: Any) -> dict[str, Any]:
     return {"kind": "solution", **sol.to_jsonable(), **json_safe(extra)}
 
@@ -136,10 +140,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             row = {"d": args.d, "lam": args.lam, "x": str(x), "y": str(y), "n": n}
             _write({"kind": "triple", **json_safe(row)})
         return 0
-    window = SearchWindow(
-        k=args.k, n_min=args.n_min, n_max=args.n_max, x_max=args.x_max
-    )
-    for sol in brute_force(window):
+    for sol in brute_force(_window(args)):
         _write(_solution_obj(sol, k=args.k))
     return 0
 
@@ -176,22 +177,13 @@ def _cmd_primdiv(args: argparse.Namespace) -> int:
 
 def _cmd_classnum(args: argparse.Namespace) -> int:
     forms = class_number_imag(args.disc)
-    _write(
-        {
-            "kind": "class_number",
-            "disc": args.disc,
-            "h": len(forms),
-            "forms": [list(f) for f in forms],
-        }
-    )
+    row = {"disc": args.disc, "h": len(forms), "forms": forms}
+    _write({"kind": "class_number", **json_safe(row)})
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    window = SearchWindow(
-        k=args.k, n_min=args.n_min, n_max=args.n_max, x_max=args.x_max
-    )
-    ok, report = verify_solution_completeness(args.k, window)
+    ok, report = verify_solution_completeness(args.k, _window(args))
     _write({"kind": "verify_report", **report})
     return 0 if ok else 1
 

@@ -77,8 +77,7 @@ class SearchWindow:
     x_max: int = 10**7
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"k must be non-negative, got {self.k}")
+        LNInstance(self.k)  # refuses a negative k
         _check_window(self.n_min, self.n_max, self.x_max)
 
 

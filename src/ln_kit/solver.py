@@ -103,7 +103,7 @@ class ProofTrace:
     def oracle_x_max(self) -> int | None:
         """The x bound of the oracle cross-check, or None without one."""
         found = self.find("oracle_cross_check")
-        return int(found[0].inputs["x_max"]) if found else None
+        return _step_input("x_max", found[0].inputs["x_max"]) if found else None
 
     def step(self, op: str, **inputs: int) -> Any:
         """Run STEPS[op] on the inputs, record the value it returns as it is,
@@ -126,26 +126,27 @@ class ProofTrace:
         bool, a float, a padded or signed-plus string) has diverged.  A
         recorded value is compared as it is, and a value rebuilt from JSON
         with the new value's JSON form, built once per distinct new value
-        object in one call.  A step whose inputs its procedure rejects, or
-        whose value is too long to encode, has diverged too.
+        object in one call.  A malformed step (an op outside STEPS, inputs
+        that are not a mapping), one whose inputs its procedure rejects or
+        overflows on, or one whose value is too long to encode has diverged.
         """
         bad = []
         # id(value) -> (value, its JSON form); holding value keeps its id
         # from being reused by another object during this call
         encoded: dict[int, tuple[Any, Any]] = {}
         for step in self.steps:
-            fn = STEPS.get(step.op)
-            if fn is None:
-                bad.append(f"{step.op}: not replayable")
-                continue
             try:
+                fn = STEPS.get(step.op)
+                if fn is None:
+                    bad.append(f"{step.op}: not replayable")
+                    continue
                 got = fn(**{k: _step_input(k, v) for k, v in step.inputs.items()})
                 if got != step.value:
                     if id(got) not in encoded:
                         encoded[id(got)] = (got, caseworks.json_safe(got))
                     if encoded[id(got)][1] != step.value:
                         bad.append(step.op)
-            except (TypeError, ValueError) as exc:
+            except (AttributeError, OverflowError, TypeError, ValueError) as exc:
                 bad.append(f"{step.op}: {exc}")
         return bad
 
@@ -196,27 +197,25 @@ def always_primitive_closure(p: int) -> CaseVerdict:
     )
 
 
-def defect_table_route(p: int, k: int) -> CaseVerdict:
-    """Defective-pair tables for p in {5, 7, 11, 13} (classification cited).
+# p -> why no pair of the required shape is defective for p (only p = 7 has one)
+NO_DEFECTIVE_PAIR = {
+    5: "no defective pair of the required shape exists for p = 5",
+    11: "no defective pair exists for p = 11",
+    13: "the only defective pair for p = 13 lies in Q(sqrt(-7)), not Q(sqrt(-19))",
+}
 
-    Only p = 7 admits a pair of the required shape (a + 19^k*sqrt(-19))/2,
-    namely a = +-1 with k = 0; the p = 13 defective pair lives in Q(sqrt(-7))
-    and p in {5, 11} have none of the required shape at all.
+
+def defect_table_route(p: int, k: int) -> CaseVerdict:
+    """Defective-pair tables for p in {5, 7, 11, 13} (classification cited):
+    only p = 7 admits a pair of the required shape (a + 19^k*sqrt(-19))/2,
+    namely a = +-1 with k = 0; NO_DEFECTIVE_PAIR says why the others do not.
     """
-    if p not in (5, 7, 11, 13):
+    if p != 7 and p not in NO_DEFECTIVE_PAIR:
         raise ValueError(f"defect table covers p in {{5, 7, 11, 13}}, got {p}")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if p == 13:
-        return CaseVerdict.contradiction(
-            "the only defective pair for p = 13 lies in Q(sqrt(-7)), not Q(sqrt(-19))"
-        )
-    if p == 11:
-        return CaseVerdict.contradiction("no defective pair exists for p = 11")
-    if p == 5:
-        return CaseVerdict.contradiction(
-            "no defective pair of the required shape exists for p = 5"
-        )
+    if p in NO_DEFECTIVE_PAIR:
+        return CaseVerdict.contradiction(NO_DEFECTIVE_PAIR[p])
     if k != 0:
         return CaseVerdict.contradiction(
             f"the defective pair for p = 7 requires k = 0, got k = {k}"
@@ -271,7 +270,7 @@ def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
         trace.step("p3_case", k=kk, search_bound=P3_SEARCH_BOUND)
         return []
     # CheckDefectTable: p in {5, 7, 11, 13}
-    if p in (5, 11, 13):
+    if p in NO_DEFECTIVE_PAIR:
         trace.step(
             "primitive_divisor",
             P=pair.P,
@@ -426,14 +425,12 @@ def verify_solution_completeness(
     ok = set(found) == set(claimed)
     report = {
         "k": k,
-        "window": caseworks.json_safe(
-            {"n_min": window.n_min, "n_max": window.n_max, "x_max": str(window.x_max)}
-        ),
-        "oracle": caseworks.json_safe(found),
-        "theorem": caseworks.json_safe(claimed),
+        "window": dict(n_min=window.n_min, n_max=window.n_max, x_max=str(window.x_max)),
+        "oracle": found,
+        "theorem": claimed,
         "ok": ok,
     }
-    return ok, report
+    return ok, caseworks.json_safe(report)
 
 
 def _primitive_divisor_step(P: int, Q: int, n: int, factoring_budget: int) -> Any:

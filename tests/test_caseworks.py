@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from types import MappingProxyType
 
 import pytest
@@ -393,6 +394,23 @@ def test_no_19z2_matches_the_reference_loop():
         for z_max in (1, 2, 3, 10, 100, 10**3, 10**5):
             got = no_19z2_solutions(n_max, z_max).to_jsonable()
             assert got == reference_no_19z2(n_max, z_max).to_jsonable()
+
+
+def test_no_19z2_counts_every_n_up_to_n_max():
+    # each n whose root is 1 counts one candidate, however far n_max reaches
+    for z_max in (1, 10, 10**5):
+        limit = 19 * z_max * z_max + 1
+        per_n = [oracle.iroot(limit // 4, n) for n in range(3, 201)]
+        for n_max in range(3, 201):
+            (check,) = no_19z2_solutions(n_max, z_max).trace
+            assert check["candidates_checked"] == sum(per_n[: n_max - 2]), (n_max, z_max)
+
+
+def test_no_19z2_counts_a_huge_n_max_without_a_root_per_n():
+    start = time.perf_counter()
+    (check,) = no_19z2_solutions(10**8, 1).trace
+    assert time.perf_counter() - start < 1.0
+    assert check["candidates_checked"] == 10**8 - 2
 
 
 def test_no_19z2_reads_witnesses_off_the_scan(monkeypatch):

@@ -283,6 +283,23 @@ def test_classnum_command(capsys):
     assert line["forms"] == [[1, 1, 5]]
 
 
+@pytest.mark.parametrize(
+    "disc, line",
+    [
+        (-23, '{"disc":-23,"forms":[[1,1,6],[2,-1,3],[2,1,3]],"h":3,"kind":"class_number"}'),
+        (
+            -47,
+            '{"disc":-47,"forms":[[1,1,12],[2,-1,6],[2,1,6],[3,-1,4],[3,1,4]],'
+            '"h":5,"kind":"class_number"}',
+        ),
+    ],
+)
+def test_classnum_rows_pinned(capsys, disc, line):
+    code, out = run_cli(capsys, "classnum", "--disc", str(disc))
+    assert code == 0
+    assert out == line + "\n"
+
+
 def test_verify_command_exit_codes(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "--k", "0", "--x-max", "10000")
     assert code == 0

@@ -62,14 +62,16 @@ def test_reproduce_theorem_replays():
     proc = run_script("reproduce_theorem.py", "--k-max", "0", "--skip-oracle", "--replay")
     assert proc.returncode == 0, proc.stderr
     assert "x = 9, y = 5, n = 2" in proc.stdout
-    assert "replay: all steps reproduced" in proc.stdout
+    assert "  replay: all steps reproduced\n" in proc.stdout
+    assert "  replay from JSON: all steps reproduced\n" in proc.stdout
 
 
 def test_reproduce_theorem_counts_oracle_triples():
     proc = run_script("reproduce_theorem.py", "--k-max", "0", "--x-max", "1000", "--replay")
     assert proc.returncode == 0, proc.stderr
     assert "oracle cross-check: 2 triples with x <= 1000, agreed" in proc.stdout
-    assert "replay: all steps reproduced" in proc.stdout
+    assert "  replay: all steps reproduced\n" in proc.stdout
+    assert "  replay from JSON: all steps reproduced\n" in proc.stdout
 
 
 def canned_run(wall_s, peak_mb, failed=0, tree="abc123"):

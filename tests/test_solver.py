@@ -175,13 +175,31 @@ def test_deep_trace_bytes_pinned():
     )
 
 
-def rebuilt_from_json(trace):
-    data = json.loads(json.dumps(trace.to_jsonable()))
+def from_json(data):
+    """The trace a reader rebuilds from the JSON form data."""
     return ProofTrace(
         k=data["k"],
         n_max=data["n_max"],
         steps=[ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]],
     )
+
+
+def rebuilt_from_json(trace):
+    return from_json(json.loads(json.dumps(trace.to_jsonable())))
+
+
+@pytest.mark.parametrize("x_max", [True, "+1000", " 1000"])
+def test_oracle_x_max_reads_its_input_as_replay_does(x_max):
+    # int() would read each as 1 or 1000; replay's step-input rule refuses them
+    _, trace = solve(0, n_max=3, oracle_x_max=10**3)
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    (step,) = [s for s in data["steps"] if s["op"] == "oracle_cross_check"]
+    step["inputs"]["x_max"] = x_max
+    rebuilt = from_json(data)
+    with pytest.raises(ValueError, match="is not an integer"):
+        rebuilt.oracle_x_max
+    (bad,) = rebuilt.replay()
+    assert bad.startswith("oracle_cross_check:") and "is not an integer" in bad
 
 
 def test_replay_names_tampered_native_values():
@@ -258,6 +276,60 @@ def test_replay_names_steps_tampered_to_a_huge_k():
             "oracle_cross_check",
         ]
         assert all("19^(2k+1) would have about" in b for b in bad), bad
+
+
+HUGE = 10**400  # past a float: (2k+1)*log10(19) and n*log10|alpha| overflow
+
+
+@pytest.mark.parametrize(
+    "op, field, value",
+    [
+        ("even_case", "k", HUGE),
+        ("p3_case", "k", HUGE),
+        ("oracle_cross_check", "k", HUGE),
+        ("lucas_u", "n", HUGE),
+        ("primitive_divisor", "n", HUGE),
+        ("p3_case", "search_bound", 2**64),
+        ("even_case", "inputs", []),
+        ("even_case", "op", ["x"]),
+    ],
+    ids=[
+        "even_case-huge-k",
+        "p3_case-huge-k",
+        "oracle_cross_check-huge-k",
+        "lucas_u-huge-n",
+        "primitive_divisor-huge-n",
+        "p3_case-search_bound-2^64",
+        "inputs-not-a-mapping",
+        "op-unhashable",
+    ],
+)
+def test_replay_names_a_huge_or_malformed_step(op, field, value):
+    # past a float or a C index, or no step at all: named, not raised
+    _, trace = solve(0, n_max=13, oracle_x_max=10**3)
+    i = trace.ops().index(op)
+    steps = list(trace.steps)
+    step = steps[i]
+    if field == "op":
+        steps[i] = ProofStep(value, step.inputs, step.value)
+    elif field == "inputs":
+        steps[i] = ProofStep(op, value, step.value)
+    else:
+        steps[i] = ProofStep(op, {**step.inputs, field: value}, step.value)
+    in_memory = ProofTrace(k=0, n_max=13, steps=steps)
+    # the same tamper made to the trace's JSON form, then rebuilt from it
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    if field in ("op", "inputs"):
+        data["steps"][i][field] = value
+    else:
+        data["steps"][i]["inputs"][field] = caseworks.json_safe(value)
+    for replayed in (in_memory, from_json(data)):
+        start = time.perf_counter()
+        (bad,) = replayed.replay()
+        assert time.perf_counter() - start < 1.0
+        assert bad.startswith(f"{value}:" if field == "op" else f"{op}:"), bad
+        if field == "search_bound":
+            assert "scan budget" in bad
 
 
 def test_replay_refuses_a_mod_pow2_prime_over_the_scan_budget():
@@ -544,8 +616,20 @@ def test_defect_table_route():
     assert defect_table_route(5, 0).outcome == "contradiction"
     assert defect_table_route(7, 1).outcome == "contradiction"
     assert defect_table_route(7, 0).outcome == "forced"
+    reasons = {
+        5: "no defective pair of the required shape exists for p = 5",
+        11: "no defective pair exists for p = 11",
+        13: "the only defective pair for p = 13 lies in Q(sqrt(-7)), not Q(sqrt(-19))",
+    }
+    for p, reason in reasons.items():
+        for k in (0, 3):
+            assert defect_table_route(p, k).reason == reason
     with pytest.raises(ValueError):
         defect_table_route(3, 0)
+    with pytest.raises(
+        ValueError, match=r"defect table covers p in \{5, 7, 11, 13\}, got 17$"
+    ):
+        defect_table_route(17, 0)
     with pytest.raises(ValueError, match="k must be non-negative, got -1"):
         defect_table_route(7, -1)
 
