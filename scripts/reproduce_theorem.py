@@ -18,14 +18,12 @@ import time
 from collections import Counter
 
 from ln_kit.oracle import SearchWindow
-from ln_kit.solver import ProofStep, ProofTrace, solve
+from ln_kit.solver import ProofTrace, solve
 
 
 def rebuilt_from_json(trace: ProofTrace) -> ProofTrace:
     """The trace as a reader of its JSON form rebuilds it."""
-    data = json.loads(json.dumps(trace.to_jsonable()))
-    steps = [ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]]
-    return ProofTrace(k=data["k"], n_max=data["n_max"], steps=steps)
+    return ProofTrace.from_jsonable(json.loads(json.dumps(trace.to_jsonable())))
 
 
 def main() -> int:

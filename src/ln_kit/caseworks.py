@@ -62,22 +62,13 @@ class CaseVerdict:
         return cls(OUTCOME_SOLUTIONS, solutions=tuple(solutions), trace=tuple(trace))
 
     def to_jsonable(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"outcome": self.outcome}
-        if self.reason:
-            out["reason"] = self.reason
-        if self.assignments:
-            out["assignments"] = [[k, json_safe(v)] for k, v in self.assignments]
-        if self.reduced_k is not None:
-            out["reduced_k"] = self.reduced_k
-        if self.constraints:
-            out["constraints"] = list(self.constraints)
-        if self.solutions:
-            out["solutions"] = json_safe(self.solutions)
-        if self.trace:
-            out["trace"] = [
-                {k: json_safe(v) for k, v in step.items()} for step in self.trace
-            ]
-        return out
+        """Each field that is set, in declaration order, through json_safe;
+        reduced_k = 0 is set, "", () and None are not."""
+        return {
+            name: json_safe(v)
+            for name in self.__slots__
+            if (v := getattr(self, name)) is not None and v != "" and v != ()
+        }
 
 
 _JSON_INT_LIMIT = 2**53
@@ -92,16 +83,19 @@ def json_safe(v: Any) -> Any:
     a read-only MappingProxyType as a new dict in the same key order, their
     items encoded in turn, so the result shares no container with v.  An
     object with to_jsonable (a Solution, a verdict, a route) encodes
-    itself; anything else comes back as it is."""
-    if type(v) is int:
+    itself; anything else, a subclass of these too, comes back as it is."""
+    t = type(v)
+    if t is int:
         return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
-    if isinstance(v, (list, tuple)):
+    if t is str:
+        return v
+    if t is dict or t is MappingProxyType:
+        return {k: json_safe(x) for k, x in v.items()}
+    if t is list or t is tuple:
         # the common case, all small ints, checked without a call per element
         if v and set(map(type, v)) == {int} and max(map(abs, v)) < _JSON_INT_LIMIT:
             return list(v)
         return [json_safe(x) for x in v]
-    if isinstance(v, (dict, MappingProxyType)):
-        return {k: json_safe(x) for k, x in v.items()}
     to_jsonable = getattr(v, "to_jsonable", None)
     return v if to_jsonable is None else to_jsonable()
 

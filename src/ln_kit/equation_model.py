@@ -33,7 +33,7 @@ def check_D_digits(k: int) -> None:
     solve runs it on its k, and every step that builds a power of 19 from
     its k runs it too, so a replayed step refuses a k that solve would have.
     """
-    check_digits("19^(2k+1)", (2 * k + 1) * math.log10(19))
+    check_digits("19^(2k+1)", 2 * k + 1, math.log10(19))
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,9 @@ def instantiate_family(inst: LNInstance, kind: str, param: int) -> Solution:
         raise ValueError(f"family parameter must be non-negative, got {t}")
     log19 = math.log10(19)
     if kind == "n1":
-        check_digits("y", max((2 * k + 1) * log19, 2 * math.log10(t + 1)))
+        # y = t^2 + t + (1+D)/4 is about as long as its longer term
+        check_digits("y", 2 * k + 1, log19)
+        check_digits("y", 2, math.log10(t + 1))
         sol = Solution(2 * t + 1, t * t + t + (1 + inst.D) // 4, 1)
     elif kind == "n2":
         if t > k:
@@ -94,13 +96,13 @@ def instantiate_family(inst: LNInstance, kind: str, param: int) -> Solution:
                 f"n2 family requires t <= k: got t={t}, k={k} "
                 f"(the scaling 19^t exhausts the 19-adic budget of the instance)"
             )
-        check_digits("x", (2 * k - t + 1) * log19)
+        check_digits("x", 2 * k - t + 1, log19)
         e = 2 * (k - t) + 1
         sol = Solution(19**t * (19**e - 1) // 2, 19**t * (19**e + 1) // 4, 2)
     elif kind == "n7":
         if k != 7 * t:
             raise ValueError(f"n7 family exists only for k = 7m: got k={k}, m={t}")
-        check_digits("x", 7 * t * log19 + math.log10(559))
+        check_digits("x", 7 * t, log19, math.log10(559))
         sol = Solution(559 * 19 ** (7 * t), 5 * 19 ** (2 * t), 7)
     else:
         raise ValueError(f"unknown family kind {kind!r}")

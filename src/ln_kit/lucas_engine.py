@@ -93,34 +93,47 @@ class PrimitiveDivisorVerdict:
 def lucas_u(pair: LucasPair, n: int) -> int:
     """u_n for n >= 0, where u_0 = 0, u_1 = 1, u_i = P*u_{i-1} - Q*u_{i-2};
     u_{-n} = -u_n / Q^n is not an integer in general.  Raises ValueError
-    before the recurrence when u_n_log10, which bounds u_n and every earlier
-    term, is over check_digits: the package's one check of u_n's length.
+    before the recurrence when u_n_log10's bound, which holds for u_n and
+    every earlier term, is over check_digits: the one check of u_n's length.
     Only the last two terms are kept, so memory grows with n, not n^2."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    check_digits("u_n", u_n_log10(pair, n))
+    check_digits("u_n", n, *u_n_log10(pair))
     u, u_next = 0, 1
     for _ in range(n):
         u, u_next = u_next, pair.P * u_next - pair.Q * u
     return u
 
 
-def check_digits(value: str, log10: float) -> None:
-    """Refuse, before any work, a value near 10^log10 that has more digits
-    than the interpreter converts to a string; value names it."""
+def check_digits(value: str, count: int, each: float, more: float = 0.0) -> None:
+    """Refuse, before any work, a value near 10^(count * each + more), with
+    count >= 0 and each >= 0, that has more digits than the interpreter
+    converts to a string; value names it.  A count that is over the limit
+    for certain meets no float, which it could overflow: its digits are
+    estimated in exact integers."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    if limit and log10 >= limit:
-        raise ValueError(
-            f"{value} would have about {math.floor(log10) + 1} digits, over the "
-            f"{limit}-digit limit of int-to-str conversion "
-            "(sys.get_int_max_str_digits())"
-        )
+    if not limit:
+        return
+    if each and count >= 2 * (limit + abs(more)) / each:
+        a, b = each.as_integer_ratio()
+        c, d = more.as_integer_ratio()
+        digits = (count * a * d + c * b) // (b * d) + 1
+    else:
+        log10 = count * each + more
+        if log10 < limit:
+            return
+        digits = math.floor(log10) + 1
+    raise ValueError(
+        f"{value} would have about {digits} digits, over the "
+        f"{limit}-digit limit of int-to-str conversion "
+        "(sys.get_int_max_str_digits())"
+    )
 
 
-def u_n_log10(pair: LucasPair, n: int) -> float:
-    """An upper bound on log10|u_n|: u_n = (alpha^n - beta^n)/(alpha - beta),
-    so |u_n| <= 2|alpha|^n / sqrt(|disc|), alpha the root of z^2 - P*z + Q
-    of larger modulus."""
+def u_n_log10(pair: LucasPair) -> tuple[float, float]:
+    """check_digits' (each, more): log10|u_n| <= n * each + more, as u_n =
+    (alpha^n - beta^n)/(alpha - beta), so |u_n| <= 2|alpha|^n / sqrt(|disc|),
+    alpha the root of z^2 - P*z + Q of larger modulus."""
     disc = pair.disc
     if disc < 0:
         log_alpha = math.log10(pair.Q) / 2  # |alpha|^2 = alpha * conj(alpha) = Q
@@ -128,7 +141,7 @@ def u_n_log10(pair: LucasPair, n: int) -> float:
         # 2|alpha| = |P| + sqrt(disc), times 2^64 and rounded up
         scaled = (abs(pair.P) << 64) + math.isqrt(disc << 128) + 1
         log_alpha = math.log10(scaled) - 65 * math.log10(2)
-    return n * log_alpha + math.log10(2) - math.log10(abs(disc)) / 2
+    return log_alpha, math.log10(2) - math.log10(abs(disc)) / 2
 
 
 def bhv_gate(pair: LucasPair, p: int) -> BhvRoute:

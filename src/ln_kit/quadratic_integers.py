@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lucas_engine import is_probable_prime
 from .oracle import check_budget
 
 
@@ -63,22 +62,6 @@ def qpow(u: QuadInt19, e: int) -> QuadInt19:
         base = qmul(base, base)
         e >>= 1
     return acc
-
-
-def imag_binomial_sum(a: int, b: int, p: int) -> int:
-    """S = sum_{r=0}^{(p-1)/2} C(p, 2r+1) * a^(p-2r-1) * (-19)^r * b^(2r).
-
-    For odd a, b and odd prime p this is the expanded imaginary part of the
-    p-th power: b*S == 2^(p-1) * B where (A, B) = qpow(QuadInt19(a, b), p).
-    """
-    if a % 2 == 0 or b % 2 == 0:
-        raise ValueError(f"a and b must be odd, got a={a}, b={b}")
-    if p % 2 == 0 or not is_probable_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    return sum(
-        math.comb(p, 2 * r + 1) * a ** (p - 2 * r - 1) * (-19) ** r * b ** (2 * r)
-        for r in range((p + 1) // 2)
-    )
 
 
 def class_number_imag(disc: int) -> list[tuple[int, int, int]]:

@@ -82,7 +82,7 @@ class ProofStep:
         """The step as JSON; result, when given, is self.result already built."""
         return {
             "op": self.op,
-            "inputs": {k: caseworks.json_safe(v) for k, v in self.inputs.items()},
+            "inputs": caseworks.json_safe(self.inputs),
             "result": self.result if result is None else result,
         }
 
@@ -93,6 +93,12 @@ class ProofTrace:
     n_max: int
     steps: list[ProofStep] = field(default_factory=list)
     solutions: list[Solution] = field(default_factory=list)
+
+    @classmethod
+    def from_jsonable(cls, data: dict[str, Any]) -> ProofTrace:
+        """The trace to_jsonable's form describes: k, n_max and the steps."""
+        steps = [ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]]
+        return cls(k=data["k"], n_max=data["n_max"], steps=steps)
 
     @property
     def oracle_checked(self) -> bool:

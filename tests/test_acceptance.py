@@ -13,7 +13,7 @@ from ln_kit.caseworks import mod_pow2_insoluble, no_19z2_solutions, p3_case
 from ln_kit.equation_model import LNInstance, instantiate_family, is_solution
 from ln_kit.lucas_engine import LucasPair, lucas_u, primitive_divisor
 from ln_kit.oracle import generalized_scan
-from ln_kit.quadratic_integers import QuadInt19, class_number_imag, imag_binomial_sum, qpow
+from ln_kit.quadratic_integers import QuadInt19, class_number_imag, qpow
 
 WINDOW_ARGS = ["--n-max", "30", "--x-max", "10000000"]
 
@@ -66,7 +66,7 @@ def test_criterion_03_lucas_criterion():
     _report(3, "u_7(1,5) = 1 and primitive-divisor verdicts", ok)
 
 
-def test_criterion_04_imaginary_part_identity_grid():
+def test_criterion_04_imaginary_part_identity_grid(imag_binomial_sum):
     start = time.monotonic()
     failures = 0
     for p in (3, 5, 7, 11, 13, 19):

@@ -171,7 +171,7 @@ def test_mod_pow2_insoluble_prices_its_residues_before_listing_them(monkeypatch)
 def test_mod_pow2_insoluble_rejects_wrong_residue_class():
     with pytest.raises(ValueError):
         mod_pow2_insoluble(13, 1)  # 1 mod 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="congruent to 3 mod 4 and > 3, got 3"):
         mod_pow2_insoluble(3, 1)  # s undefined
 
 
@@ -196,6 +196,19 @@ def test_p3_case(k):
     # 250 odd a, 250 odd |b|, both signs of b: every pair of the odd box is
     # decided (one b at a time) and counted
     assert by_check["exhaustive_search"]["candidates_checked"] == 250 * 250 * 2
+
+
+def test_p3_case_at_its_least_bound():
+    # search_bound = 1: one odd a, b = +-1; 0 is refused
+    by_check = {step["check"]: step for step in p3_case(0, 1).trace}
+    assert by_check["exhaustive_search"] == {
+        "check": "exhaustive_search",
+        "bound": 1,
+        "candidates_checked": 2,
+        "witnesses": [],
+    }
+    with pytest.raises(ValueError, match="search_bound >= 1, got 0, 0"):
+        p3_case(0, 0)
 
 
 def test_p3_case_paths_agree_up_to_k4():
@@ -266,6 +279,15 @@ def test_valuation_split_validation():
         valuation_trichotomy(1, 1, 1, 4, 5, 2)  # even X
     with pytest.raises(ValueError):
         valuation_trichotomy(1, -1, 1, 9, 5, 2)
+
+
+def test_trichotomy_at_X_and_Y_equal_to_1():
+    # the least X and Y its checks admit; 0 is refused
+    verdict = valuation_trichotomy(1, 1, 1, 1, 1, 2)
+    assert verdict.outcome == OUTCOME_REDUCED and verdict.reduced_k == 0
+    for X, Y in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="X >= 1, Y >= 1"):
+            valuation_trichotomy(1, 1, 1, X, Y, 2)
 
 
 def test_trichotomy_reduces_n2_scaling():
@@ -483,6 +505,8 @@ def test_json_safe_matches_the_reference():
         {"a": 2**53, "b": 2**53 - 1, "c": True, "d": "19", "e": None},
         {"a": {"b": [1, 2**60], "c": (3, -(19**19))}, "d": {"e": {"f": 2**53}}},
         [{"x": 1}, {"y": -(2**53)}, ()],
+        [1, 2**53],  # the list fast path stops below 2^53, as the int rule does
+        [-(2**53), 1],
     ]
     for v in values:
         got = caseworks.json_safe(v)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ln_kit import cli
-from ln_kit.solver import ProofStep, ProofTrace
+from ln_kit.solver import ProofTrace
 
 
 def run_cli(capsys, *argv):
@@ -46,16 +46,13 @@ def test_solve_trace_lines_replayable(capsys):
         code, out = run_cli(capsys, "solve", "--k", str(k), "--skip-oracle", "--trace")
         assert code == 0
         lines = parse_lines(out)
-        steps = [
-            ProofStep(l["op"], l["inputs"], l["result"])
-            for l in lines
-            if l["kind"] == "trace_step"
-        ]
-        assert len(steps) == lines[-1]["steps"]
-        assert {"even_case", "bhv_gate", "no_19z2_solutions"} <= {s.op for s in steps}
-        assert ProofTrace(k=k, n_max=30, steps=steps).replay() == []
+        steps = [l for l in lines if l["kind"] == "trace_step"]
+        trace = ProofTrace.from_jsonable({"k": k, "n_max": 30, "steps": steps})
+        assert len(trace.steps) == lines[-1]["steps"]
+        assert {"even_case", "bhv_gate", "no_19z2_solutions"} <= set(trace.ops())
+        assert trace.replay() == []
     # at k = 7 the inputs X, Y exceed 2^53 and arrive as decimal strings
-    assert any(isinstance(v, str) for s in steps for v in s.inputs.values())
+    assert any(isinstance(v, str) for s in trace.steps for v in s.inputs.values())
 
 
 def test_solve_trace_bytes_pinned(capsys):

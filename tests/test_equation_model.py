@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from ln_kit.equation_model import (
     LNInstance,
     Solution,
+    check_D_digits,
     instantiate_family,
     is_solution,
     theorem_solution_set,
@@ -109,6 +110,24 @@ def test_families_refuse_past_the_digit_limit_before_any_member(
 
     monkeypatch.setattr(model, "Solution", no_member)
     with pytest.raises(ValueError, match=f"x would have about {digits} digits.*limit"):
+        build()
+
+
+K_PAST_A_FLOAT = 7 * 10**400  # 2k+1 overflows a float
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: check_D_digits(K_PAST_A_FLOAT),
+        lambda: instantiate_family(LNInstance(K_PAST_A_FLOAT), "n1", 0),
+        lambda: instantiate_family(LNInstance(K_PAST_A_FLOAT), "n2", 0),
+        lambda: instantiate_family(LNInstance(K_PAST_A_FLOAT), "n7", 10**400),
+    ],
+    ids=["D", "n1", "n2", "n7"],
+)
+def test_a_k_past_a_float_is_refused_in_the_limits_words(build):
+    with pytest.raises(ValueError, match=r"about \d+ digits, over the 4300-digit limit"):
         build()
 
 

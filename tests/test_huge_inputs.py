@@ -10,9 +10,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 BIG = str(10**1000)
+HUGE = str(10**400)  # past any float: refused in the digit limit's words
+LIMIT_WORDS = "digits, over the 4300-digit limit of int-to-str conversion"
 
-# (argv, exit status): the first rows once ran for seconds or more; the
-# rest give one huge value to each integer flag of each command
+# (argv, exit status[, words stderr must hold]): the first rows once ran for
+# seconds or more; the rest give one huge value to each integer flag of
+# each command
 HUGE_INPUTS = [
     ("oracle --k 0 --n-max 1000000 --x-max 10", 0),
     ("verify --k 0 --n-max 1000000", 0),
@@ -39,12 +42,16 @@ HUGE_INPUTS = [
     ("primdiv --p 1 --q 5 --n 1000000000", 2),
     (f"verify --k 2 --x-max {BIG}", 2),
     ("verify --k 0 --n-min 99999999 --n-max 100000000", 0),
+    (f"lucas --p 1 --q 5 --n {HUGE}", 2, LIMIT_WORDS),
+    (f"primdiv --p 1 --q 5 --n {HUGE}", 2, LIMIT_WORDS),
+    (f"family --k {HUGE} --kind n2 --t 0", 2, LIMIT_WORDS),
+    (f"family --k {HUGE} --kind all", 2, LIMIT_WORDS),
 ]
 
 
 def test_huge_inputs_end_in_seconds():
     start = time.perf_counter()
-    for argv, status in HUGE_INPUTS:
+    for argv, status, *words in HUGE_INPUTS:
         row = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "ln_kit", *argv.split()],
@@ -58,6 +65,8 @@ def test_huge_inputs_end_in_seconds():
         assert "Traceback" not in proc.stderr, argv[:80]
         if status == 2:
             assert proc.stdout == "" and proc.stderr.startswith("ln-kit: "), argv[:80]
+        for w in words:
+            assert w in proc.stderr, (argv[:80], proc.stderr[-300:])
     assert time.perf_counter() - start < 20.0
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -392,9 +393,10 @@ def test_u_n_log10_bounds_every_term():
                 pair = LucasPair(P, Q)
             except ValueError:
                 continue
+            each, more = u_n_log10(pair)
             for n, u in enumerate(recurrence_terms(P, Q, 40)):
                 if u:
-                    assert math.log10(abs(u)) <= u_n_log10(pair, n), (P, Q, n)
+                    assert math.log10(abs(u)) <= n * each + more, (P, Q, n)
 
 
 @pytest.mark.parametrize("n", [13_000, 10**9])
@@ -405,6 +407,23 @@ def test_lucas_u_refuses_past_the_digit_limit_before_the_recurrence(n):
     with pytest.raises(ValueError, match="u_n would have about .* int-to-str conversion"):
         lucas_u(LucasPair(1, 5), n)
     assert time.perf_counter() - start < 1.0
+
+
+def refused_digits(n):
+    with pytest.raises(ValueError, match="int-to-str conversion") as refused:
+        lucas_u(LucasPair(1, 5), n)
+    return int(re.search(r"about (\d+) digits", str(refused.value))[1])
+
+
+def test_lucas_u_refuses_a_count_past_a_float_in_the_limits_words():
+    # 10^400 overflows a float: its digits are estimated in exact integers
+    assert str(refused_digits(10**400)).startswith("349485002168009")
+    # on either side of the count where the exact estimate takes over,
+    # both give the float formula's digits
+    each, more = u_n_log10(LucasPair(1, 5))
+    switch = math.ceil(2 * (sys.get_int_max_str_digits() + abs(more)) / each)
+    for n in range(switch - 3, switch + 3):
+        assert refused_digits(n) == math.floor(n * each + more) + 1, n
 
 
 def test_primitive_divisor_refuses_past_the_digit_limit_before_factoring():

@@ -23,39 +23,11 @@ def run_script(name, *args):
     )
 
 
-def test_oracle_sweep_anchors():
-    proc = run_script("oracle_sweep.py", "--k-max", "0", "--x-max", "1000")
-    assert proc.returncode == 0, proc.stderr
-    assert "k = 0: (9,5,2), (559,5,7)" in proc.stdout
-    assert "D=1, lam=1, n in [3,20], x <= 1e5: none (expected none)" in proc.stdout
-    assert "D=2, lam=1, n=3, x <= 100: [(5, 3, 3)] (expected [(5, 3, 3)])" in proc.stdout
-
-
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_oracle_sweep_exits_1_when_an_anchor_differs(monkeypatch, capsys):
-    sweep = load_script("oracle_sweep")
-    argv = ["--k-max", "0", "--x-max", "1000"]
-    assert sweep.main(argv) == 0
-    # a scanner that finds nothing misses the one D=2 triple
-    monkeypatch.setattr(sweep, "generalized_scan", lambda *window: [])
-    capsys.readouterr()
-    assert sweep.main(argv) == 1
-    captured = capsys.readouterr()
-    assert "D=2, lam=1, n=3, x <= 100: none (expected [(5, 3, 3)])" in captured.out
-    assert captured.err == "anchor differs: D=2, lam=1, n=3, x <= 100\n"
-
-
-def test_oracle_sweep_n_max_defaults_to_the_search_window(monkeypatch, capsys):
-    sweep = load_script("oracle_sweep")
-    monkeypatch.setattr(sweep.SearchWindow, "n_max", 12)
-    assert sweep.main(["--k-max", "0", "--x-max", "1000"]) == 0
-    assert "main equation, n in [2, 12], x <= 1000" in capsys.readouterr().out
 
 
 def test_reproduce_theorem_replays():

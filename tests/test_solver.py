@@ -152,15 +152,14 @@ def test_replay_refuses_a_tampered_huge_p3_search_bound():
     assert bad.startswith("p3_case:") and "scan budget" in bad
 
 
+def rebuilt_from_json(trace):
+    return ProofTrace.from_jsonable(json.loads(json.dumps(trace.to_jsonable())))
+
+
 def test_oracle_fields_survive_a_json_round_trip():
     for cross_check in (True, False):
         _, trace = solve(1, n_max=10, oracle_x_max=10**4, cross_check=cross_check)
-        data = json.loads(json.dumps(trace.to_jsonable()))
-        rebuilt = ProofTrace(
-            k=data["k"],
-            n_max=data["n_max"],
-            steps=[ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]],
-        )
+        rebuilt = rebuilt_from_json(trace)
         assert rebuilt.oracle_checked is trace.oracle_checked is cross_check
         assert rebuilt.oracle_x_max == trace.oracle_x_max
         assert trace.oracle_x_max == (10**4 if cross_check else None)
@@ -175,19 +174,6 @@ def test_deep_trace_bytes_pinned():
     )
 
 
-def from_json(data):
-    """The trace a reader rebuilds from the JSON form data."""
-    return ProofTrace(
-        k=data["k"],
-        n_max=data["n_max"],
-        steps=[ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]],
-    )
-
-
-def rebuilt_from_json(trace):
-    return from_json(json.loads(json.dumps(trace.to_jsonable())))
-
-
 @pytest.mark.parametrize("x_max", [True, "+1000", " 1000"])
 def test_oracle_x_max_reads_its_input_as_replay_does(x_max):
     # int() would read each as 1 or 1000; replay's step-input rule refuses them
@@ -195,7 +181,7 @@ def test_oracle_x_max_reads_its_input_as_replay_does(x_max):
     data = json.loads(json.dumps(trace.to_jsonable()))
     (step,) = [s for s in data["steps"] if s["op"] == "oracle_cross_check"]
     step["inputs"]["x_max"] = x_max
-    rebuilt = from_json(data)
+    rebuilt = ProofTrace.from_jsonable(data)
     with pytest.raises(ValueError, match="is not an integer"):
         rebuilt.oracle_x_max
     (bad,) = rebuilt.replay()
@@ -323,7 +309,7 @@ def test_replay_names_a_huge_or_malformed_step(op, field, value):
         data["steps"][i][field] = value
     else:
         data["steps"][i]["inputs"][field] = caseworks.json_safe(value)
-    for replayed in (in_memory, from_json(data)):
+    for replayed in (in_memory, ProofTrace.from_jsonable(data)):
         start = time.perf_counter()
         (bad,) = replayed.replay()
         assert time.perf_counter() - start < 1.0
