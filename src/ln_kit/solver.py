@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from . import caseworks
-from .caseworks import CaseVerdict
+from .caseworks import _JSON_INT_LIMIT, CaseVerdict
 from .equation_model import (
     LNInstance,
     Solution,
@@ -59,13 +59,16 @@ class OracleMismatchError(RuntimeError):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProofStep:
     """One step: the op, its inputs and the value its procedure returned.
 
     value is the procedure's own return value when the step was recorded,
     and the JSON result when the trace was rebuilt from its JSON form;
-    caseworks.json_safe turns either into the JSON result.
+    caseworks.json_safe turns either into the JSON result.  The class is not
+    frozen: a frozen __init__ sets each field through object.__setattr__, a
+    cost every recorded step pays, and freezing would not guard a trace
+    anyway (inputs is a mutable dict); replay is the check.
     """
 
     op: str
@@ -79,10 +82,20 @@ class ProofStep:
         return caseworks.json_safe(self.value)
 
     def to_jsonable(self, result: Any = None) -> dict[str, Any]:
-        """The step as JSON; result, when given, is self.result already built."""
+        """The step as JSON; result, when given, is self.result already built.
+        Inputs that are all exact ints below 2^53 are copied as they are,
+        which is what json_safe would build from them one call at a time."""
+        inputs = self.inputs
+        if type(inputs) is dict and all(
+            type(v) is int and -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT
+            for v in inputs.values()
+        ):
+            inputs = dict(inputs)
+        else:
+            inputs = caseworks.json_safe(inputs)
         return {
             "op": self.op,
-            "inputs": caseworks.json_safe(self.inputs),
+            "inputs": inputs,
             "result": self.result if result is None else result,
         }
 
@@ -107,9 +120,11 @@ class ProofTrace:
 
     @property
     def oracle_x_max(self) -> int | None:
-        """The x bound of the oracle cross-check, or None without one."""
-        found = self.find("oracle_cross_check")
-        return _step_input("x_max", found[0].inputs["x_max"]) if found else None
+        """The x bound of the first oracle cross-check, or None without one."""
+        for s in self.steps:
+            if s.op == "oracle_cross_check":
+                return _step_input("x_max", s.inputs["x_max"])
+        return None
 
     def step(self, op: str, **inputs: int) -> Any:
         """Run STEPS[op] on the inputs, record the value it returns as it is,
@@ -129,12 +144,17 @@ class ProofTrace:
 
         Every step input is an integer: an int, or after a JSON round trip
         possibly the exact decimal string the writer emits; anything else (a
-        bool, a float, a padded or signed-plus string) has diverged.  A
-        recorded value is compared as it is, and a value rebuilt from JSON
-        with the new value's JSON form, built once per distinct new value
-        object in one call.  A malformed step (an op outside STEPS, inputs
-        that are not a mapping), one whose inputs its procedure rejects or
-        overflows on, or one whose value is too long to encode has diverged.
+        bool, a float, a padded or signed-plus string) has diverged.  One
+        check per step passes a dict whose values are all of type int (a
+        bool's type is bool) as it is; any other inputs are decoded one by
+        one through _step_input.  A procedure that returns the very object
+        the step recorded (a shared mod19_forces_p verdict) has matched
+        without an __eq__ call; otherwise a recorded value is compared as it
+        is, and a value rebuilt from JSON with the new value's JSON form,
+        built once per distinct new value object in one call.  A malformed
+        step (an op outside STEPS, inputs that are not a mapping), one whose
+        inputs its procedure rejects or overflows on, or one whose value is
+        too long to encode has diverged.
         """
         bad = []
         # id(value) -> (value, its JSON form); holding value keeps its id
@@ -146,8 +166,11 @@ class ProofTrace:
                 if fn is None:
                     bad.append(f"{step.op}: not replayable")
                     continue
-                got = fn(**{k: _step_input(k, v) for k, v in step.inputs.items()})
-                if got != step.value:
+                inputs = step.inputs
+                if type(inputs) is not dict or {*map(type, inputs.values())} != _INT:
+                    inputs = {k: _step_input(k, v) for k, v in inputs.items()}
+                got = fn(**inputs)
+                if got is not step.value and got != step.value:
                     if id(got) not in encoded:
                         encoded[id(got)] = (got, caseworks.json_safe(got))
                     if encoded[id(got)][1] != step.value:
@@ -170,14 +193,19 @@ class ProofTrace:
         """The trace as JSON, its steps from jsonable_steps: steps that share
         a value object share one result dict, so treat the output as
         read-only input to json.dumps."""
+        x_max = self.oracle_x_max
         return {
             "k": self.k,
             "n_max": self.n_max,
-            "oracle_checked": self.oracle_checked,
-            "oracle_x_max": self.oracle_x_max,
+            "oracle_checked": x_max is not None,
+            "oracle_x_max": x_max,
             "solutions": caseworks.json_safe(self.solutions),
             "steps": list(self.jsonable_steps()),
         }
+
+
+# the types of a step's inputs that replay passes to its procedure unchecked
+_INT = {int}
 
 
 def _step_input(name: str, v: Any) -> int:

@@ -168,6 +168,15 @@ def test_mod_pow2_insoluble_prices_its_residues_before_listing_them(monkeypatch)
     assert mod_pow2_insoluble(19, 0).trace[0]["odd_residues_checked"] == 16
 
 
+def test_mod_pow2_insoluble_is_priced_at_its_odd_residues(monkeypatch):
+    # p = 7: s = 2, modulus 8, so 4 odd residues
+    monkeypatch.setattr(oracle, "SCAN_BUDGET", 3)
+    with pytest.raises(ValueError, match="needs 4 candidates"):
+        mod_pow2_insoluble(7, 0)
+    monkeypatch.setattr(oracle, "SCAN_BUDGET", 4)
+    assert mod_pow2_insoluble(7, 0).trace[0]["odd_residues_checked"] == 4
+
+
 def test_mod_pow2_insoluble_rejects_wrong_residue_class():
     with pytest.raises(ValueError):
         mod_pow2_insoluble(13, 1)  # 1 mod 4
@@ -253,6 +262,9 @@ def test_cubic_witnesses_reject_what_the_box_excludes():
     assert _cubic_witnesses(-19, 15) == []  # a^2 = 0 at b = 1
     assert _cubic_witnesses(-22, 15) == []  # a^2 = -1 at b = 1
     assert _cubic_witnesses(-18, 15) == []  # 3b does not divide at b = +-1
+    # a = 1, b = 5: |b| = 5 is past a bound of 4
+    assert _cubic_witnesses(-2360, 4) == []
+    assert _cubic_witnesses(-2360, 5) == [(1, 5)]
 
 
 def test_cubic_witnesses_none_for_the_p3_targets():

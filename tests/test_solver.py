@@ -408,6 +408,44 @@ def test_json_replay_names_only_the_step_whose_shared_verdict_was_tampered():
         ]
 
 
+def test_replay_names_a_step_whose_value_was_rebound_in_place():
+    # the value is another p's shared verdict: not the object replay gets back
+    _, trace = solve(7, cross_check=False)
+    mod19 = trace.find("mod19_forces_p")
+    step = mod19[0]
+    other = next(s.value for s in mod19 if s.inputs["p"] != step.inputs["p"])
+    assert other.outcome == step.value.outcome == caseworks.OUTCOME_CONTRADICTION
+    step.value = other
+    assert trace.replay() == ["mod19_forces_p"]
+    assert rebuilt_from_json(trace).replay() == ["mod19_forces_p"]
+
+
+def test_replay_names_a_shared_verdict_step_tampered_to_p_19():
+    # p = 19 with t < k is forced, not the contradiction the step still holds
+    _, trace = solve(7, cross_check=False)
+    step = trace.find("mod19_forces_p")[0]
+    assert step.inputs["t"] < step.inputs["k"] and step.inputs["p"] != 19
+    tampered = with_inputs(trace, "mod19_forces_p", p=19)
+    assert tampered.steps[trace.ops().index("mod19_forces_p")].value is step.value
+    assert tampered.replay() == ["mod19_forces_p"]
+    assert rebuilt_from_json(tampered).replay() == ["mod19_forces_p"]
+
+
+def test_replay_does_not_compare_a_verdict_with_itself(monkeypatch):
+    _, trace = solve(7, cross_check=False)
+    eq = caseworks.CaseVerdict.__eq__
+    calls = []
+
+    def spy(self, other):
+        calls.append(self is other)
+        return eq(self, other)
+
+    monkeypatch.setattr(caseworks.CaseVerdict, "__eq__", spy)
+    assert trace.replay() == []
+    # the fresh verdicts (mod19_forces_kt, even_case, ...) are compared
+    assert calls and not any(calls)
+
+
 def test_composite_lift_is_recorded_and_replayed():
     # n = 49 = 7 * 7 is the first n that lifts the (k, p) = (0, 7) solution
     # y = 5, and 5 is no 7th power
