@@ -120,11 +120,9 @@ class ProofTrace:
 
     @property
     def oracle_x_max(self) -> int | None:
-        """The x bound of the first oracle cross-check, or None without one."""
-        for s in self.steps:
-            if s.op == "oracle_cross_check":
-                return _step_input("x_max", s.inputs["x_max"])
-        return None
+        """The x bound of the oracle cross-check, or None without one."""
+        found = self.find("oracle_cross_check")
+        return _step_input("x_max", found[0].inputs["x_max"]) if found else None
 
     def step(self, op: str, **inputs: int) -> Any:
         """Run STEPS[op] on the inputs, record the value it returns as it is,
