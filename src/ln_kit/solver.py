@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from . import caseworks
-from .caseworks import _JSON_INT_LIMIT, CaseVerdict
+from .caseworks import CaseVerdict
 from .equation_model import (
     LNInstance,
     Solution,
@@ -82,20 +82,10 @@ class ProofStep:
         return caseworks.json_safe(self.value)
 
     def to_jsonable(self, result: Any = None) -> dict[str, Any]:
-        """The step as JSON; result, when given, is self.result already built.
-        Inputs that are all exact ints below 2^53 are copied as they are,
-        which is what json_safe would build from them one call at a time."""
-        inputs = self.inputs
-        if type(inputs) is dict and all(
-            type(v) is int and -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT
-            for v in inputs.values()
-        ):
-            inputs = dict(inputs)
-        else:
-            inputs = caseworks.json_safe(inputs)
+        """The step as JSON; result, when given, is self.result already built."""
         return {
             "op": self.op,
-            "inputs": inputs,
+            "inputs": caseworks.json_safe(self.inputs),
             "result": self.result if result is None else result,
         }
 
@@ -165,7 +155,7 @@ class ProofTrace:
                     bad.append(f"{step.op}: not replayable")
                     continue
                 inputs = step.inputs
-                if type(inputs) is not dict or {*map(type, inputs.values())} != _INT:
+                if type(inputs) is not dict or set(map(type, inputs.values())) != {int}:
                     inputs = {k: _step_input(k, v) for k, v in inputs.items()}
                 got = fn(**inputs)
                 if got is not step.value and got != step.value:
@@ -200,10 +190,6 @@ class ProofTrace:
             "solutions": caseworks.json_safe(self.solutions),
             "steps": list(self.jsonable_steps()),
         }
-
-
-# the types of a step's inputs that replay passes to its procedure unchecked
-_INT = {int}
 
 
 def _step_input(name: str, v: Any) -> int:

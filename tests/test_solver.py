@@ -408,14 +408,15 @@ def test_json_replay_names_only_the_step_whose_shared_verdict_was_tampered():
         ]
 
 
-def test_replay_names_a_step_whose_value_was_rebound_in_place():
+def test_replay_names_a_step_whose_value_is_another_verdict():
     # the value is another p's shared verdict: not the object replay gets back
     _, trace = solve(7, cross_check=False)
     mod19 = trace.find("mod19_forces_p")
     step = mod19[0]
     other = next(s.value for s in mod19 if s.inputs["p"] != step.inputs["p"])
     assert other.outcome == step.value.outcome == caseworks.OUTCOME_CONTRADICTION
-    step.value = other
+    i = trace.ops().index("mod19_forces_p")
+    trace.steps[i] = ProofStep(step.op, step.inputs, other)
     assert trace.replay() == ["mod19_forces_p"]
     assert rebuilt_from_json(trace).replay() == ["mod19_forces_p"]
 
