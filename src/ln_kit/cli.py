@@ -42,11 +42,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run the full decision procedure")
-    p_solve.set_defaults(handler=_cmd_solve)
-    p_solve.add_argument("--k", type=int, required=True)
-    p_solve.add_argument("--n-max", type=int, default=SearchWindow.n_max)
-    p_solve.add_argument("--x-max", type=int, default=SearchWindow.x_max)
+    def command(name, handler, help, *required_ints):
+        """A subcommand that runs handler, with one required int flag per name."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        for flag in required_ints:
+            p.add_argument(f"--{flag}", type=int, required=True)
+        return p
+
+    def window(p, *fields):
+        """One int flag per SearchWindow field, with SearchWindow's default."""
+        for f in fields:
+            default = getattr(SearchWindow, f)
+            p.add_argument("--" + f.replace("_", "-"), type=int, default=default)
+
+    p_solve = command("solve", _cmd_solve, "run the full decision procedure", "k")
+    window(p_solve, "n_max", "x_max")
     p_solve.add_argument(
         "--skip-oracle", action="store_true", help="skip the brute-force cross-check"
     )
@@ -54,45 +65,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true", help="emit every proof step as a JSON line"
     )
 
-    p_oracle = sub.add_parser("oracle", help="brute-force enumeration only")
-    p_oracle.set_defaults(handler=_cmd_oracle)
+    p_oracle = command("oracle", _cmd_oracle, "brute-force enumeration only")
     p_oracle.add_argument("--k", type=int)
     p_oracle.add_argument("--d", type=int, help="generalized constant D")
     p_oracle.add_argument("--lam", type=int, help="generalized coefficient lambda")
-    p_oracle.add_argument("--n-min", type=int, default=SearchWindow.n_min)
-    p_oracle.add_argument("--n-max", type=int, default=SearchWindow.n_max)
-    p_oracle.add_argument("--x-max", type=int, default=SearchWindow.x_max)
+    window(p_oracle, "n_min", "n_max", "x_max")
 
-    p_family = sub.add_parser("family", help="materialize theorem solution families")
-    p_family.set_defaults(handler=_cmd_family)
-    p_family.add_argument("--k", type=int, required=True)
+    p_family = command(
+        "family", _cmd_family, "materialize theorem solution families", "k"
+    )
     p_family.add_argument("--kind", choices=("n1", "n2", "n7", "all"), required=True)
     p_family.add_argument("--t", type=int, help="parameter for n1/n2")
     p_family.add_argument("--m", type=int, help="parameter for n7")
 
-    p_lucas = sub.add_parser("lucas", help="Lucas number u_n for a pair (P, Q)")
-    p_lucas.set_defaults(handler=_cmd_lucas)
-    p_lucas.add_argument("--p", type=int, required=True)
-    p_lucas.add_argument("--q", type=int, required=True)
-    p_lucas.add_argument("--n", type=int, required=True)
-
-    p_primdiv = sub.add_parser("primdiv", help="primitive-divisor test for u_n")
-    p_primdiv.set_defaults(handler=_cmd_primdiv)
-    p_primdiv.add_argument("--p", type=int, required=True)
-    p_primdiv.add_argument("--q", type=int, required=True)
-    p_primdiv.add_argument("--n", type=int, required=True)
+    command("lucas", _cmd_lucas, "Lucas number u_n for a pair (P, Q)", "p", "q", "n")
+    p_primdiv = command(
+        "primdiv", _cmd_primdiv, "primitive-divisor test for u_n", "p", "q", "n"
+    )
     p_primdiv.add_argument("--budget", type=int, default=FACTORING_BUDGET)
-
-    p_class = sub.add_parser("classnum", help="class number by reduced forms")
-    p_class.set_defaults(handler=_cmd_classnum)
-    p_class.add_argument("--disc", type=int, required=True)
-
-    p_verify = sub.add_parser("verify", help="oracle vs theorem set comparison")
-    p_verify.set_defaults(handler=_cmd_verify)
-    p_verify.add_argument("--k", type=int, required=True)
-    p_verify.add_argument("--n-min", type=int, default=SearchWindow.n_min)
-    p_verify.add_argument("--n-max", type=int, default=SearchWindow.n_max)
-    p_verify.add_argument("--x-max", type=int, default=SearchWindow.x_max)
+    command("classnum", _cmd_classnum, "class number by reduced forms", "disc")
+    p_verify = command("verify", _cmd_verify, "oracle vs theorem set comparison", "k")
+    window(p_verify, "n_min", "n_max", "x_max")
     return parser
 
 

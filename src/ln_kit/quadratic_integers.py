@@ -34,10 +34,6 @@ class QuadInt19:
     def norm(self) -> int:
         return (self.a * self.a + 19 * self.b * self.b) // 4
 
-    @property
-    def conj(self) -> QuadInt19:
-        return QuadInt19(self.a, -self.b)
-
 
 ONE = QuadInt19(2, 0)
 

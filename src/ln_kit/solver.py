@@ -287,27 +287,16 @@ def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
     if route is BhvRoute.SMALL_PRIME:
         trace.step("p3_case", k=kk, search_bound=P3_SEARCH_BOUND)
         return []
-    # CheckDefectTable: p in {5, 7, 11, 13}
+    # CheckDefectTable: p in {5, 7, 11, 13}, routed by the table's verdict
+    primdiv = {"P": pair.P, "Q": pair.Q, "n": p, "factoring_budget": FACTORING_BUDGET}
     if p in NO_DEFECTIVE_PAIR:
-        trace.step(
-            "primitive_divisor",
-            P=pair.P,
-            Q=pair.Q,
-            n=p,
-            factoring_budget=FACTORING_BUDGET,
-        )
-        trace.step("defect_table", p=p, k=kk)
-        return []
-    # p == 7
-    verdict = trace.step("defect_table", p=7, k=kk)
+        trace.step("primitive_divisor", **primdiv)
+    verdict = trace.step("defect_table", p=p, k=kk)
     if verdict.outcome == caseworks.OUTCOME_CONTRADICTION:
         return []
-    trace.step("lucas_u", P=pair.P, Q=pair.Q, n=7)
-    trace.step(
-        "primitive_divisor", P=pair.P, Q=pair.Q, n=7, factoring_budget=FACTORING_BUDGET
-    )
-    expansion = trace.step("defective_pair_expansion", k=kk, p=7)
-    return list(expansion.solutions)
+    trace.step("lucas_u", P=pair.P, Q=pair.Q, n=p)
+    trace.step("primitive_divisor", **primdiv)
+    return list(trace.step("defective_pair_expansion", k=kk, p=p).solutions)
 
 
 def _primitive_solutions(kk: int, n_max: int, trace: ProofTrace) -> list[Solution]:
@@ -363,7 +352,8 @@ def solve(
     """Complete solution set for 2 <= n <= n_max plus a replayable proof trace.
 
     Raises OracleMismatchError when the brute-force cross-check (over
-    x <= oracle_x_max) disagrees with the pipeline, and ValueError before
+    x <= oracle_x_max) disagrees with the pipeline, RuntimeError when the
+    bounded 19*Z^2 + 1 = 4*Y^n scan finds a witness, and ValueError before
     any step runs when step_bound(k, n_max) exceeds STEP_BUDGET, when
     19^(2k+1), which the trace writes, is over check_D_digits, or when the
     cross-check's SearchWindow is invalid.
@@ -383,7 +373,9 @@ def solve(
     trace = ProofTrace(k=k, n_max=n_max)
     # close the two symbolic 19|x branches that do not reduce: both land on
     # 19*Z^2 + 1 = 4*Y^n (bounded scan here, unbounded statement cited)
-    trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=LE_Z_MAX)
+    scan = trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=LE_Z_MAX)
+    if scan.outcome != caseworks.OUTCOME_CONTRADICTION:
+        raise RuntimeError(f"19*Z^2 + 1 = 4*Y^n unexpectedly soluble: {scan.reason}")
     primitive: dict[int, list[Solution]] = {}
     for kk in range(k + 1):
         primitive[kk] = _primitive_solutions(kk, n_max, trace)

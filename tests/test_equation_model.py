@@ -39,6 +39,8 @@ def test_is_solution_examples(k, x, y, n, expected):
 def test_is_solution_rejects_nonpositive():
     assert not is_solution(LNInstance(0), 0, 5, 1)
     assert not is_solution(LNInstance(0), 9, 5, 0)
+    # (-9)^2 + 19 = 4*5^2: only the sign check refuses it
+    assert is_solution(LNInstance(0), -9, 5, 2) is False
 
 
 @pytest.mark.parametrize(
@@ -158,6 +160,8 @@ def test_n2_t0_congruences():
 def test_solution_validation():
     with pytest.raises(ValueError):
         Solution(0, 5, 2)
+    with pytest.raises(ValueError):
+        Solution(-9, 5, 2)  # odd, and (-9)^2 + 19 = 4*5^2
     with pytest.raises(ValueError):
         Solution(2, 5, 2)  # even x
     with pytest.raises(ValueError):

@@ -21,6 +21,8 @@ HUGE_INPUTS = [
     ("verify --k 0 --n-max 1000000", 0),
     ("oracle --k 3000 --n-max 1000", 0),
     ("verify --k 3000 --n-max 1000", 0),
+    ("oracle --k 3000 --n-max 1000000000", 2),
+    ("verify --k 3000 --n-max 1000000000", 2),
     ("oracle --k 30000", 0),
     ("classnum --disc -100000000003", 2),
     ("solve --k 2000 --n-max 2 --skip-oracle", 2),
@@ -36,7 +38,7 @@ HUGE_INPUTS = [
     ("oracle --k 0 --n-max 1000000000", 2),
     ("family --k 3000 --kind n2 --t 3000", 0),
     ("family --k 7000 --kind n7 --m 1000", 2),
-    (f"family --k 0 --kind n1 --t {10**2200}", 2),
+    (f"family --k 0 --kind n1 --t {10**2200}", 2, LIMIT_WORDS),
     (f"lucas --p {BIG} --q 1 --n 6", 2),
     (f"primdiv --p 1 --q {BIG} --n 10", 2),
     ("primdiv --p 1 --q 5 --n 1000000000", 2),

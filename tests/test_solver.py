@@ -534,6 +534,20 @@ def test_oracle_mismatch_raises(monkeypatch):
     with pytest.raises(OracleMismatchError) as err:
         solve(0, n_max=10, oracle_x_max=10**3)
     assert (9, 5, 2) in err.value.only_pipeline
+    assert str(err.value) == (
+        "k=0: pipeline-only triples [(9, 5, 2), (559, 5, 7)], oracle-only triples []"
+    )
+
+
+def test_solve_raises_when_the_19z2_scan_finds_a_witness(monkeypatch):
+    # plant x = 57 = 19*3, so Z = 3: the step's verdict is then forced
+    scan = caseworks.generalized_scan
+    monkeypatch.setattr(
+        caseworks, "generalized_scan", lambda *window: [*scan(*window), (57, 7, 3)]
+    )
+    assert caseworks.no_19z2_solutions(3, 10).outcome == caseworks.OUTCOME_FORCED
+    with pytest.raises(RuntimeError, match="soluble: scan found witnesses"):
+        solve(0, cross_check=False)
 
 
 def test_solve_input_validation():
@@ -541,6 +555,8 @@ def test_solve_input_validation():
         solve(-1)
     with pytest.raises(ValueError):
         solve(0, n_max=1)
+    with pytest.raises(ValueError, match="n_max must be at least 2, got 1"):
+        solve(0, n_max=1, cross_check=False)
 
 
 def test_step_bound_covers_every_recorded_step():

@@ -1,4 +1,5 @@
-"""Every top-level function and class of ln_kit has a caller outside tests/.
+"""Every top-level function and class of ln_kit, and every method and
+property of its top-level classes (dunders aside), has a caller outside tests/.
 
 The package keeps no code that only its tests run: a definition in
 src/ln_kit must be loaded by name somewhere in src/, scripts/ or
@@ -30,15 +31,27 @@ def loaded_names(trees):
     return names
 
 
+def definitions(path, tree):
+    """Each top-level function and class, and each method or property of a
+    top-level class other than a dunder, as module.name or module.cls.name."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield f"{path.stem}.{node.name}"
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, functions) and not member.name.startswith("__"):
+                    yield f"{path.stem}.{node.name}.{member.name}"
+
+
 def test_every_definition_is_loaded_outside_the_tests():
     sources = sorted(PACKAGE.glob("*.py"))
     scripts = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     used = loaded_names(parsed([*sources, *scripts]))
     defined = {
-        f"{path.stem}.{node.name}"
+        name
         for path, tree in zip(sources, parsed(sources))
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for name in definitions(path, tree)
     }
     assert len(defined) > 50
-    assert {name for name in defined if name.split(".")[1] not in used} == set()
+    assert {name for name in defined if name.split(".")[-1] not in used} == set()
