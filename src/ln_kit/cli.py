@@ -4,6 +4,8 @@ One compact, key-sorted JSON object per line; big integers are emitted as
 decimal strings so downstream consumers cannot overflow.  Identical flags
 produce identical bytes.  Exit status: 0 success, 1 verification mismatch,
 2 usage error or refused input, 141 when the reader closes stdout early.
+Only solve and verify load the solver (and with it caseworks): its three
+names are looked up on first use.
 """
 
 from __future__ import annotations
@@ -14,17 +16,40 @@ import os
 import sys
 from typing import Any
 
-from .caseworks import json_safe
-from .equation_model import LNInstance, instantiate_family, theorem_solution_set
+from .equation_model import (
+    LNInstance,
+    instantiate_family,
+    json_safe,
+    theorem_solution_set,
+)
 from .lucas_engine import FACTORING_BUDGET, LucasPair, lucas_u, primitive_divisor
 from .oracle import SearchWindow, brute_force, generalized_scan
 from .quadratic_integers import class_number_imag
-from .solver import OracleMismatchError, solve, verify_solution_completeness
+
+_SOLVER_NAMES = ("OracleMismatchError", "solve", "verify_solution_completeness")
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _solver_name(name: str) -> Any:
+    """The value bound to name on this module; else, for one of
+    _SOLVER_NAMES, the solver's, imported on first use and bound here.
+    Also the module's __getattr__, so ln_kit.cli.solve exists, and a
+    stand-in bound in its place is what the handlers call."""
+    if name in globals():
+        return globals()[name]
+    if name not in _SOLVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import solver
+
+    return globals().setdefault(name, getattr(solver, name))
+
+
+__getattr__ = _solver_name
 
 
 def _write(obj: dict[str, Any]) -> None:
     """Write obj to stdout as one compact, key-sorted JSON line."""
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_ENCODER.encode(obj) + "\n")
 
 
 def _window(args: argparse.Namespace) -> SearchWindow:
@@ -91,10 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
-        solutions, trace = solve(
+        solutions, trace = _solver_name("solve")(
             args.k, args.n_max, args.x_max, cross_check=not args.skip_oracle
         )
-    except OracleMismatchError as exc:
+    except _solver_name("OracleMismatchError") as exc:
         _write(
             {
                 "kind": "oracle_mismatch",
@@ -176,7 +201,7 @@ def _cmd_classnum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ok, report = verify_solution_completeness(args.k, _window(args))
+    ok, report = _solver_name("verify_solution_completeness")(args.k, _window(args))
     _write({"kind": "verify_report", **report})
     return 0 if ok else 1
 

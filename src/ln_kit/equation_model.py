@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, ClassVar
 
 from .lucas_engine import check_digits
@@ -34,6 +35,35 @@ def check_D_digits(k: int) -> None:
     its k runs it too, so a replayed step refuses a k that solve would have.
     """
     check_digits("19^(2k+1)", 2 * k + 1, math.log10(19))
+
+
+_JSON_INT_LIMIT = 2**53
+
+
+def json_safe(v: Any) -> Any:
+    """The JSON form of v, the package's one encoder of nested values.
+
+    Every integer of magnitude 2^53 or more becomes a decimal string, which
+    a JSON consumer could otherwise overflow on; bool is not int here and
+    stays a bool.  A list or tuple comes back as a new list, and a dict or
+    a read-only MappingProxyType as a new dict in the same key order, their
+    items encoded in turn, so the result shares no container with v.  An
+    object with to_jsonable (a Solution, a verdict, a route) encodes
+    itself; anything else, a subclass of these too, comes back as it is."""
+    t = type(v)
+    if t is int:
+        return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
+    if t is str:
+        return v
+    if t is dict or t is MappingProxyType:
+        return {k: json_safe(x) for k, x in v.items()}
+    if t is list or t is tuple:
+        # the common case, all small ints, checked without a call per element
+        if v and set(map(type, v)) == {int} and max(map(abs, v)) < _JSON_INT_LIMIT:
+            return list(v)
+        return [json_safe(x) for x in v]
+    to_jsonable = getattr(v, "to_jsonable", None)
+    return v if to_jsonable is None else to_jsonable()
 
 
 @dataclass(frozen=True)

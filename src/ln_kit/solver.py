@@ -121,9 +121,6 @@ class ProofTrace:
         self.steps.append(ProofStep(op, inputs, value))
         return value
 
-    def ops(self) -> list[str]:
-        return [s.op for s in self.steps]
-
     def find(self, op: str) -> list[ProofStep]:
         return [s for s in self.steps if s.op == op]
 

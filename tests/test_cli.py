@@ -49,7 +49,8 @@ def test_solve_trace_lines_replayable(capsys):
         steps = [l for l in lines if l["kind"] == "trace_step"]
         trace = ProofTrace.from_jsonable({"k": k, "n_max": 30, "steps": steps})
         assert len(trace.steps) == lines[-1]["steps"]
-        assert {"even_case", "bhv_gate", "no_19z2_solutions"} <= set(trace.ops())
+        ops = {s.op for s in trace.steps}
+        assert {"even_case", "bhv_gate", "no_19z2_solutions"} <= ops
         assert trace.replay() == []
     # at k = 7 the inputs X, Y exceed 2^53 and arrive as decimal strings
     assert any(isinstance(v, str) for s in trace.steps for v in s.inputs.values())
@@ -387,10 +388,12 @@ def test_both_oracle_forms_refuse_a_bad_window_alike(capsys, form):
 
 
 def loaded_submodules(statement):
-    """The ln_kit submodules a fresh interpreter holds after statement."""
+    """The ln_kit submodules a fresh interpreter holds after statement, a
+    one-line statement whose own stdout is discarded."""
     code = (
-        "import json, sys\n"
-        f"{statement}\n"
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {statement}\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ln_kit.'))))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -409,3 +412,65 @@ def test_package_import_loads_only_what_is_named():
     # the package re-exports nothing, so a module loads only its own imports
     assert loaded_submodules("import ln_kit") == []
     assert loaded_submodules("import ln_kit.lucas_engine") == ["ln_kit.lucas_engine"]
+
+
+def test_cli_import_loads_no_solver():
+    assert loaded_submodules("import ln_kit.cli") == [
+        "ln_kit.cli",
+        "ln_kit.equation_model",
+        "ln_kit.lucas_engine",
+        "ln_kit.oracle",
+        "ln_kit.quadratic_integers",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "lucas --p 1 --q 5 --n 13",
+        "primdiv --p 1 --q 5 --n 13",
+        "classnum --disc -19",
+        "family --k 0 --kind all",
+        "oracle --d 7 --lam 1",
+        "solve --k 0 --skip-oracle",
+        "verify --k 0",
+    ],
+)
+def test_only_solve_and_verify_load_the_solver(command):
+    argv = command.split()
+    loaded = set(loaded_submodules(f"from ln_kit.cli import main; main({argv!r})"))
+    solver = {"ln_kit.solver", "ln_kit.caseworks"}
+    if argv[0] in ("solve", "verify"):
+        assert solver <= loaded
+    else:
+        assert not solver & loaded
+
+
+def test_cli_has_only_the_solver_names_it_looks_up():
+    import ln_kit.solver as solver_mod
+
+    assert getattr(cli, "no_such_name", None) is None
+    assert getattr(cli, "ProofTrace", None) is None
+    assert cli.solve is solver_mod.solve
+
+
+def test_solve_command_runs_a_stand_in_bound_on_the_module(capsys, monkeypatch):
+    calls = []
+
+    def stand_in(k, n_max, x_max, cross_check):
+        calls.append((k, n_max, x_max, cross_check))
+        return [], ProofTrace(k=k, n_max=n_max)
+
+    monkeypatch.setattr(cli, "solve", stand_in)
+    code, out = run_cli(capsys, "solve", "--k", "3", "--skip-oracle")
+    assert code == 0
+    assert calls == [(3, 30, 10**7, False)]
+    assert parse_lines(out) == [
+        {
+            "k": 3,
+            "kind": "trace_summary",
+            "oracle_checked": False,
+            "solutions": 0,
+            "steps": 0,
+        }
+    ]

@@ -100,10 +100,10 @@ def test_trace_replays_bit_for_bit():
 def test_replay_names_tampered_steps():
     _, trace = solve(7, n_max=7, cross_check=False)
     steps = list(trace.steps)
-    i = trace.ops().index("p3_case")
+    i = [s.op for s in trace.steps].index("p3_case")
     flipped = {**steps[i].result, "outcome": "solutions"}
     steps[i] = ProofStep("p3_case", steps[i].inputs, flipped)
-    j = trace.ops().index("valuation_trichotomy")
+    j = [s.op for s in trace.steps].index("valuation_trichotomy")
     x_times_19 = {**steps[j].inputs, "X": steps[j].inputs["X"] * 19}
     steps[j] = ProofStep("valuation_trichotomy", x_times_19, steps[j].result)
     bad = ProofTrace(k=7, n_max=7, steps=steps).replay()
@@ -114,7 +114,7 @@ def test_replay_names_tampered_steps():
 def test_replay_names_a_dropped_oracle_triple():
     _, trace = solve(1, n_max=10, oracle_x_max=10**4)
     steps = list(trace.steps)
-    i = trace.ops().index("oracle_cross_check")
+    i = [s.op for s in trace.steps].index("oracle_cross_check")
     assert len(steps[i].result["solutions"]) == 2
     dropped = {"solutions": steps[i].result["solutions"][1:]}
     steps[i] = ProofStep("oracle_cross_check", steps[i].inputs, dropped)
@@ -134,7 +134,7 @@ def test_replay_refuses_a_tampered_huge_z_max():
     # the 19*Z^2 + 1 scan is under the oracle's scan budget: refused, not run
     _, trace = solve(0, n_max=3, cross_check=False)
     steps = list(trace.steps)
-    i = trace.ops().index("no_19z2_solutions")
+    i = [s.op for s in trace.steps].index("no_19z2_solutions")
     huge = {**steps[i].inputs, "z_max": 10**15}
     steps[i] = ProofStep("no_19z2_solutions", huge, steps[i].result)
     (bad,) = ProofTrace(k=0, n_max=3, steps=steps).replay()
@@ -145,7 +145,7 @@ def test_replay_refuses_a_tampered_huge_p3_search_bound():
     # p3_case's box is under the oracle's scan budget too: refused, not run
     _, trace = solve(0, n_max=3, cross_check=False)
     steps = list(trace.steps)
-    i = trace.ops().index("p3_case")
+    i = [s.op for s in trace.steps].index("p3_case")
     huge = {**steps[i].inputs, "search_bound": 10**15}
     steps[i] = ProofStep("p3_case", huge, steps[i].result)
     (bad,) = ProofTrace(k=0, n_max=3, steps=steps).replay()
@@ -191,13 +191,13 @@ def test_oracle_x_max_reads_its_input_as_replay_does(x_max):
 def test_replay_names_tampered_native_values():
     _, trace = solve(2, n_max=7, cross_check=False)
     steps = list(trace.steps)
-    i = trace.ops().index("even_case")
+    i = [s.op for s in trace.steps].index("even_case")
     found = steps[i].value
     (sol,) = found.solutions
     moved = Solution(sol.x, sol.y + 2, sol.n)
     moved_found = dataclasses.replace(found, solutions=(moved,))
     steps[i] = ProofStep("even_case", steps[i].inputs, moved_found)
-    j = trace.ops().index("mod19_forces_p")
+    j = [s.op for s in trace.steps].index("mod19_forces_p")
     sieve = steps[j].value
     (check,) = sieve.trace
     zeroed = {**check, "residues": [0, *check["residues"][1:]]}
@@ -212,7 +212,7 @@ def test_replay_names_tampered_native_values():
 def test_replay_names_a_valuation_step_tampered_to_a_bad_split():
     # x = 19^s * X leaves X odd and prime to 19; 19 | X or an even X diverges
     _, trace = solve(1, n_max=7, cross_check=False)
-    i = trace.ops().index("valuation_trichotomy")
+    i = [s.op for s in trace.steps].index("valuation_trichotomy")
     step = trace.steps[i]
     for X in (step.inputs["X"] * 19, step.inputs["X"] + 1):
         steps = list(trace.steps)
@@ -226,7 +226,7 @@ def test_replay_names_a_valuation_step_tampered_to_a_bad_split():
 def with_inputs(trace, op, **inputs):
     """A copy of trace whose first op step has these inputs, its value kept."""
     steps = list(trace.steps)
-    i = trace.ops().index(op)
+    i = [s.op for s in trace.steps].index(op)
     steps[i] = ProofStep(op, {**steps[i].inputs, **inputs}, steps[i].value)
     return ProofTrace(k=trace.k, n_max=trace.n_max, steps=steps)
 
@@ -293,7 +293,7 @@ HUGE = 10**400  # past a float: (2k+1)*log10(19) and n*log10|alpha| overflow
 def test_replay_names_a_huge_or_malformed_step(op, field, value):
     # past a float or a C index, or no step at all: named, not raised
     _, trace = solve(0, n_max=13, oracle_x_max=10**3)
-    i = trace.ops().index(op)
+    i = [s.op for s in trace.steps].index(op)
     steps = list(trace.steps)
     step = steps[i]
     if field == "op":
@@ -391,7 +391,7 @@ def test_json_replay_encodes_each_shared_verdict_once(monkeypatch):
 def test_json_replay_names_only_the_step_whose_shared_verdict_was_tampered():
     _, trace = solve(7, cross_check=False)
     rebuilt = rebuilt_from_json(trace)
-    ops = rebuilt.ops()
+    ops = [s.op for s in rebuilt.steps]
     mod19 = [i for i, op in enumerate(ops) if op == "mod19_forces_p"]
     # the first step of a verdict, and a later step that shares it
     p = rebuilt.steps[mod19[0]].inputs["p"]
@@ -415,7 +415,7 @@ def test_replay_names_a_step_whose_value_is_another_verdict():
     step = mod19[0]
     other = next(s.value for s in mod19 if s.inputs["p"] != step.inputs["p"])
     assert other.outcome == step.value.outcome == caseworks.OUTCOME_CONTRADICTION
-    i = trace.ops().index("mod19_forces_p")
+    i = [s.op for s in trace.steps].index("mod19_forces_p")
     trace.steps[i] = ProofStep(step.op, step.inputs, other)
     assert trace.replay() == ["mod19_forces_p"]
     assert rebuilt_from_json(trace).replay() == ["mod19_forces_p"]
@@ -427,7 +427,8 @@ def test_replay_names_a_shared_verdict_step_tampered_to_p_19():
     step = trace.find("mod19_forces_p")[0]
     assert step.inputs["t"] < step.inputs["k"] and step.inputs["p"] != 19
     tampered = with_inputs(trace, "mod19_forces_p", p=19)
-    assert tampered.steps[trace.ops().index("mod19_forces_p")].value is step.value
+    i = [s.op for s in trace.steps].index("mod19_forces_p")
+    assert tampered.steps[i].value is step.value
     assert tampered.replay() == ["mod19_forces_p"]
     assert rebuilt_from_json(tampered).replay() == ["mod19_forces_p"]
 
@@ -455,7 +456,7 @@ def test_composite_lift_is_recorded_and_replayed():
     assert (lift.inputs, lift.result) == ({"y": 5, "j": 7, "n": 49}, {"root": None})
     assert trace.replay() == [] and rebuilt_from_json(trace).replay() == []
     steps = list(trace.steps)
-    i = trace.ops().index("composite_lift")
+    i = [s.op for s in trace.steps].index("composite_lift")
     steps[i] = ProofStep("composite_lift", lift.inputs, {"root": 5})
     tampered = ProofTrace(k=0, n_max=49, steps=steps)
     assert tampered.replay() == ["composite_lift"]

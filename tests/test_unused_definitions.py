@@ -3,7 +3,10 @@ property of its top-level classes (dunders aside), has a caller outside tests/.
 
 The package keeps no code that only its tests run: a definition in
 src/ln_kit must be loaded by name somewhere in src/, scripts/ or
-perfbench/.  An op name of the step table STEPS counts as a use too.
+perfbench/.  A top-level name counts as loaded when it is read as a bare
+name or an attribute, a method or property only when it is read as an
+attribute, so a local variable of the same name does not keep it.  An op
+name of the step table STEPS counts as a use of a top-level name too.
 """
 
 import ast
@@ -18,17 +21,18 @@ def parsed(paths):
 
 
 def loaded_names(trees):
-    """Every name read as a bare name or an attribute, and the keys of STEPS."""
-    names = set()
+    """The names read as bare names or STEPS keys, and those read as
+    attributes, as two sets."""
+    bare, attributes = set(), set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "STEPS":
-                names.update(key.value for key in node.value.keys)
-    return names
+                bare.update(key.value for key in node.value.keys)
+    return bare, attributes
 
 
 def definitions(path, tree):
@@ -47,11 +51,17 @@ def definitions(path, tree):
 def test_every_definition_is_loaded_outside_the_tests():
     sources = sorted(PACKAGE.glob("*.py"))
     scripts = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    used = loaded_names(parsed([*sources, *scripts]))
+    bare, attributes = loaded_names(parsed([*sources, *scripts]))
     defined = {
         name
         for path, tree in zip(sources, parsed(sources))
         for name in definitions(path, tree)
     }
+
+    def used(name):
+        # module.name is a top-level name, module.cls.name a method or property
+        parts = name.split(".")
+        return parts[-1] in attributes or (len(parts) == 2 and parts[-1] in bare)
+
     assert len(defined) > 50
-    assert {name for name in defined if name.split(".")[-1] not in used} == set()
+    assert {name for name in defined if not used(name)} == set()
