@@ -4,8 +4,8 @@ One compact, key-sorted JSON object per line; big integers are emitted as
 decimal strings so downstream consumers cannot overflow.  Identical flags
 produce identical bytes.  Exit status: 0 success, 1 verification mismatch,
 2 usage error or refused input, 141 when the reader closes stdout early.
-Only solve and verify load the solver (and with it caseworks): its three
-names are looked up on first use.
+Only solve and verify load the solver (and with it caseworks): they read
+its three names off this module, whose __getattr__ imports them.
 """
 
 from __future__ import annotations
@@ -28,23 +28,19 @@ from .quadratic_integers import class_number_imag
 
 _SOLVER_NAMES = ("OracleMismatchError", "solve", "verify_solution_completeness")
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# this module: the handlers read the solver's names off it, so a stand-in
+# bound here is found before __getattr__
+_cli = sys.modules[__name__]
 
 
-def _solver_name(name: str) -> Any:
-    """The value bound to name on this module; else, for one of
-    _SOLVER_NAMES, the solver's, imported on first use and bound here.
-    Also the module's __getattr__, so ln_kit.cli.solve exists, and a
-    stand-in bound in its place is what the handlers call."""
-    if name in globals():
-        return globals()[name]
+def __getattr__(name: str) -> Any:
+    """One of _SOLVER_NAMES, imported from the solver; Python calls this
+    (PEP 562) only for a name that is not bound on the module."""
     if name not in _SOLVER_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import solver
 
-    return globals().setdefault(name, getattr(solver, name))
-
-
-__getattr__ = _solver_name
+    return getattr(solver, name)
 
 
 def _write(obj: dict[str, Any]) -> None:
@@ -116,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
-        solutions, trace = _solver_name("solve")(
+        solutions, trace = _cli.solve(
             args.k, args.n_max, args.x_max, cross_check=not args.skip_oracle
         )
-    except _solver_name("OracleMismatchError") as exc:
+    except _cli.OracleMismatchError as exc:
         _write(
             {
                 "kind": "oracle_mismatch",
@@ -150,8 +146,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     # either --k alone, or --d and --lam together
     generalized = args.d is not None
     if (args.k is None) != generalized or (args.lam is None) == generalized:
-        print("ln-kit oracle: provide --k, or both --d and --lam", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("provide --k, or both --d and --lam")
     if generalized:
         triples = generalized_scan(args.d, args.lam, args.n_min, args.n_max, args.x_max)
         for x, y, n in triples:
@@ -172,8 +167,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     param = args.m if args.kind == "n7" else args.t
     if param is None:
         flag, kinds = ("--m", "n7") if args.kind == "n7" else ("--t", "n1/n2")
-        print(f"ln-kit family: {flag} is required for {kinds}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"{flag} is required for {kinds}")
     sol = instantiate_family(inst, args.kind, param)
     _write(_solution_obj(sol, k=args.k, family=args.kind, param=param))
     return 0
@@ -201,7 +195,7 @@ def _cmd_classnum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ok, report = _solver_name("verify_solution_completeness")(args.k, _window(args))
+    ok, report = _cli.verify_solution_completeness(args.k, _window(args))
     _write({"kind": "verify_report", **report})
     return 0 if ok else 1
 

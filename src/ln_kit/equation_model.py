@@ -117,7 +117,7 @@ def instantiate_family(inst: LNInstance, kind: str, param: int) -> Solution:
     log19 = math.log10(19)
     if kind == "n1":
         # y = t^2 + t + (1+D)/4 is about as long as its longer term
-        check_digits("y", 2 * k + 1, log19)
+        check_D_digits(k)
         check_digits("y", 2, math.log10(t + 1))
         sol = Solution(2 * t + 1, t * t + t + (1 + inst.D) // 4, 1)
     elif kind == "n2":

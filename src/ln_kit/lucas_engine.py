@@ -290,12 +290,15 @@ def primitive_divisor(
 ) -> PrimitiveDivisorVerdict:
     """Decide whether u_n has a primitive divisor, factoring within budget.
 
-    u_n comes from lucas_u, which refuses it before any work when it, or an
-    earlier term the verdict quotes, is too long to write.  One more pass of
-    the recurrence finds, for each prime factor q of u_n, the first j in
-    [2, n) with q | u_j and that u_j, which the obstruction quotes.  No list of terms is kept, so memory grows with
-    n, not n^2.
+    A budget below 0 is refused before any work.  u_n comes from lucas_u,
+    which refuses it before any work when it, or an earlier term the verdict
+    quotes, is too long to write.  One more pass of the recurrence finds,
+    for each prime factor q of u_n, the first j in [2, n) with q | u_j and
+    that u_j, which the obstruction quotes.  No list of terms is kept, so
+    memory grows with n, not n^2.
     """
+    if factoring_budget < 0:
+        raise ValueError(f"factoring budget must be at least 0, got {factoring_budget}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     value = abs(lucas_u(pair, n))  # never 0: LucasPair rejects degenerate pairs

@@ -22,6 +22,7 @@ from .equation_model import (
     Solution,
     check_D_digits,
     is_solution,
+    json_safe,
     theorem_solution_set,
 )
 from .lucas_engine import (
@@ -65,7 +66,7 @@ class ProofStep:
 
     value is the procedure's own return value when the step was recorded,
     and the JSON result when the trace was rebuilt from its JSON form;
-    caseworks.json_safe turns either into the JSON result.  The class is not
+    json_safe turns either into the JSON result.  The class is not
     frozen: a frozen __init__ sets each field through object.__setattr__, a
     cost every recorded step pays, and freezing would not guard a trace
     anyway (inputs is a mutable dict); replay is the check.
@@ -77,17 +78,9 @@ class ProofStep:
 
     @property
     def result(self) -> dict[str, Any]:
-        """The JSON form of the value, built by caseworks.json_safe on each
-        access; it shares no container with the value."""
-        return caseworks.json_safe(self.value)
-
-    def to_jsonable(self, result: Any = None) -> dict[str, Any]:
-        """The step as JSON; result, when given, is self.result already built."""
-        return {
-            "op": self.op,
-            "inputs": caseworks.json_safe(self.inputs),
-            "result": self.result if result is None else result,
-        }
+        """The JSON form of the value, built by json_safe on each access; it
+        shares no container with the value."""
+        return json_safe(self.value)
 
 
 @dataclass
@@ -157,7 +150,7 @@ class ProofTrace:
                 got = fn(**inputs)
                 if got is not step.value and got != step.value:
                     if id(got) not in encoded:
-                        encoded[id(got)] = (got, caseworks.json_safe(got))
+                        encoded[id(got)] = (got, json_safe(got))
                     if encoded[id(got)][1] != step.value:
                         bad.append(step.op)
             except (AttributeError, OverflowError, TypeError, ValueError) as exc:
@@ -165,14 +158,15 @@ class ProofTrace:
         return bad
 
     def jsonable_steps(self) -> Iterator[dict[str, Any]]:
-        """Each step's to_jsonable(), in order, with one result dict built
-        per distinct value object (see to_jsonable)."""
+        """Each step as {"op", "inputs", "result"}, in order, its inputs and
+        result through json_safe, with one result built per distinct value
+        object (see to_jsonable)."""
         results: dict[int, Any] = {}
         for s in self.steps:
             key = id(s.value)
             if key not in results:
                 results[key] = s.result
-            yield s.to_jsonable(results[key])
+            yield {"op": s.op, "inputs": json_safe(s.inputs), "result": results[key]}
 
     def to_jsonable(self) -> dict[str, Any]:
         """The trace as JSON, its steps from jsonable_steps: steps that share
@@ -184,7 +178,7 @@ class ProofTrace:
             "n_max": self.n_max,
             "oracle_checked": x_max is not None,
             "oracle_x_max": x_max,
-            "solutions": caseworks.json_safe(self.solutions),
+            "solutions": json_safe(self.solutions),
             "steps": list(self.jsonable_steps()),
         }
 
@@ -437,7 +431,7 @@ def verify_solution_completeness(
         "theorem": claimed,
         "ok": ok,
     }
-    return ok, caseworks.json_safe(report)
+    return ok, json_safe(report)
 
 
 def _primitive_divisor_step(P: int, Q: int, n: int, factoring_budget: int) -> Any:

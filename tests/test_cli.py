@@ -171,9 +171,7 @@ def test_oracle_requires_k_or_generalized_pair(capsys):
         ["oracle", "--d", "7", "--n-max", "5"],
         ["oracle", "--k", "1", "--d", "7", "--lam", "1", "--n-max", "5"],
     ):
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
-        assert err.value.code == 2
+        assert cli.main(argv) == 2, argv
         out, err_text = capsys.readouterr()
         assert out == "" and err_text.count("\n") == 1, argv
 
@@ -197,9 +195,7 @@ def test_family_rejects_out_of_range_parameter(capsys):
         assert cli.main(["family", *args]) == 2, args
     # a missing parameter is a usage error before any member is built
     for args in (["--k", "3", "--kind", "n1"], ["--k", "7", "--kind", "n7"]):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["family", *args])
-        assert err.value.code == 2, args
+        assert cli.main(["family", *args]) == 2, args
     assert capsys.readouterr().out == ""
 
 
@@ -271,6 +267,20 @@ def test_primdiv_indeterminate_surfaced_exit_zero(capsys):
     line = parse_lines(out)[0]
     assert line["indeterminate"] is True
     assert line["exists"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "primdiv --p 1 --q 5 --n 13 --budget -1",
+        "primdiv --p 2 --q 9 --n 61 --budget -5",
+    ],
+)
+def test_primdiv_refuses_a_negative_budget_exit_2(capsys, argv):
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ln-kit: factoring budget must be at least 0")
 
 
 def test_classnum_command(capsys):

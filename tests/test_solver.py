@@ -5,8 +5,15 @@ import time
 
 import pytest
 
+import ln_kit.solver as solver_mod
 from ln_kit import caseworks
-from ln_kit.equation_model import LNInstance, Solution, is_solution, theorem_solution_set
+from ln_kit.equation_model import (
+    LNInstance,
+    Solution,
+    is_solution,
+    json_safe,
+    theorem_solution_set,
+)
 from ln_kit.lucas_engine import FACTORING_BUDGET, LucasPair, primitive_divisor
 from ln_kit.oracle import SearchWindow, iroot, perfect_root
 from ln_kit.solver import (
@@ -348,6 +355,22 @@ def test_replay_refuses_a_factoring_budget_over_the_solvers(inputs):
         assert bad.startswith("primitive_divisor:") and "FACTORING_BUDGET" in bad
 
 
+def test_replay_names_steps_tampered_to_a_negative_factoring_budget():
+    _, trace = solve(0, n_max=13, oracle_x_max=10**3)
+    steps = [
+        ProofStep(s.op, {**s.inputs, "factoring_budget": -1}, s.value)
+        if s.op == "primitive_divisor"
+        else s
+        for s in trace.steps
+    ]
+    tampered = ProofTrace(k=0, n_max=13, steps=steps)
+    for replayed in (tampered, rebuilt_from_json(tampered)):
+        bad = replayed.replay()
+        assert len(bad) == 4
+        for b in bad:
+            assert b.startswith("primitive_divisor:") and "at least 0" in b
+
+
 def test_replay_names_steps_whose_inputs_are_not_integers():
     # int() would read t = 0.9, p = 3.4 as the step's own t = 0, p = 3 and
     # m = True as m = 1; only an int or its exact decimal string is an input
@@ -375,13 +398,12 @@ def test_json_replay_encodes_each_shared_verdict_once(monkeypatch):
     assert len(steps) > 2 * len(shared)
     rebuilt = rebuilt_from_json(trace)
     encoded = []
-    json_safe = caseworks.json_safe
 
     def spy(value):
         encoded.append(value)
         return json_safe(value)
 
-    monkeypatch.setattr(caseworks, "json_safe", spy)
+    monkeypatch.setattr(solver_mod, "json_safe", spy)
     assert rebuilt.replay() == []
     assert [sum(v is value for v in encoded) for value in shared.values()] == [1] * len(
         shared
@@ -490,7 +512,13 @@ def test_trace_json_equals_its_steps_serialized_one_by_one(k):
     _, trace = solve(k)
     for t in (trace, rebuilt_from_json(trace)):
         data = t.to_jsonable()
-        alone = {**data, "steps": [s.to_jsonable() for s in t.steps]}
+        alone = {
+            **data,
+            "steps": [
+                {"op": s.op, "inputs": json_safe(s.inputs), "result": s.result}
+                for s in t.steps
+            ],
+        }
         assert json.dumps(data) == json.dumps(alone)
         assert [s["result"] for s in data["steps"]] == [s.result for s in t.steps]
 
@@ -501,7 +529,7 @@ def test_solve_and_replay_build_no_json(monkeypatch):
         raise AssertionError("json_safe called")
 
     with monkeypatch.context() as patch:
-        patch.setattr(caseworks, "json_safe", refuse)
+        patch.setattr(solver_mod, "json_safe", refuse)
         _, trace = solve(3, cross_check=False)
         assert trace.replay() == []
     blob = json.dumps(trace.to_jsonable()).encode()

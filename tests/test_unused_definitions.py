@@ -1,5 +1,6 @@
 """Every top-level function and class of ln_kit, and every method and
-property of its top-level classes (dunders aside), has a caller outside tests/.
+property of its top-level classes (dunders aside), has a caller outside
+tests/, and every name a module of ln_kit imports is read in that module.
 
 The package keeps no code that only its tests run: a definition in
 src/ln_kit must be loaded by name somewhere in src/, scripts/ or
@@ -7,6 +8,8 @@ perfbench/.  A top-level name counts as loaded when it is read as a bare
 name or an attribute, a method or property only when it is read as an
 attribute, so a local variable of the same name does not keep it.  An op
 name of the step table STEPS counts as a use of a top-level name too.
+A dunder is called by Python, not loaded by name (a module's __getattr__,
+a class's __post_init__), so it needs no caller.
 """
 
 import ast
@@ -35,16 +38,21 @@ def loaded_names(trees):
     return bare, attributes
 
 
+def dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(path, tree):
     """Each top-level function and class, and each method or property of a
-    top-level class other than a dunder, as module.name or module.cls.name."""
+    top-level class, other than a dunder, as module.name or module.cls.name."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        if isinstance(node, (*functions, ast.ClassDef)):
-            yield f"{path.stem}.{node.name}"
+        if not isinstance(node, (*functions, ast.ClassDef)) or dunder(node.name):
+            continue
+        yield f"{path.stem}.{node.name}"
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, functions) and not member.name.startswith("__"):
+                if isinstance(member, functions) and not dunder(member.name):
                     yield f"{path.stem}.{node.name}.{member.name}"
 
 
@@ -65,3 +73,22 @@ def test_every_definition_is_loaded_outside_the_tests():
 
     assert len(defined) > 50
     assert {name for name in defined if not used(name)} == set()
+
+
+def test_every_imported_name_is_read_where_it_is_imported():
+    # a name read as a bare name only: a STEPS key of the same name does not
+    # keep an import; from __future__ import annotations is not read at all
+    dead = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        (tree,) = parsed([path])
+        nodes = list(ast.walk(tree))
+        read = {
+            n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and name != "annotations":
+                        dead.add(f"{path.stem}: {name}")
+    assert dead == set()
