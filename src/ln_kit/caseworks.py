@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any
 
 from .equation_model import Solution, check_D_digits, json_safe
-from .lucas_engine import is_probable_prime
+from .lucas_engine import Frozen, is_probable_prime
 from .oracle import check_budget, generalized_scan, iroot, perfect_root
 
 OUTCOME_CONTRADICTION = "contradiction"
@@ -23,17 +22,37 @@ OUTCOME_REDUCED = "reduced"
 OUTCOME_SOLUTIONS = "solutions"
 
 
-@dataclass(frozen=True, slots=True)
-class CaseVerdict:
+class CaseVerdict(Frozen):
     """Outcome of one proof step plus the congruence trace that supports it."""
 
-    outcome: str
-    reason: str = ""
-    assignments: tuple[tuple[str, int], ...] = ()
-    reduced_k: int | None = None
-    constraints: tuple[str, ...] = ()
-    solutions: tuple[Solution, ...] = ()
-    trace: tuple[dict[str, Any], ...] = ()
+    __slots__ = __match_args__ = (
+        "outcome", "reason", "assignments", "reduced_k", "constraints", "solutions",
+        "trace",
+    )
+
+    def __init__(
+        self, outcome: str, reason: str = "", assignments: tuple = (),
+        reduced_k: int | None = None, constraints: tuple = (), solutions: tuple = (),
+        trace: tuple = (),
+    ) -> None:
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "assignments", assignments)
+        object.__setattr__(self, "reduced_k", reduced_k)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "solutions", solutions)
+        object.__setattr__(self, "trace", trace)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CaseVerdict:
+            return NotImplemented
+        return (
+            self.outcome, self.reason, self.assignments, self.reduced_k,
+            self.constraints, self.solutions, self.trace,
+        ) == (
+            other.outcome, other.reason, other.assignments, other.reduced_k,
+            other.constraints, other.solutions, other.trace,
+        )
 
     @classmethod
     def contradiction(cls, reason: str, trace=()) -> CaseVerdict:

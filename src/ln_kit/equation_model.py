@@ -3,24 +3,27 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, ClassVar
+from typing import Any
 
-from .lucas_engine import check_digits
+from .lucas_engine import Frozen, check_digits
 
 
-@dataclass(frozen=True)
-class LNInstance:
+class LNInstance(Frozen):
     """The equation x^2 + 19^(2k+1) = 4*y^n for one fixed k >= 0."""
 
-    k: int
+    __slots__ = __match_args__ = ("k",)
+    LAMBDA = 4
 
-    LAMBDA: ClassVar[int] = 4
+    def __init__(self, k: int) -> None:
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
+        object.__setattr__(self, "k", k)
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"k must be non-negative, got {self.k}")
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LNInstance:
+            return NotImplemented
+        return self.k == other.k
 
     @property
     def D(self) -> int:
@@ -66,19 +69,24 @@ def json_safe(v: Any) -> Any:
     return v if to_jsonable is None else to_jsonable()
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Frozen):
     """A positive triple (x, y, n); x and y odd (forced by the equation mod 8)."""
 
-    x: int
-    y: int
-    n: int
+    __slots__ = __match_args__ = ("x", "y", "n")
 
-    def __post_init__(self) -> None:
-        if self.x <= 0 or self.y <= 0 or self.n < 1:
+    def __init__(self, x: int, y: int, n: int) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "n", n)
+        if x <= 0 or y <= 0 or n < 1:
             raise ValueError(f"solution entries must be positive: {self}")
-        if self.x % 2 == 0 or self.y % 2 == 0:
+        if x % 2 == 0 or y % 2 == 0:
             raise ValueError(f"x and y must be odd: {self}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Solution:
+            return NotImplemented
+        return (self.x, self.y, self.n) == (other.x, other.y, other.n)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.n)

@@ -11,7 +11,8 @@ word-size multiplications (FACTORING_BUDGET unless given), which pays for
 each Miller-Rabin round on each piece too; a cofactor left unsplit or
 untested yields an explicit indeterminate verdict, never a silent negative.
 The oracle runs trial_divide alone, to read the divisors of D off an exact
-factorization.
+factorization.  Frozen, the base of the package's frozen value types, lives
+here, in the module every other one imports.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Any
 
@@ -39,22 +39,54 @@ FACTORING_BUDGET = 10**6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class LucasPair:
+class Frozen:
+    """Base of the frozen value types: repr as Name(field=value, ...) and hash
+    as the tuple of the fields that __match_args__ names, in __init__'s order,
+    and no assignment or deletion.  Each type holds its fields in __slots__
+    (SearchWindow aside) and writes its own __init__, through
+    object.__setattr__, and __eq__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # a class that defines __eq__ and not __hash__ gets __hash__ = None
+        cls.__hash__ = Frozen.__hash__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self.__match_args__))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LucasPair(Frozen):
     """(P, Q) = (alpha + beta, alpha * beta), coprime, nonzero, nondegenerate."""
 
-    P: int
-    Q: int
+    __slots__ = __match_args__ = ("P", "Q")
 
-    def __post_init__(self) -> None:
-        if self.P == 0 or self.Q == 0:
-            raise ValueError(f"P and Q must both be nonzero, got ({self.P}, {self.Q})")
-        if math.gcd(self.P, self.Q) != 1:
-            raise ValueError(f"P and Q must be coprime, got ({self.P}, {self.Q})")
+    def __init__(self, P: int, Q: int) -> None:
+        if P == 0 or Q == 0:
+            raise ValueError(f"P and Q must both be nonzero, got ({P}, {Q})")
+        if math.gcd(P, Q) != 1:
+            raise ValueError(f"P and Q must be coprime, got ({P}, {Q})")
         # alpha/beta is a root of unity exactly when P^2 / Q is 0, 1, 2, 3 or 4;
         # P^2 = 4Q is also the zero-discriminant case.
-        if self.P * self.P in (self.Q, 2 * self.Q, 3 * self.Q, 4 * self.Q):
-            raise ValueError(f"({self.P}, {self.Q}) is a degenerate Lucas pair")
+        if P * P in (Q, 2 * Q, 3 * Q, 4 * Q):
+            raise ValueError(f"({P}, {Q}) is a degenerate Lucas pair")
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "Q", Q)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LucasPair:
+            return NotImplemented
+        return (self.P, self.Q) == (other.P, other.Q)
 
     @property
     def disc(self) -> int:
@@ -70,8 +102,7 @@ class BhvRoute(str, Enum):
         return {"route": self.value}
 
 
-@dataclass(frozen=True)
-class PrimitiveDivisorVerdict:
+class PrimitiveDivisorVerdict(Frozen):
     """Outcome of the primitive-divisor test at index n.
 
     exists is meaningful only when indeterminate is False; witness is the
@@ -79,15 +110,31 @@ class PrimitiveDivisorVerdict:
     failing factor is absorbed (by the discriminant or an earlier term).
     """
 
-    n: int
-    exists: bool
-    witness: int | None = None
-    obstruction: str | None = None
-    indeterminate: bool = False
+    __slots__ = __match_args__ = (
+        "n", "exists", "witness", "obstruction", "indeterminate"
+    )
+
+    def __init__(
+        self, n: int, exists: bool, witness=None, obstruction=None, indeterminate=False
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "exists", exists)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "obstruction", obstruction)
+        object.__setattr__(self, "indeterminate", indeterminate)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PrimitiveDivisorVerdict:
+            return NotImplemented
+        return (
+            self.n, self.exists, self.witness, self.obstruction, self.indeterminate
+        ) == (
+            other.n, other.exists, other.witness, other.obstruction, other.indeterminate
+        )
 
     def to_jsonable(self) -> dict[str, Any]:
         witness = None if self.witness is None else str(self.witness)
-        return asdict(self) | {"witness": witness}
+        return {f: getattr(self, f) for f in self.__slots__} | {"witness": witness}
 
 
 def lucas_u(pair: LucasPair, n: int) -> int:

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .equation_model import LNInstance, Solution, is_solution
-from .lucas_engine import trial_divide
+from .lucas_engine import Frozen, trial_divide
 
 # Most candidates one scan may try, in y-candidate units; every y-scanned n
 # counts as at least one, and so does the walk.
@@ -67,18 +66,30 @@ WALK_PER_Y = 4
 WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
 
 
-@dataclass(frozen=True)
-class SearchWindow:
-    """Finite search region; n = 1 is excluded (infinite parametric family)."""
+class SearchWindow(Frozen):
+    """Finite search region; n = 1 is excluded (infinite parametric family).
+    Its fields live in a __dict__: a slot cannot share the name of a class
+    attribute, and the CLI reads the defaults as SearchWindow.n_max etc."""
 
-    k: int
-    n_min: int = 2
-    n_max: int = 30
-    x_max: int = 10**7
+    __match_args__ = ("k", "n_min", "n_max", "x_max")
+    n_min = 2
+    n_max = 30
+    x_max = 10**7
 
-    def __post_init__(self) -> None:
-        LNInstance(self.k)  # refuses a negative k
-        _check_window(self.n_min, self.n_max, self.x_max)
+    def __init__(self, k: int, n_min=n_min, n_max=n_max, x_max=x_max) -> None:
+        LNInstance(k)  # refuses a negative k
+        _check_window(n_min, n_max, x_max)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n_min", n_min)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "x_max", x_max)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SearchWindow:
+            return NotImplemented
+        return (self.k, self.n_min, self.n_max, self.x_max) == (
+            other.k, other.n_min, other.n_max, other.x_max
+        )
 
 
 def _check_window(n_min: int, n_max: int, x_max: int) -> None:

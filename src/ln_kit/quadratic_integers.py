@@ -12,23 +12,28 @@ base element freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .lucas_engine import Frozen
 from .oracle import check_budget
 
 
-@dataclass(frozen=True)
-class QuadInt19:
+class QuadInt19(Frozen):
     """(a + b*sqrt(-19)) / 2, valid only when a and b share parity."""
 
-    a: int
-    b: int
+    __slots__ = __match_args__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if (self.a - self.b) % 2 != 0:
+    def __init__(self, a: int, b: int) -> None:
+        if (a - b) % 2 != 0:
             raise ValueError(
-                f"(a, b) = ({self.a}, {self.b}) is not a ring element: a != b (mod 2)"
+                f"(a, b) = ({a}, {b}) is not a ring element: a != b (mod 2)"
             )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not QuadInt19:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
 
     @property
     def norm(self) -> int:

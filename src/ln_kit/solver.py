@@ -12,7 +12,6 @@ from the trace's JSON form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from . import caseworks
@@ -28,6 +27,7 @@ from .equation_model import (
 from .lucas_engine import (
     FACTORING_BUDGET,
     BhvRoute,
+    Frozen,
     LucasPair,
     bhv_gate,
     is_probable_prime,
@@ -60,21 +60,32 @@ class OracleMismatchError(RuntimeError):
         )
 
 
-@dataclass(slots=True)
 class ProofStep:
     """One step: the op, its inputs and the value its procedure returned.
 
     value is the procedure's own return value when the step was recorded,
     and the JSON result when the trace was rebuilt from its JSON form;
-    json_safe turns either into the JSON result.  The class is not
-    frozen: a frozen __init__ sets each field through object.__setattr__, a
-    cost every recorded step pays, and freezing would not guard a trace
-    anyway (inputs is a mutable dict); replay is the check.
+    json_safe turns either into the JSON result.  The class is not Frozen:
+    a Frozen __init__ calls object.__setattr__ once per field, where this
+    one assigns each, a cost every recorded step would pay, and freezing
+    would not guard a trace anyway (inputs is a mutable dict); replay is
+    the check.
     """
 
-    op: str
-    inputs: dict[str, Any]
-    value: Any
+    __slots__ = __match_args__ = ("op", "inputs", "value")
+    __repr__ = Frozen.__repr__
+
+    def __init__(self, op: str, inputs: dict[str, Any], value: Any) -> None:
+        self.op = op
+        self.inputs = inputs
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ProofStep:
+            return NotImplemented
+        return (self.op, self.inputs, self.value) == (
+            other.op, other.inputs, other.value
+        )
 
     @property
     def result(self) -> dict[str, Any]:
@@ -83,12 +94,24 @@ class ProofStep:
         return json_safe(self.value)
 
 
-@dataclass
 class ProofTrace:
-    k: int
-    n_max: int
-    steps: list[ProofStep] = field(default_factory=list)
-    solutions: list[Solution] = field(default_factory=list)
+    """One solve's steps and solutions, each a new empty list unless given."""
+
+    __slots__ = __match_args__ = ("k", "n_max", "steps", "solutions")
+    __repr__ = Frozen.__repr__
+
+    def __init__(self, k: int, n_max: int, steps=None, solutions=None) -> None:
+        self.k = k
+        self.n_max = n_max
+        self.steps = [] if steps is None else steps
+        self.solutions = [] if solutions is None else solutions
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ProofTrace:
+            return NotImplemented
+        return (self.k, self.n_max, self.steps, self.solutions) == (
+            other.k, other.n_max, other.steps, other.solutions
+        )
 
     @classmethod
     def from_jsonable(cls, data: dict[str, Any]) -> ProofTrace:
@@ -278,15 +301,20 @@ def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
     if route is BhvRoute.SMALL_PRIME:
         trace.step("p3_case", k=kk, search_bound=P3_SEARCH_BOUND)
         return []
-    # CheckDefectTable: p in {5, 7, 11, 13}, routed by the table's verdict
+    # CheckDefectTable: p in {5, 7, 11, 13}, routed by the table's verdict;
+    # the Lucas values recorded on the way must agree with the route taken
     primdiv = {"P": pair.P, "Q": pair.Q, "n": p, "factoring_budget": FACTORING_BUDGET}
     if p in NO_DEFECTIVE_PAIR:
-        trace.step("primitive_divisor", **primdiv)
+        found = trace.step("primitive_divisor", **primdiv)
+        if not found.exists:
+            raise RuntimeError(f"{pair} is not defective for p = {p}, yet {found}")
     verdict = trace.step("defect_table", p=p, k=kk)
     if verdict.outcome == caseworks.OUTCOME_CONTRADICTION:
         return []
-    trace.step("lucas_u", P=pair.P, Q=pair.Q, n=p)
-    trace.step("primitive_divisor", **primdiv)
+    u = trace.step("lucas_u", P=pair.P, Q=pair.Q, n=p)["value"]
+    found = trace.step("primitive_divisor", **primdiv)
+    if abs(u) != 1 or found.exists:
+        raise RuntimeError(f"{pair} is defective for p = {p}, yet u_{p} = {u}, {found}")
     return list(trace.step("defective_pair_expansion", k=kk, p=p).solutions)
 
 
@@ -344,10 +372,11 @@ def solve(
 
     Raises OracleMismatchError when the brute-force cross-check (over
     x <= oracle_x_max) disagrees with the pipeline, RuntimeError when the
-    bounded 19*Z^2 + 1 = 4*Y^n scan finds a witness, and ValueError before
-    any step runs when step_bound(k, n_max) exceeds STEP_BUDGET, when
-    19^(2k+1), which the trace writes, is over check_D_digits, or when the
-    cross-check's SearchWindow is invalid.
+    bounded 19*Z^2 + 1 = 4*Y^n scan finds a witness or a recorded u_p or
+    primitive-divisor verdict contradicts the defect table's route for p,
+    and ValueError before any step runs when step_bound(k, n_max) exceeds
+    STEP_BUDGET, when 19^(2k+1), which the trace writes, is over
+    check_D_digits, or when the cross-check's SearchWindow is invalid.
     """
     inst = LNInstance(k)
     bound = step_bound(k, n_max)

@@ -397,14 +397,17 @@ def test_both_oracle_forms_refuse_a_bad_window_alike(capsys, form):
     assert capsys.readouterr().err == "ln-kit: n_min must be at least 2, got 1\n"
 
 
-def loaded_submodules(statement):
-    """The ln_kit submodules a fresh interpreter holds after statement, a
-    one-line statement whose own stdout is discarded."""
+def newly_loaded(statement):
+    """The modules a fresh interpreter loads while it runs statement, a
+    one-line statement whose own stdout is discarded: those in sys.modules
+    after it and not before, so what site or this harness loaded is not
+    counted."""
     code = (
         "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {statement}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ln_kit.'))))\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
@@ -416,6 +419,11 @@ def loaded_submodules(statement):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def loaded_submodules(statement):
+    """The ln_kit submodules a fresh interpreter holds after statement."""
+    return [m for m in newly_loaded(statement) if m.startswith("ln_kit.")]
 
 
 def test_package_import_loads_only_what_is_named():
@@ -454,6 +462,23 @@ def test_only_solve_and_verify_load_the_solver(command):
         assert solver <= loaded
     else:
         assert not solver & loaded
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import ln_kit.cli",
+        "import ln_kit.solver",
+        *(
+            f"from ln_kit.cli import main; main({command.split()!r})"
+            for command in GOLDEN_COMMANDS.values()
+        ),
+    ],
+)
+def test_no_command_loads_dataclasses_or_inspect(statement):
+    # the value types are plain classes, so no command pays for importing
+    # dataclasses and the inspect it pulls in
+    assert {"dataclasses", "inspect"}.isdisjoint(newly_loaded(statement))
 
 
 def test_cli_has_only_the_solver_names_it_looks_up():

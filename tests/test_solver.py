@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import time
@@ -14,7 +13,12 @@ from ln_kit.equation_model import (
     json_safe,
     theorem_solution_set,
 )
-from ln_kit.lucas_engine import FACTORING_BUDGET, LucasPair, primitive_divisor
+from ln_kit.lucas_engine import (
+    FACTORING_BUDGET,
+    LucasPair,
+    PrimitiveDivisorVerdict,
+    primitive_divisor,
+)
 from ln_kit.oracle import SearchWindow, iroot, perfect_root
 from ln_kit.solver import (
     STEP_BUDGET,
@@ -195,6 +199,12 @@ def test_oracle_x_max_reads_its_input_as_replay_does(x_max):
     assert bad.startswith("oracle_cross_check:") and "is not an integer" in bad
 
 
+def with_fields(verdict, **changes):
+    """A CaseVerdict with verdict's fields but for changes."""
+    fields = {f: getattr(verdict, f) for f in verdict.__match_args__}
+    return caseworks.CaseVerdict(**{**fields, **changes})
+
+
 def test_replay_names_tampered_native_values():
     _, trace = solve(2, n_max=7, cross_check=False)
     steps = list(trace.steps)
@@ -202,13 +212,13 @@ def test_replay_names_tampered_native_values():
     found = steps[i].value
     (sol,) = found.solutions
     moved = Solution(sol.x, sol.y + 2, sol.n)
-    moved_found = dataclasses.replace(found, solutions=(moved,))
+    moved_found = with_fields(found, solutions=(moved,))
     steps[i] = ProofStep("even_case", steps[i].inputs, moved_found)
     j = [s.op for s in trace.steps].index("mod19_forces_p")
     sieve = steps[j].value
     (check,) = sieve.trace
     zeroed = {**check, "residues": [0, *check["residues"][1:]]}
-    zeroed_sieve = dataclasses.replace(sieve, trace=(zeroed,))
+    zeroed_sieve = with_fields(sieve, trace=(zeroed,))
     steps[j] = ProofStep("mod19_forces_p", steps[j].inputs, zeroed_sieve)
     tampered = ProofTrace(k=2, n_max=7, steps=steps)
     assert tampered.replay() == ["even_case", "mod19_forces_p"]
@@ -577,6 +587,45 @@ def test_solve_raises_when_the_19z2_scan_finds_a_witness(monkeypatch):
     assert caseworks.no_19z2_solutions(3, 10).outcome == caseworks.OUTCOME_FORCED
     with pytest.raises(RuntimeError, match="soluble: scan found witnesses"):
         solve(0, cross_check=False)
+
+
+@pytest.mark.parametrize(
+    "name, p, planted",
+    [
+        # u_5, u_11 and u_13 of (1, 5) have the primitive divisors 11, 2,531
+        # and 15,679, which the table's p in NO_DEFECTIVE_PAIR rests on
+        ("primitive_divisor", 5, PrimitiveDivisorVerdict(5, exists=False)),
+        ("primitive_divisor", 11, PrimitiveDivisorVerdict(11, False, None, "?", True)),
+        ("primitive_divisor", 13, PrimitiveDivisorVerdict(13, False, obstruction="?")),
+        # the defective route at (k, p) = (0, 7) rests on u_7 = 1
+        ("primitive_divisor", 7, PrimitiveDivisorVerdict(7, exists=True, witness=29)),
+        ("lucas_u", 7, 29),
+    ],
+)
+def test_solve_raises_when_a_lucas_value_contradicts_the_defect_table(
+    monkeypatch, name, p, planted
+):
+    plant(monkeypatch, name, p, planted)
+    with pytest.raises(RuntimeError, match=f"for p = {p}, yet"):
+        solve(0, cross_check=False)
+
+
+def plant(monkeypatch, name, p, planted):
+    """Make the solver's name (lucas_u or primitive_divisor) return planted
+    at index p, and the true value elsewhere."""
+    real = getattr(solver_mod, name)
+
+    def planted_at_p(pair, n, *budget):
+        return planted if n == p else real(pair, n, *budget)
+
+    monkeypatch.setattr(solver_mod, name, planted_at_p)
+
+
+def test_solve_takes_u7_of_either_sign(monkeypatch):
+    # u_7 = -1 makes (1, 5) as defective for p = 7 as u_7 = 1 does
+    plant(monkeypatch, "lucas_u", 7, -1)
+    sols, _ = solve(0, cross_check=False)
+    assert (559, 5, 7) in [s.as_tuple() for s in sols]
 
 
 def test_solve_input_validation():

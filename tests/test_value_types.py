@@ -1,0 +1,121 @@
+"""The contract of the package's nine value types, which are plain classes
+that write their own __init__ and __eq__: the seven frozen ones refuse
+assignment and deletion and hash their fields; ProofStep and ProofTrace are
+mutable and unhashable; equality reads the fields and never holds across
+two classes; repr is Name(field=value, ...), which error messages quote."""
+
+import itertools
+
+import pytest
+
+from ln_kit.caseworks import CaseVerdict
+from ln_kit.equation_model import LNInstance, Solution
+from ln_kit.lucas_engine import LucasPair, PrimitiveDivisorVerdict
+from ln_kit.oracle import SearchWindow
+from ln_kit.quadratic_integers import QuadInt19
+from ln_kit.solver import ProofStep, ProofTrace
+
+# (a maker of one instance, its fields, its repr); each call makes a new
+# object, with new containers, equal to the last
+VALUES = {
+    "LNInstance": (lambda: LNInstance(3), ("k",), "LNInstance(k=3)"),
+    "Solution": (lambda: Solution(9, 5, 2), ("x", "y", "n"), "Solution(x=9, y=5, n=2)"),
+    "LucasPair": (lambda: LucasPair(1, 5), ("P", "Q"), "LucasPair(P=1, Q=5)"),
+    "PrimitiveDivisorVerdict": (
+        lambda: PrimitiveDivisorVerdict(11, True, witness=11),
+        ("n", "exists", "witness", "obstruction", "indeterminate"),
+        "PrimitiveDivisorVerdict(n=11, exists=True, witness=11, obstruction=None, "
+        "indeterminate=False)",
+    ),
+    "SearchWindow": (
+        lambda: SearchWindow(k=0, n_min=5),
+        ("k", "n_min", "n_max", "x_max"),
+        "SearchWindow(k=0, n_min=5, n_max=30, x_max=10000000)",
+    ),
+    "QuadInt19": (lambda: QuadInt19(1, -3), ("a", "b"), "QuadInt19(a=1, b=-3)"),
+    "CaseVerdict": (
+        lambda: CaseVerdict("reduced", reduced_k=2, constraints=("19 | x",)),
+        (
+            "outcome", "reason", "assignments", "reduced_k", "constraints",
+            "solutions", "trace",
+        ),
+        "CaseVerdict(outcome='reduced', reason='', assignments=(), reduced_k=2, "
+        "constraints=('19 | x',), solutions=(), trace=())",
+    ),
+    "ProofStep": (
+        lambda: ProofStep("lucas_u", {"P": 1, "Q": 5, "n": 7}, {"value": 1}),
+        ("op", "inputs", "value"),
+        "ProofStep(op='lucas_u', inputs={'P': 1, 'Q': 5, 'n': 7}, value={'value': 1})",
+    ),
+    "ProofTrace": (
+        lambda: ProofTrace(k=0, n_max=7, steps=[ProofStep("even_case", {"m": 1}, 0)]),
+        ("k", "n_max", "steps", "solutions"),
+        "ProofTrace(k=0, n_max=7, steps=[ProofStep(op='even_case', inputs={'m': 1}, "
+        "value=0)], solutions=[])",
+    ),
+}
+MUTABLE = {"ProofStep", "ProofTrace"}
+FROZEN = sorted(set(VALUES) - MUTABLE)
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_repr_names_each_field(name):
+    make, _, text = VALUES[name]
+    assert repr(make()) == str(make()) == text
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_equal_fields_make_equal_objects(name):
+    make, fields, _ = VALUES[name]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+    if name not in MUTABLE:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_types_refuse_assignment_and_deletion(name):
+    make, fields, text = VALUES[name]
+    value = make()
+    for field in (*fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("name", sorted(MUTABLE))
+def test_proof_steps_and_traces_are_mutable_and_unhashable(name):
+    make, fields, _ = VALUES[name]
+    value = make()
+    setattr(value, fields[0], 8)
+    assert getattr(value, fields[0]) == 8 and value != make()
+    with pytest.raises(TypeError):
+        hash(value)
+
+
+def test_objects_of_two_classes_are_never_equal():
+    values = {name: make() for name, (make, _, _) in VALUES.items()}
+    for (a, x), (b, y) in itertools.permutations(values.items(), 2):
+        assert x != y and not x == y, (a, b)
+    assert LucasPair(1, 5) != QuadInt19(1, 5)
+    assert Solution(9, 5, 2) != (9, 5, 2) and (9, 5, 2) != Solution(9, 5, 2)
+    assert Solution(9, 5, 2) != Solution(9, 5, 7)
+
+
+def test_construction_by_position_and_keyword_agree():
+    assert SearchWindow(k=0, n_min=5) == SearchWindow(0, 5, 30, 10**7)
+    defaults = (SearchWindow.n_min, SearchWindow.n_max, SearchWindow.x_max)
+    assert defaults == (2, 30, 10**7)
+    assert CaseVerdict.reduced(2, ["19 | x"]) == VALUES["CaseVerdict"][0]()
+    assert PrimitiveDivisorVerdict(n=11, exists=True, witness=11) == (
+        VALUES["PrimitiveDivisorVerdict"][0]()
+    )
+    step = ProofStep(op="lucas_u", inputs={"P": 1, "Q": 5, "n": 7}, value={"value": 1})
+    assert step == VALUES["ProofStep"][0]()
+    # each trace starts with lists of its own
+    first, second = ProofTrace(0, 7), ProofTrace(k=0, n_max=7)
+    assert first == second and first.steps is not second.steps
+    assert first.solutions == [] and first.solutions is not second.solutions
