@@ -5,9 +5,10 @@ pipeline did: solutions found, branch closures, and the oracle cross-check.
 Usage:
     python scripts/reproduce_theorem.py                # k = 0, 1, 2
     python scripts/reproduce_theorem.py --k-max 4 --x-max 1000000
-    python scripts/reproduce_theorem.py --replay       # re-run every step
+    python scripts/reproduce_theorem.py --replay       # check every step
 
---replay re-runs each trace twice: as recorded, and rebuilt from its JSON form.
+--replay runs solve again on each trace's header, checking every step against
+the recorded one: once as recorded, and once rebuilt from its JSON form.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ from ln_kit.solver import ProofTrace, solve
 def rebuilt_from_json(trace: ProofTrace) -> ProofTrace:
     """The trace as a reader of its JSON form rebuilds it."""
     return ProofTrace.from_jsonable(json.loads(json.dumps(trace.to_jsonable())))
+
+
+def replay_verdict(trace: ProofTrace) -> str:
+    """The replay's outcome in one line: the number of divergences and the
+    first, since a tampered header can diverge at thousands of steps."""
+    diverged = trace.replay()
+    if not diverged:
+        return "all steps reproduced"
+    return f"{len(diverged)} divergences, first: {diverged[0]}"
 
 
 def main() -> int:
@@ -64,11 +74,8 @@ def main() -> int:
         else:
             print("  oracle cross-check: skipped")
         if args.replay:
-            diverged = trace.replay()
-            print(f"  replay: {'all steps reproduced' if not diverged else diverged}")
-            diverged = rebuilt_from_json(trace).replay()
-            verdict = "all steps reproduced" if not diverged else diverged
-            print(f"  replay from JSON: {verdict}")
+            print(f"  replay: {replay_verdict(trace)}")
+            print(f"  replay from JSON: {replay_verdict(rebuilt_from_json(trace))}")
         print()
     return 0
 

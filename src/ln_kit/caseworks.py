@@ -125,8 +125,8 @@ def even_case(k: int, m: int) -> CaseVerdict:
     return CaseVerdict.found([Solution(x, root, 2 * m)], trace)
 
 
-# Distinct p that mod19_forces_p keeps a verdict for; a replayed trace may
-# name any number of them, so the cache is bounded.
+# Distinct p that mod19_forces_p keeps a verdict for: a solve within the step
+# budget names up to 913 (k = 1, n_max = 7144), a direct caller any number.
 MOD19_P_CACHE_SIZE = 256
 
 

@@ -32,11 +32,8 @@ class LNInstance(Frozen):
 
 
 def check_D_digits(k: int) -> None:
-    """Refuse, before any work, a k whose D = 19^(2k+1) is over check_digits.
-
-    solve runs it on its k, and every step that builds a power of 19 from
-    its k runs it too, so a replayed step refuses a k that solve would have.
-    """
+    """Refuse, before any work, a k whose D = 19^(2k+1) is over check_digits:
+    solve on its k, and each procedure that builds a power of 19 from its k."""
     check_digits("19^(2k+1)", 2 * k + 1, math.log10(19))
 
 

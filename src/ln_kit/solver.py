@@ -2,16 +2,16 @@
 casework and the Lucas gate, scale solutions back through the 19-adic
 reduction, and cross-check the result against the brute-force oracle.
 
-Every pipeline step runs through the step table ``STEPS`` at the bottom of
-this module, which records it as (procedure, inputs, returned value); the
-value's JSON form is built only when the trace is serialized, once per
-distinct value object (many steps share one, e.g. the single mod19_forces_p
-verdict per p).  Replay runs the same table on every step, in memory or
-from the trace's JSON form.
+Every step runs through ProofTrace.step and the table ``STEPS`` at the end
+of this module, which records (procedure, inputs, returned value); the JSON
+form waits for serialization, built once per distinct value object.  Replay
+runs solve's own loops on the trace's header with step in checking mode, so
+procedures only see the inputs solve computes, never recorded ones.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Any, Callable, Iterator
 
 from . import caseworks
@@ -67,9 +67,7 @@ class ProofStep:
     and the JSON result when the trace was rebuilt from its JSON form;
     json_safe turns either into the JSON result.  The class is not Frozen:
     a Frozen __init__ calls object.__setattr__ once per field, where this
-    one assigns each, a cost every recorded step would pay, and freezing
-    would not guard a trace anyway (inputs is a mutable dict); replay is
-    the check.
+    one assigns each, a cost every recorded step would pay.
     """
 
     __slots__ = __match_args__ = ("op", "inputs", "value")
@@ -95,45 +93,44 @@ class ProofStep:
 
 
 class ProofTrace:
-    """One solve's steps and solutions, each a new empty list unless given."""
+    """One solve's header (k, n_max and oracle_x_max, the oracle cross-check's
+    x bound or None without one), its steps, a new list unless given, and its
+    solutions, None until solve sets them."""
 
-    __slots__ = __match_args__ = ("k", "n_max", "steps", "solutions")
+    __slots__ = __match_args__ = ("k", "n_max", "steps", "solutions", "oracle_x_max")
     __repr__ = Frozen.__repr__
 
-    def __init__(self, k: int, n_max: int, steps=None, solutions=None) -> None:
+    def __init__(self, k, n_max, steps=None, solutions=None, oracle_x_max=None) -> None:
         self.k = k
         self.n_max = n_max
         self.steps = [] if steps is None else steps
-        self.solutions = [] if solutions is None else solutions
+        self.solutions = solutions
+        self.oracle_x_max = oracle_x_max
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ProofTrace:
             return NotImplemented
-        return (self.k, self.n_max, self.steps, self.solutions) == (
-            other.k, other.n_max, other.steps, other.solutions
+        return (self.k, self.n_max, self.steps, self.solutions, self.oracle_x_max) == (
+            other.k, other.n_max, other.steps, other.solutions, other.oracle_x_max
         )
 
     @classmethod
     def from_jsonable(cls, data: dict[str, Any]) -> ProofTrace:
-        """The trace to_jsonable's form describes: k, n_max and the steps."""
+        """The trace to_jsonable's form describes, each field as the JSON
+        holds it; solutions and oracle_x_max may be left out (None)."""
         steps = [ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]]
-        return cls(k=data["k"], n_max=data["n_max"], steps=steps)
+        sols, x_max = data.get("solutions"), data.get("oracle_x_max")
+        return cls(data["k"], data["n_max"], steps, sols, x_max)
 
     @property
     def oracle_checked(self) -> bool:
-        """Whether the trace holds the oracle cross-check step."""
+        """Whether the header asks for the oracle cross-check."""
         return self.oracle_x_max is not None
-
-    @property
-    def oracle_x_max(self) -> int | None:
-        """The x bound of the oracle cross-check, or None without one."""
-        found = self.find("oracle_cross_check")
-        return _step_input("x_max", found[0].inputs["x_max"]) if found else None
 
     def step(self, op: str, **inputs: int) -> Any:
         """Run STEPS[op] on the inputs, record the value it returns as it is,
         and return it; the JSON form waits for to_jsonable."""
-        value = STEPS[op](**inputs)
+        value = STEPS[op](inputs)
         self.steps.append(ProofStep(op, inputs, value))
         return value
 
@@ -141,43 +138,26 @@ class ProofTrace:
         return [s for s in self.steps if s.op == op]
 
     def replay(self) -> list[str]:
-        """Re-run every step through STEPS; returns the ops that diverged.
-
-        Every step input is an integer: an int, or after a JSON round trip
-        possibly the exact decimal string the writer emits; anything else (a
-        bool, a float, a padded or signed-plus string) has diverged.  One
-        check per step passes a dict whose values are all of type int (a
-        bool's type is bool) as it is; any other inputs are decoded one by
-        one through _step_input.  A procedure that returns the very object
-        the step recorded (a shared mod19_forces_p verdict) has matched
-        without an __eq__ call; otherwise a recorded value is compared as it
-        is, and a value rebuilt from JSON with the new value's JSON form,
-        built once per distinct new value object in one call.  A malformed
-        step (an op outside STEPS, inputs that are not a mapping), one whose
-        inputs its procedure rejects or overflows on, or one whose value is
-        too long to encode has diverged.
-        """
-        bad = []
-        # id(value) -> (value, its JSON form); holding value keeps its id
-        # from being reused by another object during this call
-        encoded: dict[int, tuple[Any, Any]] = {}
-        for step in self.steps:
-            try:
-                fn = STEPS.get(step.op)
-                if fn is None:
-                    bad.append(f"{step.op}: not replayable")
-                    continue
-                inputs = step.inputs
-                if type(inputs) is not dict or set(map(type, inputs.values())) != {int}:
-                    inputs = {k: _step_input(k, v) for k, v in inputs.items()}
-                got = fn(**inputs)
-                if got is not step.value and got != step.value:
-                    if id(got) not in encoded:
-                        encoded[id(got)] = (got, json_safe(got))
-                    if encoded[id(got)][1] != step.value:
-                        bad.append(step.op)
-            except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-                bad.append(f"{step.op}: {exc}")
+        """How the trace differs from solve's proof, empty exactly when it is
+        that proof: solve run on its header in checking mode (_Checking).  The
+        header must be three ints (oracle_x_max may be None); one that solve
+        refuses is one entry.  Solutions are checked unless None."""
+        for name in ("k", "n_max", "oracle_x_max"):
+            v = getattr(self, name)
+            if type(v) is not int and not (v is None and name == "oracle_x_max"):
+                return [f"header: {name}={v!r} is not an integer"]
+        checking = _Checking(self)
+        try:
+            sols = _prove(checking)
+        except ValueError as exc:
+            return [*checking.bad, f"solve refuses the header: {exc}"]
+        bad = checking.bad
+        i, step = next(checking.pending)
+        if step is not None:
+            bad.append(f"step {i} {step.op}: past the end of solve's proof")
+        kept = self.solutions
+        if kept is not None and sols != kept and json_safe(sols) != kept:
+            bad.append(f"solutions: the trace's {len(kept)} are not solve's {len(sols)}")
         return bad
 
     def jsonable_steps(self) -> Iterator[dict[str, Any]]:
@@ -195,27 +175,62 @@ class ProofTrace:
         """The trace as JSON, its steps from jsonable_steps: steps that share
         a value object share one result dict, so treat the output as
         read-only input to json.dumps."""
-        x_max = self.oracle_x_max
         return {
             "k": self.k,
             "n_max": self.n_max,
-            "oracle_checked": x_max is not None,
-            "oracle_x_max": x_max,
+            "oracle_checked": self.oracle_checked,
+            "oracle_x_max": self.oracle_x_max,
             "solutions": json_safe(self.solutions),
             "steps": list(self.jsonable_steps()),
         }
 
 
-def _step_input(name: str, v: Any) -> int:
-    """A step input as the int it stands for: an int that is not a bool, or
-    a string that is exactly str() of an int; ValueError otherwise."""
-    if type(v) is int:  # a bool is an int too, but not this type
-        return v
-    if type(v) is str:
-        i = int(v)
-        if str(i) == v:
-            return i
-    raise ValueError(f"input {name}={v!r} is not an integer")
+class _Checking(ProofTrace):
+    """step's checking mode, for replay: step appends nothing and checks the
+    step solve takes against the trace's next one.  Its op and inputs must be
+    solve's (see _same_inputs), and its value the procedure's on them: the
+    same object (a shared verdict, no __eq__ call), an equal one, or one whose
+    JSON form, built once per object, is equal."""
+
+    __slots__ = ("pending", "bad", "encoded")
+    INT = frozenset({int})
+
+    def __init__(self, trace: ProofTrace) -> None:
+        super().__init__(trace.k, trace.n_max, oracle_x_max=trace.oracle_x_max)
+        # (index, recorded step), then (index, None) past the last one
+        self.pending = enumerate(chain(trace.steps, repeat(None)))
+        self.bad: list[str] = []  # each names the step's index and solve's op
+        # id(value) -> (value, its JSON form); holding value keeps the id
+        self.encoded: dict[int, tuple[Any, Any]] = {}
+
+    def step(self, op: str, **inputs: int) -> Any:
+        value = STEPS[op](inputs)
+        i, step = next(self.pending)
+        if step is None:
+            self.bad.append(f"step {i} {op}: missing from the trace")
+        elif step.op != op or not (
+            step.inputs == inputs and self.INT.issuperset(map(type, step.inputs.values()))
+            or _same_inputs(step.inputs, inputs)
+        ):
+            self.bad.append(
+                f"step {i} {op}: solve passes {inputs}, "
+                f"the trace records {step.op!r} {step.inputs!r}"
+            )
+        elif value is not step.value and value != step.value:
+            if id(value) not in self.encoded:
+                self.encoded[id(value)] = (value, json_safe(value))
+            if self.encoded[id(value)][1] != step.value:
+                self.bad.append(f"step {i} {op}: value differs")
+        return value
+
+
+def _same_inputs(recorded: Any, inputs: dict[str, int]) -> bool:
+    """Whether recorded has the names of solve's inputs and, for each, its int
+    (not a bool) or its exact decimal string, JSON's form of a large int."""
+    return type(recorded) is dict and recorded.keys() == inputs.keys() and all(
+        r == v if type(r) is int else type(r) is str and r == str(v)
+        for r, v in zip(map(recorded.get, inputs), inputs.values())
+    )
 
 
 def always_primitive_closure(p: int) -> CaseVerdict:
@@ -378,6 +393,13 @@ def solve(
     STEP_BUDGET, when 19^(2k+1), which the trace writes, is over
     check_D_digits, or when the cross-check's SearchWindow is invalid.
     """
+    trace = ProofTrace(k, n_max, oracle_x_max=oracle_x_max if cross_check else None)
+    return _prove(trace), trace
+
+
+def _prove(trace: ProofTrace) -> list[Solution]:
+    """solve's run on the trace's header; sets trace.solutions and returns them."""
+    k, n_max, oracle_x_max = trace.k, trace.n_max, trace.oracle_x_max
     inst = LNInstance(k)
     bound = step_bound(k, n_max)
     if bound > STEP_BUDGET:
@@ -388,9 +410,8 @@ def solve(
     check_D_digits(k)
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    if cross_check:
+    if oracle_x_max is not None:
         SearchWindow(k, 2, n_max, oracle_x_max)
-    trace = ProofTrace(k=k, n_max=n_max)
     # close the two symbolic 19|x branches that do not reduce: both land on
     # 19*Z^2 + 1 = 4*Y^n (bounded scan here, unbounded statement cited)
     scan = trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=LE_Z_MAX)
@@ -408,25 +429,21 @@ def solve(
             verdict = trace.step(
                 "valuation_trichotomy", k=k, s=s_val, t=t, X=sol.x, Y=sol.y, n=sol.n
             )
-            if (
-                verdict.outcome == caseworks.OUTCOME_REDUCED
-                and verdict.reduced_k == k - s_val
-            ):
+            reduced = verdict.outcome == caseworks.OUTCOME_REDUCED
+            if reduced and verdict.reduced_k == k - s_val:
                 lifted = Solution(19**s_val * sol.x, 19**t * sol.y, sol.n)
                 assert is_solution(inst, *lifted.as_tuple())
                 full.append(lifted)
     full.sort(key=lambda s: s.sort_key)
-    if cross_check:
+    if oracle_x_max is not None:
         found = trace.step(
             "oracle_cross_check", k=k, n_min=2, n_max=n_max, x_max=oracle_x_max
         )["solutions"]
         mine = [s for s in full if s.x <= oracle_x_max]
         if set(found) != set(mine):
-            raise OracleMismatchError(
-                k, set(mine) - set(found), set(found) - set(mine)
-            )
+            raise OracleMismatchError(k, set(mine) - set(found), set(found) - set(mine))
     trace.solutions = full
-    return full, trace
+    return full
 
 
 def verify_solution_completeness(
@@ -463,44 +480,29 @@ def verify_solution_completeness(
     return ok, json_safe(report)
 
 
-def _primitive_divisor_step(P: int, Q: int, n: int, factoring_budget: int) -> Any:
-    """primitive_divisor at most at the budget solve records; a larger one,
-    which no solve spends, is refused before any work."""
-    if factoring_budget > FACTORING_BUDGET:
-        raise ValueError(
-            f"factoring_budget={factoring_budget} is over the solver's "
-            f"FACTORING_BUDGET of {FACTORING_BUDGET}"
-        )
-    return primitive_divisor(LucasPair(P, Q), n, factoring_budget)
-
-
-def _oracle_step(window: SearchWindow) -> dict[str, list[Solution]]:
-    """The oracle's solutions in full, so that replay compares the scan
-    itself; a k past the one solve accepts is refused before D is built."""
-    check_D_digits(window.k)
-    return {"solutions": brute_force(window)}
-
-
-# op name -> procedure.  Each entry looks its procedure up when called, so
-# a name rebound on its module (a test double, a profiler) is what runs.
-STEPS: dict[str, Callable[..., Any]] = {
-    "no_19z2_solutions": lambda n_max, z_max: caseworks.no_19z2_solutions(n_max, z_max),
-    "even_case": lambda k, m: caseworks.even_case(k, m),
-    "mod19_forces_p": lambda k, t, p: caseworks.mod19_forces_p(k, t, p),
-    "mod19_forces_kt": lambda k, t: caseworks.mod19_forces_kt(k, t),
-    "mod_pow2_insoluble": lambda p, t: caseworks.mod_pow2_insoluble(p, t),
-    "bhv_gate": lambda P, Q, p: bhv_gate(LucasPair(P, Q), p),
-    "always_primitive_closure": lambda p: always_primitive_closure(p),
-    "p3_case": lambda k, search_bound: caseworks.p3_case(k, search_bound),
-    "primitive_divisor": _primitive_divisor_step,
-    "defect_table": lambda p, k: defect_table_route(p, k),
-    "lucas_u": lambda P, Q, n: {"value": lucas_u(LucasPair(P, Q), n)},
-    "defective_pair_expansion": lambda k, p: defective_pair_expansion(k, p),
-    "composite_lift": lambda y, j, n: {"root": perfect_root(y, j)},
-    "valuation_trichotomy": lambda k, s, t, X, Y, n: caseworks.valuation_trichotomy(
-        k, s, t, X, Y, n
+# op name -> procedure of the step's inputs dict (unpacking it into keywords
+# costs about 0.3 us a step).  Each entry looks its procedure up when called,
+# so a name rebound on its module (a test double, a profiler) is what runs.
+STEPS: dict[str, Callable[[dict[str, int]], Any]] = {
+    "no_19z2_solutions": lambda i: caseworks.no_19z2_solutions(i["n_max"], i["z_max"]),
+    "even_case": lambda i: caseworks.even_case(i["k"], i["m"]),
+    "mod19_forces_p": lambda i: caseworks.mod19_forces_p(i["k"], i["t"], i["p"]),
+    "mod19_forces_kt": lambda i: caseworks.mod19_forces_kt(i["k"], i["t"]),
+    "mod_pow2_insoluble": lambda i: caseworks.mod_pow2_insoluble(i["p"], i["t"]),
+    "bhv_gate": lambda i: bhv_gate(LucasPair(i["P"], i["Q"]), i["p"]),
+    "always_primitive_closure": lambda i: always_primitive_closure(i["p"]),
+    "p3_case": lambda i: caseworks.p3_case(i["k"], i["search_bound"]),
+    "primitive_divisor": lambda i: primitive_divisor(
+        LucasPair(i["P"], i["Q"]), i["n"], i["factoring_budget"]
     ),
-    "oracle_cross_check": lambda k, n_min, n_max, x_max: _oracle_step(
-        SearchWindow(k, n_min, n_max, x_max)
+    "defect_table": lambda i: defect_table_route(i["p"], i["k"]),
+    "lucas_u": lambda i: {"value": lucas_u(LucasPair(i["P"], i["Q"]), i["n"])},
+    "defective_pair_expansion": lambda i: defective_pair_expansion(i["k"], i["p"]),
+    "composite_lift": lambda i: {"root": perfect_root(i["y"], i["j"])},
+    "valuation_trichotomy": lambda i: caseworks.valuation_trichotomy(
+        i["k"], i["s"], i["t"], i["X"], i["Y"], i["n"]
     ),
+    "oracle_cross_check": lambda i: {
+        "solutions": brute_force(SearchWindow(i["k"], i["n_min"], i["n_max"], i["x_max"]))
+    },
 }

@@ -118,7 +118,7 @@ def test_mod19_forces_p_verdict_is_immutable():
 
 
 def test_mod19_forces_p_cache_is_bounded():
-    # a replayed trace may name any number of distinct p
+    # a direct caller may name any number of distinct p
     maxsize = caseworks._mod19_verdict.cache_info().maxsize
     assert maxsize is not None and maxsize == caseworks.MOD19_P_CACHE_SIZE
 

@@ -46,6 +46,19 @@ def test_reproduce_theorem_counts_oracle_triples():
     assert "  replay from JSON: all steps reproduced\n" in proc.stdout
 
 
+def test_reproduce_theorem_prints_the_count_and_the_first_divergence():
+    from ln_kit.solver import solve
+
+    script = load_script("reproduce_theorem")
+    _, trace = solve(1, n_max=7, cross_check=False)
+    assert script.replay_verdict(trace) == "all steps reproduced"
+    n = len(trace.steps)
+    trace.steps.clear()
+    assert script.replay_verdict(trace) == (
+        f"{n} divergences, first: step 0 no_19z2_solutions: missing from the trace"
+    )
+
+
 def canned_run(wall_s, peak_mb, failed=0, tree="abc123"):
     final = {
         "correct": failed == 0,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from ln_kit.lucas_engine import (
     FACTORING_BUDGET,
     LucasPair,
     PrimitiveDivisorVerdict,
+    lucas_u,
     primitive_divisor,
 )
 from ln_kit.oracle import SearchWindow, iroot, perfect_root
@@ -118,8 +120,178 @@ def test_replay_names_tampered_steps():
     x_times_19 = {**steps[j].inputs, "X": steps[j].inputs["X"] * 19}
     steps[j] = ProofStep("valuation_trichotomy", x_times_19, steps[j].result)
     bad = ProofTrace(k=7, n_max=7, steps=steps).replay()
-    assert [b.split(":")[0] for b in bad] == ["p3_case", "valuation_trichotomy"]
+    assert [b.split(":")[0] for b in bad] == [
+        f"step {i} p3_case",
+        f"step {j} valuation_trichotomy",
+    ]
     assert trace.replay() == []
+
+
+def delete_every_step(data, ops):
+    data["steps"] = []
+    return f"step 0 {ops[0]}: missing from the trace"
+
+
+def delete_all_but_the_first(data, ops):
+    data["steps"] = data["steps"][:1]
+    return f"step 1 {ops[1]}: missing from the trace"
+
+
+def delete_the_closing_steps(data, ops):
+    closing = {"p3_case", "defect_table", "always_primitive_closure"}
+    assert sum(op in closing for op in ops) == 36
+    data["steps"] = [s for s, op in zip(data["steps"], ops) if op not in closing]
+    i = next(i for i, op in enumerate(ops) if op in closing)
+    return f"step {i} {ops[i]}: solve passes"
+
+
+def copy_the_k0_p3_step_over_the_k3_one(data, ops):
+    first, *_, last = [i for i, op in enumerate(ops) if op == "p3_case"]
+    data["steps"][last] = data["steps"][first]
+    return f"step {last} p3_case: solve passes"
+
+
+def set_the_header_k_to_10(data, ops):
+    data["k"] = 10
+    _, ten = solve(10, cross_check=False)
+    _, three = solve(3, cross_check=False)
+    i = next(i for i, (a, b) in enumerate(zip(ten.steps, three.steps)) if a != b)
+    return f"step {i} {ten.steps[i].op}: solve passes"
+
+
+def add_a_solution(data, ops):
+    extra = Solution(9, 5, 2)  # k = 0's n = 2 member, no solution at k = 3
+    sols = data["solutions"]
+    sols.append(extra if isinstance(sols[0], Solution) else extra.to_jsonable())
+    return f"solutions: the trace's {len(sols)} are not solve's {len(sols) - 1}"
+
+
+def tampered_both_ways(trace, tamper):
+    """(trace tampered in memory, trace tampered in its JSON form and read
+    back, the first entry the tamper expects)."""
+    ops = [s.op for s in trace.steps]
+    fields = {
+        "k": trace.k,
+        "n_max": trace.n_max,
+        "steps": list(trace.steps),
+        "solutions": list(trace.solutions),
+        "oracle_x_max": trace.oracle_x_max,
+    }
+    expected = tamper(fields, ops)
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    assert tamper(data, ops) == expected
+    return ProofTrace(**fields), ProofTrace.from_jsonable(data), expected
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        delete_every_step,
+        delete_all_but_the_first,
+        delete_the_closing_steps,
+        copy_the_k0_p3_step_over_the_k3_one,
+        set_the_header_k_to_10,
+        add_a_solution,
+    ],
+)
+def test_replay_checks_the_whole_proof(tamper):
+    # each of these replayed clean when every step was checked on its own
+    _, trace = solve(3, cross_check=False)
+    assert len(trace.steps) == 214
+    in_memory, from_json, first = tampered_both_ways(trace, tamper)
+    for replayed in (in_memory, from_json):
+        bad = replayed.replay()
+        assert bad and bad[0].startswith(first), bad[:2]
+    assert trace.replay() == [] and rebuilt_from_json(trace).replay() == []
+
+
+def test_replay_names_a_deleted_oracle_step():
+    # the header asks for the cross-check, so the trace still claims it
+    _, trace = solve(1, n_max=10, oracle_x_max=10**4)
+    (i,) = first_steps(trace, "oracle_cross_check")
+    assert i == len(trace.steps) - 1
+    for replayed in (trace, rebuilt_from_json(trace)):
+        replayed.steps.pop()
+        assert replayed.oracle_checked
+        assert replayed.replay() == [f"step {i} oracle_cross_check: missing from the trace"]
+
+
+def test_replay_names_steps_past_the_end_of_the_proof():
+    _, trace = solve(0, n_max=7, cross_check=False)
+    n = len(trace.steps)
+    for replayed in (trace, rebuilt_from_json(trace)):
+        replayed.steps.extend(replayed.steps[:2])
+        assert replayed.replay() == [
+            f"step {n} no_19z2_solutions: past the end of solve's proof"
+        ]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", True), ("k", "3"), ("k", 3.0), ("n_max", None), ("oracle_x_max", 1e4)],
+)
+def test_replay_takes_a_header_of_ints_alone(field, value):
+    _, trace = solve(0, n_max=7, cross_check=False)
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    data[field] = value
+    assert ProofTrace.from_jsonable(data).replay() == [
+        f"header: {field}={value!r} is not an integer"
+    ]
+
+
+@pytest.mark.parametrize("field", ["k", "n_max", "oracle_x_max"])
+def test_replay_names_a_header_solve_refuses(field):
+    # k or n_max = 10^400 is over the step budget, x_max = 0 no window:
+    # one entry, at once, where solve would raise
+    _, trace = solve(0, n_max=7, oracle_x_max=10**3)
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    data[field] = 0 if field == "oracle_x_max" else 10**400
+    start = time.perf_counter()
+    (bad,) = ProofTrace.from_jsonable(data).replay()
+    assert time.perf_counter() - start < 1.0
+    assert bad.startswith("solve refuses the header: ")
+
+
+def test_replay_runs_no_procedure_on_a_recorded_input(monkeypatch):
+    # a step tampered to k = 10^400 never reaches even_case
+    _, trace = solve(2, n_max=7, cross_check=False)
+    tampered = with_inputs(trace, "even_case", k=10**400)
+    seen = []
+    real = caseworks.even_case
+
+    def spy(k, m):
+        seen.append(k)
+        return real(k, m)
+
+    monkeypatch.setattr(caseworks, "even_case", spy)
+    (i,) = first_steps(trace, "even_case")
+    for replayed in (tampered, rebuilt_from_json(tampered)):
+        (bad,) = replayed.replay()
+        assert bad.startswith(f"step {i} even_case: solve passes")
+    assert seen and max(seen) <= 2
+
+
+def test_replay_checks_recorded_solutions_unless_none():
+    # a trace rebuilt without its solutions (None) leaves them unchecked;
+    # a recorded list, even an empty one, must be solve's
+    _, trace = solve(1, n_max=7, cross_check=False)
+    bare = ProofTrace(k=1, n_max=7, steps=trace.steps)
+    assert bare.solutions is None and bare.replay() == []
+    bare.solutions = []
+    assert bare.replay() == ["solutions: the trace's 0 are not solve's 2"]
+
+
+def test_replay_of_the_benchmarks_rebuilt_deep_trace():
+    # the trace perfbench's replay_from_json builds: no solutions and no
+    # x_max in the header, each step rebuilt from its JSON form
+    _, trace = solve(49, cross_check=False)
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    rebuilt = ProofTrace(
+        k=49,
+        n_max=30,
+        steps=[ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]],
+    )
+    assert rebuilt.replay() == []
 
 
 def test_replay_names_a_dropped_oracle_triple():
@@ -129,7 +301,8 @@ def test_replay_names_a_dropped_oracle_triple():
     assert len(steps[i].result["solutions"]) == 2
     dropped = {"solutions": steps[i].result["solutions"][1:]}
     steps[i] = ProofStep("oracle_cross_check", steps[i].inputs, dropped)
-    assert ProofTrace(k=1, n_max=10, steps=steps).replay() == ["oracle_cross_check"]
+    tampered = ProofTrace(k=1, n_max=10, steps=steps, oracle_x_max=10**4)
+    assert tampered.replay() == [f"step {i} oracle_cross_check: value differs"]
     assert trace.replay() == []
 
 
@@ -137,30 +310,33 @@ def test_replay_names_an_op_outside_the_step_table():
     _, trace = solve(0, n_max=3, cross_check=False)
     steps = list(trace.steps)
     steps[0] = ProofStep("no_such_op", steps[0].inputs, steps[0].value)
-    bad = ProofTrace(k=0, n_max=3, steps=steps).replay()
-    assert bad == ["no_such_op: not replayable"]
+    (bad,) = ProofTrace(k=0, n_max=3, steps=steps).replay()
+    assert bad.startswith("step 0 no_19z2_solutions: solve passes") and "'no_such_op'" in bad
 
 
 def test_replay_refuses_a_tampered_huge_z_max():
-    # the 19*Z^2 + 1 scan is under the oracle's scan budget: refused, not run
+    # the recorded z_max is not solve's: diverged before any scan; called
+    # directly, the 19*Z^2 + 1 scan is under the oracle's scan budget
     _, trace = solve(0, n_max=3, cross_check=False)
     steps = list(trace.steps)
     i = [s.op for s in trace.steps].index("no_19z2_solutions")
     huge = {**steps[i].inputs, "z_max": 10**15}
     steps[i] = ProofStep("no_19z2_solutions", huge, steps[i].result)
     (bad,) = ProofTrace(k=0, n_max=3, steps=steps).replay()
-    assert bad.startswith("no_19z2_solutions:") and "scan budget" in bad
+    assert bad.startswith(f"step {i} no_19z2_solutions: solve passes")
+    with pytest.raises(ValueError, match="scan budget"):
+        caseworks.no_19z2_solutions(3, 10**15)
 
 
 def test_replay_refuses_a_tampered_huge_p3_search_bound():
-    # p3_case's box is under the oracle's scan budget too: refused, not run
+    # p3_case's own refusal of this box: test_p3_case_refuses_over_the_scan_budget_with_its_count
     _, trace = solve(0, n_max=3, cross_check=False)
     steps = list(trace.steps)
     i = [s.op for s in trace.steps].index("p3_case")
     huge = {**steps[i].inputs, "search_bound": 10**15}
     steps[i] = ProofStep("p3_case", huge, steps[i].result)
     (bad,) = ProofTrace(k=0, n_max=3, steps=steps).replay()
-    assert bad.startswith("p3_case:") and "scan budget" in bad
+    assert bad.startswith(f"step {i} p3_case: solve passes")
 
 
 def rebuilt_from_json(trace):
@@ -187,16 +363,19 @@ def test_deep_trace_bytes_pinned():
 
 @pytest.mark.parametrize("x_max", [True, "+1000", " 1000"])
 def test_oracle_x_max_reads_its_input_as_replay_does(x_max):
-    # int() would read each as 1 or 1000; replay's step-input rule refuses them
+    # int() would read each as 1 or 1000; the header and the step inputs
+    # both take an int alone (a step input also its exact decimal string)
     _, trace = solve(0, n_max=3, oracle_x_max=10**3)
     data = json.loads(json.dumps(trace.to_jsonable()))
-    (step,) = [s for s in data["steps"] if s["op"] == "oracle_cross_check"]
-    step["inputs"]["x_max"] = x_max
-    rebuilt = ProofTrace.from_jsonable(data)
-    with pytest.raises(ValueError, match="is not an integer"):
-        rebuilt.oracle_x_max
-    (bad,) = rebuilt.replay()
-    assert bad.startswith("oracle_cross_check:") and "is not an integer" in bad
+    data["oracle_x_max"] = x_max
+    assert ProofTrace.from_jsonable(data).replay() == [
+        f"header: oracle_x_max={x_max!r} is not an integer"
+    ]
+    data["oracle_x_max"] = 10**3
+    i = [s["op"] for s in data["steps"]].index("oracle_cross_check")
+    data["steps"][i]["inputs"]["x_max"] = x_max
+    (bad,) = ProofTrace.from_jsonable(data).replay()
+    assert bad.startswith(f"step {i} oracle_cross_check: solve passes")
 
 
 def with_fields(verdict, **changes):
@@ -221,8 +400,9 @@ def test_replay_names_tampered_native_values():
     zeroed_sieve = with_fields(sieve, trace=(zeroed,))
     steps[j] = ProofStep("mod19_forces_p", steps[j].inputs, zeroed_sieve)
     tampered = ProofTrace(k=2, n_max=7, steps=steps)
-    assert tampered.replay() == ["even_case", "mod19_forces_p"]
-    assert rebuilt_from_json(tampered).replay() == ["even_case", "mod19_forces_p"]
+    expected = [f"step {i} even_case: value differs", f"step {j} mod19_forces_p: value differs"]
+    assert tampered.replay() == expected
+    assert rebuilt_from_json(tampered).replay() == expected
     assert trace.replay() == [] and rebuilt_from_json(trace).replay() == []
 
 
@@ -237,7 +417,7 @@ def test_replay_names_a_valuation_step_tampered_to_a_bad_split():
         tampered = ProofTrace(k=1, n_max=7, steps=steps)
         for replayed in (tampered, rebuilt_from_json(tampered)):
             (bad,) = replayed.replay()
-            assert bad.startswith("valuation_trichotomy:"), (X, bad)
+            assert bad.startswith(f"step {i} valuation_trichotomy: solve passes"), (X, bad)
 
 
 def with_inputs(trace, op, **inputs):
@@ -245,40 +425,51 @@ def with_inputs(trace, op, **inputs):
     steps = list(trace.steps)
     i = [s.op for s in trace.steps].index(op)
     steps[i] = ProofStep(op, {**steps[i].inputs, **inputs}, steps[i].value)
-    return ProofTrace(k=trace.k, n_max=trace.n_max, steps=steps)
+    return ProofTrace(trace.k, trace.n_max, steps, trace.solutions, trace.oracle_x_max)
+
+
+def first_steps(trace, *ops):
+    """The index of the first step of each op, in order."""
+    return sorted([s.op for s in trace.steps].index(op) for op in ops)
 
 
 @pytest.mark.parametrize("n", [200_000, 10**9])
 def test_replay_names_steps_tampered_past_the_digit_limit(n):
-    # 19^40001 and u_n are too long to write: even_case's value fails to
-    # encode, and lucas_u is refused from its bound before it runs
+    # 19^40001 and u_n are too long to write; neither procedure sees the
+    # tampered input, and each refuses it from its bound when called on it
     _, trace = solve(0, n_max=7, cross_check=False)
     tampered = with_inputs(with_inputs(trace, "even_case", k=20000), "lucas_u", n=n)
+    i, j = first_steps(trace, "even_case", "lucas_u")
     for replayed in (tampered, rebuilt_from_json(tampered)):
         start = time.perf_counter()
         bad = replayed.replay()
         assert time.perf_counter() - start < 1.0
-        assert [b.split(":")[0] for b in bad] == ["even_case", "lucas_u"]
-        assert "digit limit of int-to-str conversion" in bad[1]
+        assert [b.split(":")[0] for b in bad] == [f"step {i} even_case", f"step {j} lucas_u"]
+    with pytest.raises(ValueError, match="digit limit of int-to-str conversion"):
+        lucas_u(LucasPair(1, 5), n)
+    with pytest.raises(ValueError, match="digit limit of int-to-str conversion"):
+        caseworks.even_case(20000, 1)
 
 
 def test_replay_names_steps_tampered_to_a_huge_k():
-    # even_case builds 19^(2k+1), p3_case 4*19^k and the oracle step D: each
-    # refuses a k whose 19^(2k+1) solve would refuse, before building it
+    # even_case builds 19^(2k+1), p3_case 4*19^k and the oracle step D;
+    # replay runs none of them on a recorded k, and even_case and p3_case,
+    # called directly, refuse a k whose 19^(2k+1) solve would refuse
     _, trace = solve(0, n_max=3, oracle_x_max=10**3)
+    ops = ("even_case", "p3_case", "oracle_cross_check")
     tampered = trace
-    for op in ("even_case", "p3_case", "oracle_cross_check"):
+    for op in ops:
         tampered = with_inputs(tampered, op, k=10**7)
     for replayed in (tampered, rebuilt_from_json(tampered)):
         start = time.perf_counter()
         bad = replayed.replay()
         assert time.perf_counter() - start < 1.0
         assert [b.split(":")[0] for b in bad] == [
-            "even_case",
-            "p3_case",
-            "oracle_cross_check",
+            f"step {i} {op}" for i, op in zip(first_steps(trace, *ops), ops)
         ]
-        assert all("19^(2k+1) would have about" in b for b in bad), bad
+    for refuses in (lambda: caseworks.even_case(10**7, 1), lambda: caseworks.p3_case(10**7, 1)):
+        with pytest.raises(ValueError, match=r"19\^\(2k\+1\) would have about"):
+            refuses()
 
 
 HUGE = 10**400  # past a float: (2k+1)*log10(19) and n*log10|alpha| overflow
@@ -308,7 +499,8 @@ HUGE = 10**400  # past a float: (2k+1)*log10(19) and n*log10|alpha| overflow
     ],
 )
 def test_replay_names_a_huge_or_malformed_step(op, field, value):
-    # past a float or a C index, or no step at all: named, not raised
+    # past a float or a C index, or no step at all: named, not raised, and
+    # no procedure is run on it
     _, trace = solve(0, n_max=13, oracle_x_max=10**3)
     i = [s.op for s in trace.steps].index(op)
     steps = list(trace.steps)
@@ -319,7 +511,7 @@ def test_replay_names_a_huge_or_malformed_step(op, field, value):
         steps[i] = ProofStep(op, value, step.value)
     else:
         steps[i] = ProofStep(op, {**step.inputs, field: value}, step.value)
-    in_memory = ProofTrace(k=0, n_max=13, steps=steps)
+    in_memory = ProofTrace(k=0, n_max=13, steps=steps, oracle_x_max=10**3)
     # the same tamper made to the trace's JSON form, then rebuilt from it
     data = json.loads(json.dumps(trace.to_jsonable()))
     if field in ("op", "inputs"):
@@ -330,20 +522,25 @@ def test_replay_names_a_huge_or_malformed_step(op, field, value):
         start = time.perf_counter()
         (bad,) = replayed.replay()
         assert time.perf_counter() - start < 1.0
-        assert bad.startswith(f"{value}:" if field == "op" else f"{op}:"), bad
-        if field == "search_bound":
-            assert "scan budget" in bad
+        assert bad.startswith(f"step {i} {op}: solve passes"), bad
+    if field == "search_bound":
+        with pytest.raises(ValueError, match="scan budget"):
+            caseworks.p3_case(0, value)
 
 
 def test_replay_refuses_a_mod_pow2_prime_over_the_scan_budget():
-    # p = 3 + 2^30 would list 2^30 odd residues
+    # p = 3 + 2^30 would list 2^30 odd residues: not solve's p, so never
+    # run by replay, and refused by the procedure called on it
     _, trace = solve(1, n_max=30, cross_check=False)
     tampered = with_inputs(trace, "mod_pow2_insoluble", p=1_073_741_827)
+    (i,) = first_steps(trace, "mod_pow2_insoluble")
     for replayed in (tampered, rebuilt_from_json(tampered)):
         start = time.perf_counter()
         (bad,) = replayed.replay()
         assert time.perf_counter() - start < 1.0
-        assert bad.startswith("mod_pow2_insoluble:") and "scan budget" in bad
+        assert bad.startswith(f"step {i} mod_pow2_insoluble: solve passes")
+    with pytest.raises(ValueError, match="mod_pow2_insoluble.*scan budget"):
+        caseworks.mod_pow2_insoluble(1_073_741_827, 0)
 
 
 @pytest.mark.parametrize(
@@ -355,14 +552,26 @@ def test_replay_refuses_a_mod_pow2_prime_over_the_scan_budget():
         {"n": 3000, "factoring_budget": 10**30},
     ],
 )
-def test_replay_refuses_a_factoring_budget_over_the_solvers(inputs):
+def test_replay_refuses_a_factoring_budget_over_the_solvers(inputs, monkeypatch):
+    # solve passes FACTORING_BUDGET: any other budget diverges, and
+    # primitive_divisor only ever factors with solve's own
     _, trace = solve(0, n_max=13, cross_check=False)
     tampered = with_inputs(trace, "primitive_divisor", **inputs)
+    (i,) = first_steps(trace, "primitive_divisor")
+    budgets = []
+    real = solver_mod.primitive_divisor
+
+    def spy(pair, n, factoring_budget):
+        budgets.append(factoring_budget)
+        return real(pair, n, factoring_budget)
+
+    monkeypatch.setattr(solver_mod, "primitive_divisor", spy)
     for replayed in (tampered, rebuilt_from_json(tampered)):
         start = time.perf_counter()
         (bad,) = replayed.replay()
         assert time.perf_counter() - start < 1.0
-        assert bad.startswith("primitive_divisor:") and "FACTORING_BUDGET" in bad
+        assert bad.startswith(f"step {i} primitive_divisor: solve passes")
+    assert budgets and set(budgets) == {FACTORING_BUDGET}
 
 
 def test_replay_names_steps_tampered_to_a_negative_factoring_budget():
@@ -373,12 +582,14 @@ def test_replay_names_steps_tampered_to_a_negative_factoring_budget():
         else s
         for s in trace.steps
     ]
-    tampered = ProofTrace(k=0, n_max=13, steps=steps)
+    tampered = ProofTrace(k=0, n_max=13, steps=steps, oracle_x_max=10**3)
     for replayed in (tampered, rebuilt_from_json(tampered)):
         bad = replayed.replay()
         assert len(bad) == 4
         for b in bad:
-            assert b.startswith("primitive_divisor:") and "at least 0" in b
+            assert re.match(r"step \d+ primitive_divisor: solve passes", b), b
+    with pytest.raises(ValueError, match="factoring budget must be at least 0"):
+        primitive_divisor(LucasPair(1, 5), 5, -1)
 
 
 def test_replay_names_steps_whose_inputs_are_not_integers():
@@ -390,13 +601,16 @@ def test_replay_names_steps_whose_inputs_are_not_integers():
     tampered = with_inputs(
         with_inputs(trace, "mod19_forces_p", t=0.9, p=3.4), "even_case", m=True
     )
+    i, j = first_steps(trace, "even_case", "mod19_forces_p")
     for replayed in (tampered, rebuilt_from_json(tampered)):
         bad = replayed.replay()
-        assert [b.split(":")[0] for b in bad] == ["even_case", "mod19_forces_p"]
-        assert "not an integer" in bad[0] and "not an integer" in bad[1]
-    for m in (" 1", "+1", "01", "1.0", 1.0, None):
-        (bad,) = with_inputs(trace, "even_case", m=m).replay()
-        assert bad.startswith("even_case:"), m
+        assert [b.split(":")[0] for b in bad] == [f"step {i} even_case", f"step {j} mod19_forces_p"]
+        assert "solve passes" in bad[0] and "solve passes" in bad[1]
+    for m in (" 1", "+1", "01", "1.0", 1.0, True, None):
+        tampered = with_inputs(trace, "even_case", m=m)
+        for replayed in (tampered, rebuilt_from_json(tampered)):
+            (bad,) = replayed.replay()
+            assert bad.startswith(f"step {i} even_case: solve passes"), m
     # the decimal string the writer emits for a large int replays
     assert with_inputs(trace, "even_case", m="1").replay() == []
 
@@ -436,7 +650,7 @@ def test_json_replay_names_only_the_step_whose_shared_verdict_was_tampered():
         zeroed = {**check, "residues": [0, *check["residues"][1:]]}
         steps[i] = ProofStep(step.op, step.inputs, {**step.value, "trace": [zeroed]})
         assert ProofTrace(k=7, n_max=rebuilt.n_max, steps=steps).replay() == [
-            "mod19_forces_p"
+            f"step {i} mod19_forces_p: value differs"
         ]
 
 
@@ -449,20 +663,22 @@ def test_replay_names_a_step_whose_value_is_another_verdict():
     assert other.outcome == step.value.outcome == caseworks.OUTCOME_CONTRADICTION
     i = [s.op for s in trace.steps].index("mod19_forces_p")
     trace.steps[i] = ProofStep(step.op, step.inputs, other)
-    assert trace.replay() == ["mod19_forces_p"]
-    assert rebuilt_from_json(trace).replay() == ["mod19_forces_p"]
+    assert trace.replay() == [f"step {i} mod19_forces_p: value differs"]
+    assert rebuilt_from_json(trace).replay() == [f"step {i} mod19_forces_p: value differs"]
 
 
 def test_replay_names_a_shared_verdict_step_tampered_to_p_19():
-    # p = 19 with t < k is forced, not the contradiction the step still holds
+    # the step still holds the shared verdict replay gets back for solve's
+    # p; the recorded p = 19 is not solve's
     _, trace = solve(7, cross_check=False)
     step = trace.find("mod19_forces_p")[0]
     assert step.inputs["t"] < step.inputs["k"] and step.inputs["p"] != 19
     tampered = with_inputs(trace, "mod19_forces_p", p=19)
     i = [s.op for s in trace.steps].index("mod19_forces_p")
     assert tampered.steps[i].value is step.value
-    assert tampered.replay() == ["mod19_forces_p"]
-    assert rebuilt_from_json(tampered).replay() == ["mod19_forces_p"]
+    for replayed in (tampered, rebuilt_from_json(tampered)):
+        (bad,) = replayed.replay()
+        assert bad.startswith(f"step {i} mod19_forces_p: solve passes")
 
 
 def test_replay_does_not_compare_a_verdict_with_itself(monkeypatch):
@@ -491,8 +707,8 @@ def test_composite_lift_is_recorded_and_replayed():
     i = [s.op for s in trace.steps].index("composite_lift")
     steps[i] = ProofStep("composite_lift", lift.inputs, {"root": 5})
     tampered = ProofTrace(k=0, n_max=49, steps=steps)
-    assert tampered.replay() == ["composite_lift"]
-    assert rebuilt_from_json(tampered).replay() == ["composite_lift"]
+    assert tampered.replay() == [f"step {i} composite_lift: value differs"]
+    assert rebuilt_from_json(tampered).replay() == [f"step {i} composite_lift: value differs"]
 
 
 def scribble(obj):

@@ -49,9 +49,9 @@ VALUES = {
     ),
     "ProofTrace": (
         lambda: ProofTrace(k=0, n_max=7, steps=[ProofStep("even_case", {"m": 1}, 0)]),
-        ("k", "n_max", "steps", "solutions"),
+        ("k", "n_max", "steps", "solutions", "oracle_x_max"),
         "ProofTrace(k=0, n_max=7, steps=[ProofStep(op='even_case', inputs={'m': 1}, "
-        "value=0)], solutions=[])",
+        "value=0)], solutions=None, oracle_x_max=None)",
     ),
 }
 MUTABLE = {"ProofStep", "ProofTrace"}
@@ -115,7 +115,10 @@ def test_construction_by_position_and_keyword_agree():
     )
     step = ProofStep(op="lucas_u", inputs={"P": 1, "Q": 5, "n": 7}, value={"value": 1})
     assert step == VALUES["ProofStep"][0]()
-    # each trace starts with lists of its own
+    # each trace starts with a list of steps of its own, and no solutions
     first, second = ProofTrace(0, 7), ProofTrace(k=0, n_max=7)
     assert first == second and first.steps is not second.steps
-    assert first.solutions == [] and first.solutions is not second.solutions
+    assert first.solutions is None and first.oracle_x_max is None
+    assert ProofTrace(0, 7, [], [], 10) == ProofTrace(
+        k=0, n_max=7, steps=[], solutions=[], oracle_x_max=10
+    )
