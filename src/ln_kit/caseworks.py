@@ -2,7 +2,10 @@
 
 Each procedure returns a CaseVerdict whose trace records the moduli used and
 the residues enumerated, so a verdict can be replayed and compared bit-for-bit
-instead of being trusted as a bare boolean.
+instead of being trusted as a bare boolean.  mod19_forces_p,
+mod_pow2_insoluble and no_19z2_solutions check their inputs on every call
+and then return one read-only verdict per question (a bounded lru_cache of
+VERDICT_CACHE_SIZE entries), shared by every caller in the process.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from types import MappingProxyType
 from typing import Any
 
 from .equation_model import Solution, check_D_digits, json_safe
-from .lucas_engine import Frozen, is_probable_prime
+from .lucas_engine import VERDICT_CACHE_SIZE, Frozen, is_probable_prime
 from .oracle import check_budget, generalized_scan, iroot, perfect_root
 
 OUTCOME_CONTRADICTION = "contradiction"
@@ -125,11 +128,6 @@ def even_case(k: int, m: int) -> CaseVerdict:
     return CaseVerdict.found([Solution(x, root, 2 * m)], trace)
 
 
-# Distinct p that mod19_forces_p keeps a verdict for: a solve within the step
-# budget names up to 913 (k = 1, n_max = 7144), a direct caller any number.
-MOD19_P_CACHE_SIZE = 256
-
-
 def mod19_forces_p(k: int, t: int, p: int) -> CaseVerdict:
     """When 19 still divides the reduced left side (t < k), the surviving
     term mod 19 is p*a^(p-1); with 19 coprime to a that forces p = 19.
@@ -145,7 +143,7 @@ def mod19_forces_p(k: int, t: int, p: int) -> CaseVerdict:
     return _mod19_verdict(p)
 
 
-@functools.lru_cache(maxsize=MOD19_P_CACHE_SIZE)
+@functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
 def _mod19_verdict(p: int) -> CaseVerdict:
     """mod19_forces_p's verdict for p, built once per p while it is cached."""
     residues = tuple((p % 19) * pow(a, p - 1, 19) % 19 for a in range(1, 19))
@@ -189,35 +187,46 @@ def mod_pow2_insoluble(p: int, t: int) -> CaseVerdict:
     the same congruence with the 19^(2t) factor collapsed to 1.  Raises
     ValueError before the enumeration when its 2^s residues are over the
     scan budget (oracle.check_budget).
+
+    The checks on p, t and the budget run on every call.  t enters the
+    verdict only through the target, so every t that meets one shares one
+    read-only verdict per (p, target), as mod19_forces_p shares one per p.
     """
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     if p <= 3 or p % 4 != 3 or not is_probable_prime(p):
         raise ValueError(f"p must be a prime congruent to 3 mod 4 and > 3, got {p}")
     s = ((p - 3) & -(p - 3)).bit_length() - 1
-    m = (p - 3) >> s
     modulus = 1 << (s + 1)
     check_budget(f"mod_pow2_insoluble(p={p})", modulus // 2)
     target = pow(19, 2 * t, modulus) * (2 + (1 << (s - 1))) % modulus
+    return _pow2_verdict(p, s, target)
+
+
+@functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
+def _pow2_verdict(p: int, s: int, target: int) -> CaseVerdict:
+    """mod_pow2_insoluble's verdict for p (s is p's, passed on) and the
+    target, built once per (p, target) while it is cached: its trace entry
+    is read-only and its residue lists tuples."""
+    modulus = 1 << (s + 1)
     odd_residues = range(1, modulus, 2)
-    squares = sorted({a * a % modulus for a in odd_residues})
-    solutions = [a for a in odd_residues if a * a % modulus == target]
-    trace = (
-        {
-            "check": "odd_squares_exhaustive",
-            "modulus": modulus,
-            "s": s,
-            "m": m,
-            "target": target,
-            "odd_residues_checked": len(odd_residues),
-            "square_residues": squares,
-            "solutions": solutions,
-        },
-    )
+    squares = tuple(sorted({a * a % modulus for a in odd_residues}))
+    solutions = tuple(a for a in odd_residues if a * a % modulus == target)
+    check = {
+        "check": "odd_squares_exhaustive",
+        "modulus": modulus,
+        "s": s,
+        "m": (p - 3) >> s,
+        "target": target,
+        "odd_residues_checked": len(odd_residues),
+        "square_residues": squares,
+        "solutions": solutions,
+    }
+    trace = (MappingProxyType(check),)
     if not solutions:
         return CaseVerdict.contradiction(
             f"a^2 = {target} (mod {modulus}) has no odd solution "
-            f"(odd squares mod {modulus} are {squares})",
+            f"(odd squares mod {modulus} are {list(squares)})",
             trace,
         )
     return CaseVerdict.forced(
@@ -364,24 +373,34 @@ def no_19z2_solutions(n_max: int, z_max: int) -> CaseVerdict:
     odd and divisible by 19 (x^2 = 19*(4y^n - 1)), so Z = x/19 is odd.
     candidates_checked counts every Y >= 1 with 4*Y^n <= 19*z_max^2 + 1.
     Raises ValueError when the window is over the oracle's SCAN_BUDGET.
+
+    The checks on n_max and z_max run on every call; every solve in the
+    process shares one read-only verdict per (n_max, z_max), as
+    mod19_forces_p shares one per p.
     """
     if n_max < 3 or z_max < 1:
         raise ValueError(f"need n_max >= 3 and z_max >= 1, got {n_max}, {z_max}")
+    return _no_19z2_verdict(n_max, z_max)
+
+
+@functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
+def _no_19z2_verdict(n_max: int, z_max: int) -> CaseVerdict:
+    """no_19z2_solutions' verdict, built once per (n_max, z_max) while it is
+    cached: its trace entry is read-only and its witnesses a tuple."""
     scan = generalized_scan(19, 76, 3, n_max, 19 * z_max)
-    witnesses = [(x // 19, y, n) for x, y, n in scan]
+    witnesses = tuple((x // 19, y, n) for x, y, n in scan)
     limit = 19 * z_max * z_max + 1
     n_top = min(n_max, (limit // 4).bit_length() - 1)  # above it only Y = 1 fits
     checked = sum(iroot(limit // 4, n) for n in range(3, n_top + 1)) + n_max - n_top
-    trace = (
-        {
-            "check": "exhaustive_scan",
-            "n_min": 3,
-            "n_max": n_max,
-            "z_max": z_max,
-            "candidates_checked": checked,
-            "witnesses": [list(w) for w in witnesses],
-        },
-    )
+    check = {
+        "check": "exhaustive_scan",
+        "n_min": 3,
+        "n_max": n_max,
+        "z_max": z_max,
+        "candidates_checked": checked,
+        "witnesses": witnesses,
+    }
+    trace = (MappingProxyType(check),)
     if witnesses:
         return CaseVerdict.forced(
             [("witness_count", len(witnesses))],

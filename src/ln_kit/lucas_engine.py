@@ -17,6 +17,7 @@ here, in the module every other one imports.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -33,6 +34,11 @@ TRIAL_DIVISION_LIMIT = 10**6
 # (|u_5| .. |u_13| of the pair (1, 5), all at most 15,679) never get past
 # trial division, so it changes none of them.
 FACTORING_BUDGET = 10**6
+
+# Verdicts each cached procedure keeps, the package's one bound on such
+# caches: a solve asks about at most one p per odd prime <= n_max (913
+# within the step budget), a direct caller about any number of inputs.
+VERDICT_CACHE_SIZE = 256
 
 # Bases giving a deterministic Miller-Rabin answer for n < 3.317e24; for
 # larger n the same bases act as a strong probable-prime test.
@@ -337,17 +343,26 @@ def primitive_divisor(
 ) -> PrimitiveDivisorVerdict:
     """Decide whether u_n has a primitive divisor, factoring within budget.
 
-    A budget below 0 is refused before any work.  u_n comes from lucas_u,
-    which refuses it before any work when it, or an earlier term the verdict
-    quotes, is too long to write.  One more pass of the recurrence finds,
-    for each prime factor q of u_n, the first j in [2, n) with q | u_j and
-    that u_j, which the obstruction quotes.  No list of terms is kept, so
-    memory grows with n, not n^2.
+    A budget below 0, an n below 2 and a u_n too long to write (lucas_u's
+    check, which covers the terms the verdict quotes) are refused before any
+    work on every call; the callers then share one verdict per question.
     """
     if factoring_budget < 0:
         raise ValueError(f"factoring budget must be at least 0, got {factoring_budget}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
+    check_digits("u_n", n, *u_n_log10(pair))
+    return _primitive_divisor_verdict(pair, n, factoring_budget)
+
+
+@functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
+def _primitive_divisor_verdict(
+    pair: LucasPair, n: int, factoring_budget: int
+) -> PrimitiveDivisorVerdict:
+    """u_n comes from lucas_u.  One more pass of the recurrence finds, for
+    each prime factor q of u_n, the first j in [2, n) with q | u_j and that
+    u_j, which the obstruction quotes.  No list of terms is kept, so memory
+    grows with n, not n^2."""
     value = abs(lucas_u(pair, n))  # never 0: LucasPair rejects degenerate pairs
     if value == 1:
         return PrimitiveDivisorVerdict(

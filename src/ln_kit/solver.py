@@ -7,10 +7,18 @@ of this module, which records (procedure, inputs, returned value); the JSON
 form waits for serialization, built once per distinct value object.  Replay
 runs solve's own loops on the trace's header with step in checking mode, so
 procedures only see the inputs solve computes, never recorded ones.
+
+A question whose answer does not depend on the instance is decided once per
+process: the 19*Z^2 + 1 = 4*Y^n scan, the mod-19 and power-of-two sieves'
+verdicts per p, the fixed pair's primitive-divisor verdicts, the closure for
+each p > 13 and the defect table's verdict for each p in NO_DEFECTIVE_PAIR.
+Each is one read-only verdict that every step and every solve share, so the
+trace and its replay in the same process hold the same objects.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import chain, repeat
 from typing import Any, Callable, Iterator
 
@@ -26,6 +34,7 @@ from .equation_model import (
 )
 from .lucas_engine import (
     FACTORING_BUDGET,
+    VERDICT_CACHE_SIZE,
     BhvRoute,
     Frozen,
     LucasPair,
@@ -145,7 +154,7 @@ class ProofTrace:
         for name in ("k", "n_max", "oracle_x_max"):
             v = getattr(self, name)
             if type(v) is not int and not (v is None and name == "oracle_x_max"):
-                return [f"header: {name}={v!r} is not an integer"]
+                return [f"header: {name}={_shown(v)} is not an integer"]
         checking = _Checking(self)
         try:
             sols = _prove(checking)
@@ -214,7 +223,7 @@ class _Checking(ProofTrace):
         ):
             self.bad.append(
                 f"step {i} {op}: solve passes {inputs}, "
-                f"the trace records {step.op!r} {step.inputs!r}"
+                f"the trace records {_shown(step.op)} {_shown(step.inputs)}"
             )
         elif value is not step.value and value != step.value:
             if id(value) not in self.encoded:
@@ -222,6 +231,22 @@ class _Checking(ProofTrace):
             if self.encoded[id(value)][1] != step.value:
                 self.bad.append(f"step {i} {op}: value differs")
         return value
+
+
+def _shown(recorded: Any) -> str:
+    """repr of a recorded value, with an int of more than 1,024 bits, alone
+    or as a dict's key or value, written as its bit count, and anything else
+    that holds an int too long to write as its type: no int-to-str limit can
+    raise while a divergence is named."""
+    if type(recorded) is dict:
+        items = (f"{_shown(k)}: {_shown(v)}" for k, v in recorded.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(recorded, int) and recorded.bit_length() > 1024:
+        return f"<int of {recorded.bit_length()} bits>"
+    try:
+        return repr(recorded)
+    except ValueError:  # an int past the limit, deeper in
+        return f"<{type(recorded).__name__} holding an int too long to write>"
 
 
 def _same_inputs(recorded: Any, inputs: dict[str, int]) -> bool:
@@ -235,34 +260,47 @@ def _same_inputs(recorded: Any, inputs: dict[str, int]) -> bool:
 
 def always_primitive_closure(p: int) -> CaseVerdict:
     """u_p has a primitive divisor for every Lucas pair when p > 13 is prime
-    (Bilu-Hanrot-Voutier, cited), so u_p = +-1 is impossible."""
+    (Bilu-Hanrot-Voutier, cited), so u_p = +-1 is impossible.  The check on
+    p runs on every call; every instance shares one verdict per p while it
+    is cached (_closure_verdict)."""
     if p <= 13 or not is_probable_prime(p):
         raise ValueError(f"p must be a prime above 13, got {p}")
+    return _closure_verdict(p)
+
+
+@functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
+def _closure_verdict(p: int) -> CaseVerdict:
     return CaseVerdict.contradiction(
         f"u_{p} has a primitive divisor for every Lucas pair (p > 13), "
         f"contradicting u_p = +-1"
     )
 
 
-# p -> why no pair of the required shape is defective for p (only p = 7 has one)
+# p -> the verdict, shared by every k, that no pair of the required shape is
+# defective for p (only p = 7 has one), with the reason why
 NO_DEFECTIVE_PAIR = {
-    5: "no defective pair of the required shape exists for p = 5",
-    11: "no defective pair exists for p = 11",
-    13: "the only defective pair for p = 13 lies in Q(sqrt(-7)), not Q(sqrt(-19))",
+    p: CaseVerdict.contradiction(reason)
+    for p, reason in (
+        (5, "no defective pair of the required shape exists for p = 5"),
+        (11, "no defective pair exists for p = 11"),
+        (13, "the only defective pair for p = 13 lies in Q(sqrt(-7)), "
+             "not Q(sqrt(-19))"),
+    )
 }
 
 
 def defect_table_route(p: int, k: int) -> CaseVerdict:
     """Defective-pair tables for p in {5, 7, 11, 13} (classification cited):
     only p = 7 admits a pair of the required shape (a + 19^k*sqrt(-19))/2,
-    namely a = +-1 with k = 0; NO_DEFECTIVE_PAIR says why the others do not.
+    namely a = +-1 with k = 0; NO_DEFECTIVE_PAIR holds the verdict, and the
+    reason, for each of the others.
     """
     if p != 7 and p not in NO_DEFECTIVE_PAIR:
         raise ValueError(f"defect table covers p in {{5, 7, 11, 13}}, got {p}")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if p in NO_DEFECTIVE_PAIR:
-        return CaseVerdict.contradiction(NO_DEFECTIVE_PAIR[p])
+        return NO_DEFECTIVE_PAIR[p]
     if k != 0:
         return CaseVerdict.contradiction(
             f"the defective pair for p = 7 requires k = 0, got k = {k}"

@@ -2,6 +2,27 @@ import math
 
 import pytest
 
+from ln_kit import caseworks, lucas_engine, solver
+
+# every verdict cache of the package (tests/test_verdict_caches.py finds
+# them all and checks this list against them)
+VERDICT_CACHES = (
+    caseworks._mod19_verdict,
+    caseworks._no_19z2_verdict,
+    caseworks._pow2_verdict,
+    lucas_engine._primitive_divisor_verdict,
+    solver._closure_verdict,
+)
+
+
+@pytest.fixture(autouse=True)
+def fresh_verdicts():
+    """Each test starts with every verdict cache empty, so a verdict an
+    earlier test computed (or planted through a patched scan) never stands
+    in for the procedure a test runs."""
+    for cache in VERDICT_CACHES:
+        cache.cache_clear()
+
 
 def _imag_binomial_sum(a, b, p):
     """S = sum_{r=0}^{(p-1)/2} C(p, 2r+1) * a^(p-2r-1) * (-19)^r * b^(2r).

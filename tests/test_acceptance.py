@@ -153,7 +153,7 @@ def test_criterion_10_bounded_le_theorem_check():
     step = verdict.trace[0]
     ok = (
         verdict.outcome == "contradiction"
-        and step["witnesses"] == []
+        and step["witnesses"] == ()
         and step["z_max"] == 10**5
         and step["n_max"] == 20
         and "cited" in verdict.reason

@@ -117,12 +117,6 @@ def test_mod19_forces_p_verdict_is_immutable():
     )
 
 
-def test_mod19_forces_p_cache_is_bounded():
-    # a direct caller may name any number of distinct p
-    maxsize = caseworks._mod19_verdict.cache_info().maxsize
-    assert maxsize is not None and maxsize == caseworks.MOD19_P_CACHE_SIZE
-
-
 def test_mod19_forces_kt():
     assert mod19_forces_kt(2, 1).outcome == OUTCOME_FORCED
     assert mod19_forces_kt(3, 0).outcome == OUTCOME_CONTRADICTION
@@ -135,7 +129,7 @@ def test_mod_pow2_insoluble_p19(t):
     step = verdict.trace[0]
     assert step["modulus"] == 32
     assert step["odd_residues_checked"] == 16
-    assert step["square_residues"] == [1, 9, 17, 25]
+    assert step["square_residues"] == (1, 9, 17, 25)
     assert step["target"] not in step["square_residues"]
 
 
@@ -375,7 +369,7 @@ def test_trichotomy_preconditions():
 def test_no_19z2_small_scan():
     verdict = no_19z2_solutions(3, 10)
     assert verdict.outcome == OUTCOME_CONTRADICTION
-    assert verdict.trace[0]["witnesses"] == []
+    assert verdict.trace[0]["witnesses"] == ()
 
 
 def test_no_19z2_wider_scan():
@@ -459,7 +453,7 @@ def test_no_19z2_reads_witnesses_off_the_scan(monkeypatch):
     verdict = no_19z2_solutions(4, 10)
     assert calls == [(19, 76, 3, 4, 190)]
     assert verdict.outcome == OUTCOME_FORCED
-    assert verdict.trace[0]["witnesses"] == [[3, 5, 3]]
+    assert verdict.trace[0]["witnesses"] == ((3, 5, 3),)
 
 
 def test_verdict_serialization_roundtrips_json():

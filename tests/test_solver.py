@@ -615,6 +615,15 @@ def test_replay_names_steps_whose_inputs_are_not_integers():
     assert with_inputs(trace, "even_case", m="1").replay() == []
 
 
+def test_replay_names_a_step_whose_input_is_too_long_to_write():
+    # an in-memory int past the int-to-str limit is named by its bit count
+    _, trace = solve(0, n_max=3, cross_check=False)
+    tampered = with_inputs(trace, "even_case", m=10**5000)
+    (bad,) = tampered.replay()
+    assert bad.startswith("step 1 even_case: solve passes")
+    assert bad.endswith("{'k': 0, 'm': <int of 16610 bits>}")
+
+
 def test_json_replay_encodes_each_shared_verdict_once(monkeypatch):
     _, trace = solve(7, cross_check=False)
     steps = trace.find("mod19_forces_p")
