@@ -8,8 +8,11 @@ writes the median and quartiles of each end-to-end metric per workload, with
 the environment.  Every record covers the same workloads and seeds, so
 records compare across changes.  ``env.src_sha256`` identifies the measured
 tree; ``base_commit`` is the commit it was measured on, with ``-dirty`` when
-the tree held uncommitted changes.  An existing record is never overwritten:
-the script refuses before it runs anything.
+the tree held uncommitted changes.  Before the benchmark it runs the Tier-1
+suite once (ROADMAP's command, with ``--durations=10``) and records its wall
+seconds, its passed and failed counts and its ten slowest tests as
+``tier1``; a failing suite is recorded as it is.  An existing record is
+never overwritten: the script refuses before it runs anything.
 
 Usage (from the repository root):
     python3 scripts/bench_record.py --number 7
@@ -19,9 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Any
 
@@ -30,6 +36,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # env lines that name the host and the tree; the load averages vary per run
 ENV_KEYS = ("python", "nproc", "affinity_cpus", "cpu_model", "src_sha256", "load")
 SEEDS = list(range(1, 11))
+# ROADMAP's Tier-1 command, with the ten slowest tests listed
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
+_SLOW = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(.+)$")
+_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 
 
 def parse_run(stdout: str) -> dict[str, Any]:
@@ -86,6 +96,35 @@ def aggregate(runs: dict[str, list[dict[str, Any]]]) -> dict[str, Any]:
     return out
 
 
+def parse_tier1(stdout: str, wall_s: float) -> dict[str, Any]:
+    """The Tier-1 record of one ``pytest -q --durations=10`` output: its
+    wall seconds, passed and failed counts (errors count as failed) from the
+    summary line, and the slowest tests, slowest first."""
+    lines = stdout.strip().splitlines()
+    if not lines or " in " not in lines[-1]:
+        raise ValueError("the Tier-1 run printed no summary line")
+    counts = {"passed": 0, "failed": 0}
+    for number, outcome in _COUNT.findall(lines[-1]):
+        counts["passed" if outcome == "passed" else "failed"] += int(number)
+    slowest = [
+        {"test": m[3], "phase": m[2], "s": float(m[1])}
+        for m in map(_SLOW.match, lines)
+        if m
+    ]
+    return {"wall_s": round(wall_s, 3), **counts, "slowest": slowest}
+
+
+def run_tier1() -> dict[str, Any]:
+    """Run the Tier-1 suite once in this tree and parse what it printed."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src") + (f":{path}" if path else "")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *TIER1], cwd=ROOT, capture_output=True, text=True, env=env
+    )
+    return parse_tier1(proc.stdout, time.perf_counter() - start)
+
+
 def describe_commit() -> str:
     """HEAD, with a -dirty suffix when the tree has uncommitted changes.
 
@@ -135,6 +174,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bench_record: {path.name} exists; not overwritten", file=sys.stderr)
         return 2
     seconds = bench["run_seconds"]
+    tier1 = run_tier1()
+    print(f"tier1: {tier1['passed']} passed, {tier1['failed']} failed", file=sys.stderr)
     runs: dict[str, list[dict[str, Any]]] = {}
     for workload in workloads:
         runs[workload] = []
@@ -149,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": " ".join(bench["command"])
         + f" --workload W --seed N --seconds {seconds} --trace 0",
         "seeds": SEEDS,
+        "tier1": {"command": " ".join(["python", *TIER1]), **tier1},
         "workloads": aggregate(runs),
     }
     with open(path, "x") as fh:  # "x": fail rather than overwrite

@@ -46,17 +46,6 @@ class CaseVerdict(Frozen):
         object.__setattr__(self, "solutions", solutions)
         object.__setattr__(self, "trace", trace)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CaseVerdict:
-            return NotImplemented
-        return (
-            self.outcome, self.reason, self.assignments, self.reduced_k,
-            self.constraints, self.solutions, self.trace,
-        ) == (
-            other.outcome, other.reason, other.assignments, other.reduced_k,
-            other.constraints, other.solutions, other.trace,
-        )
-
     @classmethod
     def contradiction(cls, reason: str, trace=()) -> CaseVerdict:
         return cls(OUTCOME_CONTRADICTION, reason=reason, trace=tuple(trace))

@@ -20,11 +20,6 @@ class LNInstance(Frozen):
             raise ValueError(f"k must be non-negative, got {k}")
         object.__setattr__(self, "k", k)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not LNInstance:
-            return NotImplemented
-        return self.k == other.k
-
     @property
     def D(self) -> int:
         """The odd constant 19^(2k+1); always congruent to 3 mod 4."""
@@ -79,11 +74,6 @@ class Solution(Frozen):
             raise ValueError(f"solution entries must be positive: {self}")
         if x % 2 == 0 or y % 2 == 0:
             raise ValueError(f"x and y must be odd: {self}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Solution:
-            return NotImplemented
-        return (self.x, self.y, self.n) == (other.x, other.y, other.n)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.n)

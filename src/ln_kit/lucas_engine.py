@@ -12,13 +12,15 @@ each Miller-Rabin round on each piece too; a cofactor left unsplit or
 untested yields an explicit indeterminate verdict, never a silent negative.
 The oracle runs trial_divide alone, to read the divisors of D off an exact
 factorization.  Frozen, the base of the package's frozen value types, lives
-here, in the module every other one imports.
+here, in the module every other one imports: each type writes only its
+__init__, and Frozen gives repr, equality, hash and no assignment.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 import sys
 from enum import Enum
@@ -46,17 +48,22 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class Frozen:
-    """Base of the frozen value types: repr as Name(field=value, ...) and hash
-    as the tuple of the fields that __match_args__ names, in __init__'s order,
-    and no assignment or deletion.  Each type holds its fields in __slots__
-    (SearchWindow aside) and writes its own __init__, through
-    object.__setattr__, and __eq__."""
+    """Base of the frozen value types.  Each type names its fields in
+    __match_args__, in __init__'s order, holds them in __slots__ (SearchWindow
+    aside) and writes only its __init__, through object.__setattr__.  Frozen
+    gives the rest: repr as Name(field=value, ...), equality of the fields
+    between objects of one exact class, hash as the tuple of the fields, and
+    no assignment or deletion."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # a class that defines __eq__ and not __hash__ gets __hash__ = None
-        cls.__hash__ = Frozen.__hash__
+        cls._fields = operator.attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
@@ -88,11 +95,6 @@ class LucasPair(Frozen):
             raise ValueError(f"({P}, {Q}) is a degenerate Lucas pair")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not LucasPair:
-            return NotImplemented
-        return (self.P, self.Q) == (other.P, other.Q)
 
     @property
     def disc(self) -> int:
@@ -128,15 +130,6 @@ class PrimitiveDivisorVerdict(Frozen):
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "obstruction", obstruction)
         object.__setattr__(self, "indeterminate", indeterminate)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PrimitiveDivisorVerdict:
-            return NotImplemented
-        return (
-            self.n, self.exists, self.witness, self.obstruction, self.indeterminate
-        ) == (
-            other.n, other.exists, other.witness, other.obstruction, other.indeterminate
-        )
 
     def to_jsonable(self) -> dict[str, Any]:
         witness = None if self.witness is None else str(self.witness)

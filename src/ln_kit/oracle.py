@@ -84,13 +84,6 @@ class SearchWindow(Frozen):
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "x_max", x_max)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SearchWindow:
-            return NotImplemented
-        return (self.k, self.n_min, self.n_max, self.x_max) == (
-            other.k, other.n_min, other.n_max, other.x_max
-        )
-
 
 def _check_window(n_min: int, n_max: int, x_max: int) -> None:
     """Refuse an n range that is empty or reaches below 2, or x_max < 1."""

@@ -30,11 +30,6 @@ class QuadInt19(Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not QuadInt19:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
     @property
     def norm(self) -> int:
         return (self.a * self.a + 19 * self.b * self.b) // 4

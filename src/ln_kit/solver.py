@@ -19,6 +19,7 @@ trace and its replay in the same process hold the same objects.
 from __future__ import annotations
 
 import functools
+import operator
 from itertools import chain, repeat
 from typing import Any, Callable, Iterator
 
@@ -80,19 +81,13 @@ class ProofStep:
     """
 
     __slots__ = __match_args__ = ("op", "inputs", "value")
-    __repr__ = Frozen.__repr__
+    __repr__, __eq__ = Frozen.__repr__, Frozen.__eq__
+    _fields = operator.attrgetter(*__match_args__)
 
     def __init__(self, op: str, inputs: dict[str, Any], value: Any) -> None:
         self.op = op
         self.inputs = inputs
         self.value = value
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ProofStep:
-            return NotImplemented
-        return (self.op, self.inputs, self.value) == (
-            other.op, other.inputs, other.value
-        )
 
     @property
     def result(self) -> dict[str, Any]:
@@ -107,7 +102,8 @@ class ProofTrace:
     solutions, None until solve sets them."""
 
     __slots__ = __match_args__ = ("k", "n_max", "steps", "solutions", "oracle_x_max")
-    __repr__ = Frozen.__repr__
+    __repr__, __eq__ = Frozen.__repr__, Frozen.__eq__
+    _fields = operator.attrgetter(*__match_args__)
 
     def __init__(self, k, n_max, steps=None, solutions=None, oracle_x_max=None) -> None:
         self.k = k
@@ -115,13 +111,6 @@ class ProofTrace:
         self.steps = [] if steps is None else steps
         self.solutions = solutions
         self.oracle_x_max = oracle_x_max
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ProofTrace:
-            return NotImplemented
-        return (self.k, self.n_max, self.steps, self.solutions, self.oracle_x_max) == (
-            other.k, other.n_max, other.steps, other.solutions, other.oracle_x_max
-        )
 
     @classmethod
     def from_jsonable(cls, data: dict[str, Any]) -> ProofTrace:

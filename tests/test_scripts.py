@@ -104,10 +104,45 @@ def test_bench_record_aggregates_canned_runs():
         bench.aggregate({"proof_deep": mixed})
 
 
+CANNED_TIER1 = """\
+........................................................................ [ 15%]
+...F.................................................................... [ 31%]
+=================================== FAILURES ===================================
+________________________ test_deep_trace_bytes_pinned _________________________
+E       assert 'a' == 'b'
+============================= slowest 10 durations =============================
+10.40s call     tests/test_huge_inputs.py::test_huge_inputs_end_in_seconds
+2.12s call     tests/test_lucas_engine.py::test_factorize_matches_reference
+0.50s setup    tests/test_solver.py::test_deep_trace_bytes_pinned
+0.01s call     tests/test_cli.py::test_refusals[--k 10**400]
+=========================== short test summary info ============================
+FAILED tests/test_solver.py::test_deep_trace_bytes_pinned - assert 'a' == 'b'
+1 failed, 457 passed in 31.40s
+"""
+
+
+def test_bench_record_parses_a_tier1_run_failures_included():
+    bench = load_script("bench_record")
+    tier1 = bench.parse_tier1(CANNED_TIER1, 32.04)
+    assert (tier1["wall_s"], tier1["passed"], tier1["failed"]) == (32.04, 457, 1)
+    assert tier1["slowest"][0] == {
+        "test": "tests/test_huge_inputs.py::test_huge_inputs_end_in_seconds",
+        "phase": "call",
+        "s": 10.4,
+    }
+    assert [t["s"] for t in tier1["slowest"]] == [10.4, 2.12, 0.5, 0.01]
+    assert tier1["slowest"][3]["test"] == "tests/test_cli.py::test_refusals[--k 10**400]"
+    errors = bench.parse_tier1("1 passed, 2 errors in 0.10s\n", 0.2)
+    assert (errors["passed"], errors["failed"]) == (1, 2)
+    with pytest.raises(ValueError, match="no summary line"):
+        bench.parse_tier1("", 0.1)
+
+
 def test_bench_record_never_overwrites(tmp_path, monkeypatch, capsys):
     bench = load_script("bench_record")
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "run_tier1", lambda: bench.parse_tier1(CANNED_TIER1, 21.0))
     # a canned run for every workload and seed: 0.3 s on odd seeds, 0.5 s on even
     monkeypatch.setattr(
         bench,
@@ -122,6 +157,8 @@ def test_bench_record_never_overwrites(tmp_path, monkeypatch, capsys):
     record = json.loads(written)
     assert record["number"] == 7 and record["seeds"] == list(range(1, 11))
     assert record["env"]["src_sha256"] == "abc123"
+    assert record["tier1"]["command"].endswith("--durations=10")
+    assert (record["tier1"]["passed"], record["tier1"]["failed"]) == (457, 1)
     bench_spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench_spec["workloads"]]
     assert list(record["workloads"]) == names
@@ -133,6 +170,7 @@ def test_bench_record_never_overwrites(tmp_path, monkeypatch, capsys):
         raise AssertionError("ran the benchmark although the record exists")
 
     monkeypatch.setattr(bench, "run_bench", no_run)
+    monkeypatch.setattr(bench, "run_tier1", no_run)
     assert bench.main(argv) == 2
     assert "not overwritten" in capsys.readouterr().err
     assert (tmp_path / "BENCH_7.json").read_text() == written

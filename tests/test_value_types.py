@@ -1,16 +1,20 @@
 """The contract of the package's nine value types, which are plain classes
-that write their own __init__ and __eq__: the seven frozen ones refuse
-assignment and deletion and hash their fields; ProofStep and ProofTrace are
-mutable and unhashable; equality reads the fields and never holds across
-two classes; repr is Name(field=value, ...), which error messages quote."""
+that write only their own __init__: the seven Frozen ones take repr,
+equality and hash from Frozen, refuse assignment and deletion and hash their
+fields; ProofStep and ProofTrace borrow Frozen's repr and equality and stay
+mutable and unhashable; equality reads every field and never holds across
+two classes; repr is Name(field=value, ...), which error messages quote.
+No class of ln_kit but Frozen writes __eq__ or __hash__."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
 from ln_kit.caseworks import CaseVerdict
 from ln_kit.equation_model import LNInstance, Solution
-from ln_kit.lucas_engine import LucasPair, PrimitiveDivisorVerdict
+from ln_kit.lucas_engine import Frozen, LucasPair, PrimitiveDivisorVerdict
 from ln_kit.oracle import SearchWindow
 from ln_kit.quadratic_integers import QuadInt19
 from ln_kit.solver import ProofStep, ProofTrace
@@ -56,6 +60,28 @@ VALUES = {
 }
 MUTABLE = {"ProofStep", "ProofTrace"}
 FROZEN = sorted(set(VALUES) - MUTABLE)
+
+# for each field, a second valid value, unequal to the one VALUES makes
+OTHER = {
+    "LNInstance": {"k": 4},
+    "Solution": {"x": 11, "y": 7, "n": 3},
+    "LucasPair": {"P": 3, "Q": 7},
+    "PrimitiveDivisorVerdict": {
+        "n": 13, "exists": False, "witness": 23,
+        "obstruction": ({"prime": 11, "divides": "discriminant"},),
+        "indeterminate": True,
+    },
+    "SearchWindow": {"k": 1, "n_min": 6, "n_max": 29, "x_max": 10**6},
+    "QuadInt19": {"a": 3, "b": -1},
+    "CaseVerdict": {
+        "outcome": "forced", "reason": "19 | x", "assignments": (("t", 0),),
+        "reduced_k": 1, "constraints": ("19 | y",), "solutions": ((9, 5, 2),),
+        "trace": ({"mod": 19},),
+    },
+    "ProofStep": {"op": "bhv_gate", "inputs": {"P": 1, "Q": 5, "n": 11}, "value": None},
+    "ProofTrace": {"k": 1, "n_max": 9, "steps": [], "solutions": [], "oracle_x_max": 10},
+}
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ln_kit").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -122,3 +148,33 @@ def test_construction_by_position_and_keyword_agree():
     assert ProofTrace(0, 7, [], [], 10) == ProofTrace(
         k=0, n_max=7, steps=[], solutions=[], oracle_x_max=10
     )
+
+
+def test_every_frozen_type_is_held_to_the_contract():
+    assert {cls.__name__ for cls in Frozen.__subclasses__()} == set(FROZEN)
+    assert set(OTHER) == set(VALUES)
+
+
+@pytest.mark.parametrize(
+    "name, field", [(name, f) for name in sorted(VALUES) for f in VALUES[name][1]]
+)
+def test_every_field_decides_equality(name, field):
+    make, fields, _ = VALUES[name]
+    value = make()
+    kwargs = {f: getattr(value, f) for f in fields}
+    other = type(value)(**{**kwargs, field: OTHER[name][field]})
+    assert [f for f in fields if getattr(other, f) != getattr(value, f)] == [field]
+    assert other != value and not other == value
+    assert value != other and not value == other
+
+
+def test_only_frozen_writes_eq_or_hash():
+    written = {
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in SOURCES
+        for cls in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__")
+    }
+    assert written == {"lucas_engine.Frozen.__eq__", "lucas_engine.Frozen.__hash__"}
