@@ -11,8 +11,10 @@ tree; ``base_commit`` is the commit it was measured on, with ``-dirty`` when
 the tree held uncommitted changes.  Before the benchmark it runs the Tier-1
 suite once (ROADMAP's command, with ``--durations=10``) and records its wall
 seconds, its passed and failed counts and its ten slowest tests as
-``tier1``; a failing suite is recorded as it is.  An existing record is
-never overwritten: the script refuses before it runs anything.
+``tier1``; a failing suite is recorded as it is.  ``src_lines`` holds the
+line count of each module of src/ln_kit and their total, the size ROADMAP
+aim 2 tracks.  An existing record is never overwritten: the script refuses
+before it runs anything.
 
 Usage (from the repository root):
     python3 scripts/bench_record.py --number 7
@@ -114,6 +116,14 @@ def parse_tier1(stdout: str, wall_s: float) -> dict[str, Any]:
     return {"wall_s": round(wall_s, 3), **counts, "slowest": slowest}
 
 
+def src_lines(package: Path) -> dict[str, Any]:
+    """The lines (newlines, as wc -l counts them) of each module of package,
+    by file name, and their total."""
+    paths = sorted(package.glob("*.py"))
+    modules = {p.name: p.read_bytes().count(b"\n") for p in paths}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def run_tier1() -> dict[str, Any]:
     """Run the Tier-1 suite once in this tree and parse what it printed."""
     path = os.environ.get("PYTHONPATH")
@@ -191,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         + f" --workload W --seed N --seconds {seconds} --trace 0",
         "seeds": SEEDS,
         "tier1": {"command": " ".join(["python", *TIER1]), **tier1},
+        "src_lines": src_lines(ROOT / "src" / "ln_kit"),
         "workloads": aggregate(runs),
     }
     with open(path, "x") as fh:  # "x": fail rather than overwrite

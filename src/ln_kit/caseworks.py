@@ -3,20 +3,19 @@
 Each procedure returns a CaseVerdict whose trace records the moduli used and
 the residues enumerated, so a verdict can be replayed and compared bit-for-bit
 instead of being trusted as a bare boolean.  mod19_forces_p,
-mod_pow2_insoluble and no_19z2_solutions check their inputs on every call
-and then return one read-only verdict per question (a bounded lru_cache of
-VERDICT_CACHE_SIZE entries), shared by every caller in the process.
+mod_pow2_insoluble and no_19z2_solutions refuse bad inputs on every call
+and return one read-only verdict per question (lucas_engine.shared), shared
+by every caller in the process; each sieve's cached inner function says why.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from types import MappingProxyType
 from typing import Any
 
 from .equation_model import Solution, check_D_digits, json_safe
-from .lucas_engine import VERDICT_CACHE_SIZE, Frozen, is_probable_prime
+from .lucas_engine import Frozen, is_probable_prime, shared
 from .oracle import check_budget, generalized_scan, iroot, perfect_root
 
 OUTCOME_CONTRADICTION = "contradiction"
@@ -132,9 +131,9 @@ def mod19_forces_p(k: int, t: int, p: int) -> CaseVerdict:
     return _mod19_verdict(p)
 
 
-@functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
+@shared
 def _mod19_verdict(p: int) -> CaseVerdict:
-    """mod19_forces_p's verdict for p, built once per p while it is cached."""
+    """mod19_forces_p's verdict, cached apart as it depends on p alone."""
     residues = tuple((p % 19) * pow(a, p - 1, 19) % 19 for a in range(1, 19))
     trace = (
         MappingProxyType(
@@ -192,11 +191,11 @@ def mod_pow2_insoluble(p: int, t: int) -> CaseVerdict:
     return _pow2_verdict(p, s, target)
 
 
-@functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
+@shared
 def _pow2_verdict(p: int, s: int, target: int) -> CaseVerdict:
     """mod_pow2_insoluble's verdict for p (s is p's, passed on) and the
-    target, built once per (p, target) while it is cached: its trace entry
-    is read-only and its residue lists tuples."""
+    target, cached apart as it depends on (p, target) and the scan budget is
+    read on each call; its trace entry is read-only, its residue lists tuples."""
     modulus = 1 << (s + 1)
     odd_residues = range(1, modulus, 2)
     squares = tuple(sorted({a * a % modulus for a in odd_residues}))
@@ -352,6 +351,7 @@ def valuation_trichotomy(k: int, s: int, t: int, X: int, Y: int, n: int) -> Case
     return CaseVerdict.reduced(k - s, (f"t*n == 2*s == {two_s}",), trace)
 
 
+@shared
 def no_19z2_solutions(n_max: int, z_max: int) -> CaseVerdict:
     """Bounded verification that 19*Z^2 + 1 = 4*Y^n has no solutions with odd
     Z <= z_max and 3 <= n <= n_max.  The unbounded statement is cited, not
@@ -363,19 +363,11 @@ def no_19z2_solutions(n_max: int, z_max: int) -> CaseVerdict:
     candidates_checked counts every Y >= 1 with 4*Y^n <= 19*z_max^2 + 1.
     Raises ValueError when the window is over the oracle's SCAN_BUDGET.
 
-    The checks on n_max and z_max run on every call; every solve in the
-    process shares one read-only verdict per (n_max, z_max), as
-    mod19_forces_p shares one per p.
+    Cached itself, as its checks read only its arguments: every solve in
+    the process shares one read-only verdict per (n_max, z_max).
     """
     if n_max < 3 or z_max < 1:
         raise ValueError(f"need n_max >= 3 and z_max >= 1, got {n_max}, {z_max}")
-    return _no_19z2_verdict(n_max, z_max)
-
-
-@functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
-def _no_19z2_verdict(n_max: int, z_max: int) -> CaseVerdict:
-    """no_19z2_solutions' verdict, built once per (n_max, z_max) while it is
-    cached: its trace entry is read-only and its witnesses a tuple."""
     scan = generalized_scan(19, 76, 3, n_max, 19 * z_max)
     witnesses = tuple((x // 19, y, n) for x, y, n in scan)
     limit = 19 * z_max * z_max + 1

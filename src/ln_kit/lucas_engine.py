@@ -4,7 +4,8 @@ A prime q is a primitive divisor of u_n when q | u_n but q divides neither
 the discriminant (alpha - beta)^2 nor any earlier term u_2 ... u_{n-1}.
 trial_divide is the package's one trial-division loop, is_probable_prime its
 one primality test (its Miller-Rabin rounds, _passes_base, are the one such
-loop), and check_digits its one test of the int-to-str digit limit.
+loop), check_digits its one (exact) test of the int-to-str digit limit and
+shared its one declaration of a verdict cache.
 Factoring runs trial_divide up to TRIAL_DIVISION_LIMIT and then splits what
 survives by deterministically seeded Brent-Pollard under a budget of
 word-size multiplications (FACTORING_BUDGET unless given), which pays for
@@ -41,6 +42,7 @@ FACTORING_BUDGET = 10**6
 # caches: a solve asks about at most one p per odd prime <= n_max (913
 # within the step budget), a direct caller about any number of inputs.
 VERDICT_CACHE_SIZE = 256
+shared = functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
 
 # Bases giving a deterministic Miller-Rabin answer for n < 3.317e24; for
 # larger n the same bases act as a strong probable-prime test.
@@ -51,9 +53,9 @@ class Frozen:
     """Base of the frozen value types.  Each type names its fields in
     __match_args__, in __init__'s order, holds them in __slots__ (SearchWindow
     aside) and writes only its __init__, through object.__setattr__.  Frozen
-    gives the rest: repr as Name(field=value, ...), equality of the fields
-    between objects of one exact class, hash as the tuple of the fields, and
-    no assignment or deletion."""
+    gives the rest: repr as Name(field=value, ...), equality between objects
+    of one exact class and hash, both of the fields as _fields reads them,
+    and no assignment or deletion."""
 
     __slots__ = ()
 
@@ -70,7 +72,7 @@ class Frozen:
         return f"{type(self).__qualname__}({fields})"
 
     def __hash__(self) -> int:
-        return hash(tuple(getattr(self, f) for f in self.__match_args__))
+        return hash(self._fields(self))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -140,8 +142,8 @@ def lucas_u(pair: LucasPair, n: int) -> int:
     """u_n for n >= 0, where u_0 = 0, u_1 = 1, u_i = P*u_{i-1} - Q*u_{i-2};
     u_{-n} = -u_n / Q^n is not an integer in general.  Raises ValueError
     before the recurrence when u_n_log10's bound, which holds for u_n and
-    every earlier term, is over check_digits: the one check of u_n's length.
-    Only the last two terms are kept, so memory grows with n, not n^2."""
+    every earlier term, is over check_digits: the one check of u_n's length,
+    primitive_divisor's too.  Two terms are kept: memory grows with n."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     check_digits("u_n", n, *u_n_log10(pair))
@@ -154,26 +156,21 @@ def lucas_u(pair: LucasPair, n: int) -> int:
 def check_digits(value: str, count: int, each: float, more: float = 0.0) -> None:
     """Refuse, before any work, a value near 10^(count * each + more), with
     count >= 0 and each >= 0, that has more digits than the interpreter
-    converts to a string; value names it.  A count that is over the limit
-    for certain meets no float, which it could overflow: its digits are
-    estimated in exact integers."""
+    converts to a string; value names it.  Its digits, floor(count * each +
+    more) + 1, are counted in exact integers from each's and more's ratios,
+    so no count, however large, meets a float it could overflow."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     if not limit:
         return
-    if each and count >= 2 * (limit + abs(more)) / each:
-        a, b = each.as_integer_ratio()
-        c, d = more.as_integer_ratio()
-        digits = (count * a * d + c * b) // (b * d) + 1
-    else:
-        log10 = count * each + more
-        if log10 < limit:
-            return
-        digits = math.floor(log10) + 1
-    raise ValueError(
-        f"{value} would have about {digits} digits, over the "
-        f"{limit}-digit limit of int-to-str conversion "
-        "(sys.get_int_max_str_digits())"
-    )
+    a, b = each.as_integer_ratio()
+    c, d = more.as_integer_ratio()
+    digits = (count * a * d + c * b) // (b * d) + 1
+    if digits > limit:
+        raise ValueError(
+            f"{value} would have about {digits} digits, over the "
+            f"{limit}-digit limit of int-to-str conversion "
+            "(sys.get_int_max_str_digits())"
+        )
 
 
 def u_n_log10(pair: LucasPair) -> tuple[float, float]:
@@ -336,27 +333,26 @@ def primitive_divisor(
 ) -> PrimitiveDivisorVerdict:
     """Decide whether u_n has a primitive divisor, factoring within budget.
 
-    A budget below 0, an n below 2 and a u_n too long to write (lucas_u's
-    check, which covers the terms the verdict quotes) are refused before any
-    work on every call; the callers then share one verdict per question.
+    A budget below 0, an n below 2 and a u_n too long to write (lucas_u,
+    which covers the terms the verdict quotes) are refused on every call,
+    before any factoring; the callers then share one verdict per question.
     """
     if factoring_budget < 0:
         raise ValueError(f"factoring budget must be at least 0, got {factoring_budget}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    check_digits("u_n", n, *u_n_log10(pair))
-    return _primitive_divisor_verdict(pair, n, factoring_budget)
+    return _primitive_divisor_verdict(pair, n, lucas_u(pair, n), factoring_budget)
 
 
-@functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
+@shared
 def _primitive_divisor_verdict(
-    pair: LucasPair, n: int, factoring_budget: int
+    pair: LucasPair, n: int, u_n: int, factoring_budget: int
 ) -> PrimitiveDivisorVerdict:
-    """u_n comes from lucas_u.  One more pass of the recurrence finds, for
-    each prime factor q of u_n, the first j in [2, n) with q | u_j and that
-    u_j, which the obstruction quotes.  No list of terms is kept, so memory
-    grows with n, not n^2."""
-    value = abs(lucas_u(pair, n))  # never 0: LucasPair rejects degenerate pairs
+    """Cached apart from primitive_divisor, as the digit limit is read on each
+    call.  One more pass of the recurrence finds, for each prime factor q of
+    u_n, the first j in [2, n) with q | u_j and that u_j, which the
+    obstruction quotes; no list of terms is kept, so memory grows with n."""
+    value = abs(u_n)  # never 0: LucasPair rejects degenerate pairs
     if value == 1:
         return PrimitiveDivisorVerdict(
             n=n, exists=False, obstruction="u_n is a unit: no prime factors at all"

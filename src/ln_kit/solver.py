@@ -12,13 +12,12 @@ A question whose answer does not depend on the instance is decided once per
 process: the 19*Z^2 + 1 = 4*Y^n scan, the mod-19 and power-of-two sieves'
 verdicts per p, the fixed pair's primitive-divisor verdicts, the closure for
 each p > 13 and the defect table's verdict for each p in NO_DEFECTIVE_PAIR.
-Each is one read-only verdict that every step and every solve share, so the
-trace and its replay in the same process hold the same objects.
+Each is one read-only verdict (lucas_engine.shared) that every step and every
+solve share, so a trace and its replay in one process hold the same objects.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from itertools import chain, repeat
 from typing import Any, Callable, Iterator
@@ -35,7 +34,6 @@ from .equation_model import (
 )
 from .lucas_engine import (
     FACTORING_BUDGET,
-    VERDICT_CACHE_SIZE,
     BhvRoute,
     Frozen,
     LucasPair,
@@ -43,6 +41,7 @@ from .lucas_engine import (
     is_probable_prime,
     lucas_u,
     primitive_divisor,
+    shared,
 )
 from .oracle import SearchWindow, brute_force, perfect_root
 from .quadratic_integers import QuadInt19, qpow
@@ -247,18 +246,13 @@ def _same_inputs(recorded: Any, inputs: dict[str, int]) -> bool:
     )
 
 
+@shared
 def always_primitive_closure(p: int) -> CaseVerdict:
     """u_p has a primitive divisor for every Lucas pair when p > 13 is prime
-    (Bilu-Hanrot-Voutier, cited), so u_p = +-1 is impossible.  The check on
-    p runs on every call; every instance shares one verdict per p while it
-    is cached (_closure_verdict)."""
+    (Bilu-Hanrot-Voutier, cited), so u_p = +-1 is impossible.  Cached
+    itself, as its check reads only p: every instance shares one verdict."""
     if p <= 13 or not is_probable_prime(p):
         raise ValueError(f"p must be a prime above 13, got {p}")
-    return _closure_verdict(p)
-
-
-@functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
-def _closure_verdict(p: int) -> CaseVerdict:
     return CaseVerdict.contradiction(
         f"u_{p} has a primitive divisor for every Lucas pair (p > 13), "
         f"contradicting u_p = +-1"
@@ -286,8 +280,7 @@ def defect_table_route(p: int, k: int) -> CaseVerdict:
     """
     if p != 7 and p not in NO_DEFECTIVE_PAIR:
         raise ValueError(f"defect table covers p in {{5, 7, 11, 13}}, got {p}")
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    LNInstance(k)  # refuses a negative k
     if p in NO_DEFECTIVE_PAIR:
         return NO_DEFECTIVE_PAIR[p]
     if k != 0:

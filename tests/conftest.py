@@ -8,10 +8,10 @@ from ln_kit import caseworks, lucas_engine, solver
 # them all and checks this list against them)
 VERDICT_CACHES = (
     caseworks._mod19_verdict,
-    caseworks._no_19z2_verdict,
+    caseworks.no_19z2_solutions,
     caseworks._pow2_verdict,
     lucas_engine._primitive_divisor_verdict,
-    solver._closure_verdict,
+    solver.always_primitive_closure,
 )
 
 

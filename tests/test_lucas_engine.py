@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from ln_kit.lucas_engine import (
     LucasPair,
     _factorize,
     bhv_gate,
+    check_digits,
     is_probable_prime,
     lucas_u,
     primitive_divisor,
@@ -433,3 +435,19 @@ def test_primitive_divisor_refuses_past_the_digit_limit_before_factoring():
     with pytest.raises(ValueError, match="about 4543 digits.*int-to-str conversion"):
         primitive_divisor(LucasPair(1, 5), 13000, 0)
     assert time.perf_counter() - start < 1.0
+
+
+def test_check_digits_returns_without_a_limit(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    check_digits("19^(2k+1)", 10**400, math.log10(19))
+
+
+def test_check_digits_refuses_from_the_least_count_past_the_limit():
+    # the least count whose exact estimate count * each reaches the limit
+    each = math.log10(19)
+    limit = sys.get_int_max_str_digits()
+    count = math.ceil(limit / Fraction(each))
+    digits = math.floor(count * Fraction(each)) + 1
+    with pytest.raises(ValueError, match=f"19\\^n would have about {digits} digits"):
+        check_digits("19^n", count, each)
+    check_digits("19^n", count - 1, each)

@@ -1,0 +1,61 @@
+"""Rules the package writes once: one declaration of a verdict cache
+(lucas_engine.shared), one check of u_n's length (in lucas_u), and every
+cache built from that declaration."""
+
+import ast
+from pathlib import Path
+
+from test_verdict_caches import package_caches
+
+from ln_kit.lucas_engine import VERDICT_CACHE_SIZE
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ln_kit"
+
+
+def modules():
+    """(module name, its source lines, its tree) for each module of ln_kit."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        yield path.stem, text.splitlines(), ast.parse(text, str(path))
+
+
+def test_lru_cache_is_called_only_on_the_shared_line():
+    places = []
+    for module, lines, tree in modules():
+        for node in ast.walk(tree):
+            names = {"lru_cache", "cache"}
+            named = (
+                isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.alias) and node.name in names
+            )
+            if named:
+                places.append((module, lines[node.lineno - 1].strip()))
+    shared = "shared = functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)"
+    assert places == [("lucas_engine", shared)]
+
+
+def test_only_lucas_u_checks_the_length_of_u_n():
+    callers = []
+    for module, _, tree in modules():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and ast.unparse(node.func).endswith("check_digits")
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == "u_n"
+                ):
+                    callers.append(f"{module}.{function.name}")
+    assert callers == ["lucas_engine.lucas_u"]
+
+
+def test_every_cache_comes_from_the_one_declaration():
+    caches = package_caches()
+    assert len(caches) >= 5
+    assert {name: c.cache_parameters() for name, c in caches.items()} == dict.fromkeys(
+        caches, {"maxsize": VERDICT_CACHE_SIZE, "typed": True}
+    )

@@ -104,6 +104,16 @@ def test_bench_record_aggregates_canned_runs():
         bench.aggregate({"proof_deep": mixed})
 
 
+def test_bench_record_counts_the_lines_of_each_module(tmp_path):
+    bench = load_script("bench_record")
+    (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "b.py").write_text("\n\n\nz = 3")  # no newline at the end
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    assert bench.src_lines(tmp_path) == {"modules": {"a.py": 2, "b.py": 3}, "total": 5}
+    modules = bench.src_lines(ROOT / "src" / "ln_kit")["modules"]
+    assert "lucas_engine.py" in modules and "__init__.py" in modules
+
+
 CANNED_TIER1 = """\
 ........................................................................ [ 15%]
 ...F.................................................................... [ 31%]

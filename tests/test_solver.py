@@ -624,6 +624,18 @@ def test_replay_names_a_step_whose_input_is_too_long_to_write():
     assert bad.endswith("{'k': 0, 'm': <int of 16610 bits>}")
 
 
+def test_replay_names_a_list_holding_an_int_too_long_to_write_by_its_type():
+    # in memory only: no writer emits such an int, so neither can JSON
+    _, trace = solve(0, n_max=3, cross_check=False)
+    (bad,) = with_inputs(trace, "even_case", m=[10**5000]).replay()
+    assert bad.startswith("step 1 even_case: solve passes")
+    assert bad.endswith("{'k': 0, 'm': <list holding an int too long to write>}")
+    header = ProofTrace(0, [10**5000], trace.steps, trace.solutions)
+    assert header.replay() == [
+        "header: n_max=<list holding an int too long to write> is not an integer"
+    ]
+
+
 def test_json_replay_encodes_each_shared_verdict_once(monkeypatch):
     _, trace = solve(7, cross_check=False)
     steps = trace.find("mod19_forces_p")
