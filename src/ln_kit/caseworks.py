@@ -6,13 +6,13 @@ instead of being trusted as a bare boolean.  mod19_forces_p,
 mod_pow2_insoluble and no_19z2_solutions refuse bad inputs on every call
 and return one read-only verdict per question (lucas_engine.shared), shared
 by every caller in the process; each sieve's cached inner function says why.
+p3_case and _pow2_verdict raise where they enumerate on what arithmetic rules out.
 """
 
 from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Any
 
 from .equation_model import Solution, check_D_digits, json_safe
 from .lucas_engine import Frozen, is_probable_prime, shared
@@ -71,7 +71,7 @@ class CaseVerdict(Frozen):
     def found(cls, solutions, trace=()) -> CaseVerdict:
         return cls(OUTCOME_SOLUTIONS, solutions=tuple(solutions), trace=tuple(trace))
 
-    def to_jsonable(self) -> dict[str, Any]:
+    def to_jsonable(self) -> dict[str, object]:
         """Each field that is set, in declaration order, through json_safe;
         reduced_k = 0 is set, "", () and None are not."""
         return {
@@ -179,6 +179,8 @@ def mod_pow2_insoluble(p: int, t: int) -> CaseVerdict:
     The checks on p, t and the budget run on every call.  t enters the
     verdict only through the target, so every t that meets one shares one
     read-only verdict per (p, target), as mod19_forces_p shares one per p.
+    The verdict is always a contradiction: s >= 2 makes the target even
+    modulo the even 2^(s+1), and an odd a has an odd square.
     """
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
@@ -195,11 +197,16 @@ def mod_pow2_insoluble(p: int, t: int) -> CaseVerdict:
 def _pow2_verdict(p: int, s: int, target: int) -> CaseVerdict:
     """mod_pow2_insoluble's verdict for p (s is p's, passed on) and the
     target, cached apart as it depends on (p, target) and the scan budget is
-    read on each call; its trace entry is read-only, its residue lists tuples."""
+    read on each call; its trace entry is read-only, its residue lists tuples.
+    Raises RuntimeError on an odd root of the target, which no target has."""
     modulus = 1 << (s + 1)
     odd_residues = range(1, modulus, 2)
     squares = tuple(sorted({a * a % modulus for a in odd_residues}))
     solutions = tuple(a for a in odd_residues if a * a % modulus == target)
+    if solutions:
+        raise RuntimeError(
+            f"a^2 = {target} (mod {modulus}) is soluble at odd a = {solutions}"
+        )
     check = {
         "check": "odd_squares_exhaustive",
         "modulus": modulus,
@@ -210,17 +217,10 @@ def _pow2_verdict(p: int, s: int, target: int) -> CaseVerdict:
         "square_residues": squares,
         "solutions": solutions,
     }
-    trace = (MappingProxyType(check),)
-    if not solutions:
-        return CaseVerdict.contradiction(
-            f"a^2 = {target} (mod {modulus}) has no odd solution "
-            f"(odd squares mod {modulus} are {list(squares)})",
-            trace,
-        )
-    return CaseVerdict.forced(
-        [(f"a_mod_{modulus}", a) for a in solutions],
-        reason="congruence is soluble; no contradiction from this sieve",
-        trace=trace,
+    return CaseVerdict.contradiction(
+        f"a^2 = {target} (mod {modulus}) has no odd solution "
+        f"(odd squares mod {modulus} are {list(squares)})",
+        (MappingProxyType(check),),
     )
 
 

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Any
 
 from .equation_model import (
     LNInstance,
@@ -33,7 +32,7 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _cli = sys.modules[__name__]
 
 
-def __getattr__(name: str) -> Any:
+def __getattr__(name: str) -> object:
     """One of _SOLVER_NAMES, imported from the solver; Python calls this
     (PEP 562) only for a name that is not bound on the module."""
     if name not in _SOLVER_NAMES:
@@ -43,7 +42,7 @@ def __getattr__(name: str) -> Any:
     return getattr(solver, name)
 
 
-def _write(obj: dict[str, Any]) -> None:
+def _write(obj: dict[str, object]) -> None:
     """Write obj to stdout as one compact, key-sorted JSON line."""
     sys.stdout.write(_ENCODER.encode(obj) + "\n")
 
@@ -52,7 +51,7 @@ def _window(args: argparse.Namespace) -> SearchWindow:
     return SearchWindow(args.k, args.n_min, args.n_max, args.x_max)
 
 
-def _solution_obj(sol, **extra: Any) -> dict[str, Any]:
+def _solution_obj(sol, **extra: object) -> dict[str, object]:
     return {"kind": "solution", **sol.to_jsonable(), **json_safe(extra)}
 
 

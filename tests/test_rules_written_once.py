@@ -1,6 +1,7 @@
 """Rules the package writes once: one declaration of a verdict cache
-(lucas_engine.shared), one check of u_n's length (in lucas_u), and every
-cache built from that declaration."""
+(lucas_engine.shared), one check of u_n's length (in lucas_u), every cache
+built from that declaration, and one reader of the int-to-str digit limit
+(lucas_engine.digit_limit)."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,18 @@ def test_every_cache_comes_from_the_one_declaration():
     assert {name: c.cache_parameters() for name, c in caches.items()} == dict.fromkeys(
         caches, {"maxsize": VERDICT_CACHE_SIZE, "typed": True}
     )
+
+
+def test_only_digit_limit_reads_the_digit_limit():
+    # a refusal may name sys.get_int_max_str_digits() in its message
+    name = "get_int_max_str_digits"
+    places = []
+    for module, lines, tree in modules():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.Constant) and node.value == name
+            ):
+                places.append((module, lines[node.lineno - 1].strip()))
+    reader = 'return getattr(sys, "get_int_max_str_digits", int)()'
+    assert places == [("lucas_engine", reader)]

@@ -14,20 +14,23 @@ import pytest
 from conftest import VERDICT_CACHES
 
 import ln_kit
-from ln_kit import caseworks, oracle
+from ln_kit import caseworks, lucas_engine, oracle
 from ln_kit.caseworks import CaseVerdict, mod_pow2_insoluble, no_19z2_solutions
 from ln_kit.lucas_engine import (
     VERDICT_CACHE_SIZE,
     LucasPair,
     PrimitiveDivisorVerdict,
+    is_probable_prime,
     primitive_divisor,
 )
 from ln_kit.solver import (
     NO_DEFECTIVE_PAIR,
+    STEP_BUDGET,
     ProofStep,
     ProofTrace,
     always_primitive_closure,
     solve,
+    step_bound,
 )
 
 
@@ -67,6 +70,39 @@ def test_every_verdict_cache_is_bounded_and_cleared_before_each_test():
         name for module in package_modules() for name in vars(module)
         if name.endswith("CACHE_SIZE")
     } == {"VERDICT_CACHE_SIZE"}
+
+
+def test_the_bound_holds_every_p_one_solve_asks_about():
+    # each instance asks about the odd primes <= n_max in turn, so a smaller
+    # bound evicts each verdict before the next instance asks; k = 1 admits
+    # the most such primes (k >= 2 fewer, and k = 0 has one instance)
+    n_max = 2
+    while step_bound(1, n_max + 1) <= STEP_BUDGET:
+        n_max += 1
+    primes = sum(map(is_probable_prime, range(3, n_max + 1, 2)))
+    assert (n_max, primes) == (7144, 913)
+    assert primes <= VERDICT_CACHE_SIZE
+
+
+def test_the_instances_of_one_solve_share_each_closure_verdict():
+    _, trace = solve(1, n_max=1700, cross_check=False)
+    by_p = defaultdict(set)
+    for step in trace.find("always_primitive_closure"):
+        by_p[step.inputs["p"]].add(id(step.value))
+    assert len(by_p) == 260
+    assert all(len(ids) == 1 for ids in by_p.values())
+
+
+def test_a_primitive_divisor_cache_hit_builds_no_u_n(monkeypatch):
+    built = []
+    lucas_u = lucas_engine.lucas_u
+    monkeypatch.setattr(
+        lucas_engine, "lucas_u", lambda pair, n: built.append(n) or lucas_u(pair, n)
+    )
+    first = primitive_divisor(LucasPair(1, 5), 13)
+    assert built == [13]
+    assert primitive_divisor(LucasPair(1, 5), 13) is first
+    assert built == [13]
 
 
 def mod_pow2_key(inputs):
