@@ -2,11 +2,11 @@
 
 Each procedure returns a CaseVerdict whose trace records the moduli used and
 the residues enumerated, so a verdict can be replayed and compared bit-for-bit
-instead of being trusted as a bare boolean.  mod19_forces_p,
-mod_pow2_insoluble and no_19z2_solutions refuse bad inputs on every call
-and return one read-only verdict per question (lucas_engine.shared), shared
-by every caller in the process; each sieve's cached inner function says why.
-p3_case and _pow2_verdict raise where they enumerate on what arithmetic rules out.
+instead of being trusted as a bare boolean.  mod19_forces_p, no_19z2_solutions
+and mod_pow2_insoluble (checks on every call, then a cached inner function)
+return one read-only verdict per question (lucas_engine.shared), shared by
+every caller in the process.  p3_case, _pow2_verdict and no_19z2_solutions
+raise where they enumerate on what arithmetic or a cited theorem rules out.
 """
 
 from __future__ import annotations
@@ -116,24 +116,17 @@ def even_case(k: int, m: int) -> CaseVerdict:
     return CaseVerdict.found([Solution(x, root, 2 * m)], trace)
 
 
-def mod19_forces_p(k: int, t: int, p: int) -> CaseVerdict:
+@shared
+def mod19_forces_p(p: int) -> CaseVerdict:
     """When 19 still divides the reduced left side (t < k), the surviving
     term mod 19 is p*a^(p-1); with 19 coprime to a that forces p = 19.
 
-    The checks on k, t and p run on every call.  The verdict depends on p
-    alone, so one verdict per p is shared by every (k, t); it is immutable
-    throughout (its trace entry is read-only and its residues a tuple), so
-    no caller can edit what another step recorded."""
-    if not 0 <= t < k:
-        raise ValueError(f"requires 0 <= t < k, got t={t}, k={k}")
+    The verdict depends on p alone, so p is all it takes (solve records k
+    and t beside it) and it caches itself: every (k, t) shares one verdict
+    per p, immutable throughout (its trace entry is read-only and its
+    residues a tuple), so no caller can edit what another step recorded."""
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be odd and at least 3, got {p}")
-    return _mod19_verdict(p)
-
-
-@shared
-def _mod19_verdict(p: int) -> CaseVerdict:
-    """mod19_forces_p's verdict, cached apart as it depends on p alone."""
     residues = tuple((p % 19) * pow(a, p - 1, 19) % 19 for a in range(1, 19))
     trace = (
         MappingProxyType(
@@ -361,15 +354,18 @@ def no_19z2_solutions(n_max: int, z_max: int) -> CaseVerdict:
     of x^2 + 19 = 76*y^n over x <= 19*z_max decides it.  Every x it finds is
     odd and divisible by 19 (x^2 = 19*(4y^n - 1)), so Z = x/19 is odd.
     candidates_checked counts every Y >= 1 with 4*Y^n <= 19*z_max^2 + 1.
-    Raises ValueError when the window is over the oracle's SCAN_BUDGET.
+    Raises ValueError when the window is over the oracle's SCAN_BUDGET, and
+    RuntimeError naming any witness, which the cited theorem rules out.
 
-    Cached itself, as its checks read only its arguments: every solve in
-    the process shares one read-only verdict per (n_max, z_max).
+    Cached itself, as its checks read only its arguments and SCAN_BUDGET, a
+    constant: every solve shares one read-only verdict per (n_max, z_max).
     """
     if n_max < 3 or z_max < 1:
         raise ValueError(f"need n_max >= 3 and z_max >= 1, got {n_max}, {z_max}")
     scan = generalized_scan(19, 76, 3, n_max, 19 * z_max)
     witnesses = tuple((x // 19, y, n) for x, y, n in scan)
+    if witnesses:
+        raise RuntimeError(f"19*Z^2 + 1 = 4*Y^n holds at (Z, Y, n) in {witnesses}")
     limit = 19 * z_max * z_max + 1
     n_top = min(n_max, (limit // 4).bit_length() - 1)  # above it only Y = 1 fits
     checked = sum(iroot(limit // 4, n) for n in range(3, n_top + 1)) + n_max - n_top
@@ -381,15 +377,8 @@ def no_19z2_solutions(n_max: int, z_max: int) -> CaseVerdict:
         "candidates_checked": checked,
         "witnesses": witnesses,
     }
-    trace = (MappingProxyType(check),)
-    if witnesses:
-        return CaseVerdict.forced(
-            [("witness_count", len(witnesses))],
-            reason="scan found witnesses; the cited insolubility would be violated",
-            trace=trace,
-        )
     return CaseVerdict.contradiction(
         f"19*Z^2 + 1 = 4*Y^n has no solution with odd Z <= {z_max}, "
         f"3 <= n <= {n_max} (unbounded claim cited, not reproved)",
-        trace,
+        (MappingProxyType(check),),
     )

@@ -192,10 +192,10 @@ def u_n_log10(pair: LucasPair) -> tuple[float, float]:
     return log_alpha, math.log10(2) - math.log10(abs(disc)) / 2
 
 
-def bhv_gate(pair: LucasPair, p: int) -> BhvRoute:
-    """Route the u_p = +-1 question: p > 13 never happens (primitive divisors
-    always exist), p in {5, 7, 11, 13} needs the defective-pair tables, and
-    p <= 3 is handled by dedicated congruence casework."""
+def bhv_gate(p: int) -> BhvRoute:
+    """Route the u_p = +-1 question, alike for every Lucas pair: p > 13 never
+    happens (primitive divisors always exist), p in {5, 7, 11, 13} needs the
+    defective-pair tables, and p <= 3 is handled by congruence casework."""
     if not is_probable_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p > 13:

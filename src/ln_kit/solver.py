@@ -402,12 +402,12 @@ def solve(
     """Complete solution set for 2 <= n <= n_max plus a replayable proof trace.
 
     Raises OracleMismatchError when the brute-force cross-check (over
-    x <= oracle_x_max) disagrees with the pipeline, RuntimeError when the
-    bounded 19*Z^2 + 1 = 4*Y^n scan finds a witness or a recorded u_p or
-    primitive-divisor verdict contradicts the defect table's route for p,
-    and ValueError before any step runs when step_bound(k, n_max) exceeds
-    STEP_BUDGET, when 19^(2k+1), which the trace writes, is over
-    check_D_digits, or when the cross-check's SearchWindow is invalid.
+    x <= oracle_x_max) disagrees with the pipeline; RuntimeError when the
+    19*Z^2 + 1 = 4*Y^n scan finds a witness, a lift by 19^s is not reduced
+    to k - s, or a recorded Lucas verdict contradicts the defect table's
+    route for p; and ValueError before any step runs when step_bound(k,
+    n_max) exceeds STEP_BUDGET, 19^(2k+1), which the trace writes, is over
+    check_D_digits, or the cross-check's SearchWindow is invalid.
     """
     trace = ProofTrace(k, n_max, oracle_x_max=oracle_x_max if cross_check else None)
     return _prove(trace), trace
@@ -429,27 +429,28 @@ def _prove(trace: ProofTrace) -> list[Solution]:
     if oracle_x_max is not None:
         SearchWindow(k, 2, n_max, oracle_x_max)
     # close the two symbolic 19|x branches that do not reduce: both land on
-    # 19*Z^2 + 1 = 4*Y^n (bounded scan here, unbounded statement cited)
-    scan = trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=LE_Z_MAX)
-    if scan.outcome != caseworks.OUTCOME_CONTRADICTION:
-        raise RuntimeError(f"19*Z^2 + 1 = 4*Y^n unexpectedly soluble: {scan.reason}")
-    primitive: dict[int, list[Solution]] = {}
-    for kk in range(k + 1):
-        primitive[kk] = _primitive_solutions(kk, n_max, trace)
+    # 19*Z^2 + 1 = 4*Y^n (a bounded scan that raises on a witness; the rest cited)
+    trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=LE_Z_MAX)
+    primitive = [_primitive_solutions(kk, n_max, trace) for kk in range(k + 1)]
     full = list(primitive[k])
     for s_val in range(1, k + 1):
-        for sol in primitive[k - s_val]:
+        kk = k - s_val
+        for sol in primitive[kk]:
             if (2 * s_val) % sol.n != 0:
                 continue
             t = 2 * s_val // sol.n
             verdict = trace.step(
                 "valuation_trichotomy", k=k, s=s_val, t=t, X=sol.x, Y=sol.y, n=sol.n
             )
-            reduced = verdict.outcome == caseworks.OUTCOME_REDUCED
-            if reduced and verdict.reduced_k == k - s_val:
-                lifted = Solution(19**s_val * sol.x, 19**t * sol.y, sol.n)
-                assert is_solution(inst, *lifted.as_tuple())
-                full.append(lifted)
+            # 2s = t*n < 2k+1 always reduces; x and y stay out (too long to write)
+            if (verdict.outcome, verdict.reduced_k) != (caseworks.OUTCOME_REDUCED, kk):
+                raise RuntimeError(
+                    f"valuation_trichotomy(s={s_val}, t={t}, n={sol.n}) does not "
+                    f"reduce to k - s = {kk}: {verdict.outcome} {verdict.reason!r}"
+                )
+            lifted = Solution(19**s_val * sol.x, 19**t * sol.y, sol.n)
+            assert is_solution(inst, *lifted.as_tuple())
+            full.append(lifted)
     full.sort(key=lambda s: s.sort_key)
     if oracle_x_max is not None:
         found = trace.step(
@@ -499,13 +500,15 @@ def verify_solution_completeness(
 # op name -> procedure of the step's inputs dict (unpacking it into keywords
 # costs about 0.3 us a step).  Each entry looks its procedure up when called,
 # so a name rebound on its module (a test double, a profiler) is what runs.
+# A step may record inputs its procedure never reads (mod19_forces_p's k and t,
+# bhv_gate's P and Q, composite_lift's n); replay checks them like the rest.
 STEPS: dict[str, Callable[[dict[str, int]], object]] = {
     "no_19z2_solutions": lambda i: caseworks.no_19z2_solutions(i["n_max"], i["z_max"]),
     "even_case": lambda i: caseworks.even_case(i["k"], i["m"]),
-    "mod19_forces_p": lambda i: caseworks.mod19_forces_p(i["k"], i["t"], i["p"]),
+    "mod19_forces_p": lambda i: caseworks.mod19_forces_p(i["p"]),
     "mod19_forces_kt": lambda i: caseworks.mod19_forces_kt(i["k"], i["t"]),
     "mod_pow2_insoluble": lambda i: caseworks.mod_pow2_insoluble(i["p"], i["t"]),
-    "bhv_gate": lambda i: bhv_gate(LucasPair(i["P"], i["Q"]), i["p"]),
+    "bhv_gate": lambda i: bhv_gate(i["p"]),
     "always_primitive_closure": lambda i: always_primitive_closure(i["p"]),
     "p3_case": lambda i: caseworks.p3_case(i["k"], i["search_bound"]),
     "primitive_divisor": lambda i: primitive_divisor(

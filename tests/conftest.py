@@ -7,7 +7,7 @@ from ln_kit import caseworks, lucas_engine, solver
 # every verdict cache of the package (tests/test_verdict_caches.py finds
 # them all and checks this list against them)
 VERDICT_CACHES = (
-    caseworks._mod19_verdict,
+    caseworks.mod19_forces_p,
     caseworks.no_19z2_solutions,
     caseworks._pow2_verdict,
     lucas_engine._primitive_divisor_verdict,

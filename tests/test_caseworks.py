@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from types import MappingProxyType
 
@@ -69,16 +70,16 @@ def test_even_case_x_never_divisible_by_19():
 
 
 def test_mod19_forces_p_examples():
-    assert mod19_forces_p(2, 0, 19).outcome == OUTCOME_FORCED
-    assert mod19_forces_p(2, 0, 19).assignments == (("p", 19),)
-    assert mod19_forces_p(2, 0, 7).outcome == OUTCOME_CONTRADICTION
-    assert mod19_forces_p(2, 0, 3).outcome == OUTCOME_CONTRADICTION
+    assert mod19_forces_p(19).outcome == OUTCOME_FORCED
+    assert mod19_forces_p(19).assignments == (("p", 19),)
+    assert mod19_forces_p(7).outcome == OUTCOME_CONTRADICTION
+    assert mod19_forces_p(3).outcome == OUTCOME_CONTRADICTION
 
 
 def test_mod19_forces_p_iff_19_over_all_small_primes():
     primes = [p for p in range(3, 101, 2) if all(p % f for f in range(3, p, 2))]
     for p in primes:
-        verdict = mod19_forces_p(5, 2, p)
+        verdict = mod19_forces_p(p)
         if p == 19:
             assert verdict.outcome == OUTCOME_FORCED
         else:
@@ -87,25 +88,23 @@ def test_mod19_forces_p_iff_19_over_all_small_primes():
 
 
 def test_mod19_forces_p_precondition():
-    # the checks run on every call, also once a verdict for p is cached
-    mod19_forces_p(5, 0, 19)
-    mod19_forces_p(5, 0, 7)
-    bad = [(2, 2, 19), (2, 3, 7), (2, -1, 7), (1, 0, 4), (2, 0, 8), (2, 0, 1), (2, 0, -7)]
-    for k, t, p in bad:  # (2, 2, 19): t == k is not allowed
+    # a bad p is refused on every call: a call that raised is never cached
+    mod19_forces_p(19)
+    mod19_forces_p(7)
+    for p in (4, 8, 1, -7):
         with pytest.raises(ValueError):
-            mod19_forces_p(k, t, p)
+            mod19_forces_p(p)
 
 
 def test_mod19_forces_p_shares_one_verdict_per_p():
     for p in (3, 19, 29):
-        first = mod19_forces_p(2, 0, p)
-        assert mod19_forces_p(7, 5, p) is first
-        assert mod19_forces_p(49, 48, p) is first
-    assert mod19_forces_p(2, 0, 3) is not mod19_forces_p(2, 0, 5)
+        first = mod19_forces_p(p)
+        assert mod19_forces_p(p) is first
+    assert mod19_forces_p(3) is not mod19_forces_p(5)
 
 
 def test_mod19_forces_p_verdict_is_immutable():
-    verdict = mod19_forces_p(3, 1, 7)
+    verdict = mod19_forces_p(7)
     (check,) = verdict.trace
     with pytest.raises(TypeError):
         check["residues"] = []
@@ -117,7 +116,7 @@ def test_mod19_forces_p_verdict_is_immutable():
         check["residues"][0] = 0
     with pytest.raises(AttributeError):
         check["residues"].append(0)
-    assert mod19_forces_p(3, 1, 7).trace[0]["residues"] == tuple(
+    assert mod19_forces_p(7).trace[0]["residues"] == tuple(
         7 * pow(a, 6, 19) % 19 for a in range(1, 19)
     )
 
@@ -465,7 +464,8 @@ def test_no_19z2_counts_a_huge_n_max_without_a_root_per_n():
 
 
 def test_no_19z2_reads_witnesses_off_the_scan(monkeypatch):
-    # the equation has no solutions, so plant x = 19*3 in the scan's output
+    # the equation has no solutions, so plant x = 19*3 in the scan's output;
+    # a witness raises on every call, as a call that raised is never cached
     calls = []
 
     def planted(*window):
@@ -473,16 +473,16 @@ def test_no_19z2_reads_witnesses_off_the_scan(monkeypatch):
         return [(19 * 3, 5, 3)]
 
     monkeypatch.setattr(caseworks, "generalized_scan", planted)
-    verdict = no_19z2_solutions(4, 10)
-    assert calls == [(19, 76, 3, 4, 190)]
-    assert verdict.outcome == OUTCOME_FORCED
-    assert verdict.trace[0]["witnesses"] == ((3, 5, 3),)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=re.escape("((3, 5, 3),)")):
+            no_19z2_solutions(4, 10)
+    assert calls == [(19, 76, 3, 4, 190)] * 2
 
 
 def test_verdict_serialization_roundtrips_json():
     for verdict in [
         even_case(0, 2),
-        mod19_forces_p(2, 0, 19),
+        mod19_forces_p(19),
         mod_pow2_insoluble(19, 1),
         p3_case(0, 50),
         valuation_trichotomy(1, 1, 1, 9, 5, 2),
@@ -584,7 +584,7 @@ def test_json_safe_encodes_what_has_to_jsonable():
         Solution(9, 5, 2),
         Solution(19**19, 5, 7),
         even_case(9, 1),
-        mod19_forces_p(2, 0, 19),
+        mod19_forces_p(19),
         BhvRoute.SMALL_PRIME,
         primitive_divisor(LucasPair(1, 5), 13),
         primitive_divisor(LucasPair(2, 9), 61, 0),

@@ -139,16 +139,15 @@ def test_divisibility_u_m_divides_u_n(P, Q, m, mult):
 
 
 def test_bhv_gate_routes():
-    pair = LucasPair(1, 5)
-    assert bhv_gate(pair, 17) is BhvRoute.ALWAYS_PRIMITIVE
-    assert bhv_gate(pair, 19) is BhvRoute.ALWAYS_PRIMITIVE
-    assert bhv_gate(pair, 7) is BhvRoute.CHECK_DEFECT_TABLE
-    assert bhv_gate(pair, 5) is BhvRoute.CHECK_DEFECT_TABLE
-    assert bhv_gate(pair, 13) is BhvRoute.CHECK_DEFECT_TABLE
-    assert bhv_gate(pair, 3) is BhvRoute.SMALL_PRIME
-    assert bhv_gate(pair, 2) is BhvRoute.SMALL_PRIME
+    assert bhv_gate(17) is BhvRoute.ALWAYS_PRIMITIVE
+    assert bhv_gate(19) is BhvRoute.ALWAYS_PRIMITIVE
+    assert bhv_gate(7) is BhvRoute.CHECK_DEFECT_TABLE
+    assert bhv_gate(5) is BhvRoute.CHECK_DEFECT_TABLE
+    assert bhv_gate(13) is BhvRoute.CHECK_DEFECT_TABLE
+    assert bhv_gate(3) is BhvRoute.SMALL_PRIME
+    assert bhv_gate(2) is BhvRoute.SMALL_PRIME
     with pytest.raises(ValueError):
-        bhv_gate(pair, 9)
+        bhv_gate(9)
 
 
 def test_primitive_divisor_unit_term():

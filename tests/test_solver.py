@@ -702,6 +702,19 @@ def test_replay_names_a_shared_verdict_step_tampered_to_p_19():
         assert bad.startswith(f"step {i} mod19_forces_p: solve passes")
 
 
+def test_replay_names_a_bhv_gate_step_with_another_recorded_pair():
+    # bhv_gate reads p alone, yet replay checks the recorded P and Q too
+    _, trace = solve(1, n_max=7, cross_check=False)
+    step = trace.find("bhv_gate")[0]
+    assert step.inputs == {"P": 1, "Q": 5, "p": 3}
+    i = [s.op for s in trace.steps].index("bhv_gate")
+    (bad,) = rebuilt_from_json(with_inputs(trace, "bhv_gate", P=3)).replay()
+    assert bad == (
+        f"step {i} bhv_gate: solve passes {{'P': 1, 'Q': 5, 'p': 3}}, "
+        "the trace records 'bhv_gate' {'P': 3, 'Q': 5, 'p': 3}"
+    )
+
+
 def test_replay_does_not_compare_a_verdict_with_itself(monkeypatch):
     _, trace = solve(7, cross_check=False)
     eq = caseworks.CaseVerdict.__eq__
@@ -816,14 +829,30 @@ def test_oracle_mismatch_raises(monkeypatch):
 
 
 def test_solve_raises_when_the_19z2_scan_finds_a_witness(monkeypatch):
-    # plant x = 57 = 19*3, so Z = 3: the step's verdict is then forced
+    # plant x = 57 = 19*3, so Z = 3: the scan itself raises, naming it
     scan = caseworks.generalized_scan
     monkeypatch.setattr(
         caseworks, "generalized_scan", lambda *window: [*scan(*window), (57, 7, 3)]
     )
-    assert caseworks.no_19z2_solutions(3, 10).outcome == caseworks.OUTCOME_FORCED
-    with pytest.raises(RuntimeError, match="soluble: scan found witnesses"):
+    witness = re.escape("(Z, Y, n) in ((3, 7, 3),)")
+    with pytest.raises(RuntimeError, match=witness):
+        caseworks.no_19z2_solutions(3, 10)
+    with pytest.raises(RuntimeError, match=witness):
         solve(0, cross_check=False)
+
+
+def test_solve_raises_when_a_lift_does_not_reduce(monkeypatch):
+    # every lift solve(6) tries reduces to k - s, so one that does not is a
+    # fault: it raises, naming s, t and n; the cross-check cannot see it, as
+    # every lifted x is above its default x_max of 10^7
+    monkeypatch.setattr(
+        caseworks,
+        "valuation_trichotomy",
+        lambda *inputs: caseworks.CaseVerdict.contradiction("planted"),
+    )
+    message = r"valuation_trichotomy\(s=1, t=1, n=2\) does not reduce to k - s = 5: "
+    with pytest.raises(RuntimeError, match=message + "contradiction 'planted'"):
+        solve(6)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Every top-level function and class of ln_kit, and every method and
 property of its top-level classes (dunders aside), has a caller outside
-tests/, and every name a module of ln_kit imports is read in that module.
+tests/, every name a module of ln_kit imports is read in that module, and
+every parameter of every function of ln_kit (dunders, self and cls aside)
+is read in its body, but for one cache key.
 
 The package keeps no code that only its tests run: a definition in
 src/ln_kit must be loaded by name somewhere in src/, scripts/ or
@@ -92,3 +94,38 @@ def test_every_imported_name_is_read_where_it_is_imported():
                     if name not in read and name != "annotations":
                         dead.add(f"{path.stem}: {name}")
     assert dead == set()
+
+
+def parameters(node, prefix):
+    """(prefix.qualname.parameter, read) for each parameter of each non-dunder
+    function under node, self and cls aside; read is whether the function's
+    body loads it as a name."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{child.name}"
+            loaded = {
+                n.id
+                for statement in child.body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            a = child.args
+            for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]:
+                if arg and arg.arg not in ("self", "cls") and not dunder(child.name):
+                    yield f"{name}.{arg.arg}", arg.arg in loaded
+        elif isinstance(child, ast.ClassDef):
+            name = f"{prefix}.{child.name}"
+        yield from parameters(child, name)
+
+
+def test_every_parameter_is_read():
+    # a procedure takes only the inputs its verdict reads
+    unread = {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, read in parameters(*parsed([path]), path.stem)
+        if not read
+    }
+    # limit is a cache key: the digit limit the verdict was checked under
+    assert unread == {"lucas_engine._primitive_divisor_verdict.limit"}

@@ -246,9 +246,9 @@ def test_a_cache_keeps_an_int_and_an_equal_float_apart():
     assert always_primitive_closure(17.0).reason.startswith("u_17.0 has")
     # and a p = 7.0 that passes mod19_forces_p's checks fails in pow, not
     # on the verdict cached for 7
-    assert caseworks.mod19_forces_p(3, 1, 7).outcome == caseworks.OUTCOME_CONTRADICTION
+    assert caseworks.mod19_forces_p(7).outcome == caseworks.OUTCOME_CONTRADICTION
     with pytest.raises(TypeError):
-        caseworks.mod19_forces_p(3, 1, 7.0)
+        caseworks.mod19_forces_p(7.0)
 
 
 def altered(value):
