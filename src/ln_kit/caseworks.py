@@ -2,9 +2,10 @@
 
 Each procedure returns a CaseVerdict whose trace records the moduli used and
 the residues enumerated, so a verdict can be replayed and compared bit-for-bit
-instead of being trusted as a bare boolean.  mod19_forces_p, no_19z2_solutions
-and mod_pow2_insoluble (checks on every call, then a cached inner function)
-return one read-only verdict per question (lucas_engine.shared), shared by
+instead of being trusted as a bare boolean.  mod19_forces_p and
+no_19z2_solutions cache themselves, and mod_pow2_insoluble checks its inputs
+on every call, then calls its cached inner function _pow2_verdict: each
+returns one read-only verdict per question (lucas_engine.shared), shared by
 every caller in the process.  p3_case, _pow2_verdict and no_19z2_solutions
 raise where they enumerate on what arithmetic or a cited theorem rules out.
 """
@@ -12,6 +13,7 @@ raise where they enumerate on what arithmetic or a cited theorem rules out.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from types import MappingProxyType
 
 from .equation_model import Solution, check_D_digits, json_safe
@@ -25,7 +27,11 @@ OUTCOME_SOLUTIONS = "solutions"
 
 
 class CaseVerdict(Frozen):
-    """Outcome of one proof step plus the congruence trace that supports it."""
+    """Outcome of one proof step plus the congruence trace that supports it.
+    Besides trace, OUTCOME_CONTRADICTION sets reason, OUTCOME_FORCED
+    assignments (and at times reason), OUTCOME_REDUCED reduced_k and
+    constraints, OUTCOME_SOLUTIONS solutions.  The four sequence fields are
+    stored as tuples, so a shared verdict stays read-only."""
 
     __slots__ = __match_args__ = (
         "outcome", "reason", "assignments", "reduced_k", "constraints", "solutions",
@@ -33,43 +39,17 @@ class CaseVerdict(Frozen):
     )
 
     def __init__(
-        self, outcome: str, reason: str = "", assignments: tuple = (),
-        reduced_k: int | None = None, constraints: tuple = (), solutions: tuple = (),
-        trace: tuple = (),
+        self, outcome: str, reason: str = "", assignments: Iterable = (),
+        reduced_k: int | None = None, constraints: Iterable = (),
+        solutions: Iterable = (), trace: Iterable = (),
     ) -> None:
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "assignments", assignments)
+        object.__setattr__(self, "assignments", tuple(assignments))
         object.__setattr__(self, "reduced_k", reduced_k)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "solutions", solutions)
-        object.__setattr__(self, "trace", trace)
-
-    @classmethod
-    def contradiction(cls, reason: str, trace=()) -> CaseVerdict:
-        return cls(OUTCOME_CONTRADICTION, reason=reason, trace=tuple(trace))
-
-    @classmethod
-    def forced(cls, assignments, reason: str = "", trace=()) -> CaseVerdict:
-        return cls(
-            OUTCOME_FORCED,
-            reason=reason,
-            assignments=tuple(assignments),
-            trace=tuple(trace),
-        )
-
-    @classmethod
-    def reduced(cls, k: int, constraints, trace=()) -> CaseVerdict:
-        return cls(
-            OUTCOME_REDUCED,
-            reduced_k=k,
-            constraints=tuple(constraints),
-            trace=tuple(trace),
-        )
-
-    @classmethod
-    def found(cls, solutions, trace=()) -> CaseVerdict:
-        return cls(OUTCOME_SOLUTIONS, solutions=tuple(solutions), trace=tuple(trace))
+        object.__setattr__(self, "constraints", tuple(constraints))
+        object.__setattr__(self, "solutions", tuple(solutions))
+        object.__setattr__(self, "trace", tuple(trace))
 
     def to_jsonable(self) -> dict[str, object]:
         """Each field that is set, in declaration order, through json_safe;
@@ -110,10 +90,10 @@ def even_case(k: int, m: int) -> CaseVerdict:
         {"check": "perfect_power", "value": ym, "m": m, "root": root},
     )
     if root is None:
-        return CaseVerdict.contradiction(
-            f"(19^(2k+1)+1)/4 = {ym} is not a perfect {m}-th power", trace
-        )
-    return CaseVerdict.found([Solution(x, root, 2 * m)], trace)
+        reason = f"(19^(2k+1)+1)/4 = {ym} is not a perfect {m}-th power"
+        return CaseVerdict(OUTCOME_CONTRADICTION, reason=reason, trace=trace)
+    sols = (Solution(x, root, 2 * m),)
+    return CaseVerdict(OUTCOME_SOLUTIONS, solutions=sols, trace=trace)
 
 
 @shared
@@ -139,12 +119,13 @@ def mod19_forces_p(p: int) -> CaseVerdict:
         ),
     )
     if 0 not in residues:
-        return CaseVerdict.contradiction(
-            f"p*a^(p-1) is never 0 mod 19 for a in 1..18, so p = {p} is impossible "
-            f"while 19 divides the left side",
-            trace,
+        return CaseVerdict(
+            OUTCOME_CONTRADICTION,
+            reason=f"p*a^(p-1) is never 0 mod 19 for a in 1..18, so p = {p} is "
+            f"impossible while 19 divides the left side",
+            trace=trace,
         )
-    return CaseVerdict.forced([("p", 19)], trace=trace)
+    return CaseVerdict(OUTCOME_FORCED, assignments=(("p", 19),), trace=trace)
 
 
 def mod19_forces_kt(k: int, t: int) -> CaseVerdict:
@@ -154,10 +135,10 @@ def mod19_forces_kt(k: int, t: int) -> CaseVerdict:
         raise ValueError(f"requires 0 <= t < k, got t={t}, k={k}")
     trace = ({"check": "mod19_after_division", "k": k, "t": t, "k_minus_t": k - t},)
     if k - t != 1:
-        return CaseVerdict.contradiction(
-            f"dividing by 19 forces k - t = 1, but k - t = {k - t}", trace
-        )
-    return CaseVerdict.forced([("k_minus_t", 1), ("sign", 1)], trace=trace)
+        reason = f"dividing by 19 forces k - t = 1, but k - t = {k - t}"
+        return CaseVerdict(OUTCOME_CONTRADICTION, reason=reason, trace=trace)
+    forced = (("k_minus_t", 1), ("sign", 1))
+    return CaseVerdict(OUTCOME_FORCED, assignments=forced, trace=trace)
 
 
 def mod_pow2_insoluble(p: int, t: int) -> CaseVerdict:
@@ -210,10 +191,11 @@ def _pow2_verdict(p: int, s: int, target: int) -> CaseVerdict:
         "square_residues": squares,
         "solutions": solutions,
     }
-    return CaseVerdict.contradiction(
-        f"a^2 = {target} (mod {modulus}) has no odd solution "
+    return CaseVerdict(
+        OUTCOME_CONTRADICTION,
+        reason=f"a^2 = {target} (mod {modulus}) has no odd solution "
         f"(odd squares mod {modulus} are {list(squares)})",
-        (MappingProxyType(check),),
+        trace=(MappingProxyType(check),),
     )
 
 
@@ -287,11 +269,11 @@ def p3_case(k: int, search_bound: int) -> CaseVerdict:
             f"residue argument and exhaustive search disagree for k={k}: "
             f"witnesses={witnesses}, a_mod3={a_mod3}"
         )
-    return CaseVerdict.contradiction(
+    reason = (
         "3a^2*b - 19b^3 = 4*19^k forces b = 2 (mod 3) and then a^2 = 2 (mod 3), "
-        "which is not a quadratic residue; exhaustive scan found no witness",
-        trace,
+        "which is not a quadratic residue; exhaustive scan found no witness"
     )
+    return CaseVerdict(OUTCOME_CONTRADICTION, reason=reason, trace=trace)
 
 
 def valuation_trichotomy(k: int, s: int, t: int, X: int, Y: int, n: int) -> CaseVerdict:
@@ -334,14 +316,18 @@ def valuation_trichotomy(k: int, s: int, t: int, X: int, Y: int, n: int) -> Case
         )
     trace = (base, {"check": "mod19_forcing", "forced": forced, "holds": holds})
     if not holds:
-        return CaseVerdict.contradiction(failure, trace)
+        return CaseVerdict(OUTCOME_CONTRADICTION, reason=failure, trace=trace)
     if mn == odd_e:
-        return CaseVerdict.contradiction(
-            "reduces to 19*Z^2 + 1 = 4*Y^n, which has no solutions "
+        return CaseVerdict(
+            OUTCOME_CONTRADICTION,
+            reason="reduces to 19*Z^2 + 1 = 4*Y^n, which has no solutions "
             "(bounded scan in no_19z2_solutions; unbounded statement cited)",
-            trace,
+            trace=trace,
         )
-    return CaseVerdict.reduced(k - s, (f"t*n == 2*s == {two_s}",), trace)
+    constraints = (f"t*n == 2*s == {two_s}",)
+    return CaseVerdict(
+        OUTCOME_REDUCED, reduced_k=k - s, constraints=constraints, trace=trace
+    )
 
 
 @shared
@@ -377,8 +363,9 @@ def no_19z2_solutions(n_max: int, z_max: int) -> CaseVerdict:
         "candidates_checked": checked,
         "witnesses": witnesses,
     }
-    return CaseVerdict.contradiction(
-        f"19*Z^2 + 1 = 4*Y^n has no solution with odd Z <= {z_max}, "
+    return CaseVerdict(
+        OUTCOME_CONTRADICTION,
+        reason=f"19*Z^2 + 1 = 4*Y^n has no solution with odd Z <= {z_max}, "
         f"3 <= n <= {n_max} (unbounded claim cited, not reproved)",
-        (MappingProxyType(check),),
+        trace=(MappingProxyType(check),),
     )

@@ -51,6 +51,9 @@ from .quadratic_integers import QuadInt19, qpow
 P3_SEARCH_BOUND = 500
 LE_Z_MAX = 10**5
 
+# The canonical instance pair (1 +- sqrt(-19))/2, built once for every solve.
+INSTANCE_PAIR = LucasPair(1, 5)
+
 # Most steps one solve may record, checked against step_bound before any
 # step runs.  solve(49) records 14,153 steps against a bound of 61,981.
 STEP_BUDGET = 10**5
@@ -253,16 +256,17 @@ def always_primitive_closure(p: int) -> CaseVerdict:
     itself, as its check reads only p: every instance shares one verdict."""
     if p <= 13 or not is_probable_prime(p):
         raise ValueError(f"p must be a prime above 13, got {p}")
-    return CaseVerdict.contradiction(
-        f"u_{p} has a primitive divisor for every Lucas pair (p > 13), "
-        f"contradicting u_p = +-1"
+    return CaseVerdict(
+        caseworks.OUTCOME_CONTRADICTION,
+        reason=f"u_{p} has a primitive divisor for every Lucas pair (p > 13), "
+        f"contradicting u_p = +-1",
     )
 
 
 # p -> the verdict, shared by every k, that no pair of the required shape is
 # defective for p (only p = 7 has one), with the reason why
 NO_DEFECTIVE_PAIR = {
-    p: CaseVerdict.contradiction(reason)
+    p: CaseVerdict(caseworks.OUTCOME_CONTRADICTION, reason=reason)
     for p, reason in (
         (5, "no defective pair of the required shape exists for p = 5"),
         (11, "no defective pair exists for p = 11"),
@@ -284,11 +288,11 @@ def defect_table_route(p: int, k: int) -> CaseVerdict:
     if p in NO_DEFECTIVE_PAIR:
         return NO_DEFECTIVE_PAIR[p]
     if k != 0:
-        return CaseVerdict.contradiction(
-            f"the defective pair for p = 7 requires k = 0, got k = {k}"
-        )
-    return CaseVerdict.forced(
-        [("a", 1), ("k", 0)],
+        reason = f"the defective pair for p = 7 requires k = 0, got k = {k}"
+        return CaseVerdict(caseworks.OUTCOME_CONTRADICTION, reason=reason)
+    return CaseVerdict(
+        caseworks.OUTCOME_FORCED,
+        assignments=(("a", 1), ("k", 0)),
         reason="defective pair (1 +- sqrt(-19))/2: expand candidates directly",
     )
 
@@ -309,7 +313,7 @@ def defective_pair_expansion(k: int, p: int) -> CaseVerdict:
                 sols.append(Solution(w.a, y, p))
     for s in sols:
         assert is_solution(LNInstance(k), *s.as_tuple())
-    return CaseVerdict.found(sols, trace)
+    return CaseVerdict(caseworks.OUTCOME_SOLUTIONS, solutions=sols, trace=trace)
 
 
 def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
@@ -324,7 +328,7 @@ def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
             continue
         trace.step("mod_pow2_insoluble", p=19, t=t)
     # b = +-19^k: the Lucas route through u_p = +-1
-    pair = LucasPair(1, 5)  # the canonical instance pair (1 +- sqrt(-19))/2
+    pair = INSTANCE_PAIR
     route = trace.step("bhv_gate", P=pair.P, Q=pair.Q, p=p)
     if route is BhvRoute.ALWAYS_PRIMITIVE:
         trace.step("always_primitive_closure", p=p)
@@ -349,17 +353,17 @@ def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
     return list(trace.step("defective_pair_expansion", k=kk, p=p).solutions)
 
 
-def _primitive_solutions(kk: int, n_max: int, trace: ProofTrace) -> list[Solution]:
-    """All solutions of instance kk with 2 <= n <= n_max and 19 coprime to x."""
+def _primitive_solutions(
+    kk: int, n_max: int, primes: list[int], least: dict[int, int], trace: ProofTrace
+) -> list[Solution]:
+    """All solutions of instance kk with 2 <= n <= n_max and 19 coprime to x;
+    primes are the odd primes <= n_max, least each odd n's least prime factor."""
     inst = LNInstance(kk)
     sols: list[Solution] = []
     for m in range(1, n_max // 2 + 1):
         sols.extend(trace.step("even_case", k=kk, m=m).solutions)
-    # the least prime factors of the odd n <= n_max are the odd primes <= n_max
-    primes = [p for p in range(3, n_max + 1, 2) if is_probable_prime(p)]
     by_prime = {p: _odd_prime_solutions(kk, p, trace) for p in primes}
-    for n in range(3, n_max + 1, 2):
-        p = next(p for p in primes if n % p == 0)
+    for n, p in least.items():
         j = n // p
         for s in by_prime[p]:
             if j == 1:
@@ -420,8 +424,8 @@ def _prove(trace: ProofTrace) -> list[Solution]:
     bound = step_bound(k, n_max)
     if bound > STEP_BUDGET:
         raise ValueError(
-            f"solve(k={k}, n_max={n_max}) may take up to {bound} steps, "
-            f"over the step budget of {STEP_BUDGET}"
+            f"solve(k={_shown(k)}, n_max={_shown(n_max)}) may take up to "
+            f"{_shown(bound)} steps, over the step budget of {STEP_BUDGET}"
         )
     check_D_digits(k)
     if n_max < 2:
@@ -431,7 +435,13 @@ def _prove(trace: ProofTrace) -> list[Solution]:
     # close the two symbolic 19|x branches that do not reduce: both land on
     # 19*Z^2 + 1 = 4*Y^n (a bounded scan that raises on a witness; the rest cited)
     trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=LE_Z_MAX)
-    primitive = [_primitive_solutions(kk, n_max, trace) for kk in range(k + 1)]
+    # the odd primes <= n_max and each odd n's least prime factor, one of
+    # each for every instance; the least prime factors are those primes
+    primes = [p for p in range(3, n_max + 1, 2) if is_probable_prime(p)]
+    least = {n: next(p for p in primes if n % p == 0) for n in range(3, n_max + 1, 2)}
+    primitive = [
+        _primitive_solutions(kk, n_max, primes, least, trace) for kk in range(k + 1)
+    ]
     full = list(primitive[k])
     for s_val in range(1, k + 1):
         kk = k - s_val

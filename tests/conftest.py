@@ -1,18 +1,35 @@
+import importlib
 import math
+import pkgutil
 
 import pytest
 
-from ln_kit import caseworks, lucas_engine, solver
+import ln_kit
 
-# every verdict cache of the package (tests/test_verdict_caches.py finds
-# them all and checks this list against them)
-VERDICT_CACHES = (
-    caseworks.mod19_forces_p,
-    caseworks.no_19z2_solutions,
-    caseworks._pow2_verdict,
-    lucas_engine._primitive_divisor_verdict,
-    solver.always_primitive_closure,
-)
+
+def package_modules():
+    # __main__ is left out: importing it runs the CLI
+    for info in pkgutil.iter_modules(ln_kit.__path__):
+        if info.name != "__main__":
+            yield importlib.import_module(f"ln_kit.{info.name}")
+
+
+def package_caches():
+    """Every function of ln_kit, at module level or in a class, that has
+    cache_info."""
+    found = {}
+    for module in package_modules():
+        for name, value in vars(module).items():
+            members = vars(value).items() if isinstance(value, type) else ()
+            named = [(name, value), *((f"{name}.{m}", x) for m, x in members)]
+            for qualname, v in named:
+                if hasattr(v, "cache_info"):
+                    found[id(v)] = (f"{module.__name__}.{qualname}", v)
+    return dict(found.values())
+
+
+# every verdict cache of the package, found once
+VERDICT_CACHES = tuple(package_caches().values())
 
 
 @pytest.fixture(autouse=True)

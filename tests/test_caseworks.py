@@ -427,15 +427,17 @@ def reference_no_19z2(n_max, z_max):
         },
     )
     if witnesses:
-        return CaseVerdict.forced(
-            [("witness_count", len(witnesses))],
+        return CaseVerdict(
+            OUTCOME_FORCED,
+            assignments=[("witness_count", len(witnesses))],
             reason="scan found witnesses; the cited insolubility would be violated",
             trace=trace,
         )
-    return CaseVerdict.contradiction(
-        f"19*Z^2 + 1 = 4*Y^n has no solution with odd Z <= {z_max}, "
+    return CaseVerdict(
+        OUTCOME_CONTRADICTION,
+        reason=f"19*Z^2 + 1 = 4*Y^n has no solution with odd Z <= {z_max}, "
         f"3 <= n <= {n_max} (unbounded claim cited, not reproved)",
-        trace,
+        trace=trace,
     )
 
 

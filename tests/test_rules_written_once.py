@@ -1,12 +1,12 @@
 """Rules the package writes once: one declaration of a verdict cache
 (lucas_engine.shared), one check of u_n's length (in lucas_u), every cache
-built from that declaration, and one reader of the int-to-str digit limit
-(lucas_engine.digit_limit)."""
+built from that declaration, one reader of the int-to-str digit limit
+(lucas_engine.digit_limit), and one constructor per value type."""
 
 import ast
 from pathlib import Path
 
-from test_verdict_caches import package_caches
+from conftest import package_caches
 
 from ln_kit.lucas_engine import VERDICT_CACHE_SIZE
 
@@ -75,3 +75,29 @@ def test_only_digit_limit_reads_the_digit_limit():
                 places.append((module, lines[node.lineno - 1].strip()))
     reader = 'return getattr(sys, "get_int_max_str_digits", int)()'
     assert places == [("lucas_engine", reader)]
+
+
+def test_no_classmethod_only_calls_the_constructor():
+    # a classmethod whose body is return cls(...) (a docstring aside) is a
+    # second way to build what the constructor builds
+    places = []
+    for module, _, tree in modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef) or not any(
+                    ast.unparse(d) == "classmethod" for d in method.decorator_list
+                ):
+                    continue
+                body = method.body
+                if ast.get_docstring(method) is not None:
+                    body = body[1:]
+                if (
+                    len(body) == 1
+                    and isinstance(body[0], ast.Return)
+                    and isinstance(body[0].value, ast.Call)
+                    and ast.unparse(body[0].value.func) == "cls"
+                ):
+                    places.append(f"{module}.{node.name}.{method.name}")
+    assert places == []

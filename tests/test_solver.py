@@ -848,7 +848,9 @@ def test_solve_raises_when_a_lift_does_not_reduce(monkeypatch):
     monkeypatch.setattr(
         caseworks,
         "valuation_trichotomy",
-        lambda *inputs: caseworks.CaseVerdict.contradiction("planted"),
+        lambda *inputs: caseworks.CaseVerdict(
+            caseworks.OUTCOME_CONTRADICTION, reason="planted"
+        ),
     )
     message = r"valuation_trichotomy\(s=1, t=1, n=2\) does not reduce to k - s = 5: "
     with pytest.raises(RuntimeError, match=message + "contradiction 'planted'"):
@@ -924,6 +926,42 @@ def test_solve_refuses_over_step_budget_before_any_step(monkeypatch):
         solve(3000, 30, cross_check=False)
     with pytest.raises(ValueError, match="step budget"):
         solve(0, 100000)
+
+
+def test_the_step_budget_refusal_writes_a_long_bound_as_its_bit_count():
+    # step_bound(10^2200, 30) has about 4,400 digits, past the int-to-str
+    # limit; the refusal states itself, writing each int over 1,024 bits by
+    # its bit count, whether solve or replay meets it
+    message = (
+        r"solve\(k=<int of 7309 bits>, n_max=30\) may take up to "
+        r"<int of \d+ bits> steps, over the step budget of 100000"
+    )
+    with pytest.raises(ValueError, match=message):
+        solve(10**2200, cross_check=False)
+    (bad,) = ProofTrace(0, 10**4400).replay()
+    assert re.fullmatch(
+        r"solve refuses the header: solve\(k=0, n_max=<int of 14617 bits>\) may "
+        r"take up to <int of \d+ bits> steps, over the step budget of 100000",
+        bad,
+    )
+
+
+def test_solve_builds_the_instance_pair_and_the_odd_prime_table_once(monkeypatch):
+    pairs, tested = [], []
+    monkeypatch.setattr(
+        solver_mod, "LucasPair", lambda P, Q: pairs.append((P, Q)) or LucasPair(P, Q)
+    )
+    real = solver_mod.is_probable_prime
+    monkeypatch.setattr(
+        solver_mod, "is_probable_prime", lambda n: tested.append(n) or real(n)
+    )
+    _, trace = solve(49)
+    # only the primitive_divisor and lucas_u steps build a pair, from their
+    # recorded inputs; the 50 instances share the one table of odd primes
+    steps = len(trace.find("primitive_divisor")) + len(trace.find("lucas_u"))
+    assert len(pairs) == steps == 152
+    assert set(pairs) == {(1, 5)}
+    assert len(tested) < 50
 
 
 def test_solve_refuses_past_the_digit_limit_before_any_step(monkeypatch):

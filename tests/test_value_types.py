@@ -135,7 +135,8 @@ def test_construction_by_position_and_keyword_agree():
     assert SearchWindow(k=0, n_min=5) == SearchWindow(0, 5, 30, 10**7)
     defaults = (SearchWindow.n_min, SearchWindow.n_max, SearchWindow.x_max)
     assert defaults == (2, 30, 10**7)
-    assert CaseVerdict.reduced(2, ["19 | x"]) == VALUES["CaseVerdict"][0]()
+    # a list is stored as a tuple
+    assert CaseVerdict("reduced", "", [], 2, ["19 | x"]) == VALUES["CaseVerdict"][0]()
     assert PrimitiveDivisorVerdict(n=11, exists=True, witness=11) == (
         VALUES["PrimitiveDivisorVerdict"][0]()
     )
