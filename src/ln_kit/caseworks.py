@@ -77,18 +77,17 @@ def even_case(k: int, m: int) -> CaseVerdict:
     x = (D - 1) // 2
     ym = (D + 1) // 4
     root = ym if m == 1 else perfect_root(ym, m)
-    trace = (
-        {
-            "check": "coprime_factor_split",
-            "small_factor": 1,
-            "large_factor": D,
-            "x": x,
-            "y_power": ym,
-        },
-        # subtracting the split equations mod 3 forces x; m odd follows
-        {"check": "mod3", "x_mod_3": x % 3, "y_power_mod_3": ym % 3},
-        {"check": "perfect_power", "value": ym, "m": m, "root": root},
-    )
+    split = {
+        "check": "coprime_factor_split",
+        "small_factor": 1,
+        "large_factor": D,
+        "x": x,
+        "y_power": ym,
+    }
+    # subtracting the split equations mod 3 forces x; m odd follows
+    mod3 = {"check": "mod3", "x_mod_3": x % 3, "y_power_mod_3": ym % 3}
+    power = {"check": "perfect_power", "value": ym, "m": m, "root": root}
+    trace = (MappingProxyType(split), MappingProxyType(mod3), MappingProxyType(power))
     if root is None:
         reason = f"(19^(2k+1)+1)/4 = {ym} is not a perfect {m}-th power"
         return CaseVerdict(OUTCOME_CONTRADICTION, reason=reason, trace=trace)
@@ -133,7 +132,8 @@ def mod19_forces_kt(k: int, t: int) -> CaseVerdict:
     pins k - t = 1 (and the positive sign)."""
     if not 0 <= t < k:
         raise ValueError(f"requires 0 <= t < k, got t={t}, k={k}")
-    trace = ({"check": "mod19_after_division", "k": k, "t": t, "k_minus_t": k - t},)
+    check = {"check": "mod19_after_division", "k": k, "t": t, "k_minus_t": k - t}
+    trace = (MappingProxyType(check),)
     if k - t != 1:
         reason = f"dividing by 19 forces k - t = 1, but k - t = {k - t}"
         return CaseVerdict(OUTCOME_CONTRADICTION, reason=reason, trace=trace)
@@ -240,30 +240,29 @@ def p3_case(k: int, search_bound: int) -> CaseVerdict:
     check_budget(f"p3_case(search_bound={search_bound})", 2 * odd)
     target = 4 * 19**k
     # mod 3: RHS = -b^3 = -b, LHS = 1
-    b_mod3 = [b for b in range(3) if (3 * b - 19 * b**3) % 3 == target % 3]
+    b_mod3 = tuple(b for b in range(3) if (3 * b - 19 * b**3) % 3 == target % 3)
     # b = 3r + 2, mod 9: 6a^2 - 8 = 4; dividing the reduced congruence by 3
     # and inverting 2 leaves a^2 = 2 (mod 3)
-    squares_mod3 = sorted({a * a % 3 for a in range(3)})
+    squares_mod3 = tuple(sorted({a * a % 3 for a in range(3)}))
     forced_square = 2 * ((target % 9 + 8) // 3) % 3
-    a_mod3 = [a for a in range(3) if (6 * a * a - 8) % 9 == target % 9]
+    a_mod3 = tuple(a for a in range(3) if (6 * a * a - 8) % 9 == target % 9)
     witnesses = _cubic_witnesses(target, search_bound)  # a > 0: it enters squared
     candidates = odd * 2 * odd
-    trace = (
-        {"check": "mod3_forces_b", "lhs_mod_3": target % 3, "b_mod_3": b_mod3},
-        {
-            "check": "mod9_reduction",
-            "lhs_mod_9": target % 9,
-            "a_square_forced_mod_3": forced_square,
-            "a_mod_3_solutions": a_mod3,
-            "squares_mod_3": squares_mod3,
-        },
-        {
-            "check": "exhaustive_search",
-            "bound": search_bound,
-            "candidates_checked": candidates,
-            "witnesses": [list(w) for w in witnesses],
-        },
-    )
+    mod3 = {"check": "mod3_forces_b", "lhs_mod_3": target % 3, "b_mod_3": b_mod3}
+    mod9 = {
+        "check": "mod9_reduction",
+        "lhs_mod_9": target % 9,
+        "a_square_forced_mod_3": forced_square,
+        "a_mod_3_solutions": a_mod3,
+        "squares_mod_3": squares_mod3,
+    }
+    search = {
+        "check": "exhaustive_search",
+        "bound": search_bound,
+        "candidates_checked": candidates,
+        "witnesses": tuple(witnesses),
+    }
+    trace = (MappingProxyType(mod3), MappingProxyType(mod9), MappingProxyType(search))
     if witnesses or a_mod3:
         raise RuntimeError(
             f"residue argument and exhaustive search disagree for k={k}: "
@@ -314,7 +313,8 @@ def valuation_trichotomy(k: int, s: int, t: int, X: int, Y: int, n: int) -> Case
             f"after dividing by 19^{mn}, exactly one of the three terms is "
             f"prime to 19: 2s = {two_s}, t*n = {tn}"
         )
-    trace = (base, {"check": "mod19_forcing", "forced": forced, "holds": holds})
+    check = {"check": "mod19_forcing", "forced": forced, "holds": holds}
+    trace = (MappingProxyType(base), MappingProxyType(check))
     if not holds:
         return CaseVerdict(OUTCOME_CONTRADICTION, reason=failure, trace=trace)
     if mn == odd_e:

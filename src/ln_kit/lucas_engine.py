@@ -158,7 +158,9 @@ def check_digits(value: str, count: int, each: float, more: float = 0.0) -> None
     count >= 0 and each >= 0, that has more digits than digit_limit() lets
     a str hold; value names it.  Its digits, floor(count * each + more) + 1,
     are counted in exact integers from each's and more's ratios, so no
-    count, however large, meets a float it could overflow."""
+    count, however large, meets a float it could overflow.  The refusal
+    writes the count in decimal when that fits the limit, else as the power
+    of two it passes, so it never meets the limit itself."""
     limit = digit_limit()
     if not limit:
         return
@@ -166,8 +168,12 @@ def check_digits(value: str, count: int, each: float, more: float = 0.0) -> None
     c, d = more.as_integer_ratio()
     digits = (count * a * d + c * b) // (b * d) + 1
     if digits > limit:
+        about = (
+            f"about {digits}" if digits < 10**limit
+            else f"over 2^{digits.bit_length() - 1}"
+        )
         raise ValueError(
-            f"{value} would have about {digits} digits, over the "
+            f"{value} would have {about} digits, over the "
             f"{limit}-digit limit of int-to-str conversion "
             "(sys.get_int_max_str_digits())"
         )

@@ -3,10 +3,19 @@ casework and the Lucas gate, scale solutions back through the 19-adic
 reduction, and cross-check the result against the brute-force oracle.
 
 Every step runs through ProofTrace.step and the table ``STEPS`` at the end
-of this module, which records (procedure, inputs, returned value); the JSON
-form waits for serialization, built once per distinct value object.  Replay
-runs solve's own loops on the trace's header with step in checking mode, so
-procedures only see the inputs solve computes, never recorded ones.
+of this module, which records (procedure, inputs, returned value) as a
+read-only ProofStep; the JSON form waits for serialization, built once per
+distinct value object.  Replay runs solve's own loops on the trace's header
+with step in checking mode, so procedures only see the inputs solve
+computes, never recorded ones.
+
+solve(k) is built from instance proofs: each instance kk <= k, its even
+cases then its odd primes, is decided once per process as one block of
+steps and solutions (_instance), which solve(k) appends and every later
+solve shares.  Replay checks a trace against the same blocks: a trace step
+that is the block's own step object passes by identity, as no step can be
+edited; any other is checked field by field, so a replaced, moved or edited
+copy is still named.
 
 A question whose answer does not depend on the instance is decided once per
 process: the 19*Z^2 + 1 = 4*Y^n scan, the mod-19 and power-of-two sieves'
@@ -21,6 +30,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable, Iterator
 from itertools import chain, repeat
+from types import MappingProxyType
 
 from . import caseworks
 from .caseworks import CaseVerdict
@@ -38,6 +48,7 @@ from .lucas_engine import (
     Frozen,
     LucasPair,
     bhv_gate,
+    digit_limit,
     is_probable_prime,
     lucas_u,
     primitive_divisor,
@@ -55,7 +66,8 @@ LE_Z_MAX = 10**5
 INSTANCE_PAIR = LucasPair(1, 5)
 
 # Most steps one solve may record, checked against step_bound before any
-# step runs.  solve(49) records 14,153 steps against a bound of 61,981.
+# step runs.  solve(49) records 14,153 steps against a bound of 61,981.  The
+# cached instance blocks hold at most as many in all (_instance).
 STEP_BUDGET = 10**5
 
 
@@ -72,30 +84,38 @@ class OracleMismatchError(RuntimeError):
         )
 
 
-class ProofStep:
+class ProofStep(tuple):
     """One step: the op, its inputs and the value its procedure returned.
 
     value is the procedure's own return value when the step was recorded,
     and the JSON result when the trace was rebuilt from its JSON form;
-    json_safe turns either into the JSON result.  The class is not Frozen:
-    a Frozen __init__ calls object.__setattr__ once per field, where this
-    one assigns each, a cost every recorded step would pay.
+    json_safe turns either into the JSON result.  A step is read-only, as
+    solve shares each instance's steps between every trace that holds them
+    (_instance): a tuple, whose fields cannot be assigned, and whose inputs
+    read as a MappingProxyType, built on each read so that no recorded step
+    holds one.  Equality is the tuple's, of the three fields; a step holds
+    a dict, so it has no hash.
     """
 
-    __slots__ = __match_args__ = ("op", "inputs", "value")
-    __repr__, __eq__ = Frozen.__repr__, Frozen.__eq__
-    _fields = operator.attrgetter(*__match_args__)
+    __slots__ = ()
+    __match_args__ = ("op", "inputs", "value")
+    __hash__ = None
+    op = property(operator.itemgetter(0))
+    inputs = property(lambda step: MappingProxyType(step[1]))
+    value = property(operator.itemgetter(2))
 
-    def __init__(self, op: str, inputs: dict[str, object], value: object) -> None:
-        self.op = op
-        self.inputs = inputs
-        self.value = value
+    def __new__(cls, op: str, inputs: dict[str, object], value: object) -> ProofStep:
+        return tuple.__new__(cls, (op, inputs, value))
+
+    def __repr__(self) -> str:
+        op, inputs, value = self
+        return f"ProofStep(op={op!r}, inputs={inputs!r}, value={value!r})"
 
     @property
     def result(self) -> dict[str, object]:
         """The JSON form of the value, built by json_safe on each access; it
         shares no container with the value."""
-        return json_safe(self.value)
+        return json_safe(self[2])
 
 
 class ProofTrace:
@@ -131,8 +151,13 @@ class ProofTrace:
         """Run STEPS[op] on the inputs, record the value it returns as it is,
         and return it; the JSON form waits for to_jsonable."""
         value = STEPS[op](inputs)
-        self.steps.append(ProofStep(op, inputs, value))
+        # ProofStep(op, inputs, value), without its __new__'s Python call
+        self.steps.append(tuple.__new__(ProofStep, (op, inputs, value)))
         return value
+
+    def extend(self, block: tuple[ProofStep, ...]) -> None:
+        """Append an instance's block of steps (_instance), as they are."""
+        self.steps.extend(block)
 
     def find(self, op: str) -> list[ProofStep]:
         return [s for s in self.steps if s.op == op]
@@ -165,11 +190,11 @@ class ProofTrace:
         result through json_safe, with one result built per distinct value
         object (see to_jsonable)."""
         results: dict[int, object] = {}
-        for s in self.steps:
-            key = id(s.value)
-            if key not in results:
-                results[key] = s.result
-            yield {"op": s.op, "inputs": json_safe(s.inputs), "result": results[key]}
+        for step in self.steps:
+            op, inputs, value = step
+            if id(value) not in results:
+                results[id(value)] = step.result
+            yield {"op": op, "inputs": json_safe(inputs), "result": results[id(value)]}
 
     def to_jsonable(self) -> dict[str, object]:
         """The trace as JSON, its steps from jsonable_steps: steps that share
@@ -186,11 +211,14 @@ class ProofTrace:
 
 
 class _Checking(ProofTrace):
-    """step's checking mode, for replay: step appends nothing and checks the
-    step solve takes against the trace's next one.  Its op and inputs must be
-    solve's (see _same_inputs), and its value the procedure's on them: the
-    same object (a shared verdict, no __eq__ call), an equal one, or one whose
-    JSON form, built once per object, is equal."""
+    """step's checking mode, for replay: step and extend append nothing and
+    check each step solve takes against the trace's next one.  A trace step
+    that is the very step object of solve's instance block passes at once:
+    steps are read-only, so it holds what solve records there.  Any other
+    must have solve's op and inputs (see _same_inputs), and the value of
+    solve's procedure on them: the same object (a shared verdict, no __eq__
+    call), an equal one, or one whose JSON form, built once per object, is
+    equal."""
 
     __slots__ = ("pending", "bad", "encoded")
     INT = frozenset({int})
@@ -205,23 +233,34 @@ class _Checking(ProofTrace):
 
     def step(self, op: str, **inputs: int) -> object:
         value = STEPS[op](inputs)
-        i, step = next(self.pending)
+        self._check(op, inputs, value, *next(self.pending))
+        return value
+
+    def extend(self, block: tuple[ProofStep, ...]) -> None:
+        for mine in block:
+            i, step = next(self.pending)
+            if step is not mine:
+                self._check(*mine, i, step)
+
+    def _check(self, op: str, inputs: dict, value: object, i: int, step) -> None:
+        """Check the trace's step i (None past its end) against solve's."""
         if step is None:
             self.bad.append(f"step {i} {op}: missing from the trace")
-        elif step.op != op or not (
-            step.inputs == inputs and self.INT.issuperset(map(type, step.inputs.values()))
-            or _same_inputs(step.inputs, inputs)
+            return
+        recorded_op, recorded, recorded_value = step
+        if recorded_op != op or not (
+            recorded == inputs and self.INT.issuperset(map(type, recorded.values()))
+            or _same_inputs(recorded, inputs)
         ):
             self.bad.append(
                 f"step {i} {op}: solve passes {inputs}, "
-                f"the trace records {_shown(step.op)} {_shown(step.inputs)}"
+                f"the trace records {_shown(recorded_op)} {_shown(recorded)}"
             )
-        elif value is not step.value and value != step.value:
+        elif value is not recorded_value and value != recorded_value:
             if id(value) not in self.encoded:
                 self.encoded[id(value)] = (value, json_safe(value))
-            if self.encoded[id(value)][1] != step.value:
+            if self.encoded[id(value)][1] != recorded_value:
                 self.bad.append(f"step {i} {op}: value differs")
-        return value
 
 
 def _shown(recorded: object) -> str:
@@ -229,7 +268,7 @@ def _shown(recorded: object) -> str:
     or as a dict's key or value, written as its bit count, and anything else
     that holds an int too long to write as its type: no int-to-str limit can
     raise while a divergence is named."""
-    if type(recorded) is dict:
+    if type(recorded) in (dict, MappingProxyType):
         items = (f"{_shown(k)}: {_shown(v)}" for k, v in recorded.items())
         return "{" + ", ".join(items) + "}"
     if isinstance(recorded, int) and recorded.bit_length() > 1024:
@@ -243,7 +282,8 @@ def _shown(recorded: object) -> str:
 def _same_inputs(recorded: object, inputs: dict[str, int]) -> bool:
     """Whether recorded has the names of solve's inputs and, for each, its int
     (not a bool) or its exact decimal string, JSON's form of a large int."""
-    return type(recorded) is dict and recorded.keys() == inputs.keys() and all(
+    mapping = type(recorded) in (dict, MappingProxyType)
+    return mapping and recorded.keys() == inputs.keys() and all(
         r == v if type(r) is int else type(r) is str and r == str(v)
         for r, v in zip(map(recorded.get, inputs), inputs.values())
     )
@@ -307,7 +347,8 @@ def defective_pair_expansion(k: int, p: int) -> CaseVerdict:
     for a in (1, -1):
         for b in (1, -1):
             w = qpow(QuadInt19(a, b), p)
-            trace.append({"check": "qpow", "a": a, "b": b, "A": w.a, "B": w.b})
+            check = {"check": "qpow", "a": a, "b": b, "A": w.a, "B": w.b}
+            trace.append(MappingProxyType(check))
             if w.b == 19**k and w.a > 0:
                 y = QuadInt19(a, b).norm
                 sols.append(Solution(w.a, y, p))
@@ -318,15 +359,15 @@ def defective_pair_expansion(k: int, p: int) -> CaseVerdict:
 
 def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
     """Solutions of instance kk with n = p odd prime and 19 coprime to x."""
-    # b = +-19^t with t < kk: the mod-19 and mod-2^(s+1) sieves
+    # b = +-19^t with t < kk: the mod-19 and mod-2^(s+1) sieves, the
+    # loop's names bound once (solve(49) takes 12,299 steps here)
+    step, contradiction = trace.step, caseworks.OUTCOME_CONTRADICTION
     for t in range(kk):
-        v1 = trace.step("mod19_forces_p", k=kk, t=t, p=p)
-        if v1.outcome == caseworks.OUTCOME_CONTRADICTION:
+        if step("mod19_forces_p", k=kk, t=t, p=p).outcome == contradiction:
             continue
-        v2 = trace.step("mod19_forces_kt", k=kk, t=t)
-        if v2.outcome == caseworks.OUTCOME_CONTRADICTION:
+        if step("mod19_forces_kt", k=kk, t=t).outcome == contradiction:
             continue
-        trace.step("mod_pow2_insoluble", p=19, t=t)
+        step("mod_pow2_insoluble", p=19, t=t)
     # b = +-19^k: the Lucas route through u_p = +-1
     pair = INSTANCE_PAIR
     route = trace.step("bhv_gate", P=pair.P, Q=pair.Q, p=p)
@@ -353,17 +394,15 @@ def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
     return list(trace.step("defective_pair_expansion", k=kk, p=p).solutions)
 
 
-def _primitive_solutions(
-    kk: int, n_max: int, primes: list[int], least: dict[int, int], trace: ProofTrace
-) -> list[Solution]:
-    """All solutions of instance kk with 2 <= n <= n_max and 19 coprime to x;
-    primes are the odd primes <= n_max, least each odd n's least prime factor."""
+def _primitive_solutions(kk: int, n_max: int, trace: ProofTrace) -> list[Solution]:
+    """All solutions of instance kk with 2 <= n <= n_max and 19 coprime to x."""
     inst = LNInstance(kk)
+    primes, least = _odd_primes(n_max)
     sols: list[Solution] = []
     for m in range(1, n_max // 2 + 1):
         sols.extend(trace.step("even_case", k=kk, m=m).solutions)
     by_prime = {p: _odd_prime_solutions(kk, p, trace) for p in primes}
-    for n, p in least.items():
+    for n, p in least:
         j = n // p
         for s in by_prime[p]:
             if j == 1:
@@ -376,6 +415,49 @@ def _primitive_solutions(
     for s in sols:
         assert is_solution(inst, *s.as_tuple())
     return sols
+
+
+@shared
+def _odd_primes(n_max: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The odd primes <= n_max, and each odd n <= n_max with its least prime
+    factor, one of those primes: one table per n_max for every instance."""
+    primes = tuple(p for p in range(3, n_max + 1, 2) if is_probable_prime(p))
+    least = tuple(
+        (n, next(p for p in primes if n % p == 0)) for n in range(3, n_max + 1, 2)
+    )
+    return primes, least
+
+
+# steps the cached instance blocks hold in all, at most STEP_BUDGET (_instance)
+_held = 0
+
+
+@shared
+def _instance(
+    kk: int, n_max: int, limit: int
+) -> tuple[tuple[ProofStep, ...], tuple[Solution, ...]]:
+    """Instance kk's block: the steps _primitive_solutions records for it, its
+    even cases then its odd primes, and its solutions, decided once per
+    process and shared, read-only, by every trace and replay that holds them.
+
+    The key is all its steps read but constants: kk, n_max, and the digit
+    limit (limit, read by digit_limit) their refusals were checked under, so
+    no block comes back under a limit it was not checked under.  The blocks
+    hold at most STEP_BUDGET steps in all: one that would take them past it
+    empties the cache first.  _held counts them, from 0 whenever the cache
+    is found empty; an entry the cache drops at VERDICT_CACHE_SIZE stays
+    counted, so the count is never below what the blocks hold.
+    """
+    global _held
+    record = ProofTrace(kk, n_max)
+    sols = _primitive_solutions(kk, n_max, record)
+    steps = tuple(record.steps)
+    held = _held if _instance.cache_info().currsize else 0
+    if held + len(steps) > STEP_BUDGET:
+        _instance.cache_clear()
+        held = 0
+    _held = held + len(steps)
+    return steps, tuple(sols)
 
 
 def step_bound(k: int, n_max: int) -> int:
@@ -435,13 +517,13 @@ def _prove(trace: ProofTrace) -> list[Solution]:
     # close the two symbolic 19|x branches that do not reduce: both land on
     # 19*Z^2 + 1 = 4*Y^n (a bounded scan that raises on a witness; the rest cited)
     trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=LE_Z_MAX)
-    # the odd primes <= n_max and each odd n's least prime factor, one of
-    # each for every instance; the least prime factors are those primes
-    primes = [p for p in range(3, n_max + 1, 2) if is_probable_prime(p)]
-    least = {n: next(p for p in primes if n % p == 0) for n in range(3, n_max + 1, 2)}
-    primitive = [
-        _primitive_solutions(kk, n_max, primes, least, trace) for kk in range(k + 1)
-    ]
+    # each instance kk <= k: its block, recorded or checked step by step
+    limit = digit_limit()
+    primitive = []
+    for kk in range(k + 1):
+        steps, sols = _instance(kk, n_max, limit)
+        trace.extend(steps)
+        primitive.append(sols)
     full = list(primitive[k])
     for s_val in range(1, k + 1):
         kk = k - s_val
@@ -525,13 +607,17 @@ STEPS: dict[str, Callable[[dict[str, int]], object]] = {
         LucasPair(i["P"], i["Q"]), i["n"], i["factoring_budget"]
     ),
     "defect_table": lambda i: defect_table_route(i["p"], i["k"]),
-    "lucas_u": lambda i: {"value": lucas_u(LucasPair(i["P"], i["Q"]), i["n"])},
+    "lucas_u": lambda i: MappingProxyType(
+        {"value": lucas_u(LucasPair(i["P"], i["Q"]), i["n"])}
+    ),
     "defective_pair_expansion": lambda i: defective_pair_expansion(i["k"], i["p"]),
-    "composite_lift": lambda i: {"root": perfect_root(i["y"], i["j"])},
+    "composite_lift": lambda i: MappingProxyType({"root": perfect_root(i["y"], i["j"])}),
     "valuation_trichotomy": lambda i: caseworks.valuation_trichotomy(
         i["k"], i["s"], i["t"], i["X"], i["Y"], i["n"]
     ),
-    "oracle_cross_check": lambda i: {
-        "solutions": brute_force(SearchWindow(i["k"], i["n_min"], i["n_max"], i["x_max"]))
-    },
+    "oracle_cross_check": lambda i: MappingProxyType({
+        "solutions": tuple(
+            brute_force(SearchWindow(i["k"], i["n_min"], i["n_max"], i["x_max"]))
+        )
+    }),
 }

@@ -32,13 +32,18 @@ def package_caches():
 VERDICT_CACHES = tuple(package_caches().values())
 
 
+def clear_caches():
+    """Empty every verdict cache, the solver's instance blocks among them."""
+    for cache in VERDICT_CACHES:
+        cache.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def fresh_verdicts():
     """Each test starts with every verdict cache empty, so a verdict an
     earlier test computed (or planted through a patched scan) never stands
     in for the procedure a test runs."""
-    for cache in VERDICT_CACHES:
-        cache.cache_clear()
+    clear_caches()
 
 
 def _imag_binomial_sum(a, b, p):

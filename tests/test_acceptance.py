@@ -101,10 +101,10 @@ def test_criterion_06_p3_elimination():
         ok = (
             ok
             and verdict.outcome == "contradiction"
-            and by_check["exhaustive_search"]["witnesses"] == []
+            and by_check["exhaustive_search"]["witnesses"] == ()
             and by_check["exhaustive_search"]["candidates_checked"] == 250 * 250 * 2
             and by_check["mod9_reduction"]["a_square_forced_mod_3"] == 2
-            and by_check["mod9_reduction"]["a_mod_3_solutions"] == []
+            and by_check["mod9_reduction"]["a_mod_3_solutions"] == ()
             and 2 not in by_check["mod9_reduction"]["squares_mod_3"]
         )
     _report(6, "n=3 eliminated by residues and exhaustive scan", ok)

@@ -213,11 +213,11 @@ def test_p3_case(k):
     verdict = p3_case(k, 500)
     assert verdict.outcome == OUTCOME_CONTRADICTION
     by_check = {step["check"]: step for step in verdict.trace}
-    assert by_check["mod3_forces_b"]["b_mod_3"] == [2]
+    assert by_check["mod3_forces_b"]["b_mod_3"] == (2,)
     assert by_check["mod9_reduction"]["a_square_forced_mod_3"] == 2
-    assert by_check["mod9_reduction"]["a_mod_3_solutions"] == []
-    assert by_check["mod9_reduction"]["squares_mod_3"] == [0, 1]
-    assert by_check["exhaustive_search"]["witnesses"] == []
+    assert by_check["mod9_reduction"]["a_mod_3_solutions"] == ()
+    assert by_check["mod9_reduction"]["squares_mod_3"] == (0, 1)
+    assert by_check["exhaustive_search"]["witnesses"] == ()
     # 250 odd a, 250 odd |b|, both signs of b: every pair of the odd box is
     # decided (one b at a time) and counted
     assert by_check["exhaustive_search"]["candidates_checked"] == 250 * 250 * 2
@@ -230,7 +230,7 @@ def test_p3_case_at_its_least_bound():
         "check": "exhaustive_search",
         "bound": 1,
         "candidates_checked": 2,
-        "witnesses": [],
+        "witnesses": (),
     }
     with pytest.raises(ValueError, match="search_bound >= 1, got 0, 0"):
         p3_case(0, 0)
@@ -240,8 +240,8 @@ def test_p3_case_paths_agree_up_to_k4():
     for k in range(5):
         verdict = p3_case(k, 200)
         by_check = {step["check"]: step for step in verdict.trace}
-        assert by_check["mod9_reduction"]["a_mod_3_solutions"] == []
-        assert by_check["exhaustive_search"]["witnesses"] == []
+        assert by_check["mod9_reduction"]["a_mod_3_solutions"] == ()
+        assert by_check["exhaustive_search"]["witnesses"] == ()
 
 
 def naive_cubic_witnesses(target, bound):

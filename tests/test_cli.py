@@ -199,6 +199,17 @@ def test_family_rejects_out_of_range_parameter(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_family_refuses_a_member_whose_digit_count_is_too_long_to_write(capsys):
+    # n2(0)'s x at k = 10^4300 - 1 has a digit count of 4,301 digits
+    argv = ["family", "--k", "9" * 4300, "--kind", "n2", "--t", "0"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "ln-kit: x would have over 2^14285 digits, over the 4300-digit limit of "
+        "int-to-str conversion (sys.get_int_max_str_digits())\n"
+    )
+
+
 def test_lucas_command(capsys):
     code, out = run_cli(capsys, "lucas", "--p", "1", "--q", "5", "--n", "7")
     assert code == 0

@@ -9,6 +9,7 @@ from ln_kit.equation_model import (
     is_solution,
     theorem_solution_set,
 )
+from ln_kit.lucas_engine import check_digits
 
 
 def test_instance_invariants():
@@ -131,6 +132,21 @@ K_PAST_A_FLOAT = 7 * 10**400  # 2k+1 overflows a float
 def test_a_k_past_a_float_is_refused_in_the_limits_words(build):
     with pytest.raises(ValueError, match=r"about \d+ digits, over the 4300-digit limit"):
         build()
+
+
+def test_a_digit_count_too_long_to_write_is_refused_by_its_power_of_two():
+    # k = 10^4300 - 1 has 4,300 digits, the most the limit lets a str hold,
+    # and n2(0)'s x about 2.6 * 10^4300 digits: a count of 4,301 digits
+    k = 10**4300 - 1
+    with pytest.raises(
+        ValueError, match=r"^x would have over 2\^14285 digits, over the 4300-digit limit"
+    ):
+        instantiate_family(LNInstance(k), "n2", 0)
+    # a count of 4,300 digits is written in decimal, one of 4,301 is not
+    with pytest.raises(ValueError, match=r"^v would have about 10{4298}1 digits, over"):
+        check_digits("v", 10**4299, 1.0)
+    with pytest.raises(ValueError, match=r"^v would have over 2\^14284 digits, over"):
+        check_digits("v", 10**4300, 1.0)
 
 
 def test_theorem_solution_set_rejects_n_max_below_2():

@@ -4,6 +4,7 @@ import re
 import time
 
 import pytest
+from conftest import clear_caches
 
 import ln_kit.solver as solver_mod
 from ln_kit import caseworks
@@ -264,6 +265,7 @@ def test_replay_runs_no_procedure_on_a_recorded_input(monkeypatch):
         return real(k, m)
 
     monkeypatch.setattr(caseworks, "even_case", spy)
+    clear_caches()  # so that replay decides each instance again, through spy
     (i,) = first_steps(trace, "even_case")
     for replayed in (tampered, rebuilt_from_json(tampered)):
         (bad,) = replayed.replay()
@@ -566,6 +568,7 @@ def test_replay_refuses_a_factoring_budget_over_the_solvers(inputs, monkeypatch)
         return real(pair, n, factoring_budget)
 
     monkeypatch.setattr(solver_mod, "primitive_divisor", spy)
+    clear_caches()  # so that replay decides each instance again, through spy
     for replayed in (tampered, rebuilt_from_json(tampered)):
         start = time.perf_counter()
         (bad,) = replayed.replay()

@@ -2,7 +2,7 @@
 property of its top-level classes (dunders aside), has a caller outside
 tests/, every name a module of ln_kit imports is read in that module, and
 every parameter of every function of ln_kit (dunders, self and cls aside)
-is read in its body, but for one cache key.
+is read in its body, but for the cache keys that name a digit limit.
 
 The package keeps no code that only its tests run: a definition in
 src/ln_kit must be loaded by name somewhere in src/, scripts/ or
@@ -127,5 +127,9 @@ def test_every_parameter_is_read():
         for name, read in parameters(*parsed([path]), path.stem)
         if not read
     }
-    # limit is a cache key: the digit limit the verdict was checked under
-    assert unread == {"lucas_engine._primitive_divisor_verdict.limit"}
+    # each limit is a cache key: the digit limit the verdict or the instance
+    # block was checked under
+    assert unread == {
+        "lucas_engine._primitive_divisor_verdict.limit",
+        "solver._instance.limit",
+    }
