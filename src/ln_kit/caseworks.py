@@ -6,8 +6,10 @@ instead of being trusted as a bare boolean.  mod19_forces_p and
 no_19z2_solutions cache themselves, and mod_pow2_insoluble checks its inputs
 on every call, then calls its cached inner function _pow2_verdict: each
 returns one read-only verdict per question (lucas_engine.shared), shared by
-every caller in the process.  p3_case, _pow2_verdict and no_19z2_solutions
-raise where they enumerate on what arithmetic or a cited theorem rules out.
+every caller in the process.  even_case checks k and m on every call, then
+takes what k alone decides from _even_split, built once per k and shared by
+the verdicts of every m.  p3_case, _pow2_verdict and no_19z2_solutions raise
+where they enumerate on what arithmetic or a cited theorem rules out.
 """
 
 from __future__ import annotations
@@ -73,10 +75,23 @@ def even_case(k: int, m: int) -> CaseVerdict:
     if k < 0 or m < 1:
         raise ValueError(f"need k >= 0 and m >= 1, got k={k}, m={m}")
     check_D_digits(k)
-    D = 19 ** (2 * k + 1)
-    x = (D - 1) // 2
-    ym = (D + 1) // 4
+    x, ym, split, mod3 = _even_split(k)
     root = ym if m == 1 else perfect_root(ym, m)
+    power = {"check": "perfect_power", "value": ym, "m": m, "root": root}
+    trace = (split, mod3, MappingProxyType(power))
+    if root is None:
+        reason = f"(19^(2k+1)+1)/4 = {ym} is not a perfect {m}-th power"
+        return CaseVerdict(OUTCOME_CONTRADICTION, reason=reason, trace=trace)
+    sols = (Solution(x, root, 2 * m),)
+    return CaseVerdict(OUTCOME_SOLUTIONS, solutions=sols, trace=trace)
+
+
+@shared
+def _even_split(k: int) -> tuple[int, int, MappingProxyType, MappingProxyType]:
+    """even_case's x and y^m for k, with its read-only coprime_factor_split
+    and mod3 entries: alike for every m, so built once per k."""
+    D = 19 ** (2 * k + 1)
+    x, ym = (D - 1) // 2, (D + 1) // 4
     split = {
         "check": "coprime_factor_split",
         "small_factor": 1,
@@ -86,13 +101,7 @@ def even_case(k: int, m: int) -> CaseVerdict:
     }
     # subtracting the split equations mod 3 forces x; m odd follows
     mod3 = {"check": "mod3", "x_mod_3": x % 3, "y_power_mod_3": ym % 3}
-    power = {"check": "perfect_power", "value": ym, "m": m, "root": root}
-    trace = (MappingProxyType(split), MappingProxyType(mod3), MappingProxyType(power))
-    if root is None:
-        reason = f"(19^(2k+1)+1)/4 = {ym} is not a perfect {m}-th power"
-        return CaseVerdict(OUTCOME_CONTRADICTION, reason=reason, trace=trace)
-    sols = (Solution(x, root, 2 * m),)
-    return CaseVerdict(OUTCOME_SOLUTIONS, solutions=sols, trace=trace)
+    return x, ym, MappingProxyType(split), MappingProxyType(mod3)
 
 
 @shared

@@ -5,9 +5,11 @@ reduction, and cross-check the result against the brute-force oracle.
 Every step runs through ProofTrace.step and the table ``STEPS`` at the end
 of this module, which records (procedure, inputs, returned value) as a
 read-only ProofStep; the JSON form waits for serialization, built once per
-distinct value object.  Replay runs solve's own loops on the trace's header
-with step in checking mode, so procedures only see the inputs solve
-computes, never recorded ones.
+distinct value object.  The sieve rows of one instance and odd prime p
+share one mod19_forces_p call: its verdict reads p alone, so
+ProofTrace.repeat appends the later rows with it, as step would.  Replay
+runs solve's own loops on the trace's header with step in checking mode, so
+procedures only see the inputs solve computes, never recorded ones.
 
 solve(k) is built from instance proofs: each instance kk <= k, its even
 cases then its odd primes, is decided once per process as one block of
@@ -28,7 +30,7 @@ solve share, so a trace and its replay in one process hold the same objects.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, repeat
 from types import MappingProxyType
 
@@ -159,6 +161,12 @@ class ProofTrace:
         """Append an instance's block of steps (_instance), as they are."""
         self.steps.extend(block)
 
+    def repeat(self, op: str, value: object, inputs: Iterable[dict[str, int]]) -> None:
+        """Append one step of op per inputs dict, each holding value: what
+        step records when STEPS[op] returns that very object for each."""
+        rows = zip(repeat(op), inputs, repeat(value))  # itertools.repeat
+        self.steps.extend(map(tuple.__new__, repeat(ProofStep), rows))
+
     def find(self, op: str) -> list[ProofStep]:
         return [s for s in self.steps if s.op == op]
 
@@ -211,14 +219,14 @@ class ProofTrace:
 
 
 class _Checking(ProofTrace):
-    """step's checking mode, for replay: step and extend append nothing and
-    check each step solve takes against the trace's next one.  A trace step
-    that is the very step object of solve's instance block passes at once:
-    steps are read-only, so it holds what solve records there.  Any other
-    must have solve's op and inputs (see _same_inputs), and the value of
-    solve's procedure on them: the same object (a shared verdict, no __eq__
-    call), an equal one, or one whose JSON form, built once per object, is
-    equal."""
+    """step's checking mode, for replay: step, extend and repeat append
+    nothing and check each step solve takes against the trace's next one.  A
+    trace step that is the very step object of solve's instance block passes
+    at once: steps are read-only, so it holds what solve records there.  Any
+    other must have solve's op and inputs (see _same_inputs), and the value
+    of solve's procedure on them: the same object (a shared verdict, no
+    __eq__ call), an equal one, or one whose JSON form, built once per
+    object, is equal."""
 
     __slots__ = ("pending", "bad", "encoded")
     INT = frozenset({int})
@@ -235,6 +243,10 @@ class _Checking(ProofTrace):
         value = STEPS[op](inputs)
         self._check(op, inputs, value, *next(self.pending))
         return value
+
+    def repeat(self, op: str, value: object, inputs: Iterable[dict[str, int]]) -> None:
+        for i in inputs:
+            self._check(op, i, value, *next(self.pending))
 
     def extend(self, block: tuple[ProofStep, ...]) -> None:
         for mine in block:
@@ -359,12 +371,16 @@ def defective_pair_expansion(k: int, p: int) -> CaseVerdict:
 
 def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
     """Solutions of instance kk with n = p odd prime and 19 coprime to x."""
-    # b = +-19^t with t < kk: the mod-19 and mod-2^(s+1) sieves, the
-    # loop's names bound once (solve(49) takes 12,299 steps here)
+    # b = +-19^t with t < kk: the mod-19 and mod-2^(s+1) sieves (solve(49)
+    # takes 12,299 steps here).  mod19_forces_p reads p alone, so once it
+    # rules p out, the rows of every later t hold that one verdict
     step, contradiction = trace.step, caseworks.OUTCOME_CONTRADICTION
     for t in range(kk):
-        if step("mod19_forces_p", k=kk, t=t, p=p).outcome == contradiction:
-            continue
+        verdict = step("mod19_forces_p", k=kk, t=t, p=p)
+        if verdict.outcome == contradiction:
+            rows = [{"k": kk, "t": u, "p": p} for u in range(t + 1, kk)]
+            trace.repeat("mod19_forces_p", verdict, rows)
+            break
         if step("mod19_forces_kt", k=kk, t=t).outcome == contradiction:
             continue
         step("mod_pow2_insoluble", p=19, t=t)
