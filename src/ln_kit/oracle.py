@@ -27,7 +27,8 @@ Neither uses coprimality or the theorem, and composite n are scanned too:
 the oracle is the ground truth and must not inherit the theorem's
 reductions.  All arithmetic is exact.  A window whose cost, summed over n
 in y-candidate units (WALK_PER_Y walk candidates make one), exceeds
-SCAN_BUDGET is refused by check_budget before any candidate is tried.  A
+SCAN_BUDGET is refused by check_budget before any candidate is tried, and
+so is a k whose D = 19^(2k+1) costs more than that to build.  A
 y-scan is priced at its whole window, less the even y when the mod-8 table
 rules every even y out (_y_step), however few y its wheel keeps; that price
 also sets the walk-or-scan choice.
@@ -254,10 +255,15 @@ def _size(r: range) -> int:
 def check_budget(what: str, count: int) -> None:
     """Refuse, before any work, what needs count candidates over SCAN_BUDGET;
     the package's one comparison with it.  caseworks.p3_case counts a value
-    of b, and quadratic_integers.class_number_imag an (A, B) pair, as one."""
+    of b, quadratic_integers.class_number_imag an (A, B) pair, and
+    brute_force a word multiplication of building D, as one."""
     if count > SCAN_BUDGET:
+        # a count of over 1,024 bits is written as solver._shown writes it,
+        # so no int-to-str limit can raise while the refusal is written
+        bits = count.bit_length()
+        shown = count if bits <= 1024 else f"<int of {bits} bits>"
         raise ValueError(
-            f"{what} needs {count} candidates (y-scan units), "
+            f"{what} needs {shown} candidates (y-scan units), "
             f"over the scan budget of {SCAN_BUDGET}"
         )
 
@@ -320,7 +326,14 @@ def generalized_scan(
 
 
 def brute_force(window: SearchWindow) -> list[Solution]:
-    """Every solution with n in [n_min, n_max] and x <= x_max, sorted by (n, y)."""
+    """Every solution with n in [n_min, n_max] and x <= x_max, sorted by (n, y).
+
+    D = 19^(2k+1) is priced before it is built, at its last squaring: D has
+    at most (2k+1)*17/4 bits (19 < 2^4.25), and a b-bit square costs about
+    (b // 64)^2 word multiplications.
+    """
+    words = (2 * window.k + 1) * 17 // 4 // 64
+    check_budget("building 19^(2k+1)", words * words)
     inst = LNInstance(window.k)
     scan = generalized_scan(
         inst.D, LNInstance.LAMBDA, window.n_min, window.n_max, window.x_max

@@ -8,8 +8,9 @@ read-only ProofStep; the JSON form waits for serialization, built once per
 distinct value object.  The sieve rows of one instance and odd prime p
 share one mod19_forces_p call: its verdict reads p alone, so
 ProofTrace.repeat appends the later rows with it, as step would.  Replay
-runs solve's own loops on the trace's header with step in checking mode, so
-procedures only see the inputs solve computes, never recorded ones.
+runs solve again on the trace's header, then compares the steps it took
+with the trace's (_differences), so procedures only see the inputs solve
+computes, never recorded ones.
 
 solve(k) is built from instance proofs: each instance kk <= k, its even
 cases then its odd primes, is decided once per process as one block of
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, repeat
+from itertools import compress, count, repeat
 from types import MappingProxyType
 
 from . import caseworks
@@ -157,10 +158,6 @@ class ProofTrace:
         self.steps.append(tuple.__new__(ProofStep, (op, inputs, value)))
         return value
 
-    def extend(self, block: tuple[ProofStep, ...]) -> None:
-        """Append an instance's block of steps (_instance), as they are."""
-        self.steps.extend(block)
-
     def repeat(self, op: str, value: object, inputs: Iterable[dict[str, int]]) -> None:
         """Append one step of op per inputs dict, each holding value: what
         step records when STEPS[op] returns that very object for each."""
@@ -172,22 +169,22 @@ class ProofTrace:
 
     def replay(self) -> list[str]:
         """How the trace differs from solve's proof, empty exactly when it is
-        that proof: solve run on its header in checking mode (_Checking).  The
-        header must be three ints (oracle_x_max may be None); one that solve
-        refuses is one entry.  Solutions are checked unless None."""
+        that proof: solve run again on its header, then its steps compared
+        with the trace's (_differences).  The header must be three ints
+        (oracle_x_max may be None); one that solve refuses is one entry,
+        after those of the steps solve took before it refused.  Solutions
+        are checked unless None."""
         for name in ("k", "n_max", "oracle_x_max"):
             v = getattr(self, name)
             if type(v) is not int and not (v is None and name == "oracle_x_max"):
                 return [f"header: {name}={_shown(v)} is not an integer"]
-        checking = _Checking(self)
+        proof = ProofTrace(self.k, self.n_max, oracle_x_max=self.oracle_x_max)
         try:
-            sols = _prove(checking)
+            sols = _prove(proof)
         except ValueError as exc:
-            return [*checking.bad, f"solve refuses the header: {exc}"]
-        bad = checking.bad
-        i, step = next(checking.pending)
-        if step is not None:
-            bad.append(f"step {i} {step.op}: past the end of solve's proof")
+            bad = _differences(proof.steps, self.steps, whole=False)
+            return [*bad, f"solve refuses the header: {exc}"]
+        bad = _differences(proof.steps, self.steps, whole=True)
         kept = self.solutions
         if kept is not None and sols != kept and json_safe(sols) != kept:
             bad.append(f"solutions: the trace's {len(kept)} are not solve's {len(sols)}")
@@ -218,61 +215,42 @@ class ProofTrace:
         }
 
 
-class _Checking(ProofTrace):
-    """step's checking mode, for replay: step, extend and repeat append
-    nothing and check each step solve takes against the trace's next one.  A
-    trace step that is the very step object of solve's instance block passes
-    at once: steps are read-only, so it holds what solve records there.  Any
-    other must have solve's op and inputs (see _same_inputs), and the value
-    of solve's procedure on them: the same object (a shared verdict, no
-    __eq__ call), an equal one, or one whose JSON form, built once per
-    object, is equal."""
-
-    __slots__ = ("pending", "bad", "encoded")
-    INT = frozenset({int})
-
-    def __init__(self, trace: ProofTrace) -> None:
-        super().__init__(trace.k, trace.n_max, oracle_x_max=trace.oracle_x_max)
-        # (index, recorded step), then (index, None) past the last one
-        self.pending = enumerate(chain(trace.steps, repeat(None)))
-        self.bad: list[str] = []  # each names the step's index and solve's op
-        # id(value) -> (value, its JSON form); holding value keeps the id
-        self.encoded: dict[int, tuple[object, object]] = {}
-
-    def step(self, op: str, **inputs: int) -> object:
-        value = STEPS[op](inputs)
-        self._check(op, inputs, value, *next(self.pending))
-        return value
-
-    def repeat(self, op: str, value: object, inputs: Iterable[dict[str, int]]) -> None:
-        for i in inputs:
-            self._check(op, i, value, *next(self.pending))
-
-    def extend(self, block: tuple[ProofStep, ...]) -> None:
-        for mine in block:
-            i, step = next(self.pending)
-            if step is not mine:
-                self._check(*mine, i, step)
-
-    def _check(self, op: str, inputs: dict, value: object, i: int, step) -> None:
-        """Check the trace's step i (None past its end) against solve's."""
-        if step is None:
-            self.bad.append(f"step {i} {op}: missing from the trace")
-            return
-        recorded_op, recorded, recorded_value = step
+def _differences(mine: list[ProofStep], theirs: list, whole: bool) -> list[str]:
+    """How the trace's steps (theirs) differ from the steps solve took (mine),
+    one entry per step, naming its index and solve's op.  A trace step that
+    is solve's very step object (from an instance block) passes at once:
+    steps are read-only, so it holds what solve records there.  Any other
+    must have solve's op and inputs (see _same_inputs), and the value of
+    solve's procedure on them: the same object (a shared verdict, no __eq__
+    call), an equal one, or one whose JSON form, built once per object, is
+    equal.  Each step of solve's past the trace's end is missing from it;
+    when solve's proof is whole, a longer trace's next step is named too."""
+    bad: list[str] = []
+    ints = frozenset({int})
+    encoded: dict[int, object] = {}  # id(value) -> its JSON form; mine holds value
+    # the indices where the two hold different objects, found at C speed
+    for i in compress(count(), map(operator.is_not, mine, theirs)):
+        op, inputs, value = mine[i]
+        recorded_op, recorded, recorded_value = theirs[i]
         if recorded_op != op or not (
-            recorded == inputs and self.INT.issuperset(map(type, recorded.values()))
+            recorded == inputs and ints.issuperset(map(type, recorded.values()))
             or _same_inputs(recorded, inputs)
         ):
-            self.bad.append(
+            bad.append(
                 f"step {i} {op}: solve passes {inputs}, "
                 f"the trace records {_shown(recorded_op)} {_shown(recorded)}"
             )
         elif value is not recorded_value and value != recorded_value:
-            if id(value) not in self.encoded:
-                self.encoded[id(value)] = (value, json_safe(value))
-            if self.encoded[id(value)][1] != recorded_value:
-                self.bad.append(f"step {i} {op}: value differs")
+            if id(value) not in encoded:
+                encoded[id(value)] = json_safe(value)
+            if encoded[id(value)] != recorded_value:
+                bad.append(f"step {i} {op}: value differs")
+    for i in range(len(theirs), len(mine)):
+        bad.append(f"step {i} {mine[i].op}: missing from the trace")
+    if whole and len(theirs) > len(mine):
+        i = len(mine)
+        bad.append(f"step {i} {theirs[i].op}: past the end of solve's proof")
+    return bad
 
 
 def _shown(recorded: object) -> str:
@@ -533,12 +511,12 @@ def _prove(trace: ProofTrace) -> list[Solution]:
     # close the two symbolic 19|x branches that do not reduce: both land on
     # 19*Z^2 + 1 = 4*Y^n (a bounded scan that raises on a witness; the rest cited)
     trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=LE_Z_MAX)
-    # each instance kk <= k: its block, recorded or checked step by step
+    # each instance kk <= k: its block, as _instance shares it
     limit = digit_limit()
     primitive = []
     for kk in range(k + 1):
         steps, sols = _instance(kk, n_max, limit)
-        trace.extend(steps)
+        trace.steps.extend(steps)
         primitive.append(sols)
     full = list(primitive[k])
     for s_val in range(1, k + 1):

@@ -12,6 +12,9 @@ ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 BIG = str(10**1000)
 HUGE = str(10**400)  # past any float: refused in the digit limit's words
 LIMIT_WORDS = "digits, over the 4300-digit limit of int-to-str conversion"
+BUDGET_WORDS = "over the scan budget of 100000000"
+# a k whose price of building 19^(2k+1) has about 8,000 digits
+K_4000 = str(10**3999)
 
 # (argv, exit status[, words stderr must hold]): the first rows once ran for
 # seconds or more; the rest give one huge value to each integer flag of
@@ -48,6 +51,14 @@ HUGE_INPUTS = [
     (f"primdiv --p 1 --q 5 --n {HUGE}", 2, LIMIT_WORDS),
     (f"family --k {HUGE} --kind n2 --t 0", 2, LIMIT_WORDS),
     (f"family --k {HUGE} --kind all", 2, LIMIT_WORDS),
+    ("oracle --k 1000000", 2, BUDGET_WORDS),
+    ("verify --k 1000000", 2, BUDGET_WORDS),
+    ("oracle --k 1000000000", 2, BUDGET_WORDS),
+    ("verify --k 1000000000", 2, BUDGET_WORDS),
+    (f"oracle --k {HUGE}", 2, BUDGET_WORDS),
+    (f"verify --k {HUGE}", 2, BUDGET_WORDS),
+    (f"oracle --k {K_4000}", 2, BUDGET_WORDS, "<int of 26563 bits>"),
+    (f"verify --k {K_4000}", 2, BUDGET_WORDS, "<int of 26563 bits>"),
 ]
 
 

@@ -4,11 +4,8 @@ and even_case builds what k alone decides once per k.  The blocks stay
 step for step what one ProofTrace.step per row records, replay still
 checks every row, and even_case still refuses bad inputs on a warm cache."""
 
-import ast
-import inspect
 import json
 import sys
-import textwrap
 
 import pytest
 from conftest import clear_caches
@@ -17,7 +14,7 @@ import ln_kit.solver as solver_mod
 from ln_kit import caseworks
 from ln_kit.lucas_engine import digit_limit
 from ln_kit.oracle import SearchWindow
-from ln_kit.solver import ProofStep, ProofTrace, _Checking, solve
+from ln_kit.solver import ProofStep, ProofTrace, solve
 
 
 class OneByOne(ProofTrace):
@@ -65,29 +62,6 @@ def test_a_cold_solve_asks_mod19_forces_p_once_per_instance_and_p(monkeypatch):
     assert len(trace.find("mod19_forces_p")) == 11025
 
 
-def appenders(cls):
-    """The methods cls defines whose body calls a method of self.steps."""
-    found = set()
-    for name, member in vars(cls).items():
-        if not inspect.isfunction(member):
-            continue
-        tree = ast.parse(textwrap.dedent(inspect.getsource(member)))
-        if any(
-            isinstance(n, ast.Attribute)
-            and ast.unparse(n.value) == "self.steps"
-            for n in ast.walk(tree)
-        ):
-            found.add(name)
-    return found
-
-
-def test_checking_mode_overrides_every_method_that_appends_a_step():
-    appending = appenders(ProofTrace)
-    assert appending == {"step", "extend", "repeat"}
-    assert appending <= set(vars(_Checking))
-    assert appenders(_Checking) == set()
-
-
 def rebuilt_from_json(trace):
     return ProofTrace.from_jsonable(json.loads(json.dumps(trace.to_jsonable())))
 
@@ -123,21 +97,6 @@ def test_a_tampered_batched_row_is_named_on_replay():
             for replayed in (tampered, rebuilt_from_json(tampered)):
                 (bad,) = replayed.replay()
                 assert bad.startswith(f"step {i} mod19_forces_p: {expected}")
-
-
-def test_checking_mode_checks_each_batched_row():
-    # replay meets cached blocks, so drive _Checking through the sieve rows
-    # itself, as a replay whose blocks were recorded in checking mode would
-    reference = ProofTrace(3, 30, one_by_one(3))
-    checking = _Checking(reference)
-    solver_mod._primitive_solutions(3, 30, checking)
-    assert checking.bad == [] and next(checking.pending)[1] is None
-    i = batched_rows(reference)[-1]
-    steps = list(reference.steps)
-    steps[i] = ProofStep("mod19_forces_p", {**steps[i].inputs, "p": 7}, steps[i].value)
-    checking = _Checking(ProofTrace(3, 30, steps))
-    solver_mod._primitive_solutions(3, 30, checking)
-    assert [b.split(":")[0] for b in checking.bad] == [f"step {i} mod19_forces_p"]
 
 
 def test_the_even_cases_of_one_k_share_its_split_and_mod3_entries():

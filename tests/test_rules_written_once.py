@@ -1,7 +1,8 @@
 """Rules the package writes once: one declaration of a verdict cache
 (lucas_engine.shared), one check of u_n's length (in lucas_u), every cache
 built from that declaration, one reader of the int-to-str digit limit
-(lucas_engine.digit_limit), and one constructor per value type."""
+(lucas_engine.digit_limit), one constructor per value type, and one class
+that records proof steps (solver.ProofTrace)."""
 
 import ast
 from pathlib import Path
@@ -101,3 +102,16 @@ def test_no_classmethod_only_calls_the_constructor():
                 ):
                     places.append(f"{module}.{node.name}.{method.name}")
     assert places == []
+
+
+def test_no_class_subclasses_proof_trace():
+    # a subclass of ProofTrace would be a second path that records (or
+    # skips recording) steps; replay runs solve on a plain ProofTrace
+    subclasses = [
+        f"{module}.{node.name}"
+        for module, _, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).split(".")[-1] == "ProofTrace" for base in node.bases)
+    ]
+    assert subclasses == []
