@@ -35,31 +35,28 @@ class CaseVerdict(Frozen):
     constraints, OUTCOME_SOLUTIONS solutions.  The four sequence fields are
     stored as tuples, so a shared verdict stays read-only."""
 
-    __slots__ = __match_args__ = (
+    __slots__, __match_args__ = (), (
         "outcome", "reason", "assignments", "reduced_k", "constraints", "solutions",
         "trace",
     )
 
-    def __init__(
-        self, outcome: str, reason: str = "", assignments: Iterable = (),
+    def __new__(
+        cls, outcome: str, reason: str = "", assignments: Iterable = (),
         reduced_k: int | None = None, constraints: Iterable = (),
         solutions: Iterable = (), trace: Iterable = (),
-    ) -> None:
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "assignments", tuple(assignments))
-        object.__setattr__(self, "reduced_k", reduced_k)
-        object.__setattr__(self, "constraints", tuple(constraints))
-        object.__setattr__(self, "solutions", tuple(solutions))
-        object.__setattr__(self, "trace", tuple(trace))
+    ) -> CaseVerdict:
+        return tuple.__new__(cls, (
+            outcome, reason, tuple(assignments), reduced_k, tuple(constraints),
+            tuple(solutions), tuple(trace),
+        ))
 
     def to_jsonable(self) -> dict[str, object]:
         """Each field that is set, in declaration order, through json_safe;
         reduced_k = 0 is set, "", () and None are not."""
         return {
             name: json_safe(v)
-            for name in self.__slots__
-            if (v := getattr(self, name)) is not None and v != "" and v != ()
+            for name, v in zip(self.__match_args__, self)
+            if v is not None and v != "" and v != ()
         }
 
 

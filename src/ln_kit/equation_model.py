@@ -11,13 +11,13 @@ from .lucas_engine import Frozen, check_digits
 class LNInstance(Frozen):
     """The equation x^2 + 19^(2k+1) = 4*y^n for one fixed k >= 0."""
 
-    __slots__ = __match_args__ = ("k",)
+    __slots__, __match_args__ = (), ("k",)
     LAMBDA = 4
 
-    def __init__(self, k: int) -> None:
+    def __new__(cls, k: int) -> LNInstance:
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        object.__setattr__(self, "k", k)
+        return tuple.__new__(cls, (k,))
 
     @property
     def D(self) -> int:
@@ -52,9 +52,6 @@ def json_safe(v: object) -> object:
     if t is dict or t is MappingProxyType:
         return {k: json_safe(x) for k, x in v.items()}
     if t is list or t is tuple:
-        # the common case, all small ints, checked without a call per element
-        if v and set(map(type, v)) == {int} and max(map(abs, v)) < _JSON_INT_LIMIT:
-            return list(v)
         return [json_safe(x) for x in v]
     to_jsonable = getattr(v, "to_jsonable", None)
     return v if to_jsonable is None else to_jsonable()
@@ -63,19 +60,18 @@ def json_safe(v: object) -> object:
 class Solution(Frozen):
     """A positive triple (x, y, n); x and y odd (forced by the equation mod 8)."""
 
-    __slots__ = __match_args__ = ("x", "y", "n")
+    __slots__, __match_args__ = (), ("x", "y", "n")
 
-    def __init__(self, x: int, y: int, n: int) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "n", n)
+    def __new__(cls, x: int, y: int, n: int) -> Solution:
+        sol = tuple.__new__(cls, (x, y, n))
         if x <= 0 or y <= 0 or n < 1:
-            raise ValueError(f"solution entries must be positive: {self}")
+            raise ValueError(f"solution entries must be positive: {sol}")
         if x % 2 == 0 or y % 2 == 0:
-            raise ValueError(f"x and y must be odd: {self}")
+            raise ValueError(f"x and y must be odd: {sol}")
+        return sol
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.n)
+        return tuple(self)
 
     def to_jsonable(self) -> dict[str, object]:
         # decimal strings: x and y overflow a JSON consumer's doubles

@@ -13,8 +13,9 @@ each Miller-Rabin round on each piece too; a cofactor left unsplit or
 untested yields an explicit indeterminate verdict, never a silent negative.
 The oracle runs trial_divide alone, to read the divisors of D off an exact
 factorization.  Frozen, the base of the package's frozen value types, lives
-here, in the module every other one imports: each type writes only its
-__init__, and Frozen gives repr, equality, hash and no assignment.
+here, in the module every other one imports: each type is a tuple of its
+fields and writes only its __new__, and Frozen gives field names, repr and
+equality; the tuple gives hash, and refuses assignment itself.
 """
 
 from __future__ import annotations
@@ -49,44 +50,56 @@ shared = functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class Frozen:
-    """Base of the frozen value types.  Each type names its fields in
-    __match_args__, in __init__'s order, holds them in __slots__ (SearchWindow
-    aside) and writes only its __init__, through object.__setattr__.  Frozen
-    gives the rest: repr as Name(field=value, ...), equality between objects
-    of one exact class and hash, both of the fields as _fields reads them,
-    and no assignment or deletion."""
+class _Default(tuple):
+    """(item, default): a field its class also sets as a default, read as the
+    default on the class and as the object's item on an object."""
 
     __slots__ = ()
 
+    def __get__(self, obj: object, cls: type | None = None) -> object:
+        item, default = self
+        return default if obj is None else item(obj)
+
+
+class Frozen(tuple):
+    """Base of the frozen value types, each a tuple of its fields named in
+    __match_args__, in __new__'s order.  Each declares empty __slots__ and
+    writes only its __new__, which validates and returns tuple.__new__(cls,
+    fields); the tuple refuses assignment and deletion and gives the hash.
+    Frozen reads each field by its index (a default the class sets still
+    reads on the class), and gives repr as Name(field=value, ...) and
+    equality between objects of one exact class, of the fields _fields reads."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    _fields = tuple  # the fields, as a plain tuple
+
     def __init_subclass__(cls) -> None:
-        cls._fields = operator.attrgetter(*cls.__match_args__)
+        for i, name in enumerate(cls.__match_args__):
+            item = operator.itemgetter(i)
+            if name in vars(cls):
+                setattr(cls, name, _Default((item, vars(cls)[name])))
+            else:
+                setattr(cls, name, property(item))
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields(self) == self._fields(other)
+        same = other.__class__ is self.__class__
+        return same and self._fields(self) == self._fields(other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
-    def __hash__(self) -> int:
-        return hash(self._fields(self))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
 
 class LucasPair(Frozen):
     """(P, Q) = (alpha + beta, alpha * beta), coprime, nonzero, nondegenerate."""
 
-    __slots__ = __match_args__ = ("P", "Q")
+    __slots__, __match_args__ = (), ("P", "Q")
 
-    def __init__(self, P: int, Q: int) -> None:
+    def __new__(cls, P: int, Q: int) -> LucasPair:
         if P == 0 or Q == 0:
             raise ValueError(f"P and Q must both be nonzero, got ({P}, {Q})")
         if math.gcd(P, Q) != 1:
@@ -95,8 +108,7 @@ class LucasPair(Frozen):
         # P^2 = 4Q is also the zero-discriminant case.
         if P * P in (Q, 2 * Q, 3 * Q, 4 * Q):
             raise ValueError(f"({P}, {Q}) is a degenerate Lucas pair")
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
+        return tuple.__new__(cls, (P, Q))
 
     @property
     def disc(self) -> int:
@@ -120,22 +132,18 @@ class PrimitiveDivisorVerdict(Frozen):
     failing factor is absorbed (by the discriminant or an earlier term).
     """
 
-    __slots__ = __match_args__ = (
+    __slots__, __match_args__ = (), (
         "n", "exists", "witness", "obstruction", "indeterminate"
     )
 
-    def __init__(
-        self, n: int, exists: bool, witness=None, obstruction=None, indeterminate=False
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "exists", exists)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "obstruction", obstruction)
-        object.__setattr__(self, "indeterminate", indeterminate)
+    def __new__(
+        cls, n: int, exists: bool, witness=None, obstruction=None, indeterminate=False
+    ) -> PrimitiveDivisorVerdict:
+        return tuple.__new__(cls, (n, exists, witness, obstruction, indeterminate))
 
     def to_jsonable(self) -> dict[str, object]:
         witness = None if self.witness is None else str(self.witness)
-        return {f: getattr(self, f) for f in self.__slots__} | {"witness": witness}
+        return dict(zip(self.__match_args__, self)) | {"witness": witness}
 
 
 def lucas_u(pair: LucasPair, n: int) -> int:

@@ -56,7 +56,9 @@ SCAN_BUDGET = 10**8
 # is set against summed over the even n it serves.  That timing is of the walk
 # that tries every d, which runs only where D does not factor within the cap;
 # 19^11 factors, and its walk tests only the divisors of D in the window (none
-# at x_max = 10^7).
+# at x_max = 10^7).  It also predates the y-scan's residue wheel, which runs
+# the exact test on only the y it keeps, so neither side is priced at what
+# it now runs (ROADMAP item 9).
 WALK_PER_Y = 4
 
 # The primes a y-scan's residue wheel may combine after 8, in order; they
@@ -69,21 +71,17 @@ WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
 
 class SearchWindow(Frozen):
     """Finite search region; n = 1 is excluded (infinite parametric family).
-    Its fields live in a __dict__: a slot cannot share the name of a class
-    attribute, and the CLI reads the defaults as SearchWindow.n_max etc."""
+    The CLI reads the defaults on the class, as SearchWindow.n_max etc."""
 
-    __match_args__ = ("k", "n_min", "n_max", "x_max")
+    __slots__, __match_args__ = (), ("k", "n_min", "n_max", "x_max")
     n_min = 2
     n_max = 30
     x_max = 10**7
 
-    def __init__(self, k: int, n_min=n_min, n_max=n_max, x_max=x_max) -> None:
+    def __new__(cls, k: int, n_min=n_min, n_max=n_max, x_max=x_max) -> SearchWindow:
         LNInstance(k)  # refuses a negative k
         _check_window(n_min, n_max, x_max)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n_min", n_min)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "x_max", x_max)
+        return tuple.__new__(cls, (k, n_min, n_max, x_max))
 
 
 def _check_window(n_min: int, n_max: int, x_max: int) -> None:

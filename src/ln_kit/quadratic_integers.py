@@ -20,15 +20,14 @@ from .oracle import check_budget
 class QuadInt19(Frozen):
     """(a + b*sqrt(-19)) / 2, valid only when a and b share parity."""
 
-    __slots__ = __match_args__ = ("a", "b")
+    __slots__, __match_args__ = (), ("a", "b")
 
-    def __init__(self, a: int, b: int) -> None:
+    def __new__(cls, a: int, b: int) -> QuadInt19:
         if (a - b) % 2 != 0:
             raise ValueError(
                 f"(a, b) = ({a}, {b}) is not a ring element: a != b (mod 2)"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        return tuple.__new__(cls, (a, b))
 
     @property
     def norm(self) -> int:

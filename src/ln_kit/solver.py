@@ -95,9 +95,9 @@ class ProofStep(tuple):
     json_safe turns either into the JSON result.  A step is read-only, as
     solve shares each instance's steps between every trace that holds them
     (_instance): a tuple, whose fields cannot be assigned, and whose inputs
-    read as a MappingProxyType, built on each read so that no recorded step
-    holds one.  Equality is the tuple's, of the three fields; a step holds
-    a dict, so it has no hash.
+    ProofTrace.step records as a MappingProxyType; the inputs property reads
+    any step's through one, a dict rebuilt from JSON too.  Equality is the
+    tuple's, of the three fields; a step holds a mapping, so it has no hash.
     """
 
     __slots__ = ()
@@ -151,8 +151,9 @@ class ProofTrace:
         return self.oracle_x_max is not None
 
     def step(self, op: str, **inputs: int) -> object:
-        """Run STEPS[op] on the inputs, record the value it returns as it is,
-        and return it; the JSON form waits for to_jsonable."""
+        """Run STEPS[op] on the inputs, read-only, record them and the value it
+        returns as it is, and return it; the JSON form waits for to_jsonable."""
+        inputs = MappingProxyType(inputs)
         value = STEPS[op](inputs)
         # ProofStep(op, inputs, value), without its __new__'s Python call
         self.steps.append(tuple.__new__(ProofStep, (op, inputs, value)))
@@ -161,7 +162,7 @@ class ProofTrace:
     def repeat(self, op: str, value: object, inputs: Iterable[dict[str, int]]) -> None:
         """Append one step of op per inputs dict, each holding value: what
         step records when STEPS[op] returns that very object for each."""
-        rows = zip(repeat(op), inputs, repeat(value))  # itertools.repeat
+        rows = zip(repeat(op), map(MappingProxyType, inputs), repeat(value))
         self.steps.extend(map(tuple.__new__, repeat(ProofStep), rows))
 
     def find(self, op: str) -> list[ProofStep]:
@@ -187,7 +188,8 @@ class ProofTrace:
         bad = _differences(proof.steps, self.steps, whole=True)
         kept = self.solutions
         if kept is not None and sols != kept and json_safe(sols) != kept:
-            bad.append(f"solutions: the trace's {len(kept)} are not solve's {len(sols)}")
+            held = f"{len(kept)} are" if type(kept) is list else f"{_shown(kept)} is"
+            bad.append(f"solutions: the trace's {held} not solve's {len(sols)}")
         return bad
 
     def jsonable_steps(self) -> Iterator[dict[str, object]]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -534,3 +535,29 @@ def test_solve_command_runs_a_stand_in_bound_on_the_module(capsys, monkeypatch):
             "steps": 0,
         }
     ]
+
+
+def readme_cli_lines():
+    """Each ln-kit line of README's CLI block, without its [...] optional
+    parts: its arguments, and the row its # {...} comment shows, else {}."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("ln-kit "):
+            shown = comment.strip()
+            row = json.loads(shown) if shown.startswith("{") else {}
+            argv = re.sub(r"\[[^]]*\]", "", command).split()[1:]
+            lines.append(pytest.param(argv, row, id=" ".join(argv)))
+    assert lines, "README's CLI block has no ln-kit line"
+    return lines
+
+
+@pytest.mark.parametrize("argv, shown", readme_cli_lines())
+def test_readme_cli_block_runs_as_written(capsys, argv, shown):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    if shown:
+        (row,) = parse_lines(out)
+        assert {key: row.get(key) for key in shown} == shown

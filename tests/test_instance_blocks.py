@@ -104,10 +104,13 @@ def test_no_step_of_a_trace_can_be_edited(k):
         for field in ("op", "inputs", "value"):
             with pytest.raises(AttributeError):
                 setattr(step, field, None)
-        with pytest.raises(TypeError):
-            step.inputs[next(iter(step.inputs))] = 0
-        with pytest.raises(TypeError):
-            step.inputs["extra"] = 0
+        # through the property, by index and unpacked: each is the step's own
+        _, unpacked, _ = step
+        for inputs in (step.inputs, step[1], unpacked):
+            with pytest.raises(TypeError):
+                inputs[next(iter(inputs))] = 0
+            with pytest.raises(TypeError):
+                inputs["extra"] = 0
         assert read_only(step.value), step.op
         for edit in edits(step.value):
             with pytest.raises((AttributeError, TypeError)):

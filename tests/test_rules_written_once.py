@@ -1,15 +1,16 @@
 """Rules the package writes once: one declaration of a verdict cache
 (lucas_engine.shared), one check of u_n's length (in lucas_u), every cache
 built from that declaration, one reader of the int-to-str digit limit
-(lucas_engine.digit_limit), one constructor per value type, and one class
-that records proof steps (solver.ProofTrace)."""
+(lucas_engine.digit_limit), one constructor per value type, one way to
+hold a frozen value's fields (the tuple it is), and one class that records
+proof steps (solver.ProofTrace)."""
 
 import ast
 from pathlib import Path
 
 from conftest import package_caches
 
-from ln_kit.lucas_engine import VERDICT_CACHE_SIZE
+from ln_kit.lucas_engine import VERDICT_CACHE_SIZE, Frozen
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ln_kit"
 
@@ -115,3 +116,19 @@ def test_no_class_subclasses_proof_trace():
         and any(ast.unparse(base).split(".")[-1] == "ProofTrace" for base in node.bases)
     ]
     assert subclasses == []
+
+
+def test_frozen_values_are_tuples_and_nothing_sets_attributes_around_them():
+    # the tuple holds the fields and refuses assignment: no type keeps a
+    # __dict__ beside it, and no module writes through object.__setattr__
+    # (conftest has imported every module, so every type is defined)
+    types = Frozen.__subclasses__()
+    assert len(types) == 7
+    assert [t for t in types if t.__dictoffset__ or not issubclass(t, tuple)] == []
+    calls = [
+        module
+        for module, _, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__"
+    ]
+    assert calls == []

@@ -283,6 +283,13 @@ def test_replay_checks_recorded_solutions_unless_none():
     assert bare.replay() == ["solutions: the trace's 0 are not solve's 2"]
 
 
+@pytest.mark.parametrize("kept", [5, True, 1.5])
+def test_replay_names_solutions_that_are_not_a_list(kept):
+    _, trace = solve(1, n_max=7, cross_check=False)
+    rebuilt = ProofTrace.from_jsonable({**trace.to_jsonable(), "solutions": kept})
+    assert rebuilt.replay() == [f"solutions: the trace's {kept} is not solve's 2"]
+
+
 def test_replay_of_the_benchmarks_rebuilt_deep_trace():
     # the trace perfbench's replay_from_json builds: no solutions and no
     # x_max in the header, each step rebuilt from its JSON form

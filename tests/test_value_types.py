@@ -1,11 +1,12 @@
-"""The contract of the package's nine value types, which are plain classes
-that write only their own __init__ (ProofStep its __new__): the seven Frozen
-ones take repr, equality and hash from Frozen, refuse assignment and
-deletion and hash their fields; ProofStep is a read-only tuple of its three
-fields, ProofTrace borrows Frozen's repr and equality and stays mutable, and
-both are unhashable; equality reads every field and never holds across
-two classes; repr is Name(field=value, ...), which error messages quote.
-No class of ln_kit but Frozen writes __eq__ or __hash__."""
+"""The contract of the package's nine value types.  The seven Frozen ones
+and ProofStep are tuples of their fields that write only their own __new__:
+the Frozen ones take field names, repr and equality from Frozen and the
+tuple's hash of their fields, and refuse assignment and deletion; ProofStep
+is a read-only tuple of its three fields, ProofTrace borrows Frozen's repr
+and equality and stays mutable, and both are unhashable; equality reads
+every field and never holds across two classes; repr is
+Name(field=value, ...), which error messages quote.  No class of ln_kit but
+Frozen writes __eq__, __ne__ or __hash__."""
 
 import ast
 import itertools
@@ -192,6 +193,8 @@ def test_only_frozen_writes_eq_or_hash():
         for cls in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
-        if isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__")
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("__eq__", "__ne__", "__hash__")
     }
-    assert written == {"lucas_engine.Frozen.__eq__", "lucas_engine.Frozen.__hash__"}
+    # Frozen takes the tuple's hash, so it writes none
+    assert written == {"lucas_engine.Frozen.__eq__", "lucas_engine.Frozen.__ne__"}
