@@ -67,8 +67,9 @@ class Frozen(tuple):
     writes only its __new__, which validates and returns tuple.__new__(cls,
     fields); the tuple refuses assignment and deletion and gives the hash.
     Frozen reads each field by its index (a default the class sets still
-    reads on the class), and gives repr as Name(field=value, ...) and
-    equality between objects of one exact class, of the fields _fields reads."""
+    reads on the class), and gives repr as Name(field=value, ...), equality
+    between objects of one exact class, of the fields _fields reads, and
+    copy and pickle through the class's __new__, given the fields."""
 
     __slots__ = ()
     __hash__ = tuple.__hash__
@@ -92,6 +93,10 @@ class Frozen(tuple):
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        # tuple's own passes the whole tuple to __new__ as its first field
+        return tuple(self)
 
 
 class LucasPair(Frozen):

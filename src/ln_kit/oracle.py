@@ -6,12 +6,16 @@ costs less, known before either starts:
 
 - the y-scan covers the y with D < lambda*y^n <= x_max^2 + D, the window
   where x is positive and at most x_max, and runs the exact test only on the
-  y that a residue wheel keeps.  For q = 8 and then a few small primes, the
-  wheel keeps the residues y mod q at which lambda*y^n - D can be a square
-  mod q, combined into one modulus M (Chinese remainder theorem), no larger
-  than the window's length or the product 2,042,040 of 8 and every prime of
-  WHEEL_PRIMES.  Its residues rest on (D, lambda, n) alone, and it decides
-  nothing: the exact test decides every y it keeps;
+  y that a residue wheel and then a few residue filters keep.  For q = 8
+  and then a few small primes, the wheel keeps the residues y mod q at
+  which lambda*y^n - D can be a square mod q, combined into one modulus M
+  (Chinese remainder theorem), no larger than the window's length or the
+  product 2,042,040 of 8 and every prime of WHEEL_PRIMES.  Each y it keeps
+  is then looked up in the same table mod a few more primes, those the
+  wheel left out and then FILTER_PRIMES, as far as a table costs less than
+  the exact tests it saves.  An n whose wheel keeps no residue is skipped.
+  The tables rest on (D, lambda, n) alone, and they decide nothing: the
+  exact test decides every y they keep;
 - the divisor walk, for even n = 2m and lambda = c^2, uses
   x^2 + D = z^2 with z = c*y^m: d = z - x is a divisor of D below sqrt(D),
   so the divisors of D in the window give every pair, and y is read off z.
@@ -30,8 +34,8 @@ in y-candidate units (WALK_PER_Y walk candidates make one), exceeds
 SCAN_BUDGET is refused by check_budget before any candidate is tried, and
 so is a k whose D = 19^(2k+1) costs more than that to build.  A
 y-scan is priced at its whole window, less the even y when the mod-8 table
-rules every even y out (_y_step), however few y its wheel keeps; that price
-also sets the walk-or-scan choice.
+rules every even y out (_y_step), however few y its wheel and filters keep;
+that price also sets the walk-or-scan choice.
 """
 
 from __future__ import annotations
@@ -56,9 +60,10 @@ SCAN_BUDGET = 10**8
 # is set against summed over the even n it serves.  That timing is of the walk
 # that tries every d, which runs only where D does not factor within the cap;
 # 19^11 factors, and its walk tests only the divisors of D in the window (none
-# at x_max = 10^7).  It also predates the y-scan's residue wheel, which runs
-# the exact test on only the y it keeps, so neither side is priced at what
-# it now runs (ROADMAP item 9).
+# at x_max = 10^7).  It also predates the y-scan's residue wheel and
+# filters, which run the exact test on only the y they keep; neither the
+# wheel nor the filters are priced, so neither side is priced at what it
+# now runs (ROADMAP item 9).
 WALK_PER_Y = 4
 
 # The primes a y-scan's residue wheel may combine after 8, in order; they
@@ -67,6 +72,17 @@ WALK_PER_Y = 4
 # M = 2,042,040 keeps 46,656 residues, built in about 15 ms against about
 # 1.5 s of exact tests (Python 3.11, 2-CPU host).
 WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
+
+# The primes whose residue tables (_kept) each y a y-scan's wheel keeps is
+# looked up in before its exact test, after those of WHEEL_PRIMES the wheel
+# leaves out (H. Cohen, GTM 138, 1993, 1.7.2).  A table of q residues costs
+# about q exact tests to build and rules out about half of the y that reach
+# it, so it is built only while 2*q is at most the y expected to reach it:
+# then it costs less than the exact tests it saves.  At k = 5, n = 3 and
+# x_max = 10^7 the tables of 13, 17, 19 and 23 leave 25 of the 770 y the
+# wheel keeps (Python 3.11, 2-CPU host: a table step or an exact test takes
+# about 0.24 us, a lookup about 0.025 us).
+FILTER_PRIMES = (19, 23, 29, 31, 37, 41, 43, 47)
 
 
 class SearchWindow(Frozen):
@@ -142,7 +158,7 @@ def _kept(D: int, lam: int, n: int, q: int) -> list[bool]:
     lam*y^n - D mod q depends on y mod q alone, so a y whose residue r is not
     kept gives no square, and no x.
     """
-    squares = {i * i % q for i in range(q)}
+    squares = {i * i % q for i in range(q // 2 + 1)}  # i and q - i: one square
     lam, D = lam % q, D % q
     return [(lam * pow(r, n, q) - D) % q in squares for r in range(q)]
 
@@ -174,6 +190,25 @@ def _wheel(D: int, lam: int, n: int, span: int) -> tuple[int, list[int]]:
         offsets = [o + M * j for j in range(q) for o in offsets if keep[(o + M * j) % q]]
         M *= q
     return M, offsets
+
+
+def _filters(D: int, lam: int, n: int, M: int, reach: int) -> list[tuple[int, list]]:
+    """The (q, _kept table) pairs each y the wheel of modulus M keeps must
+    pass before its exact test: for the primes of WHEEL_PRIMES that M leaves
+    out, then FILTER_PRIMES, while 2*q <= reach, the y expected to reach q's
+    table (at first the wheel's); one that keeps every residue is left out."""
+    out = []
+    for q in WHEEL_PRIMES + FILTER_PRIMES:
+        if M % q == 0:
+            continue
+        if 2 * q > reach:
+            break
+        keep = _kept(D, lam, n, q)
+        kept = sum(keep)
+        if kept < q:
+            out.append((q, keep))
+            reach = reach * kept // q
+    return out
 
 
 def _wheel_ys(ys: range, M: int, offsets: list[int]) -> Iterator[int]:
@@ -311,11 +346,20 @@ def generalized_scan(
             continue
         if not ys:
             continue
-        for y in _wheel_ys(ys, *_wheel(D, lam, n, ys.stop - ys.start)):
-            v = lam * y**n - D
-            x = math.isqrt(v)
-            if x * x == v:
-                out.append((x, y, n))
+        span = ys.stop - ys.start
+        M, offsets = _wheel(D, lam, n, span)
+        if not offsets:  # no y of any residue gives a square
+            continue
+        tables = _filters(D, lam, n, M, span * len(offsets) // M)
+        for y in _wheel_ys(ys, M, offsets):
+            for q, keep in tables:
+                if not keep[y % q]:
+                    break
+            else:
+                v = lam * y**n - D
+                x = math.isqrt(v)
+                if x * x == v:
+                    out.append((x, y, n))
     # y = 1 above n_top: x^2 = lam - D, the same x for every n
     r = math.isqrt(lam - D) if lam > D else 0
     if 0 < r <= x_max and r * r == lam - D:

@@ -21,6 +21,8 @@ K_4000 = str(10**3999)
 # each command
 HUGE_INPUTS = [
     ("oracle --k 0 --n-max 1000000 --x-max 10", 0),
+    # 3y^2 - 1 is never a square mod 8: within the budget, nothing to test
+    ("oracle --d 1 --lam 3 --n-min 2 --n-max 2 --x-max 300000000", 0),
     ("verify --k 0 --n-max 1000000", 0),
     ("oracle --k 3000 --n-max 1000", 0),
     ("verify --k 3000 --n-max 1000", 0),

@@ -11,6 +11,7 @@ from ln_kit.oracle import (
     WALK_PER_Y,
     SearchWindow,
     _divisor_window,
+    _filters,
     _size,
     _wheel,
     _y_step,
@@ -396,6 +397,132 @@ def test_exact_tests_never_exceed_the_priced_count(monkeypatch):
     brute_force(SearchWindow(k=0))
     priced = sum(priced for priced, _ in tested)
     assert 10 * sum(tried for _, tried in tested) < priced
+
+
+def spy_filters(monkeypatch):
+    """Record the primes of the filter tables each y-scanned n builds."""
+    built = []
+    filters = oracle._filters
+
+    def spy(*args):
+        tables = filters(*args)
+        built.append([q for q, _ in tables])
+        return tables
+
+    monkeypatch.setattr(oracle, "_filters", spy)
+    return built
+
+
+def count_exact_tests(monkeypatch):
+    """A one-item list holding how many y the y-scans have tested exactly.
+
+    Each y the wheel keeps comes out as a _Counted int; the exact test is
+    the one place a kept y is raised to the n-th power."""
+    tested = [0]
+    wheel_ys = oracle._wheel_ys
+
+    class _Counted(int):
+        def __pow__(self, n):
+            tested[0] += 1
+            return int(self) ** n
+
+    monkeypatch.setattr(
+        oracle, "_wheel_ys", lambda ys, M, offsets: map(_Counted, wheel_ys(ys, M, offsets))
+    )
+    return tested
+
+
+@pytest.mark.parametrize(
+    "D, lam, n_min, n_max, x_max",
+    [
+        (7, 2, 2, 9, 10**4),  # non-square lambda
+        (2, 3, 2, 9, 10**5),  # even D
+        (12, 7, 2, 9, 10**5),
+        (7, 11, 2, 9, 10**5),  # lambda > D
+        (10, 14, 2, 9, 10**5),
+        (24, 1, 3, 9, 10**5),  # odd n of a square lambda: no walk
+        (19, 76, 3, 20, 19 * 10**5),  # solve's 19Z^2 + 1 closure scan
+    ],
+)
+def test_filtered_scan_matches_naive_scan(D, lam, n_min, n_max, x_max, monkeypatch):
+    built = spy_filters(monkeypatch)
+    assert generalized_scan(D, lam, n_min, n_max, x_max) == naive_scan(
+        D, lam, n_min, n_max, x_max
+    )
+    # the filters ran: some n looked its wheel's y up in two tables or more
+    assert max(map(len, built)) >= 2
+
+
+def test_the_filters_cut_the_exact_tests_of_verify_k5(monkeypatch):
+    # verify --k 5's default window: the wheel alone passes 799 y to the
+    # exact test (770 of them at n = 3), the wheel and its filters 45
+    tested = count_exact_tests(monkeypatch)
+    built = spy_filters(monkeypatch)
+    assert brute_force(SearchWindow(k=5)) == []
+    assert tested == [45]
+    # n = 3: 13 and 17, which the wheel of M = 1,320 leaves out, then 19, 23
+    assert built[0] == [13, 17, 19, 23]
+    tested[0] = 0
+    monkeypatch.setattr(oracle, "_filters", lambda *args: [])
+    assert brute_force(SearchWindow(k=5)) == []
+    assert tested == [799]
+
+
+def test_a_filter_table_costs_less_than_the_tests_it_saves():
+    # a table of q residues is built only while 2*q is at most the y
+    # expected to reach it, and one that keeps every residue is left out
+    D, lam, n = LNInstance(5).D, 4, 3
+    assert _filters(D, lam, n, 1320, 770) == [
+        (q, oracle._kept(D, lam, n, q)) for q in (13, 17, 19, 23)
+    ]
+    assert _filters(D, lam, n, 1320, 25) == []
+    assert [q for q, _ in _filters(D, lam, n, 8, 10**9)] == [
+        q for q in oracle.WHEEL_PRIMES + oracle.FILTER_PRIMES
+        if not all(oracle._kept(D, lam, n, q))
+    ]
+
+
+@pytest.mark.parametrize("q", [13, 23, 29])
+def test_a_planted_wrong_filter_table_misses_its_triple(q, monkeypatch):
+    # x^2 + 367843 = y^3 at y = 10007: the wheel of M = 9,240 keeps that y,
+    # and the filters of 13 (left out of the wheel), 23 and 29 look it up;
+    # a table that wrongly drops its class mod q makes the scan miss it
+    D, x_max, triple = 367843, 2 * 10**6, (1001050, 10007, 3)
+    found = generalized_scan(D, 1, 3, 3, x_max)
+    assert triple in found
+    kept = oracle._kept
+
+    def planted(D, lam, n, m):
+        table = kept(D, lam, n, m)
+        if m == q:
+            table[triple[1] % q] = False
+        return table
+
+    monkeypatch.setattr(oracle, "_kept", planted)
+    assert _wheel(D, 1, 3, 2 * 10**4)[0] % q != 0
+    assert generalized_scan(D, 1, 3, 3, x_max) == [t for t in found if t != triple]
+
+
+def test_an_n_whose_wheel_keeps_nothing_is_skipped(monkeypatch):
+    # 3y^2 - 1 is never a square mod 8: the wheel keeps no residue, and no
+    # y of the 8.7*10^7 in the window is stepped through
+    walked = []
+    wheel_ys = oracle._wheel_ys
+
+    def spy(ys, M, offsets):
+        walked.append(offsets)
+        return wheel_ys(ys, M, offsets)
+
+    monkeypatch.setattr(oracle, "_wheel_ys", spy)
+    assert _wheel(1, 3, 2, 10**8)[1] == []
+    assert generalized_scan(1, 3, 2, 2, 3 * 10**8) == []
+    assert walked == []
+    # the price is that of the whole window still: over the budget, refused
+    with pytest.raises(ValueError, match="scan budget"):
+        generalized_scan(1, 3, 2, 2, 4 * 10**8)
+    # beside them, the n whose wheel keeps a residue (7 and 9) are walked
+    assert generalized_scan(1, 3, 2, 9, 10**4) == naive_scan(1, 3, 2, 9, 10**4)
+    assert walked and all(walked)
 
 
 def test_generalized_scan_requires_n_min_2():

@@ -5,12 +5,16 @@ tuple's hash of their fields, and refuse assignment and deletion; ProofStep
 is a read-only tuple of its three fields, ProofTrace borrows Frozen's repr
 and equality and stays mutable, and both are unhashable; equality reads
 every field and never holds across two classes; repr is
-Name(field=value, ...), which error messages quote.  No class of ln_kit but
-Frozen writes __eq__, __ne__ or __hash__."""
+Name(field=value, ...), which error messages quote; a Frozen value copies
+and pickles through its class's __new__.  No class of ln_kit but Frozen
+writes __eq__, __ne__ or __hash__."""
 
 import ast
+import copy
 import itertools
+import pickle
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -112,6 +116,36 @@ def test_frozen_types_refuse_assignment_and_deletion(name):
         with pytest.raises(AttributeError):
             delattr(value, field)
     assert repr(value) == text
+
+
+def copies(value):
+    """value through copy.copy, copy.deepcopy and each pickle protocol."""
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_values_survive_copy_and_pickle(name):
+    make, fields, _ = VALUES[name]
+    for value in (make(), type(make())(**OTHER[name])):
+        for other in copies(value):
+            assert type(other) is type(value) and other == value, other
+            assert [getattr(other, f) for f in fields] == [getattr(value, f) for f in fields]
+
+
+def test_a_verdict_holding_a_mapping_proxy_refuses_deep_copies():
+    # a shared verdict's trace is read-only: copy.copy shares it, while
+    # deepcopy and pickle refuse it, and neither returns an unequal verdict
+    verdict = CaseVerdict("contradiction", "r", trace=(MappingProxyType({"mod": 19}),))
+    shallow = copy.copy(verdict)
+    assert type(shallow) is CaseVerdict and shallow == verdict
+    assert shallow.trace[0] is verdict.trace[0]
+    with pytest.raises(TypeError):
+        copy.deepcopy(verdict)
+    with pytest.raises(TypeError):
+        pickle.dumps(verdict)
 
 
 def test_proof_traces_are_mutable_and_unhashable():
