@@ -14,8 +14,9 @@ costs less, known before either starts:
   is then looked up in the same table mod a few more primes, those the
   wheel left out and then FILTER_PRIMES, as far as a table costs less than
   the exact tests it saves.  An n whose wheel keeps no residue is skipped.
-  The tables rest on (D, lambda, n) alone, and they decide nothing: the
-  exact test decides every y they keep;
+  A table rests on D and lambda mod q and the class of n alone, so a scan
+  builds it once per class (_table).  The tables decide nothing: the exact
+  test decides every y they keep;
 - the divisor walk, for even n = 2m and lambda = c^2, uses
   x^2 + D = z^2 with z = c*y^m: d = z - x is a divisor of D below sqrt(D),
   so the divisors of D in the window give every pair, and y is read off z.
@@ -111,8 +112,9 @@ def _check_window(n_min: int, n_max: int, x_max: int) -> None:
 
 
 def iroot(v: int, m: int) -> int:
-    """The largest r with r^m <= v, by integer Newton; a float may choose
-    where Newton starts, never what it returns."""
+    """The largest r with r^m <= v: a root of at most 48 bits by exact steps
+    of 1 from a float estimate, a longer one by integer Newton.  A float may
+    choose where either starts, never what it returns."""
     if v < 0:
         raise ValueError(f"v must be non-negative, got {v}")
     if m < 1:
@@ -123,10 +125,16 @@ def iroot(v: int, m: int) -> int:
         return math.isqrt(v)
     if v.bit_length() <= m:  # v < 2^m, so the root is 1; a large m builds nothing
         return 1
-    # start next to the root, so that Newton takes a few steps: a root past a
-    # double's 53 bits starts from the exact root of v's top half, shifted
-    # back; a shorter one from a float estimate
     bits = v.bit_length() // m
+    if bits <= 48:  # a double's 53 bits put the estimate a few units off the root
+        r = int(2 ** (math.log2(v) / m))
+        while r**m > v:
+            r -= 1
+        while (r + 1) ** m <= v:
+            r += 1
+        return r
+    # Newton starts next to the root, to take few steps: past a double's 53
+    # bits at the exact root of v's top half, shifted back; else at a float
     if bits > 52:
         r = iroot(v >> m * (bits // 2), m) << bits // 2
     else:
@@ -156,19 +164,33 @@ def _kept(D: int, lam: int, n: int, q: int) -> list[bool]:
     """For each r mod q, whether lam*r^n - D is a square mod q.
 
     lam*y^n - D mod q depends on y mod q alone, so a y whose residue r is not
-    kept gives no square, and no x.
+    kept gives no square, and no x.  A fresh list on each call; a scan uses _table.
     """
     squares = {i * i % q for i in range(q // 2 + 1)}  # i and q - i: one square
     lam, D = lam % q, D % q
     return [(lam * pow(r, n, q) - D) % q in squares for r in range(q)]
 
 
-def _y_step(D: int, lam: int, n: int) -> int:
+def _table(D: int, lam: int, n: int, q: int, tables: dict | None) -> list[bool]:
+    """_kept(D, lam, n, q), built in tables (one scan's) once per class of n,
+    or afresh if tables is None.  For n >= 2, r^n mod q rests on n mod (q - 1)
+    for an odd prime q, and for q = 8 on n odd and n = 2 (odd r^2 = 1, even r^3 = 0)."""
+    if tables is None:
+        return _kept(D, lam, n, q)
+    key = (q, n % 2, n == 2) if q == 8 else (q, n % (q - 1))
+    if key not in tables:
+        tables[key] = _kept(D, lam, n, q)
+    return tables[key]
+
+
+def _y_step(D: int, lam: int, n: int, tables: dict | None = None) -> int:
     """2 when no even y can make lam*y^n - D a square mod 8, else 1."""
-    return 1 if any(_kept(D, lam, n, 8)[::2]) else 2
+    return 1 if any(_table(D, lam, n, 8, tables)[::2]) else 2
 
 
-def _wheel(D: int, lam: int, n: int, span: int) -> tuple[int, list[int]]:
+def _wheel(
+    D: int, lam: int, n: int, span: int, tables: dict | None = None
+) -> tuple[int, list[int]]:
     """A modulus M and the ascending residues y mod M that may give a square.
 
     M is 8 times the primes of WHEEL_PRIMES whose table (_kept) rules out a
@@ -178,12 +200,12 @@ def _wheel(D: int, lam: int, n: int, span: int) -> tuple[int, list[int]]:
     Adding q costs about M*q steps, each cheaper than an exact test, so
     M*q <= span keeps the build below the tests it saves.
     """
-    keep = _kept(D, lam, n, 8)
+    keep = _table(D, lam, n, 8, tables)
     M, offsets = 8, [r for r in range(8) if keep[r]]
     for q in WHEEL_PRIMES:
         if M * q > span or not offsets:
             break
-        keep = _kept(D, lam, n, q)
+        keep = _table(D, lam, n, q, tables)
         if all(keep):
             continue
         # j outer and the old offsets inner keeps the new ones ascending
@@ -192,7 +214,9 @@ def _wheel(D: int, lam: int, n: int, span: int) -> tuple[int, list[int]]:
     return M, offsets
 
 
-def _filters(D: int, lam: int, n: int, M: int, reach: int) -> list[tuple[int, list]]:
+def _filters(
+    D: int, lam: int, n: int, M: int, reach: int, tables: dict | None = None
+) -> list[tuple[int, list]]:
     """The (q, _kept table) pairs each y the wheel of modulus M keeps must
     pass before its exact test: for the primes of WHEEL_PRIMES that M leaves
     out, then FILTER_PRIMES, while 2*q <= reach, the y expected to reach q's
@@ -203,7 +227,7 @@ def _filters(D: int, lam: int, n: int, M: int, reach: int) -> list[tuple[int, li
             continue
         if 2 * q > reach:
             break
-        keep = _kept(D, lam, n, q)
+        keep = _table(D, lam, n, q, tables)
         kept = sum(keep)
         if kept < q:
             out.append((q, keep))
@@ -226,9 +250,9 @@ def _wheel_ys(ys: range, M: int, offsets: list[int]) -> Iterator[int]:
         turn = offsets
 
 
-def _y_window(D: int, lam: int, n: int, limit: int) -> range:
+def _y_window(D: int, lam: int, n: int, limit: int, tables: dict | None = None) -> range:
     """The y with D < lam*y^n <= limit, less those _y_step rules out."""
-    step = _y_step(D, lam, n)
+    step = _y_step(D, lam, n, tables)
     y0 = iroot(D // lam, n) + 1
     return range(y0 | 1 if step == 2 else y0, iroot(limit // lam, n) + 1, step)
 
@@ -318,7 +342,8 @@ def generalized_scan(
     limit = x_max * x_max + D
     # the last n where some y >= 2 fits: lam * 2^n <= x_max^2 + D
     n_top = min(n_max, (limit // lam).bit_length() - 1)
-    windows = [(n, _y_window(D, lam, n, limit)) for n in range(n_min, n_top + 1)]
+    tables: dict = {}  # this scan's residue tables (_table), dropped with it
+    windows = [(n, _y_window(D, lam, n, limit, tables)) for n in range(n_min, n_top + 1)]
     c = math.isqrt(lam)
     ds = _divisor_window(D, x_max)
     # one walk serves every even n, so it runs when it costs less than their
@@ -347,12 +372,12 @@ def generalized_scan(
         if not ys:
             continue
         span = ys.stop - ys.start
-        M, offsets = _wheel(D, lam, n, span)
+        M, offsets = _wheel(D, lam, n, span, tables)
         if not offsets:  # no y of any residue gives a square
             continue
-        tables = _filters(D, lam, n, M, span * len(offsets) // M)
+        filters = _filters(D, lam, n, M, span * len(offsets) // M, tables)
         for y in _wheel_ys(ys, M, offsets):
-            for q, keep in tables:
+            for q, keep in filters:
                 if not keep[y % q]:
                     break
             else:

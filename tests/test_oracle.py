@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +83,42 @@ def test_iroot_brackets(vm):
     v, m = vm
     r = iroot(v, m)
     assert r**m <= v < (r + 1) ** m
+
+
+def iroot_by_bisection(v, m):
+    """Reference: the largest r with r^m <= v, bisecting [0, 2^(bits // m + 1))."""
+    lo, hi = 0, 1 << (v.bit_length() // m + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**m <= v:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@given(
+    st.one_of(
+        # up to 2,000 bits, any length: roots short and long of every m
+        st.builds(
+            lambda b, u, m: (u >> 2000 - b, m),
+            st.integers(0, 2000),
+            st.integers(0, 2**2000),
+            st.integers(2, 64),
+        ),
+        # r^m - 1, r^m and r^m + 1 about the 48-bit roots that still take
+        # exact steps of 1, and about a double's 53 bits
+        st.builds(
+            lambda r, m, d: (r**m + d, m),
+            st.one_of(st.integers(2**47, 2**49), st.integers(2**52, 2**53)),
+            st.integers(2, 64),
+            st.sampled_from((-1, 0, 1)),
+        ),
+    )
+)
+def test_iroot_matches_bisection(vm):
+    v, m = vm
+    assert iroot(v, m) == iroot_by_bisection(v, m)
 
 
 def test_window_validation():
@@ -523,6 +560,65 @@ def test_an_n_whose_wheel_keeps_nothing_is_skipped(monkeypatch):
     # beside them, the n whose wheel keeps a residue (7 and 9) are walked
     assert generalized_scan(1, 3, 2, 9, 10**4) == naive_scan(1, 3, 2, 9, 10**4)
     assert walked and all(walked)
+
+
+def spy_kept(monkeypatch):
+    """Record (q, n) for each residue table _kept builds."""
+    built = []
+    kept = oracle._kept
+
+    def spy(D, lam, n, q):
+        built.append((q, n))
+        return kept(D, lam, n, q)
+
+    monkeypatch.setattr(oracle, "_kept", spy)
+    return built
+
+
+def class_of(q, n):
+    """The class of n that the table mod q rests on, for n >= 2."""
+    return (n % 2, n == 2) if q == 8 else n % (q - 1)
+
+
+def test_a_scan_builds_each_residue_table_once_per_class_of_n(monkeypatch):
+    # verify --k 5's default window built 46 tables, 35 of them mod 8, when
+    # each n built its own: now one per (q, class of n), and a second scan
+    # builds them all again, as no table outlives its scan
+    built = spy_kept(monkeypatch)
+    for _ in range(2):
+        built.clear()
+        assert brute_force(SearchWindow(k=5)) == []
+        classes = [(q, class_of(q, n)) for q, n in built]
+        assert len(set(classes)) == len(classes) == 12
+        assert sum(q == 8 for q, _ in built) <= 3
+
+
+def test_the_table_of_a_class_of_n_is_that_of_each_n_in_it():
+    # a scan's lookup builds a table at the first n of its class and hands
+    # it to each later n of the class; it must equal a fresh build there.
+    # (D, lam) runs over every residue pair up to 17, and 20 pairs above
+    rng = random.Random(0)
+    for q in (8,) + oracle.WHEEL_PRIMES + oracle.FILTER_PRIMES:
+        pairs = [(D, lam) for D in range(q) for lam in range(q)]
+        if q > 17:
+            pairs = rng.sample(pairs, 20)
+        for D, lam in pairs:
+            tables = {}
+            for n in range(2, 80):
+                table = oracle._table(D, lam, n, q, tables)
+                assert table == oracle._kept(D, lam, n, q), (q, D, lam, n)
+
+
+@pytest.mark.parametrize("D, lam", [(2, 1), (7, 2), (11, 3), (19, 4), (6, 5), (367843, 1)])
+def test_tables_shared_across_n_match_naive_scan(D, lam, monkeypatch):
+    # n = 3..40 holds each class of n of every wheel prime (q - 1 <= 16)
+    # twice or more, and some y >= 2 reaches n = 40: lam * 2^40 <= x_max^2
+    built = spy_kept(monkeypatch)
+    x_max = 2**20 * (math.isqrt(lam) + 1)
+    assert generalized_scan(D, lam, 3, 40, x_max) == naive_scan(D, lam, 3, 40, x_max)
+    classes = [(q, class_of(q, n)) for q, n in built]
+    assert len(set(classes)) == len(classes)
+    assert {n for q, n in built if q == 8} < set(range(3, 41))
 
 
 def test_generalized_scan_requires_n_min_2():
