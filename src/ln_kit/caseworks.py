@@ -227,6 +227,21 @@ def _cubic_witnesses(target: int, bound: int) -> list[tuple[int, int]]:
     return found
 
 
+def _cubic_residues(target: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """3a^2 b - 19b^3 = target read mod 3, then mod 9 with b = 3r + 2.
+
+    Returns the b mod 3 it allows (mod 3 the left side is -b^3 = -b), the
+    square a^2 mod 3 that b = 2 (mod 3) forces, and the a mod 3 it allows
+    with that b: mod 9 it reads 6a^2 - 8 = target, so for target = 1
+    (mod 3), which b = 2 needs, dividing by 3 and inverting 2 leaves
+    a^2 = 2(target + 8)/3 (mod 3).
+    """
+    b_mod3 = tuple(b for b in range(3) if (3 * b - 19 * b**3) % 3 == target % 3)
+    forced_square = 2 * ((target % 9 + 8) // 3) % 3
+    a_mod3 = tuple(a for a in range(3) if (6 * a * a - 8) % 9 == target % 9)
+    return b_mod3, forced_square, a_mod3
+
+
 def p3_case(k: int, search_bound: int) -> CaseVerdict:
     """n = 3 with 19 not dividing x is impossible, shown two independent ways.
 
@@ -245,13 +260,9 @@ def p3_case(k: int, search_bound: int) -> CaseVerdict:
     odd = (search_bound + 1) // 2  # the odd b in [1, search_bound]
     check_budget(f"p3_case(search_bound={search_bound})", 2 * odd)
     target = 4 * 19**k
-    # mod 3: RHS = -b^3 = -b, LHS = 1
-    b_mod3 = tuple(b for b in range(3) if (3 * b - 19 * b**3) % 3 == target % 3)
-    # b = 3r + 2, mod 9: 6a^2 - 8 = 4; dividing the reduced congruence by 3
-    # and inverting 2 leaves a^2 = 2 (mod 3)
+    # target = 1 (mod 3) and 4 (mod 9): b = 2 (mod 3), then a^2 = 2 (mod 3)
+    b_mod3, forced_square, a_mod3 = _cubic_residues(target)
     squares_mod3 = tuple(sorted({a * a % 3 for a in range(3)}))
-    forced_square = 2 * ((target % 9 + 8) // 3) % 3
-    a_mod3 = tuple(a for a in range(3) if (6 * a * a - 8) % 9 == target % 9)
     witnesses = _cubic_witnesses(target, search_bound)  # a > 0: it enters squared
     candidates = odd * 2 * odd
     mod3 = {"check": "mod3_forces_b", "lhs_mod_3": target % 3, "b_mod_3": b_mod3}

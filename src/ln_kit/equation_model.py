@@ -31,7 +31,7 @@ def check_D_digits(k: int) -> None:
     check_digits("19^(2k+1)", 2 * k + 1, math.log10(19))
 
 
-_JSON_INT_LIMIT = 2**53
+JSON_INT_LIMIT = 2**53
 
 
 def json_safe(v: object) -> object:
@@ -46,7 +46,7 @@ def json_safe(v: object) -> object:
     itself; anything else, a subclass of these too, comes back as it is."""
     t = type(v)
     if t is int:
-        return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
+        return v if -JSON_INT_LIMIT < v < JSON_INT_LIMIT else str(v)
     if t is str:
         return v
     if t is dict or t is MappingProxyType:

@@ -3,14 +3,15 @@ casework and the Lucas gate, scale solutions back through the 19-adic
 reduction, and cross-check the result against the brute-force oracle.
 
 Every step runs through ProofTrace.step and the table ``STEPS`` at the end
-of this module, which records (procedure, inputs, returned value) as a
-read-only ProofStep; the JSON form waits for serialization, built once per
-distinct value object.  The sieve rows of one instance and odd prime p
-share one mod19_forces_p call: its verdict reads p alone, so
-ProofTrace.repeat appends the later rows with it, as step would.  Replay
-runs solve again on the trace's header, then compares the steps it took
-with the trace's (_differences), so procedures only see the inputs solve
-computes, never recorded ones.
+of this module, one row per op: its input names and its procedure.  A step
+records the op, the tuple of its inputs and the returned value as a
+read-only ProofStep; the JSON form, the inputs under their names, waits for
+serialization, which builds one result per distinct value object.  The
+sieve rows of one instance and odd prime p share one mod19_forces_p call:
+its verdict reads p alone, so ProofTrace.repeat appends the later rows
+with it, as step would.  Replay runs solve again on the trace's header,
+then compares the steps it took with the trace's (_differences), so
+procedures only see the inputs solve computes, never recorded ones.
 
 solve(k) is built from instance proofs: each instance kk <= k, its even
 cases then its odd primes, is decided once per process as one block of
@@ -38,6 +39,7 @@ from types import MappingProxyType
 from . import caseworks
 from .caseworks import CaseVerdict
 from .equation_model import (
+    JSON_INT_LIMIT,
     LNInstance,
     Solution,
     check_D_digits,
@@ -90,29 +92,48 @@ class OracleMismatchError(RuntimeError):
 class ProofStep(tuple):
     """One step: the op, its inputs and the value its procedure returned.
 
+    step[1] holds the inputs as a tuple in the order of the op's names
+    (STEPS); a mapping with exactly those names becomes that tuple, and any
+    other inputs are kept as given, for replay to name.  step.inputs, and
+    unpacking a step, read them as a read-only mapping under the names.
     value is the procedure's own return value when the step was recorded,
     and the JSON result when the trace was rebuilt from its JSON form;
     json_safe turns either into the JSON result.  A step is read-only, as
     solve shares each instance's steps between every trace that holds them
-    (_instance): a tuple, whose fields cannot be assigned, and whose inputs
-    ProofTrace.step records as a MappingProxyType; the inputs property reads
-    any step's through one, a dict rebuilt from JSON too.  Equality is the
-    tuple's, of the three fields; a step holds a mapping, so it has no hash.
+    (_instance).  Equality is the tuple's, of the three fields; a step may
+    hold a mapping, so it has no hash.
     """
 
     __slots__ = ()
     __match_args__ = ("op", "inputs", "value")
     __hash__ = None
     op = property(operator.itemgetter(0))
-    inputs = property(lambda step: MappingProxyType(step[1]))
     value = property(operator.itemgetter(2))
 
-    def __new__(cls, op: str, inputs: dict[str, object], value: object) -> ProofStep:
+    def __new__(cls, op: str, inputs: object, value: object) -> ProofStep:
+        names = NAMES.get(op) if type(op) is str else None
+        if type(inputs) in (dict, MappingProxyType) and inputs.keys() == names:
+            inputs = tuple(map(inputs.__getitem__, names))
         return tuple.__new__(cls, (op, inputs, value))
 
+    def __iter__(self) -> Iterator[object]:
+        # unpacking reads the inputs as step.inputs does, as tests that edit a
+        # step's inputs by {**inputs} expect; step[:] is the stored fields
+        return iter((self[0], self.inputs, self[2]))
+
     def __repr__(self) -> str:
-        op, inputs, value = self
-        return f"ProofStep(op={op!r}, inputs={inputs!r}, value={value!r})"
+        op, inputs, value = self[0], _shown(self.inputs), self[2]
+        return f"ProofStep(op={op!r}, inputs={inputs}, value={value!r})"
+
+    @property
+    def inputs(self) -> object:
+        """The inputs under the op's names when they are a tuple of as many
+        values as it has, read-only as a dict is; others as they are."""
+        op, inputs = self[:2]
+        names = NAMES.get(op) if type(op) is str else None
+        if type(inputs) is tuple and names is not None and len(names) == len(inputs):
+            inputs = dict(zip(names, inputs))
+        return MappingProxyType(inputs) if type(inputs) is dict else inputs
 
     @property
     def result(self) -> dict[str, object]:
@@ -150,19 +171,18 @@ class ProofTrace:
         """Whether the header asks for the oracle cross-check."""
         return self.oracle_x_max is not None
 
-    def step(self, op: str, **inputs: int) -> object:
-        """Run STEPS[op] on the inputs, read-only, record them and the value it
-        returns as it is, and return it; the JSON form waits for to_jsonable."""
-        inputs = MappingProxyType(inputs)
-        value = STEPS[op](inputs)
+    def step(self, op: str, *inputs: int) -> object:
+        """Run op's procedure (STEPS) on the inputs, in the order of its names,
+        record their tuple and the value it returns as it is, and return it."""
+        value = STEPS[op][1](*inputs)
         # ProofStep(op, inputs, value), without its __new__'s Python call
         self.steps.append(tuple.__new__(ProofStep, (op, inputs, value)))
         return value
 
-    def repeat(self, op: str, value: object, inputs: Iterable[dict[str, int]]) -> None:
-        """Append one step of op per inputs dict, each holding value: what
-        step records when STEPS[op] returns that very object for each."""
-        rows = zip(repeat(op), map(MappingProxyType, inputs), repeat(value))
+    def repeat(self, op: str, value: object, inputs: Iterable[tuple[int, ...]]) -> None:
+        """Append one step of op per inputs tuple, each holding value: what
+        step records when op's procedure returns that very object for each."""
+        rows = zip(repeat(op), inputs, repeat(value))
         self.steps.extend(map(tuple.__new__, repeat(ProofStep), rows))
 
     def find(self, op: str) -> list[ProofStep]:
@@ -193,15 +213,24 @@ class ProofTrace:
         return bad
 
     def jsonable_steps(self) -> Iterator[dict[str, object]]:
-        """Each step as {"op", "inputs", "result"}, in order, its inputs and
-        result through json_safe, with one result built per distinct value
-        object (see to_jsonable)."""
+        """Each step as {"op", "inputs", "result"}, in order, its inputs under
+        the op's names and its result through json_safe, built once per
+        distinct value object (see to_jsonable); numbers whose magnitudes sum
+        below 2^53, which json_safe keeps as they are, skip it."""
         results: dict[int, object] = {}
         for step in self.steps:
-            op, inputs, value = step
-            if id(value) not in results:
-                results[id(value)] = step.result
-            yield {"op": op, "inputs": json_safe(inputs), "result": results[id(value)]}
+            op, inputs, value = step[:]  # step[1] is the tuple, not the mapping
+            try:
+                names = NAMES[op]
+                small = type(inputs) is tuple and len(inputs) == len(names)
+                small = small and sum(map(abs, inputs)) < JSON_INT_LIMIT
+            except (KeyError, TypeError):  # an unknown op, a str read back from JSON
+                small = False
+            result = results.get(id(value))
+            if result is None:
+                result = results[id(value)] = step.result
+            inputs = dict(zip(names, inputs)) if small else json_safe(step.inputs)
+            yield {"op": op, "inputs": inputs, "result": result}
 
     def to_jsonable(self) -> dict[str, object]:
         """The trace as JSON, its steps from jsonable_steps: steps that share
@@ -222,25 +251,26 @@ def _differences(mine: list[ProofStep], theirs: list, whole: bool) -> list[str]:
     one entry per step, naming its index and solve's op.  A trace step that
     is solve's very step object (from an instance block) passes at once:
     steps are read-only, so it holds what solve records there.  Any other
-    must have solve's op and inputs (see _same_inputs), and the value of
-    solve's procedure on them: the same object (a shared verdict, no __eq__
-    call), an equal one, or one whose JSON form, built once per object, is
-    equal.  Each step of solve's past the trace's end is missing from it;
-    when solve's proof is whole, a longer trace's next step is named too."""
+    must have solve's op and inputs (an equal tuple of ints, one C compare,
+    or see _same_inputs), and the value of solve's procedure on them: the
+    same object (a shared verdict, no __eq__ call), an equal one, or one
+    whose JSON form, built once per object, is equal.  Each step of solve's
+    past the trace's end is missing from it; when solve's proof is whole, a
+    longer trace's next step is named too."""
     bad: list[str] = []
     ints = frozenset({int})
     encoded: dict[int, object] = {}  # id(value) -> its JSON form; mine holds value
     # the indices where the two hold different objects, found at C speed
     for i in compress(count(), map(operator.is_not, mine, theirs)):
-        op, inputs, value = mine[i]
-        recorded_op, recorded, recorded_value = theirs[i]
+        op, inputs, value = mine[i][:]  # the stored fields, the inputs a tuple
+        recorded_op, recorded, recorded_value = theirs[i][:]
         if recorded_op != op or not (
-            recorded == inputs and ints.issuperset(map(type, recorded.values()))
+            recorded == inputs and ints.issuperset(map(type, recorded))
             or _same_inputs(recorded, inputs)
         ):
             bad.append(
-                f"step {i} {op}: solve passes {inputs}, "
-                f"the trace records {_shown(recorded_op)} {_shown(recorded)}"
+                f"step {i} {op}: solve passes {_shown(mine[i].inputs)}, the "
+                f"trace records {_shown(recorded_op)} {_shown(theirs[i].inputs)}"
             )
         elif value is not recorded_value and value != recorded_value:
             if id(value) not in encoded:
@@ -271,13 +301,12 @@ def _shown(recorded: object) -> str:
         return f"<{type(recorded).__name__} holding an int too long to write>"
 
 
-def _same_inputs(recorded: object, inputs: dict[str, int]) -> bool:
-    """Whether recorded has the names of solve's inputs and, for each, its int
-    (not a bool) or its exact decimal string, JSON's form of a large int."""
-    mapping = type(recorded) in (dict, MappingProxyType)
-    return mapping and recorded.keys() == inputs.keys() and all(
+def _same_inputs(recorded: object, inputs: tuple[int, ...]) -> bool:
+    """Whether recorded is a tuple holding, for each of solve's inputs, its
+    int (not a bool) or its exact decimal string, JSON's form of a large int."""
+    return type(recorded) is tuple and len(recorded) == len(inputs) and all(
         r == v if type(r) is int else type(r) is str and r == str(v)
-        for r, v in zip(map(recorded.get, inputs), inputs.values())
+        for r, v in zip(recorded, inputs)
     )
 
 
@@ -356,38 +385,37 @@ def _odd_prime_solutions(kk: int, p: int, trace: ProofTrace) -> list[Solution]:
     # rules p out, the rows of every later t hold that one verdict
     step, contradiction = trace.step, caseworks.OUTCOME_CONTRADICTION
     for t in range(kk):
-        verdict = step("mod19_forces_p", k=kk, t=t, p=p)
+        verdict = step("mod19_forces_p", kk, t, p)
         if verdict.outcome == contradiction:
-            rows = [{"k": kk, "t": u, "p": p} for u in range(t + 1, kk)]
+            rows = zip(repeat(kk), range(t + 1, kk), repeat(p))
             trace.repeat("mod19_forces_p", verdict, rows)
             break
-        if step("mod19_forces_kt", k=kk, t=t).outcome == contradiction:
+        if step("mod19_forces_kt", kk, t).outcome == contradiction:
             continue
-        step("mod_pow2_insoluble", p=19, t=t)
+        step("mod_pow2_insoluble", 19, t)
     # b = +-19^k: the Lucas route through u_p = +-1
     pair = INSTANCE_PAIR
-    route = trace.step("bhv_gate", P=pair.P, Q=pair.Q, p=p)
+    route = trace.step("bhv_gate", pair.P, pair.Q, p)
     if route is BhvRoute.ALWAYS_PRIMITIVE:
-        trace.step("always_primitive_closure", p=p)
+        trace.step("always_primitive_closure", p)
         return []
     if route is BhvRoute.SMALL_PRIME:
-        trace.step("p3_case", k=kk, search_bound=P3_SEARCH_BOUND)
+        trace.step("p3_case", kk, P3_SEARCH_BOUND)
         return []
     # CheckDefectTable: p in {5, 7, 11, 13}, routed by the table's verdict;
     # the Lucas values recorded on the way must agree with the route taken
-    primdiv = {"P": pair.P, "Q": pair.Q, "n": p, "factoring_budget": FACTORING_BUDGET}
     if p in NO_DEFECTIVE_PAIR:
-        found = trace.step("primitive_divisor", **primdiv)
+        found = trace.step("primitive_divisor", pair.P, pair.Q, p, FACTORING_BUDGET)
         if not found.exists:
             raise RuntimeError(f"{pair} is not defective for p = {p}, yet {found}")
-    verdict = trace.step("defect_table", p=p, k=kk)
+    verdict = trace.step("defect_table", p, kk)
     if verdict.outcome == caseworks.OUTCOME_CONTRADICTION:
         return []
-    u = trace.step("lucas_u", P=pair.P, Q=pair.Q, n=p)["value"]
-    found = trace.step("primitive_divisor", **primdiv)
+    u = trace.step("lucas_u", pair.P, pair.Q, p)["value"]
+    found = trace.step("primitive_divisor", pair.P, pair.Q, p, FACTORING_BUDGET)
     if abs(u) != 1 or found.exists:
         raise RuntimeError(f"{pair} is defective for p = {p}, yet u_{p} = {u}, {found}")
-    return list(trace.step("defective_pair_expansion", k=kk, p=p).solutions)
+    return list(trace.step("defective_pair_expansion", kk, p).solutions)
 
 
 def _primitive_solutions(kk: int, n_max: int, trace: ProofTrace) -> list[Solution]:
@@ -396,7 +424,7 @@ def _primitive_solutions(kk: int, n_max: int, trace: ProofTrace) -> list[Solutio
     primes, least = _odd_primes(n_max)
     sols: list[Solution] = []
     for m in range(1, n_max // 2 + 1):
-        sols.extend(trace.step("even_case", k=kk, m=m).solutions)
+        sols.extend(trace.step("even_case", kk, m).solutions)
     by_prime = {p: _odd_prime_solutions(kk, p, trace) for p in primes}
     for n, p in least:
         j = n // p
@@ -405,7 +433,7 @@ def _primitive_solutions(kk: int, n_max: int, trace: ProofTrace) -> list[Solutio
                 sols.append(s)
                 continue
             # a solution for n = p*j needs y^j to hit the y-value found at p
-            root = trace.step("composite_lift", y=s.y, j=j, n=n)["root"]
+            root = trace.step("composite_lift", s.y, j, n)["root"]
             if root is not None:
                 sols.append(Solution(s.x, root, n))
     for s in sols:
@@ -512,7 +540,7 @@ def _prove(trace: ProofTrace) -> list[Solution]:
         SearchWindow(k, 2, n_max, oracle_x_max)
     # close the two symbolic 19|x branches that do not reduce: both land on
     # 19*Z^2 + 1 = 4*Y^n (a bounded scan that raises on a witness; the rest cited)
-    trace.step("no_19z2_solutions", n_max=max(3, min(n_max, 20)), z_max=LE_Z_MAX)
+    trace.step("no_19z2_solutions", max(3, min(n_max, 20)), LE_Z_MAX)
     # each instance kk <= k: its block, as _instance shares it
     limit = digit_limit()
     primitive = []
@@ -528,7 +556,7 @@ def _prove(trace: ProofTrace) -> list[Solution]:
                 continue
             t = 2 * s_val // sol.n
             verdict = trace.step(
-                "valuation_trichotomy", k=k, s=s_val, t=t, X=sol.x, Y=sol.y, n=sol.n
+                "valuation_trichotomy", k, s_val, t, sol.x, sol.y, sol.n
             )
             # 2s = t*n < 2k+1 always reduces; x and y stay out (too long to write)
             if (verdict.outcome, verdict.reduced_k) != (caseworks.OUTCOME_REDUCED, kk):
@@ -541,9 +569,7 @@ def _prove(trace: ProofTrace) -> list[Solution]:
             full.append(lifted)
     full.sort(key=lambda s: s.sort_key)
     if oracle_x_max is not None:
-        found = trace.step(
-            "oracle_cross_check", k=k, n_min=2, n_max=n_max, x_max=oracle_x_max
-        )["solutions"]
+        found = trace.step("oracle_cross_check", k, 2, n_max, oracle_x_max)["solutions"]
         mine = [s for s in full if s.x <= oracle_x_max]
         if set(found) != set(mine):
             raise OracleMismatchError(k, set(mine) - set(found), set(found) - set(mine))
@@ -585,35 +611,46 @@ def verify_solution_completeness(
     return ok, json_safe(report)
 
 
-# op name -> procedure of the step's inputs dict (unpacking it into keywords
-# costs about 0.3 us a step).  Each entry looks its procedure up when called,
-# so a name rebound on its module (a test double, a profiler) is what runs.
-# A step may record inputs its procedure never reads (mod19_forces_p's k and t,
-# bhv_gate's P and Q, composite_lift's n); replay checks them like the rest.
-STEPS: dict[str, Callable[[dict[str, int]], object]] = {
-    "no_19z2_solutions": lambda i: caseworks.no_19z2_solutions(i["n_max"], i["z_max"]),
-    "even_case": lambda i: caseworks.even_case(i["k"], i["m"]),
-    "mod19_forces_p": lambda i: caseworks.mod19_forces_p(i["p"]),
-    "mod19_forces_kt": lambda i: caseworks.mod19_forces_kt(i["k"], i["t"]),
-    "mod_pow2_insoluble": lambda i: caseworks.mod_pow2_insoluble(i["p"], i["t"]),
-    "bhv_gate": lambda i: bhv_gate(i["p"]),
-    "always_primitive_closure": lambda i: always_primitive_closure(i["p"]),
-    "p3_case": lambda i: caseworks.p3_case(i["k"], i["search_bound"]),
-    "primitive_divisor": lambda i: primitive_divisor(
-        LucasPair(i["P"], i["Q"]), i["n"], i["factoring_budget"]
+# op name -> (its input names, in the order a step records them, and its
+# procedure of them, by position).  Each procedure looks its function up when
+# called, so a name rebound on its module (a test double, a profiler) is what
+# runs.  Replay checks the inputs a procedure does not read like the rest.
+STEPS: dict[str, tuple[tuple[str, ...], Callable[..., object]]] = {
+    "no_19z2_solutions": (
+        ("n_max", "z_max"), lambda n_max, z: caseworks.no_19z2_solutions(n_max, z)
     ),
-    "defect_table": lambda i: defect_table_route(i["p"], i["k"]),
-    "lucas_u": lambda i: MappingProxyType(
-        {"value": lucas_u(LucasPair(i["P"], i["Q"]), i["n"])}
+    "even_case": (("k", "m"), lambda k, m: caseworks.even_case(k, m)),
+    "mod19_forces_p": (("k", "t", "p"), lambda k, t, p: caseworks.mod19_forces_p(p)),
+    "mod19_forces_kt": (("k", "t"), lambda k, t: caseworks.mod19_forces_kt(k, t)),
+    "mod_pow2_insoluble": (("p", "t"), lambda p, t: caseworks.mod_pow2_insoluble(p, t)),
+    "bhv_gate": (("P", "Q", "p"), lambda P, Q, p: bhv_gate(p)),
+    "always_primitive_closure": (("p",), lambda p: always_primitive_closure(p)),
+    "p3_case": (("k", "search_bound"), lambda k, bound: caseworks.p3_case(k, bound)),
+    "primitive_divisor": (
+        ("P", "Q", "n", "factoring_budget"),
+        lambda P, Q, n, budget: primitive_divisor(LucasPair(P, Q), n, budget),
     ),
-    "defective_pair_expansion": lambda i: defective_pair_expansion(i["k"], i["p"]),
-    "composite_lift": lambda i: MappingProxyType({"root": perfect_root(i["y"], i["j"])}),
-    "valuation_trichotomy": lambda i: caseworks.valuation_trichotomy(
-        i["k"], i["s"], i["t"], i["X"], i["Y"], i["n"]
+    "defect_table": (("p", "k"), lambda p, k: defect_table_route(p, k)),
+    "lucas_u": (
+        ("P", "Q", "n"),
+        lambda P, Q, n: MappingProxyType({"value": lucas_u(LucasPair(P, Q), n)}),
     ),
-    "oracle_cross_check": lambda i: MappingProxyType({
-        "solutions": tuple(
-            brute_force(SearchWindow(i["k"], i["n_min"], i["n_max"], i["x_max"]))
-        )
-    }),
+    "defective_pair_expansion": (
+        ("k", "p"), lambda k, p: defective_pair_expansion(k, p)
+    ),
+    "composite_lift": (
+        ("y", "j", "n"), lambda y, j, n: MappingProxyType({"root": perfect_root(y, j)})
+    ),
+    "valuation_trichotomy": (
+        ("k", "s", "t", "X", "Y", "n"),
+        lambda k, s, t, X, Y, n: caseworks.valuation_trichotomy(k, s, t, X, Y, n),
+    ),
+    "oracle_cross_check": (
+        ("k", "n_min", "n_max", "x_max"),
+        lambda k, n_min, n_max, x_max: MappingProxyType(
+            {"solutions": tuple(brute_force(SearchWindow(k, n_min, n_max, x_max)))}
+        ),
+    ),
 }
+# op name -> its input names, in order, as keys that a mapping's keys equal
+NAMES = {op: dict.fromkeys(names).keys() for op, (names, _) in STEPS.items()}

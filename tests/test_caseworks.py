@@ -223,6 +223,35 @@ def test_p3_case(k):
     assert by_check["exhaustive_search"]["candidates_checked"] == 250 * 250 * 2
 
 
+def residues_by_enumeration(target):
+    """What 3a^2 b - 19b^3 = target allows, by enumerating (a, b) mod 9: the
+    b mod 3, the a mod 9 with some b = 2 (mod 3), and those a mod 3."""
+    def holds(a, b, m):
+        return (3 * a * a * b - 19 * b**3 - target) % m == 0
+
+    b_mod3 = {b % 3 for a in range(9) for b in range(9) if holds(a, b, 3)}
+    a_mod9 = {a for a in range(9) for b in range(2, 9, 3) if holds(a, b, 9)}
+    return b_mod3, a_mod9, {a % 3 for a in a_mod9}
+
+
+def test_p3_cases_residue_reduction_matches_enumeration():
+    # p3_case reads its mod-3 and mod-9 reduction from _cubic_residues; its own
+    # target 4*19^k is 4 mod 9, and 4 or 6 mod 10, so it cannot tell a reduction
+    # of target % 9 from one of target % 10.  Targets 1..200 can.
+    formula_mod10 = []
+    for target in range(1, 201):
+        b_mod3, forced_square, a_mod3 = caseworks._cubic_residues(target)
+        b_seen, a_mod9, a_seen = residues_by_enumeration(target)
+        assert set(b_mod3) == b_seen and set(a_mod3) == a_seen, target
+        if target % 3 != 1:  # b = 2 (mod 3) is ruled out: no square is forced
+            continue
+        # with b = 2 (mod 3), exactly the a whose square is the forced one
+        assert a_mod9 == {a for a in range(9) if a * a % 3 == forced_square}, target
+        formula_mod10.append(2 * ((target % 10 + 8) // 3) % 3 == forced_square)
+    assert len(formula_mod10) == 67 and not all(formula_mod10)
+    assert caseworks._cubic_residues(4 * 19**5) == ((2,), 2, ())
+
+
 def test_p3_case_at_its_least_bound():
     # search_bound = 1: one odd a, b = +-1; 0 is refused
     by_check = {step["check"]: step for step in p3_case(0, 1).trace}

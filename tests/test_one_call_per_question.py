@@ -23,7 +23,7 @@ class OneByOne(ProofTrace):
 
     def repeat(self, op, value, inputs):
         for i in inputs:
-            assert self.step(op, **i) is value
+            assert self.step(op, *i) is value
 
 
 def one_by_one(kk, n_max=SearchWindow.n_max):

@@ -323,6 +323,28 @@ def test_replay_names_an_op_outside_the_step_table():
     assert bad.startswith("step 0 no_19z2_solutions: solve passes") and "'no_such_op'" in bad
 
 
+@pytest.mark.parametrize(
+    "inputs, named",
+    [
+        ({"m": 1, "k": 0}, None),  # the op's names in another order
+        ({"k": 0, "n": 1}, "{'k': 0, 'n': 1}"),
+        ({"k": 0}, "{'k': 0}"),
+        ({"k": 0, "m": 1, "t": 0}, "{'k': 0, 'm': 1, 't': 0}"),
+    ],
+    ids=["reordered", "renamed", "missing-name", "extra-name"],
+)
+def test_replay_reads_json_inputs_by_the_ops_names(inputs, named):
+    _, trace = solve(2, n_max=7, cross_check=False)
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    i = [s["op"] for s in data["steps"]].index("even_case")
+    data["steps"][i]["inputs"] = inputs
+    expected = [] if named is None else [
+        f"step {i} even_case: solve passes {{'k': 0, 'm': 1}}, "
+        f"the trace records 'even_case' {named}"
+    ]
+    assert ProofTrace.from_jsonable(data).replay() == expected
+
+
 def test_replay_refuses_a_tampered_huge_z_max():
     # the recorded z_max is not solve's: diverged before any scan; called
     # directly, the 19*Z^2 + 1 scan is under the oracle's scan budget

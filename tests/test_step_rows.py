@@ -1,0 +1,80 @@
+"""Each row of the step table STEPS declares its op's input names once, and
+the rest of solver.py agrees with it: the names are distinct, there are as
+many as the row's procedure takes by position, and every ProofTrace.step
+and repeat call in solver.py passes that many values.  A row that drifts
+from its procedure or its call sites fails here, not as mislabelled keys in
+a trace's JSON form.  STEPS stays an annotated assignment, which
+test_unused_definitions reads its keys from."""
+
+import ast
+import inspect
+from pathlib import Path
+
+from ln_kit.solver import STEPS
+
+SOLVER = Path(__file__).resolve().parents[1] / "src" / "ln_kit" / "solver.py"
+
+
+def test_each_rows_names_are_its_procedures_parameters():
+    for op, (names, procedure) in STEPS.items():
+        assert len(set(names)) == len(names), op
+        kinds = {p.kind for p in inspect.signature(procedure).parameters.values()}
+        assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, op
+        assert procedure.__code__.co_argcount == len(names), op
+
+
+def width(rows, assigned):
+    """How many values each row of a repeat call holds: rows is a zip of that
+    many iterables or a comprehension of tuples, written in the call or
+    assigned to a name in the same function."""
+    if isinstance(rows, ast.Name):
+        rows = assigned[rows.id]
+    if isinstance(rows, ast.Call) and ast.unparse(rows.func) == "zip":
+        return len(rows.args)
+    assert isinstance(rows, (ast.GeneratorExp, ast.ListComp)), ast.unparse(rows)
+    assert isinstance(rows.elt, ast.Tuple), ast.unparse(rows)
+    return len(rows.elt.elts)
+
+
+def call_sites():
+    """(op, number of values passed, the call's text) for each call of a
+    recorder's step (trace.step, or step bound to it) or repeat in solver.py."""
+    tree = ast.parse(SOLVER.read_text())
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        assigned = {
+            node.targets[0].id: node.value
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            if func != "step" and not func.endswith((".step", ".repeat")):
+                continue
+            text = ast.unparse(node)
+            op = node.args[0]
+            # a literal op and no unpacked or keyword values: each is counted
+            assert isinstance(op, ast.Constant) and op.value in STEPS, text
+            assert not node.keywords, text
+            assert not any(isinstance(a, ast.Starred) for a in node.args), text
+            if func.endswith(".repeat"):
+                yield op.value, width(node.args[2], assigned), text
+            else:
+                yield op.value, len(node.args) - 1, text
+
+
+def test_every_call_site_passes_as_many_values_as_its_row_names():
+    sites = list(call_sites())
+    assert {op for op, _, _ in sites} == set(STEPS)
+    assert len(sites) == len(STEPS) + 2  # primitive_divisor twice, a repeat
+    for op, passed, text in sites:
+        assert passed == len(STEPS[op][0]), text
+
+
+def test_the_width_of_a_repeat_is_read_from_its_rows():
+    assigned = {"rows": ast.parse("zip(repeat(kk), range(kk), repeat(p))").body[0].value}
+    assert width(ast.Name("rows"), assigned) == 3
+    assert width(ast.parse("[(k, t) for t in ts]").body[0].value, {}) == 2
