@@ -35,8 +35,8 @@ in y-candidate units (WALK_PER_Y walk candidates make one), exceeds
 SCAN_BUDGET is refused by check_budget before any candidate is tried, and
 so is a k whose D = 19^(2k+1) costs more than that to build.  A
 y-scan is priced at its whole window, less the even y when the mod-8 table
-rules every even y out (_y_step), however few y its wheel and filters keep;
-that price also sets the walk-or-scan choice.
+rules every even y out (_y_window), however few y its wheel and filters
+keep; that price also sets the walk-or-scan choice.
 """
 
 from __future__ import annotations
@@ -171,68 +171,54 @@ def _kept(D: int, lam: int, n: int, q: int) -> list[bool]:
     return [(lam * pow(r, n, q) - D) % q in squares for r in range(q)]
 
 
-def _table(D: int, lam: int, n: int, q: int, tables: dict | None) -> list[bool]:
-    """_kept(D, lam, n, q), built in tables (one scan's) once per class of n,
-    or afresh if tables is None.  For n >= 2, r^n mod q rests on n mod (q - 1)
-    for an odd prime q, and for q = 8 on n odd and n = 2 (odd r^2 = 1, even r^3 = 0)."""
-    if tables is None:
-        return _kept(D, lam, n, q)
+def _table(D: int, lam: int, n: int, q: int, tables: dict) -> list[bool]:
+    """_kept(D, lam, n, q), built in tables (one scan's) once per class of n.
+    For n >= 2, r^n mod q rests on n mod (q - 1) for an odd prime q, and for
+    q = 8 on n odd and n = 2 (odd r^2 = 1, even r^3 = 0)."""
     key = (q, n % 2, n == 2) if q == 8 else (q, n % (q - 1))
     if key not in tables:
         tables[key] = _kept(D, lam, n, q)
     return tables[key]
 
 
-def _y_step(D: int, lam: int, n: int, tables: dict | None = None) -> int:
-    """2 when no even y can make lam*y^n - D a square mod 8, else 1."""
-    return 1 if any(_table(D, lam, n, 8, tables)[::2]) else 2
-
-
 def _wheel(
-    D: int, lam: int, n: int, span: int, tables: dict | None = None
-) -> tuple[int, list[int]]:
-    """A modulus M and the ascending residues y mod M that may give a square.
+    D: int, lam: int, n: int, span: int, tables: dict
+) -> tuple[int, list[int], list[tuple[int, list[bool]]]]:
+    """A modulus M, the ascending residues y mod M that may give a square,
+    and the (q, _kept table) filters each y they keep must pass before its
+    exact test.
 
-    M is 8 times the primes of WHEEL_PRIMES whose table (_kept) rules out a
-    residue, taken in order while M stays within span, the window's length;
-    a residue is kept when each factor keeps it (Chinese remainder
-    theorem).  8 is always a factor, so no y that _y_step rules out is kept.
-    Adding q costs about M*q steps, each cheaper than an exact test, so
-    M*q <= span keeps the build below the tests it saves.
+    One walk over WHEEL_PRIMES, then FILTER_PRIMES, reads each prime's table
+    and passes over one that keeps every residue.  A prime of WHEEL_PRIMES
+    joins the wheel while M*q stays within span, the window's length: M is
+    8 times the primes that joined, and a residue is kept when each factor
+    keeps it (Chinese remainder theorem).  Adding q costs about M*q steps,
+    each cheaper than an exact test, so M*q <= span keeps the build below
+    the tests it saves.  From the first prime that does not join, each
+    becomes a filter while 2*q is at most reach, the y expected to reach its
+    table (at first the wheel's).  8 is always a factor, so no y that
+    _y_window's step skips is kept.
     """
     keep = _table(D, lam, n, 8, tables)
     M, offsets = 8, [r for r in range(8) if keep[r]]
-    for q in WHEEL_PRIMES:
-        if M * q > span or not offsets:
-            break
-        keep = _table(D, lam, n, q, tables)
-        if all(keep):
-            continue
-        # j outer and the old offsets inner keeps the new ones ascending
-        offsets = [o + M * j for j in range(q) for o in offsets if keep[(o + M * j) % q]]
-        M *= q
-    return M, offsets
-
-
-def _filters(
-    D: int, lam: int, n: int, M: int, reach: int, tables: dict | None = None
-) -> list[tuple[int, list]]:
-    """The (q, _kept table) pairs each y the wheel of modulus M keeps must
-    pass before its exact test: for the primes of WHEEL_PRIMES that M leaves
-    out, then FILTER_PRIMES, while 2*q <= reach, the y expected to reach q's
-    table (at first the wheel's); one that keeps every residue is left out."""
-    out = []
+    filters, reach = [], None  # None while a prime may join the wheel
     for q in WHEEL_PRIMES + FILTER_PRIMES:
-        if M % q == 0:
-            continue
-        if 2 * q > reach:
+        if reach is None and (q not in WHEEL_PRIMES or M * q > span):
+            reach = span * len(offsets) // M
+        if not offsets or reach is not None and 2 * q > reach:
             break
         keep = _table(D, lam, n, q, tables)
         kept = sum(keep)
-        if kept < q:
-            out.append((q, keep))
+        if kept == q:
+            continue
+        if reach is None:
+            # j outer and the old offsets inner keeps the new ones ascending
+            offsets = [o + M * j for j in range(q) for o in offsets if keep[(o + M * j) % q]]
+            M *= q
+        else:
+            filters.append((q, keep))
             reach = reach * kept // q
-    return out
+    return M, offsets, filters
 
 
 def _wheel_ys(ys: range, M: int, offsets: list[int]) -> Iterator[int]:
@@ -250,9 +236,10 @@ def _wheel_ys(ys: range, M: int, offsets: list[int]) -> Iterator[int]:
         turn = offsets
 
 
-def _y_window(D: int, lam: int, n: int, limit: int, tables: dict | None = None) -> range:
-    """The y with D < lam*y^n <= limit, less those _y_step rules out."""
-    step = _y_step(D, lam, n, tables)
+def _y_window(D: int, lam: int, n: int, limit: int, tables: dict) -> range:
+    """The y with D < lam*y^n <= limit, less the even y when no even y can
+    make lam*y^n - D a square mod 8."""
+    step = 1 if any(_table(D, lam, n, 8, tables)[::2]) else 2
     y0 = iroot(D // lam, n) + 1
     return range(y0 | 1 if step == 2 else y0, iroot(limit // lam, n) + 1, step)
 
@@ -371,11 +358,9 @@ def generalized_scan(
             continue
         if not ys:
             continue
-        span = ys.stop - ys.start
-        M, offsets = _wheel(D, lam, n, span, tables)
+        M, offsets, filters = _wheel(D, lam, n, ys.stop - ys.start, tables)
         if not offsets:  # no y of any residue gives a square
             continue
-        filters = _filters(D, lam, n, M, span * len(offsets) // M, tables)
         for y in _wheel_ys(ys, M, offsets):
             for q, keep in filters:
                 if not keep[y % q]:

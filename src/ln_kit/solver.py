@@ -94,8 +94,9 @@ class ProofStep(tuple):
 
     step[1] holds the inputs as a tuple in the order of the op's names
     (STEPS); a mapping with exactly those names becomes that tuple, and any
-    other inputs are kept as given, for replay to name.  step.inputs, and
-    unpacking a step, read them as a read-only mapping under the names.
+    other inputs are kept as given, for replay to name.  step.inputs reads
+    them as a read-only mapping under the names; unpacking a step gives its
+    three fields as stored, as for any tuple.
     value is the procedure's own return value when the step was recorded,
     and the JSON result when the trace was rebuilt from its JSON form;
     json_safe turns either into the JSON result.  A step is read-only, as
@@ -107,6 +108,7 @@ class ProofStep(tuple):
     __slots__ = ()
     __match_args__ = ("op", "inputs", "value")
     __hash__ = None
+    __getnewargs__ = Frozen.__getnewargs__  # copy and pickle through __new__
     op = property(operator.itemgetter(0))
     value = property(operator.itemgetter(2))
 
@@ -116,11 +118,6 @@ class ProofStep(tuple):
             inputs = tuple(map(inputs.__getitem__, names))
         return tuple.__new__(cls, (op, inputs, value))
 
-    def __iter__(self) -> Iterator[object]:
-        # unpacking reads the inputs as step.inputs does, as tests that edit a
-        # step's inputs by {**inputs} expect; step[:] is the stored fields
-        return iter((self[0], self.inputs, self[2]))
-
     def __repr__(self) -> str:
         op, inputs, value = self[0], _shown(self.inputs), self[2]
         return f"ProofStep(op={op!r}, inputs={inputs}, value={value!r})"
@@ -129,7 +126,7 @@ class ProofStep(tuple):
     def inputs(self) -> object:
         """The inputs under the op's names when they are a tuple of as many
         values as it has, read-only as a dict is; others as they are."""
-        op, inputs = self[:2]
+        op, inputs, _ = self
         names = NAMES.get(op) if type(op) is str else None
         if type(inputs) is tuple and names is not None and len(names) == len(inputs):
             inputs = dict(zip(names, inputs))
@@ -219,7 +216,7 @@ class ProofTrace:
         below 2^53, which json_safe keeps as they are, skip it."""
         results: dict[int, object] = {}
         for step in self.steps:
-            op, inputs, value = step[:]  # step[1] is the tuple, not the mapping
+            op, inputs, value = step
             try:
                 names = NAMES[op]
                 small = type(inputs) is tuple and len(inputs) == len(names)
@@ -262,8 +259,8 @@ def _differences(mine: list[ProofStep], theirs: list, whole: bool) -> list[str]:
     encoded: dict[int, object] = {}  # id(value) -> its JSON form; mine holds value
     # the indices where the two hold different objects, found at C speed
     for i in compress(count(), map(operator.is_not, mine, theirs)):
-        op, inputs, value = mine[i][:]  # the stored fields, the inputs a tuple
-        recorded_op, recorded, recorded_value = theirs[i][:]
+        op, inputs, value = mine[i]
+        recorded_op, recorded, recorded_value = theirs[i]
         if recorded_op != op or not (
             recorded == inputs and ints.issuperset(map(type, recorded))
             or _same_inputs(recorded, inputs)

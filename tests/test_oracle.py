@@ -12,10 +12,8 @@ from ln_kit.oracle import (
     WALK_PER_Y,
     SearchWindow,
     _divisor_window,
-    _filters,
     _size,
     _wheel,
-    _y_step,
     _y_window,
     brute_force,
     generalized_scan,
@@ -237,7 +235,7 @@ def test_divisor_walk_matches_naive_scan(monkeypatch):
                 # one walk decision for the window, against every even n
                 ds = _divisor_window(D, x_max)
                 limit = x_max * x_max + D
-                even = sum(_size(_y_window(D, lam, n, limit)) for n in (2, 4, 6, 8))
+                even = sum(_size(_y_window(D, lam, n, limit, {})) for n in (2, 4, 6, 8))
                 paths.add(_size(ds) < WALK_PER_Y * even)
     assert paths == {True, False}
     # both the factored walk and the fallback over every d ran
@@ -289,7 +287,7 @@ def test_walk_runs_where_it_costs_less_but_has_more_candidates(
     # at n = 2 the walk has more candidates than the y-scan, but fewer than
     # WALK_PER_Y times as many, so the cost rule picks it
     ds = _divisor_window(D, x_max)
-    ys = _y_window(D, lam, 2, x_max * x_max + D)
+    ys = _y_window(D, lam, 2, x_max * x_max + D, {})
     assert _size(ys) <= _size(ds) < WALK_PER_Y * _size(ys)
     walks = spy_square_pairs(monkeypatch)
     got = generalized_scan(D, lam, 2, 9, x_max)
@@ -304,7 +302,7 @@ def test_one_walk_serves_every_even_n_and_is_charged_once(monkeypatch):
     D, lam, x_max = 7, 1, 10**6
     limit = x_max * x_max + D
     assert _size(_divisor_window(D, x_max)) == 1
-    odd = sum(max(1, _size(_y_window(D, lam, n, limit))) for n in range(3, 31, 2))
+    odd = sum(max(1, _size(_y_window(D, lam, n, limit, {}))) for n in range(3, 31, 2))
     walks = spy_square_pairs(monkeypatch)
     monkeypatch.setattr(oracle, "SCAN_BUDGET", odd + 1)
     assert generalized_scan(D, lam, 2, 30, x_max) == naive_scan(D, lam, 2, 30, x_max)
@@ -341,18 +339,19 @@ def test_scan_budget_refuses_before_scanning():
 def test_scan_skips_even_y_only_where_no_square_is_possible():
     # the main equation (D = 19^(2k+1) = 3 mod 8, lam = 4) scans odd y only
     for k in range(4):
-        assert {_y_step(LNInstance(k).D, 4, n) for n in range(2, 31)} == {2}
+        D = LNInstance(k).D
+        assert {_y_window(D, 4, n, 5 * D, {}).step for n in range(2, 31)} == {2}
     # D = 7, lam = 1 keeps every y: 1^2 + 7 = 2^3 has y even
-    assert {_y_step(7, 1, n) for n in range(2, 16)} == {1}
+    assert {_y_window(7, 1, n, 10**4, {}).step for n in range(2, 16)} == {1}
     assert (1, 2, 3) in generalized_scan(7, 1, 3, 3, 10)
     # the wheel, whatever its modulus, keeps no even y of the main equation,
     # and keeps y = 2 for D = 7, lam = 1, n = 3
     for span in (8, 100, 10**4, 10**6):
         for k in range(4):
             for n in range(2, 31):
-                _, offsets = _wheel(LNInstance(k).D, 4, n, span)
+                _, offsets, _ = _wheel(LNInstance(k).D, 4, n, span, {})
                 assert all(r % 2 for r in offsets), (k, n, span)
-        M, offsets = _wheel(7, 1, 3, span)
+        M, offsets, _ = _wheel(7, 1, 3, span, {})
         assert 2 % M in offsets
 
 
@@ -372,10 +371,18 @@ def test_scan_skips_even_y_only_where_no_square_is_possible():
 def test_wheel_keeps_exactly_the_residues_where_a_square_is_possible(D, lam, n, span):
     # M = 8 * (primes), pairwise coprime, so a value is a square mod M iff it
     # is one mod each factor: the wheel is the square test mod M itself
-    M, offsets = _wheel(D, lam, n, span)
+    M, offsets, filters = _wheel(D, lam, n, span, {})
     assert M % 8 == 0 and 2_042_040 % M == 0 and M <= max(8, span)
     squares = {i * i % M for i in range(M)}
     assert offsets == [r for r in range(M) if (lam * pow(r, n, M) - D) % M in squares]
+    # one walk: the wheel's primes, then the filters', are the first primes
+    # in order whose table rules out a residue
+    walked = [q for q in oracle.WHEEL_PRIMES if M % q == 0] + [q for q, _ in filters]
+    ruling_out = [
+        q for q in oracle.WHEEL_PRIMES + oracle.FILTER_PRIMES
+        if not all(oracle._kept(D, lam, n, q))
+    ]
+    assert walked == ruling_out[: len(walked)]
 
 
 def test_wheel_scan_matches_naive_scan():
@@ -387,9 +394,9 @@ def test_wheel_scan_matches_naive_scan():
             for x_max in (1, 4, 300, 3000):
                 got = generalized_scan(D, lam, 2, 12, x_max)
                 assert got == naive_scan(D, lam, 2, 12, x_max), (D, lam, x_max)
-                ys = _y_window(D, lam, 3, x_max * x_max + D)
+                ys = _y_window(D, lam, 3, x_max * x_max + D, {})
                 span = ys.stop - ys.start
-                short += 0 < span < _wheel(D, lam, 3, span)[0]
+                short += 0 < span < _wheel(D, lam, 3, span, {})[0]
     assert short > 0
 
 
@@ -407,7 +414,7 @@ def test_a_planted_wrong_residue_table_misses_its_triple(q, monkeypatch):
         return table
 
     monkeypatch.setattr(oracle, "_kept", planted)
-    assert _wheel(2, 1, 3, 10**4)[0] % q == 0
+    assert _wheel(2, 1, 3, 10**4, {})[0] % q == 0
     assert generalized_scan(2, 1, 3, 3, 10**4) == []
 
 
@@ -439,14 +446,14 @@ def test_exact_tests_never_exceed_the_priced_count(monkeypatch):
 def spy_filters(monkeypatch):
     """Record the primes of the filter tables each y-scanned n builds."""
     built = []
-    filters = oracle._filters
+    wheel = oracle._wheel
 
     def spy(*args):
-        tables = filters(*args)
-        built.append([q for q, _ in tables])
-        return tables
+        M, offsets, filters = wheel(*args)
+        built.append([q for q, _ in filters])
+        return M, offsets, filters
 
-    monkeypatch.setattr(oracle, "_filters", spy)
+    monkeypatch.setattr(oracle, "_wheel", spy)
     return built
 
 
@@ -493,6 +500,7 @@ def test_filtered_scan_matches_naive_scan(D, lam, n_min, n_max, x_max, monkeypat
 def test_the_filters_cut_the_exact_tests_of_verify_k5(monkeypatch):
     # verify --k 5's default window: the wheel alone passes 799 y to the
     # exact test (770 of them at n = 3), the wheel and its filters 45
+    wheel = oracle._wheel
     tested = count_exact_tests(monkeypatch)
     built = spy_filters(monkeypatch)
     assert brute_force(SearchWindow(k=5)) == []
@@ -500,7 +508,7 @@ def test_the_filters_cut_the_exact_tests_of_verify_k5(monkeypatch):
     # n = 3: 13 and 17, which the wheel of M = 1,320 leaves out, then 19, 23
     assert built[0] == [13, 17, 19, 23]
     tested[0] = 0
-    monkeypatch.setattr(oracle, "_filters", lambda *args: [])
+    monkeypatch.setattr(oracle, "_wheel", lambda *args: wheel(*args)[:2] + ([],))
     assert brute_force(SearchWindow(k=5)) == []
     assert tested == [799]
 
@@ -508,14 +516,25 @@ def test_the_filters_cut_the_exact_tests_of_verify_k5(monkeypatch):
 def test_a_filter_table_costs_less_than_the_tests_it_saves():
     # a table of q residues is built only while 2*q is at most the y
     # expected to reach it, and one that keeps every residue is left out
+    # verify --k 5, n = 3: its span of 7,060 gives M = 1,320 and reach 770,
+    # and the filters 13 and 17, which the wheel leaves out, then 19 and 23
     D, lam, n = LNInstance(5).D, 4, 3
-    assert _filters(D, lam, n, 1320, 770) == [
-        (q, oracle._kept(D, lam, n, q)) for q in (13, 17, 19, 23)
-    ]
-    assert _filters(D, lam, n, 1320, 25) == []
-    assert [q for q, _ in _filters(D, lam, n, 8, 10**9)] == [
+    M, offsets, filters = _wheel(D, lam, n, 7060, {})
+    assert (M, 7060 * len(offsets) // M) == (1320, 770)
+    assert filters == [(q, oracle._kept(D, lam, n, q)) for q in (13, 17, 19, 23)]
+    # a reach below 2*q builds no table of q: at span 11 the reach is 5, so
+    # 3 is no filter; at span 237 (M = 120, reach 47) 11 leaves a reach of
+    # 25, below 26, so 13's table is not built
+    assert _wheel(D, lam, n, 11, {})[2] == []
+    tables = {}
+    assert [q for q, _ in _wheel(D, lam, n, 237, tables)[2]] == [11]
+    assert max(q for q, *_ in tables) == 11
+    # a huge reach: every prime whose table rules out a residue and that M
+    # leaves out is a filter
+    M, _, filters = _wheel(D, lam, n, 10**12, {})
+    assert [q for q, _ in filters] == [
         q for q in oracle.WHEEL_PRIMES + oracle.FILTER_PRIMES
-        if not all(oracle._kept(D, lam, n, q))
+        if M % q and not all(oracle._kept(D, lam, n, q))
     ]
 
 
@@ -536,7 +555,7 @@ def test_a_planted_wrong_filter_table_misses_its_triple(q, monkeypatch):
         return table
 
     monkeypatch.setattr(oracle, "_kept", planted)
-    assert _wheel(D, 1, 3, 2 * 10**4)[0] % q != 0
+    assert _wheel(D, 1, 3, 2 * 10**4, {})[0] % q != 0
     assert generalized_scan(D, 1, 3, 3, x_max) == [t for t in found if t != triple]
 
 
@@ -551,7 +570,7 @@ def test_an_n_whose_wheel_keeps_nothing_is_skipped(monkeypatch):
         return wheel_ys(ys, M, offsets)
 
     monkeypatch.setattr(oracle, "_wheel_ys", spy)
-    assert _wheel(1, 3, 2, 10**8)[1] == []
+    assert _wheel(1, 3, 2, 10**8, {})[1] == []
     assert generalized_scan(1, 3, 2, 2, 3 * 10**8) == []
     assert walked == []
     # the price is that of the whole window still: over the budget, refused

@@ -32,7 +32,7 @@ def test_a_refusal_mid_proof_is_one_entry(monkeypatch):
 
 def test_a_step_tampered_before_the_refusal_is_named_first(monkeypatch):
     trace = recorded()
-    op, inputs, value = trace.steps[0]
+    (op, _, value), inputs = trace.steps[0], trace.steps[0].inputs
     for tampered_step, expected in (
         (ProofStep(op, {**inputs, "z_max": 10**4}, value), "solve passes"),
         (ProofStep(op, dict(inputs), ("edited",)), "value differs"),

@@ -10,7 +10,7 @@ import ast
 import inspect
 from pathlib import Path
 
-from ln_kit.solver import STEPS
+from ln_kit.solver import NAMES, STEPS, solve
 
 SOLVER = Path(__file__).resolve().parents[1] / "src" / "ln_kit" / "solver.py"
 
@@ -78,3 +78,14 @@ def test_the_width_of_a_repeat_is_read_from_its_rows():
     assigned = {"rows": ast.parse("zip(repeat(kk), range(kk), repeat(p))").body[0].value}
     assert width(ast.Name("rows"), assigned) == 3
     assert width(ast.parse("[(k, t) for t in ts]").body[0].value, {}) == 2
+
+
+def test_unpacking_a_step_gives_its_stored_fields():
+    # the inputs come back as the tuple the step holds, in the order of its
+    # op's names; step.inputs reads the same values under those names
+    _, trace = solve(7)
+    for step in trace.steps:
+        assert tuple(step) == step[:]
+        op, inputs, value = step
+        assert type(inputs) is tuple and inputs is step[1] and value is step.value
+        assert dict(zip(NAMES[op], inputs)) == step.inputs

@@ -23,7 +23,7 @@ from ln_kit.equation_model import LNInstance, Solution
 from ln_kit.lucas_engine import Frozen, LucasPair, PrimitiveDivisorVerdict
 from ln_kit.oracle import SearchWindow
 from ln_kit.quadratic_integers import QuadInt19
-from ln_kit.solver import ProofStep, ProofTrace
+from ln_kit.solver import ProofStep, ProofTrace, solve
 
 # (a maker of one instance, its fields, its repr); each call makes a new
 # object, with new containers, equal to the last
@@ -146,6 +146,23 @@ def test_a_verdict_holding_a_mapping_proxy_refuses_deep_copies():
         copy.deepcopy(verdict)
     with pytest.raises(TypeError):
         pickle.dumps(verdict)
+
+
+def test_proof_steps_copy_and_pickle_through_their_fields():
+    # a step copies through ProofStep's own __new__, given its three fields
+    _, trace = solve(7)
+    copied = [copy.copy(step) for step in trace.steps]
+    for step, other in zip(trace.steps, copied):
+        assert type(other) is ProofStep and other == step and other is not step
+    assert ProofTrace(7, trace.n_max, copied, trace.solutions, trace.oracle_x_max).replay() == []
+    (step, *_) = trace.find("bhv_gate")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        other = pickle.loads(pickle.dumps(step, protocol))
+        assert type(other) is ProofStep and other == step
+    # a value holding a read-only mapping refuses a deep copy, as a verdict does
+    step = next(s for s in trace.steps if type(s.value) is MappingProxyType)
+    with pytest.raises(TypeError):
+        copy.deepcopy(step)
 
 
 def test_proof_traces_are_mutable_and_unhashable():
