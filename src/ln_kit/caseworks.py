@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable
 from types import MappingProxyType
 
-from .equation_model import Solution, check_D_digits, json_safe
+from .equation_model import LNInstance, Solution, check_D_digits, json_safe
 from .lucas_engine import Frozen, is_probable_prime, shared
 from .oracle import check_budget, generalized_scan, iroot, perfect_root
 
@@ -87,7 +87,7 @@ def even_case(k: int, m: int) -> CaseVerdict:
 def _even_split(k: int) -> tuple[int, int, MappingProxyType, MappingProxyType]:
     """even_case's x and y^m for k, with its read-only coprime_factor_split
     and mod3 entries: alike for every m, so built once per k."""
-    D = 19 ** (2 * k + 1)
+    D = LNInstance(k).D
     x, ym = (D - 1) // 2, (D + 1) // 4
     split = {
         "check": "coprime_factor_split",

@@ -133,12 +133,9 @@ def iroot(v: int, m: int) -> int:
         while (r + 1) ** m <= v:
             r += 1
         return r
-    # Newton starts next to the root, to take few steps: past a double's 53
-    # bits at the exact root of v's top half, shifted back; else at a float
-    if bits > 52:
-        r = iroot(v >> m * (bits // 2), m) << bits // 2
-    else:
-        r = int(2 ** (math.log2(v) / m)) + 1
+    # Newton starts next to the root, to take few steps: at the exact root of
+    # v's top half, shifted back
+    r = iroot(v >> m * (bits // 2), m) << bits // 2
     # one Newton step from any r > 0 lands at or above the floor root (the
     # arithmetic mean of the m factors bounds their geometric mean); from
     # there each step falls strictly until it reaches it, and stops falling

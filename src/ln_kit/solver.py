@@ -3,15 +3,16 @@ casework and the Lucas gate, scale solutions back through the 19-adic
 reduction, and cross-check the result against the brute-force oracle.
 
 Every step runs through ProofTrace.step and the table ``STEPS`` at the end
-of this module, one row per op: its input names and its procedure.  A step
-records the op, the tuple of its inputs and the returned value as a
-read-only ProofStep; the JSON form, the inputs under their names, waits for
-serialization, which builds one result per distinct value object.  The
-sieve rows of one instance and odd prime p share one mod19_forces_p call:
-its verdict reads p alone, so ProofTrace.repeat appends the later rows
-with it, as step would.  Replay runs solve again on the trace's header,
-then compares the steps it took with the trace's (_differences), so
-procedures only see the inputs solve computes, never recorded ones.
+of this module, which maps each op to its procedure; the procedure's
+parameters are the op's input names (NAMES).  A step records the op, the
+tuple of its inputs and the returned value as a read-only ProofStep; the
+JSON form, the inputs under their names, waits for serialization, which
+builds one result per distinct value object.  The sieve rows of one
+instance and odd prime p share one mod19_forces_p call: its verdict reads
+p alone, so ProofTrace.repeat appends the later rows with it, as step
+would.  Replay runs solve again on the trace's header, then compares the
+steps it took with the trace's (_differences), so procedures only see the
+inputs solve computes, never recorded ones.
 
 solve(k) is built from instance proofs: each instance kk <= k, its even
 cases then its odd primes, is decided once per process as one block of
@@ -93,7 +94,7 @@ class ProofStep(tuple):
     """One step: the op, its inputs and the value its procedure returned.
 
     step[1] holds the inputs as a tuple in the order of the op's names
-    (STEPS); a mapping with exactly those names becomes that tuple, and any
+    (NAMES); a mapping with exactly those names becomes that tuple, and any
     other inputs are kept as given, for replay to name.  step.inputs reads
     them as a read-only mapping under the names; unpacking a step gives its
     three fields as stored, as for any tuple.
@@ -106,7 +107,6 @@ class ProofStep(tuple):
     """
 
     __slots__ = ()
-    __match_args__ = ("op", "inputs", "value")
     __hash__ = None
     __getnewargs__ = Frozen.__getnewargs__  # copy and pickle through __new__
     op = property(operator.itemgetter(0))
@@ -169,9 +169,9 @@ class ProofTrace:
         return self.oracle_x_max is not None
 
     def step(self, op: str, *inputs: int) -> object:
-        """Run op's procedure (STEPS) on the inputs, in the order of its names,
+        """Run op's procedure (STEPS) on the inputs, in its parameters' order,
         record their tuple and the value it returns as it is, and return it."""
-        value = STEPS[op][1](*inputs)
+        value = STEPS[op](*inputs)
         # ProofStep(op, inputs, value), without its __new__'s Python call
         self.steps.append(tuple.__new__(ProofStep, (op, inputs, value)))
         return value
@@ -249,9 +249,10 @@ def _differences(mine: list[ProofStep], theirs: list, whole: bool) -> list[str]:
     is solve's very step object (from an instance block) passes at once:
     steps are read-only, so it holds what solve records there.  Any other
     must have solve's op and inputs (an equal tuple of ints, one C compare,
-    or see _same_inputs), and the value of solve's procedure on them: the
-    same object (a shared verdict, no __eq__ call), an equal one, or one
-    whose JSON form, built once per object, is equal.  Each step of solve's
+    or the writer's JSON form of them), and the value of solve's procedure
+    on them: the same object (a shared verdict, no __eq__ call), an equal
+    one of the same type, or the writer's JSON form of it, built once per
+    object and matched type for type (_same_form).  Each step of solve's
     past the trace's end is missing from it; when solve's proof is whole, a
     longer trace's next step is named too."""
     bad: list[str] = []
@@ -263,16 +264,18 @@ def _differences(mine: list[ProofStep], theirs: list, whole: bool) -> list[str]:
         recorded_op, recorded, recorded_value = theirs[i]
         if recorded_op != op or not (
             recorded == inputs and ints.issuperset(map(type, recorded))
-            or _same_inputs(recorded, inputs)
+            or type(recorded) is tuple and _same_form(json_safe(inputs), [*recorded])
         ):
             bad.append(
                 f"step {i} {op}: solve passes {_shown(mine[i].inputs)}, the "
                 f"trace records {_shown(recorded_op)} {_shown(theirs[i].inputs)}"
             )
-        elif value is not recorded_value and value != recorded_value:
+        elif value is not recorded_value and not (
+            type(value) is type(recorded_value) and value == recorded_value
+        ):
             if id(value) not in encoded:
                 encoded[id(value)] = json_safe(value)
-            if encoded[id(value)] != recorded_value:
+            if not _same_form(encoded[id(value)], recorded_value):
                 bad.append(f"step {i} {op}: value differs")
     for i in range(len(theirs), len(mine)):
         bad.append(f"step {i} {mine[i].op}: missing from the trace")
@@ -298,13 +301,20 @@ def _shown(recorded: object) -> str:
         return f"<{type(recorded).__name__} holding an int too long to write>"
 
 
-def _same_inputs(recorded: object, inputs: tuple[int, ...]) -> bool:
-    """Whether recorded is a tuple holding, for each of solve's inputs, its
-    int (not a bool) or its exact decimal string, JSON's form of a large int."""
-    return type(recorded) is tuple and len(recorded) == len(inputs) and all(
-        r == v if type(r) is int else type(r) is str and r == str(v)
-        for r, v in zip(recorded, inputs)
-    )
+def _same_form(form: object, recorded: object) -> bool:
+    """Whether recorded is form, a JSON form json_safe built, type for type,
+    as reading the writer's JSON back gives it: true, 1, 1.0 and "1" all
+    differ, and so do a dict and a MappingProxyType."""
+    if type(recorded) is not type(form):
+        return False
+    if type(form) is list:
+        return len(recorded) == len(form) and all(map(_same_form, form, recorded))
+    if type(form) is dict:
+        values = map(recorded.__getitem__, form)
+        return recorded.keys() == form.keys() and all(
+            map(_same_form, form.values(), values)
+        )
+    return recorded == form
 
 
 @shared
@@ -608,46 +618,37 @@ def verify_solution_completeness(
     return ok, json_safe(report)
 
 
-# op name -> (its input names, in the order a step records them, and its
-# procedure of them, by position).  Each procedure looks its function up when
-# called, so a name rebound on its module (a test double, a profiler) is what
-# runs.  Replay checks the inputs a procedure does not read like the rest.
-STEPS: dict[str, tuple[tuple[str, ...], Callable[..., object]]] = {
-    "no_19z2_solutions": (
-        ("n_max", "z_max"), lambda n_max, z: caseworks.no_19z2_solutions(n_max, z)
+# op name -> its procedure, whose parameters are the op's input names in the
+# order a step records them (NAMES), so each name is written once.  Each
+# procedure looks its function up when called, so a name rebound on its
+# module (a test double, a profiler) is what runs.  Replay checks the inputs
+# a procedure does not read like the rest.
+STEPS: dict[str, Callable[..., object]] = {
+    "no_19z2_solutions": lambda n_max, z_max: caseworks.no_19z2_solutions(n_max, z_max),
+    "even_case": lambda k, m: caseworks.even_case(k, m),
+    "mod19_forces_p": lambda k, t, p: caseworks.mod19_forces_p(p),
+    "mod19_forces_kt": lambda k, t: caseworks.mod19_forces_kt(k, t),
+    "mod_pow2_insoluble": lambda p, t: caseworks.mod_pow2_insoluble(p, t),
+    "bhv_gate": lambda P, Q, p: bhv_gate(p),
+    "always_primitive_closure": lambda p: always_primitive_closure(p),
+    "p3_case": lambda k, search_bound: caseworks.p3_case(k, search_bound),
+    "primitive_divisor": lambda P, Q, n, factoring_budget: primitive_divisor(
+        LucasPair(P, Q), n, factoring_budget
     ),
-    "even_case": (("k", "m"), lambda k, m: caseworks.even_case(k, m)),
-    "mod19_forces_p": (("k", "t", "p"), lambda k, t, p: caseworks.mod19_forces_p(p)),
-    "mod19_forces_kt": (("k", "t"), lambda k, t: caseworks.mod19_forces_kt(k, t)),
-    "mod_pow2_insoluble": (("p", "t"), lambda p, t: caseworks.mod_pow2_insoluble(p, t)),
-    "bhv_gate": (("P", "Q", "p"), lambda P, Q, p: bhv_gate(p)),
-    "always_primitive_closure": (("p",), lambda p: always_primitive_closure(p)),
-    "p3_case": (("k", "search_bound"), lambda k, bound: caseworks.p3_case(k, bound)),
-    "primitive_divisor": (
-        ("P", "Q", "n", "factoring_budget"),
-        lambda P, Q, n, budget: primitive_divisor(LucasPair(P, Q), n, budget),
+    "defect_table": lambda p, k: defect_table_route(p, k),
+    "lucas_u": lambda P, Q, n: MappingProxyType({"value": lucas_u(LucasPair(P, Q), n)}),
+    "defective_pair_expansion": lambda k, p: defective_pair_expansion(k, p),
+    "composite_lift": lambda y, j, n: MappingProxyType({"root": perfect_root(y, j)}),
+    "valuation_trichotomy": lambda k, s, t, X, Y, n: caseworks.valuation_trichotomy(
+        k, s, t, X, Y, n
     ),
-    "defect_table": (("p", "k"), lambda p, k: defect_table_route(p, k)),
-    "lucas_u": (
-        ("P", "Q", "n"),
-        lambda P, Q, n: MappingProxyType({"value": lucas_u(LucasPair(P, Q), n)}),
-    ),
-    "defective_pair_expansion": (
-        ("k", "p"), lambda k, p: defective_pair_expansion(k, p)
-    ),
-    "composite_lift": (
-        ("y", "j", "n"), lambda y, j, n: MappingProxyType({"root": perfect_root(y, j)})
-    ),
-    "valuation_trichotomy": (
-        ("k", "s", "t", "X", "Y", "n"),
-        lambda k, s, t, X, Y, n: caseworks.valuation_trichotomy(k, s, t, X, Y, n),
-    ),
-    "oracle_cross_check": (
-        ("k", "n_min", "n_max", "x_max"),
-        lambda k, n_min, n_max, x_max: MappingProxyType(
-            {"solutions": tuple(brute_force(SearchWindow(k, n_min, n_max, x_max)))}
-        ),
+    "oracle_cross_check": lambda k, n_min, n_max, x_max: MappingProxyType(
+        {"solutions": tuple(brute_force(SearchWindow(k, n_min, n_max, x_max)))}
     ),
 }
-# op name -> its input names, in order, as keys that a mapping's keys equal
-NAMES = {op: dict.fromkeys(names).keys() for op, (names, _) in STEPS.items()}
+# op name -> its input names, its procedure's parameters in order, as keys
+# that a mapping's keys equal
+NAMES = {
+    op: dict.fromkeys(f.__code__.co_varnames[: f.__code__.co_argcount]).keys()
+    for op, f in STEPS.items()
+}

@@ -105,10 +105,16 @@ def iroot_by_bisection(v, m):
             st.integers(2, 64),
         ),
         # r^m - 1, r^m and r^m + 1 about the 48-bit roots that still take
-        # exact steps of 1, and about a double's 53 bits
+        # exact steps of 1, the roots up to 52 bits, whose Newton starts at
+        # the root of v's top half as a longer root's does, and a double's
+        # 53 bits
         st.builds(
             lambda r, m, d: (r**m + d, m),
-            st.one_of(st.integers(2**47, 2**49), st.integers(2**52, 2**53)),
+            st.one_of(
+                st.integers(2**47, 2**49),
+                st.integers(2**49, 2**52),
+                st.integers(2**52, 2**53),
+            ),
             st.integers(2, 64),
             st.sampled_from((-1, 0, 1)),
         ),

@@ -626,7 +626,8 @@ def test_replay_names_steps_tampered_to_a_negative_factoring_budget():
 
 def test_replay_names_steps_whose_inputs_are_not_integers():
     # int() would read t = 0.9, p = 3.4 as the step's own t = 0, p = 3 and
-    # m = True as m = 1; only an int or its exact decimal string is an input
+    # m = True as m = 1; only the writer's form of an int is an input: the
+    # int itself, or its exact decimal string from 2^53 on
     _, trace = solve(1, n_max=7, cross_check=False)
     assert trace.find("mod19_forces_p")[0].inputs == {"k": 1, "t": 0, "p": 3}
     assert trace.find("even_case")[0].inputs == {"k": 0, "m": 1}
@@ -643,8 +644,9 @@ def test_replay_names_steps_whose_inputs_are_not_integers():
         for replayed in (tampered, rebuilt_from_json(tampered)):
             (bad,) = replayed.replay()
             assert bad.startswith(f"step {i} even_case: solve passes"), m
-    # the decimal string the writer emits for a large int replays
-    assert with_inputs(trace, "even_case", m="1").replay() == []
+    # the writer emits a decimal string only for an int of 2^53 or more
+    (bad,) = with_inputs(trace, "even_case", m="1").replay()
+    assert bad.startswith(f"step {i} even_case: solve passes")
 
 
 def test_replay_names_a_step_whose_input_is_too_long_to_write():
@@ -685,6 +687,33 @@ def test_json_replay_encodes_each_shared_verdict_once(monkeypatch):
     assert [sum(v is value for v in encoded) for value in shared.values()] == [1] * len(
         shared
     )
+
+
+@pytest.mark.parametrize(
+    "op, path, value",
+    [
+        ("lucas_u", ("value",), True),
+        ("lucas_u", ("value",), 1.0),
+        ("primitive_divisor", ("n",), 5.0),
+        ("primitive_divisor", ("exists",), 1),
+        ("defective_pair_expansion", ("trace", 0, "a"), True),
+    ],
+    ids=["value-true", "value-float", "n-float", "exists-int", "qpow-a-true"],
+)
+def test_json_replay_holds_each_value_to_the_writers_types(op, path, value):
+    # each rewrite equals what the writer emits (True == 1 == 1.0), as a
+    # MappingProxyType or a verdict may equal a JSON dict, yet none is it
+    _, trace = solve(3)
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    assert ProofTrace.from_jsonable(data).replay() == []
+    i = [s["op"] for s in data["steps"]].index(op)
+    *keys, last = path
+    held = data["steps"][i]["result"]
+    for key in keys:
+        held = held[key]
+    assert held[last] == value and type(held[last]) is not type(value)
+    held[last] = value
+    assert ProofTrace.from_jsonable(data).replay() == [f"step {i} {op}: value differs"]
 
 
 def test_json_replay_names_only_the_step_whose_shared_verdict_was_tampered():

@@ -1,10 +1,11 @@
-"""Each row of the step table STEPS declares its op's input names once, and
-the rest of solver.py agrees with it: the names are distinct, there are as
-many as the row's procedure takes by position, and every ProofTrace.step
-and repeat call in solver.py passes that many values.  A row that drifts
-from its procedure or its call sites fails here, not as mislabelled keys in
-a trace's JSON form.  STEPS stays an annotated assignment, which
-test_unused_definitions reads its keys from."""
+"""Each op's input names are written once, as the parameters of its
+procedure in the step table STEPS, and the rest of solver.py agrees with
+them: every procedure takes only plain positional parameters, so NAMES
+reads them all, and every ProofTrace.step and repeat call in solver.py
+passes that many values.  The names are the keys of a step's JSON inputs,
+so they are pinned here too: renaming a parameter fails here, not as a
+renamed key in every trace's JSON form.  STEPS stays an annotated
+assignment, which test_unused_definitions reads its keys from."""
 
 import ast
 import inspect
@@ -15,12 +16,39 @@ from ln_kit.solver import NAMES, STEPS, solve
 SOLVER = Path(__file__).resolve().parents[1] / "src" / "ln_kit" / "solver.py"
 
 
+# each op's input names, in the order its steps record them
+PINNED_NAMES = {
+    "no_19z2_solutions": ("n_max", "z_max"),
+    "even_case": ("k", "m"),
+    "mod19_forces_p": ("k", "t", "p"),
+    "mod19_forces_kt": ("k", "t"),
+    "mod_pow2_insoluble": ("p", "t"),
+    "bhv_gate": ("P", "Q", "p"),
+    "always_primitive_closure": ("p",),
+    "p3_case": ("k", "search_bound"),
+    "primitive_divisor": ("P", "Q", "n", "factoring_budget"),
+    "defect_table": ("p", "k"),
+    "lucas_u": ("P", "Q", "n"),
+    "defective_pair_expansion": ("k", "p"),
+    "composite_lift": ("y", "j", "n"),
+    "valuation_trichotomy": ("k", "s", "t", "X", "Y", "n"),
+    "oracle_cross_check": ("k", "n_min", "n_max", "x_max"),
+}
+
+
 def test_each_rows_names_are_its_procedures_parameters():
-    for op, (names, procedure) in STEPS.items():
-        assert len(set(names)) == len(names), op
-        kinds = {p.kind for p in inspect.signature(procedure).parameters.values()}
+    # no *args, **kwargs, defaults or keyword-only parameters: NAMES reads a
+    # procedure's positional parameters, so they must be all it takes
+    for op, procedure in STEPS.items():
+        parameters = inspect.signature(procedure).parameters.values()
+        kinds = {p.kind for p in parameters}
         assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, op
-        assert procedure.__code__.co_argcount == len(names), op
+        assert all(p.default is inspect.Parameter.empty for p in parameters), op
+        assert tuple(NAMES[op]) == tuple(p.name for p in parameters), op
+
+
+def test_each_ops_input_names_are_pinned():
+    assert {op: tuple(names) for op, names in NAMES.items()} == PINNED_NAMES
 
 
 def width(rows, assigned):
@@ -71,7 +99,7 @@ def test_every_call_site_passes_as_many_values_as_its_row_names():
     assert {op for op, _, _ in sites} == set(STEPS)
     assert len(sites) == len(STEPS) + 2  # primitive_divisor twice, a repeat
     for op, passed, text in sites:
-        assert passed == len(STEPS[op][0]), text
+        assert passed == len(NAMES[op]), text
 
 
 def test_the_width_of_a_repeat_is_read_from_its_rows():
