@@ -6,17 +6,15 @@ costs less, known before either starts:
 
 - the y-scan covers the y with D < lambda*y^n <= x_max^2 + D, the window
   where x is positive and at most x_max, and runs the exact test only on the
-  y that a residue wheel and then a few residue filters keep.  For q = 8
-  and then a few small primes, the wheel keeps the residues y mod q at
-  which lambda*y^n - D can be a square mod q, combined into one modulus M
-  (Chinese remainder theorem), no larger than the window's length or the
-  product 2,042,040 of 8 and every prime of WHEEL_PRIMES.  Each y it keeps
-  is then looked up in the same table mod a few more primes, those the
-  wheel left out and then FILTER_PRIMES, as far as a table costs less than
-  the exact tests it saves.  An n whose wheel keeps no residue is skipped.
-  A table rests on D and lambda mod q and the class of n alone, so a scan
-  builds it once per class (_table).  The tables decide nothing: the exact
-  test decides every y they keep;
+  y that a residue sieve keeps (_sieved).  For q = 8 and then the primes
+  up to 47 (SIEVE_MODULI), a table keeps the residues y mod q at which
+  lambda*y^n - D can be a square mod q, as the bits of one int; the sieve
+  ANDs the tables' periodic patterns over the window, CHUNK y at a time,
+  as far as a table costs less than the exact tests it saves.  An n whose
+  table mod some q keeps no residue is skipped.  A table rests on D and
+  lambda mod q and the class of n alone, so a scan builds it once per
+  class (_table).  The tables decide nothing: the exact test decides every
+  y they keep;
 - the divisor walk, for even n = 2m and lambda = c^2, uses
   x^2 + D = z^2 with z = c*y^m: d = z - x is a divisor of D below sqrt(D),
   so the divisors of D in the window give every pair, and y is read off z.
@@ -35,13 +33,12 @@ in y-candidate units (WALK_PER_Y walk candidates make one), exceeds
 SCAN_BUDGET is refused by check_budget before any candidate is tried, and
 so is a k whose D = 19^(2k+1) costs more than that to build.  A
 y-scan is priced at its whole window, less the even y when the mod-8 table
-rules every even y out (_y_window), however few y its wheel and filters
-keep; that price also sets the walk-or-scan choice.
+rules every even y out (_y_window), however few y its sieve keeps; that
+price also sets the walk-or-scan choice.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Iterator
 
@@ -61,29 +58,25 @@ SCAN_BUDGET = 10**8
 # is set against summed over the even n it serves.  That timing is of the walk
 # that tries every d, which runs only where D does not factor within the cap;
 # 19^11 factors, and its walk tests only the divisors of D in the window (none
-# at x_max = 10^7).  It also predates the y-scan's residue wheel and
-# filters, which run the exact test on only the y they keep; neither the
-# wheel nor the filters are priced, so neither side is priced at what it
-# now runs (ROADMAP item 9).
+# at x_max = 10^7).  It also predates the y-scan's residue sieve, which
+# runs the exact test on only the y it keeps and is not priced, so neither
+# side is priced at what it now runs (ROADMAP item 9).
 WALK_PER_Y = 4
 
-# The primes a y-scan's residue wheel may combine after 8, in order; they
-# are its cap too, as 8 times all of them is M = 2,042,040.  The window's
-# length bounds M as well.  At k = 1, n = 3 and x_max = 10^12 the wheel of
-# M = 2,042,040 keeps 46,656 residues, built in about 15 ms against about
-# 1.5 s of exact tests (Python 3.11, 2-CPU host).
-WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
+# The moduli whose residue tables (_kept) a y-scan's sieve (_sieved) may
+# use, in order: 8, then the primes 3 to 47 (H. Cohen, GTM 138, 1993,
+# 1.7.2).  A table of q residues costs about q exact tests to build and
+# rules out about half of the y that reach it, so 8 is always used and each
+# prime only while 2*q is at most the y expected to reach its table.  At
+# k = 5, n = 3 and x_max = 10^7 the tables of 8, 3, 5, 11, 13, 17, 19 and 23
+# leave 25 of the 3,530 odd y; at k = 1, n = 3 and x_max = 10^12 all 15 leave
+# 7,351 of 31,498,020, sieved in about 0.1 s against about 5 ms of exact
+# tests (Python 3.11, 2-CPU host).
+SIEVE_MODULI = (8, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-# The primes whose residue tables (_kept) each y a y-scan's wheel keeps is
-# looked up in before its exact test, after those of WHEEL_PRIMES the wheel
-# leaves out (H. Cohen, GTM 138, 1993, 1.7.2).  A table of q residues costs
-# about q exact tests to build and rules out about half of the y that reach
-# it, so it is built only while 2*q is at most the y expected to reach it:
-# then it costs less than the exact tests it saves.  At k = 5, n = 3 and
-# x_max = 10^7 the tables of 13, 17, 19 and 23 leave 25 of the 770 y the
-# wheel keeps (Python 3.11, 2-CPU host: a table step or an exact test takes
-# about 0.24 us, a lookup about 0.025 us).
-FILTER_PRIMES = (19, 23, 29, 31, 37, 41, 43, 47)
+# The most y a y-scan's sieve ANDs in one int, so that a mask is at most
+# 8 KB (R. Crandall and C. Pomerance, Prime Numbers, 2005, 3.2).
+CHUNK = 2**16
 
 
 class SearchWindow(Frozen):
@@ -157,18 +150,19 @@ def perfect_root(v: int, m: int) -> int | None:
     return r if r**m == v else None
 
 
-def _kept(D: int, lam: int, n: int, q: int) -> list[bool]:
-    """For each r mod q, whether lam*r^n - D is a square mod q.
+def _kept(D: int, lam: int, n: int, q: int) -> int:
+    """The q-bit int whose bit r is set when lam*r^n - D is a square mod q.
 
     lam*y^n - D mod q depends on y mod q alone, so a y whose residue r is not
-    kept gives no square, and no x.  A fresh list on each call; a scan uses _table.
+    kept gives no square, and no x.  Built afresh on each call; a scan uses
+    _table.
     """
     squares = {i * i % q for i in range(q // 2 + 1)}  # i and q - i: one square
     lam, D = lam % q, D % q
-    return [(lam * pow(r, n, q) - D) % q in squares for r in range(q)]
+    return sum(1 << r for r in range(q) if (lam * pow(r, n, q) - D) % q in squares)
 
 
-def _table(D: int, lam: int, n: int, q: int, tables: dict) -> list[bool]:
+def _table(D: int, lam: int, n: int, q: int, tables: dict) -> int:
     """_kept(D, lam, n, q), built in tables (one scan's) once per class of n.
     For n >= 2, r^n mod q rests on n mod (q - 1) for an odd prime q, and for
     q = 8 on n odd and n = 2 (odd r^2 = 1, even r^3 = 0)."""
@@ -178,65 +172,53 @@ def _table(D: int, lam: int, n: int, q: int, tables: dict) -> list[bool]:
     return tables[key]
 
 
-def _wheel(
-    D: int, lam: int, n: int, span: int, tables: dict
-) -> tuple[int, list[int], list[tuple[int, list[bool]]]]:
-    """A modulus M, the ascending residues y mod M that may give a square,
-    and the (q, _kept table) filters each y they keep must pass before its
-    exact test.
+def _sieved(D: int, lam: int, n: int, ys: range, tables: dict) -> Iterator[int]:
+    """The y of [ys.start, ys.stop), ascending, whose residue mod each
+    modulus the sieve uses its table keeps; ys.step is not read, as the
+    mod-8 table drops the even y that a step of 2 skips.
 
-    One walk over WHEEL_PRIMES, then FILTER_PRIMES, reads each prime's table
-    and passes over one that keeps every residue.  A prime of WHEEL_PRIMES
-    joins the wheel while M*q stays within span, the window's length: M is
-    8 times the primes that joined, and a residue is kept when each factor
-    keeps it (Chinese remainder theorem).  Adding q costs about M*q steps,
-    each cheaper than an exact test, so M*q <= span keeps the build below
-    the tests it saves.  From the first prime that does not join, each
-    becomes a filter while 2*q is at most reach, the y expected to reach its
-    table (at first the wheel's).  8 is always a factor, so no y that
-    _y_window's step skips is kept.
+    The sieve walks SIEVE_MODULI in order: 8 always, then each prime while
+    2*q is at most reach, the y expected to reach its table.  It passes
+    over a table that keeps every residue and yields nothing once one keeps
+    none.  Each table it uses is doubled out by shift-and-OR to q - 1 bits
+    past a chunk, so that a right shift by the chunk's start mod q rotates
+    it into place; each chunk of at most CHUNK y is the AND of those
+    shifted patterns, whose set bits bin() and str.rfind read.
     """
-    keep = _table(D, lam, n, 8, tables)
-    M, offsets = 8, [r for r in range(8) if keep[r]]
-    filters, reach = [], None  # None while a prime may join the wheel
-    for q in WHEEL_PRIMES + FILTER_PRIMES:
-        if reach is None and (q not in WHEEL_PRIMES or M * q > span):
-            reach = span * len(offsets) // M
-        if not offsets or reach is not None and 2 * q > reach:
+    span = ys.stop - ys.start
+    width = min(span, CHUNK)
+    reach, patterns = span, []
+    for q in SIEVE_MODULI:
+        if q != 8 and 2 * q > reach:
             break
-        keep = _table(D, lam, n, q, tables)
-        kept = sum(keep)
+        pattern = _table(D, lam, n, q, tables)
+        kept = pattern.bit_count()
+        if kept == 0:
+            return
         if kept == q:
             continue
-        if reach is None:
-            # j outer and the old offsets inner keeps the new ones ascending
-            offsets = [o + M * j for j in range(q) for o in offsets if keep[(o + M * j) % q]]
-            M *= q
-        else:
-            filters.append((q, keep))
-            reach = reach * kept // q
-    return M, offsets, filters
-
-
-def _wheel_ys(ys: range, M: int, offsets: list[int]) -> Iterator[int]:
-    """The y in [ys.start, ys.stop) whose residue mod M is in offsets,
-    ascending; ys.step is not read, as the wheel's mod-8 factor drops the
-    even y that a step of 2 skips."""
-    base = ys.start - ys.start % M
-    turn = offsets[bisect.bisect_left(offsets, ys.start - base) :]
-    while base < ys.stop:
-        if base + M > ys.stop:
-            turn = turn[: bisect.bisect_left(turn, ys.stop - base)]
-        for r in turn:
-            yield base + r
-        base += M
-        turn = offsets
+        reach = reach * kept // q
+        bits = q
+        while bits < width + q - 1:
+            pattern |= pattern << bits
+            bits *= 2
+        patterns.append((q, pattern))
+    for y0 in range(ys.start, ys.stop, CHUNK):
+        mask = (1 << min(CHUNK, ys.stop - y0)) - 1
+        for q, pattern in patterns:
+            mask &= pattern >> y0 % q
+        found = bin(mask)  # "0b", then bit i of mask at index top - i
+        top = len(found) - 1
+        i = found.rfind("1")
+        while i > 1:
+            yield y0 + top - i
+            i = found.rfind("1", 0, i)
 
 
 def _y_window(D: int, lam: int, n: int, limit: int, tables: dict) -> range:
     """The y with D < lam*y^n <= limit, less the even y when no even y can
     make lam*y^n - D a square mod 8."""
-    step = 1 if any(_table(D, lam, n, 8, tables)[::2]) else 2
+    step = 1 if _table(D, lam, n, 8, tables) & 0b01010101 else 2  # bits 0, 2, 4, 6
     y0 = iroot(D // lam, n) + 1
     return range(y0 | 1 if step == 2 else y0, iroot(limit // lam, n) + 1, step)
 
@@ -355,18 +337,11 @@ def generalized_scan(
             continue
         if not ys:
             continue
-        M, offsets, filters = _wheel(D, lam, n, ys.stop - ys.start, tables)
-        if not offsets:  # no y of any residue gives a square
-            continue
-        for y in _wheel_ys(ys, M, offsets):
-            for q, keep in filters:
-                if not keep[y % q]:
-                    break
-            else:
-                v = lam * y**n - D
-                x = math.isqrt(v)
-                if x * x == v:
-                    out.append((x, y, n))
+        for y in _sieved(D, lam, n, ys, tables):
+            v = lam * y**n - D
+            x = math.isqrt(v)
+            if x * x == v:
+                out.append((x, y, n))
     # y = 1 above n_top: x^2 = lam - D, the same x for every n
     r = math.isqrt(lam - D) if lam > D else 0
     if 0 < r <= x_max and r * r == lam - D:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -12,8 +13,8 @@ from ln_kit.oracle import (
     WALK_PER_Y,
     SearchWindow,
     _divisor_window,
+    _sieved,
     _size,
-    _wheel,
     _y_window,
     brute_force,
     generalized_scan,
@@ -350,15 +351,32 @@ def test_scan_skips_even_y_only_where_no_square_is_possible():
     # D = 7, lam = 1 keeps every y: 1^2 + 7 = 2^3 has y even
     assert {_y_window(7, 1, n, 10**4, {}).step for n in range(2, 16)} == {1}
     assert (1, 2, 3) in generalized_scan(7, 1, 3, 3, 10)
-    # the wheel, whatever its modulus, keeps no even y of the main equation,
-    # and keeps y = 2 for D = 7, lam = 1, n = 3
+    # the sieve, whichever moduli its window admits, keeps no even y of the
+    # main equation, though given every y, and keeps y = 2 for D = 7,
+    # lam = 1, n = 3
     for span in (8, 100, 10**4, 10**6):
         for k in range(4):
             for n in range(2, 31):
-                _, offsets, _ = _wheel(LNInstance(k).D, 4, n, span, {})
-                assert all(r % 2 for r in offsets), (k, n, span)
-        M, offsets, _ = _wheel(7, 1, 3, span, {})
-        assert 2 % M in offsets
+                kept = _sieved(LNInstance(k).D, 4, n, range(span, 2 * span), {})
+                assert all(y % 2 for y in kept), (k, n, span)
+        assert 2 in _sieved(7, 1, 3, range(1, span + 1), {})
+
+
+def sieve_moduli(D, lam, n, ys):
+    """The moduli, in the order the sieve walks them, whose tables _sieved
+    ANDs over ys: those it reads that rule out a residue (one that rules
+    out every residue included)."""
+    tables = {}
+    next(_sieved(D, lam, n, ys, tables), None)
+    return [q for (q, *_), table in tables.items() if table != (1 << q) - 1]
+
+
+def kept_by(D, lam, n, moduli, y):
+    """Whether lam*y^n - D is a square mod every q of moduli, by squaring
+    every residue mod q; no table is read."""
+    return all(
+        (lam * pow(y, n, q) - D) % q in {i * i % q for i in range(q)} for q in moduli
+    )
 
 
 @pytest.mark.parametrize(
@@ -375,25 +393,24 @@ def test_scan_skips_even_y_only_where_no_square_is_possible():
     ],
 )
 def test_wheel_keeps_exactly_the_residues_where_a_square_is_possible(D, lam, n, span):
-    # M = 8 * (primes), pairwise coprime, so a value is a square mod M iff it
-    # is one mod each factor: the wheel is the square test mod M itself
-    M, offsets, filters = _wheel(D, lam, n, span, {})
-    assert M % 8 == 0 and 2_042_040 % M == 0 and M <= max(8, span)
-    squares = {i * i % M for i in range(M)}
-    assert offsets == [r for r in range(M) if (lam * pow(r, n, M) - D) % M in squares]
-    # one walk: the wheel's primes, then the filters', are the first primes
-    # in order whose table rules out a residue
-    walked = [q for q in oracle.WHEEL_PRIMES if M % q == 0] + [q for q, _ in filters]
+    # the moduli are pairwise coprime, so a value is a square mod their
+    # product iff it is one mod each: the sieve keeps exactly the y whose
+    # value is a square mod each modulus it used (its first 3,000 y here)
+    ys = range(span + 3, 2 * span + 3)
+    used = sieve_moduli(D, lam, n, ys)
+    first = itertools.takewhile(lambda y: y < ys.start + 3000, _sieved(D, lam, n, ys, {}))
+    assert list(first) == [y for y in ys[:3000] if kept_by(D, lam, n, used, y)]
+    # one walk: the moduli it used are the first of SIEVE_MODULI, in order,
+    # whose table rules out a residue, 8 first when it rules one out
     ruling_out = [
-        q for q in oracle.WHEEL_PRIMES + oracle.FILTER_PRIMES
-        if not all(oracle._kept(D, lam, n, q))
+        q for q in oracle.SIEVE_MODULI if oracle._kept(D, lam, n, q) != (1 << q) - 1
     ]
-    assert walked == ruling_out[: len(walked)]
+    assert used == ruling_out[: len(used)]
 
 
 def test_wheel_scan_matches_naive_scan():
     # non-square lambda, even D, lambda > D, and windows shorter than one
-    # turn of the wheel (x_max = 1 and 4: a few y against M >= 8)
+    # period of the mod-8 table (x_max = 1 and 4: a few y)
     short = 0
     for D in (2, 4, 6, 7, 10, 12, 16, 19, 24, 48, 96, 6859):
         for lam in (2, 3, 5, 6, 7, 10, 12, 27, 100, 200):
@@ -401,84 +418,83 @@ def test_wheel_scan_matches_naive_scan():
                 got = generalized_scan(D, lam, 2, 12, x_max)
                 assert got == naive_scan(D, lam, 2, 12, x_max), (D, lam, x_max)
                 ys = _y_window(D, lam, 3, x_max * x_max + D, {})
-                span = ys.stop - ys.start
-                short += 0 < span < _wheel(D, lam, 3, span, {})[0]
+                short += 0 < ys.stop - ys.start < 8
     assert short > 0
 
 
 @pytest.mark.parametrize("q", [8, 3, 5])
 def test_a_planted_wrong_residue_table_misses_its_triple(q, monkeypatch):
     # (5, 3, 3) of x^2 + 2 = y^3 is found; a table that wrongly drops the
-    # class of y = 3 mod q, 8 or a prime of the wheel, makes the scan miss it
+    # class of y = 3 mod q, 8 or a small prime the sieve uses, makes the
+    # sieve drop y = 3 and the scan miss the triple
     assert generalized_scan(2, 1, 3, 3, 10**4) == [(5, 3, 3)]
+    ys = _y_window(2, 1, 3, 10**8 + 2, {})
+    assert 3 in _sieved(2, 1, 3, ys, {})
     kept = oracle._kept
 
     def planted(D, lam, n, m):
         table = kept(D, lam, n, m)
-        if m == q:
-            table[3 % q] = False
-        return table
+        return table & ~(1 << 3 % q) if m == q else table
 
     monkeypatch.setattr(oracle, "_kept", planted)
-    assert _wheel(2, 1, 3, 10**4, {})[0] % q == 0
+    assert q in sieve_moduli(2, 1, 3, ys)
+    assert 3 not in _sieved(2, 1, 3, ys, {})
     assert generalized_scan(2, 1, 3, 3, 10**4) == []
 
 
 def test_exact_tests_never_exceed_the_priced_count(monkeypatch):
-    # each y-scanned n is priced at its whole y-window (_size); the wheel
+    # each y-scanned n is priced at its whole y-window (_size); the sieve
     # tests a subset of it, never a y the window's own step leaves out
     tested = []
-    wheel_ys = oracle._wheel_ys
+    sieved = oracle._sieved
 
-    def spy(ys, M, offsets):
-        kept = list(wheel_ys(ys, M, offsets))
+    def spy(D, lam, n, ys, tables):
+        kept = list(sieved(D, lam, n, ys, tables))
         assert all(y in ys for y in kept)
         tested.append((_size(ys), len(kept)))
         return iter(kept)
 
-    monkeypatch.setattr(oracle, "_wheel_ys", spy)
+    monkeypatch.setattr(oracle, "_sieved", spy)
     for D in list(range(1, 40)) + [LNInstance(k).D for k in range(3)]:
         for lam in (1, 2, 3, 4, 5, 8, 12, 76):
             for x_max in (3, 400, 10**4):
                 generalized_scan(D, lam, 2, 9, x_max)
     assert tested and all(tried <= priced for priced, tried in tested)
-    # on the main equation's default window the wheel tests under a tenth
+    # on the main equation's default window the sieve tests under a tenth
     tested.clear()
     brute_force(SearchWindow(k=0))
     priced = sum(priced for priced, _ in tested)
     assert 10 * sum(tried for _, tried in tested) < priced
 
 
-def spy_filters(monkeypatch):
-    """Record the primes of the filter tables each y-scanned n builds."""
-    built = []
-    wheel = oracle._wheel
+def spy_sieves(monkeypatch):
+    """Record, for each y-scanned n, the moduli its sieve used
+    (sieve_moduli), in order."""
+    used = []
+    sieved = oracle._sieved
 
-    def spy(*args):
-        M, offsets, filters = wheel(*args)
-        built.append([q for q, _ in filters])
-        return M, offsets, filters
+    def spy(D, lam, n, ys, tables):
+        used.append(sieve_moduli(D, lam, n, ys))
+        return sieved(D, lam, n, ys, tables)
 
-    monkeypatch.setattr(oracle, "_wheel", spy)
-    return built
+    monkeypatch.setattr(oracle, "_sieved", spy)
+    return used
 
 
 def count_exact_tests(monkeypatch):
     """A one-item list holding how many y the y-scans have tested exactly.
 
-    Each y the wheel keeps comes out as a _Counted int; the exact test is
+    Each y the sieve keeps comes out as a _Counted int; the exact test is
     the one place a kept y is raised to the n-th power."""
     tested = [0]
-    wheel_ys = oracle._wheel_ys
+    sieved = oracle._sieved
 
     class _Counted(int):
         def __pow__(self, n):
             tested[0] += 1
             return int(self) ** n
 
-    monkeypatch.setattr(
-        oracle, "_wheel_ys", lambda ys, M, offsets: map(_Counted, wheel_ys(ys, M, offsets))
-    )
+    monkeypatch.setattr(oracle, "_sieved", lambda *args: map(_Counted, sieved(*args)))
     return tested
 
 
@@ -495,60 +511,60 @@ def count_exact_tests(monkeypatch):
     ],
 )
 def test_filtered_scan_matches_naive_scan(D, lam, n_min, n_max, x_max, monkeypatch):
-    built = spy_filters(monkeypatch)
+    used = spy_sieves(monkeypatch)
     assert generalized_scan(D, lam, n_min, n_max, x_max) == naive_scan(
         D, lam, n_min, n_max, x_max
     )
-    # the filters ran: some n looked its wheel's y up in two tables or more
-    assert max(map(len, built)) >= 2
+    # the sieve ran on many tables: some n ANDed those of 8 and five primes
+    assert max(map(len, used)) >= 6
 
 
 def test_the_filters_cut_the_exact_tests_of_verify_k5(monkeypatch):
-    # verify --k 5's default window: the wheel alone passes 799 y to the
-    # exact test (770 of them at n = 3), the wheel and its filters 45
-    wheel = oracle._wheel
+    # verify --k 5's default window: the sieve passes 45 y to the exact
+    # test; with only 8 and the primes up to 17 it passes 116
     tested = count_exact_tests(monkeypatch)
-    built = spy_filters(monkeypatch)
+    used = spy_sieves(monkeypatch)
     assert brute_force(SearchWindow(k=5)) == []
     assert tested == [45]
-    # n = 3: 13 and 17, which the wheel of M = 1,320 leaves out, then 19, 23
-    assert built[0] == [13, 17, 19, 23]
+    # n = 3: every modulus up to 23 but 7, whose table keeps every residue
+    assert used[0] == [8, 3, 5, 11, 13, 17, 19, 23]
     tested[0] = 0
-    monkeypatch.setattr(oracle, "_wheel", lambda *args: wheel(*args)[:2] + ([],))
+    monkeypatch.setattr(oracle, "SIEVE_MODULI", (8, 3, 5, 7, 11, 13, 17))
     assert brute_force(SearchWindow(k=5)) == []
-    assert tested == [799]
+    assert tested == [116]
 
 
 def test_a_filter_table_costs_less_than_the_tests_it_saves():
-    # a table of q residues is built only while 2*q is at most the y
-    # expected to reach it, and one that keeps every residue is left out
-    # verify --k 5, n = 3: its span of 7,060 gives M = 1,320 and reach 770,
-    # and the filters 13 and 17, which the wheel leaves out, then 19 and 23
+    # a table of q residues is read only while 2*q is at most the y
+    # expected to reach it, and one that keeps every residue is passed over.
+    # verify --k 5, n = 3: its span of 7,060 reaches 3,530 y past the
+    # mod-8 table and 769 past 11's, and uses 13, 17, 19 and 23 after it;
+    # 23 leaves a reach of 25, below 58, so 29's table is not read
     D, lam, n = LNInstance(5).D, 4, 3
-    M, offsets, filters = _wheel(D, lam, n, 7060, {})
-    assert (M, 7060 * len(offsets) // M) == (1320, 770)
-    assert filters == [(q, oracle._kept(D, lam, n, q)) for q in (13, 17, 19, 23)]
-    # a reach below 2*q builds no table of q: at span 11 the reach is 5, so
-    # 3 is no filter; at span 237 (M = 120, reach 47) 11 leaves a reach of
-    # 25, below 26, so 13's table is not built
-    assert _wheel(D, lam, n, 11, {})[2] == []
+    ys = _y_window(D, lam, n, 10**14 + D, {})
+    assert (ys.stop - ys.start, ys.step) == (7060, 2)
     tables = {}
-    assert [q for q, _ in _wheel(D, lam, n, 237, tables)[2]] == [11]
-    assert max(q for q, *_ in tables) == 11
-    # a huge reach: every prime whose table rules out a residue and that M
-    # leaves out is a filter
-    M, _, filters = _wheel(D, lam, n, 10**12, {})
-    assert [q for q, _ in filters] == [
-        q for q in oracle.WHEEL_PRIMES + oracle.FILTER_PRIMES
-        if M % q and not all(oracle._kept(D, lam, n, q))
+    assert list(_sieved(D, lam, n, ys, tables)) == list(_sieved(D, lam, n, ys, {}))
+    assert [q for q, *_ in tables] == [8, 3, 5, 7, 11, 13, 17, 19, 23]
+    assert sieve_moduli(D, lam, n, ys) == [8, 3, 5, 11, 13, 17, 19, 23]
+    # a reach below 2*q reads no table of q: at span 11 the reach is 5, so
+    # only 8's table is read; at span 237 11 leaves a reach of 25, below
+    # 26, so 13's table is not read
+    for span, read in ((11, [8]), (237, [8, 3, 5, 7, 11])):
+        tables = {}
+        next(_sieved(D, lam, n, range(ys.start, ys.start + span), tables), None)
+        assert [q for q, *_ in tables] == read
+    # a huge reach: every modulus whose table rules out a residue is used
+    assert sieve_moduli(D, lam, n, range(ys.start, ys.start + 10**12)) == [
+        q for q in oracle.SIEVE_MODULI if oracle._kept(D, lam, n, q) != (1 << q) - 1
     ]
 
 
 @pytest.mark.parametrize("q", [13, 23, 29])
 def test_a_planted_wrong_filter_table_misses_its_triple(q, monkeypatch):
-    # x^2 + 367843 = y^3 at y = 10007: the wheel of M = 9,240 keeps that y,
-    # and the filters of 13 (left out of the wheel), 23 and 29 look it up;
-    # a table that wrongly drops its class mod q makes the scan miss it
+    # x^2 + 367843 = y^3 at y = 10007: the sieve of that window uses the
+    # tables of 13, 23 and 29 too, past the primes up to 11; a table that
+    # wrongly drops the class of y mod q makes the scan miss it
     D, x_max, triple = 367843, 2 * 10**6, (1001050, 10007, 3)
     found = generalized_scan(D, 1, 3, 3, x_max)
     assert triple in found
@@ -556,35 +572,74 @@ def test_a_planted_wrong_filter_table_misses_its_triple(q, monkeypatch):
 
     def planted(D, lam, n, m):
         table = kept(D, lam, n, m)
-        if m == q:
-            table[triple[1] % q] = False
-        return table
+        return table & ~(1 << triple[1] % q) if m == q else table
 
     monkeypatch.setattr(oracle, "_kept", planted)
-    assert _wheel(D, 1, 3, 2 * 10**4, {})[0] % q != 0
+    assert q in sieve_moduli(D, 1, 3, _y_window(D, 1, 3, x_max * x_max + D, {}))
     assert generalized_scan(D, 1, 3, 3, x_max) == [t for t in found if t != triple]
 
 
 def test_an_n_whose_wheel_keeps_nothing_is_skipped(monkeypatch):
-    # 3y^2 - 1 is never a square mod 8: the wheel keeps no residue, and no
-    # y of the 8.7*10^7 in the window is stepped through
-    walked = []
-    wheel_ys = oracle._wheel_ys
+    # 3y^2 - 1 is never a square mod 8: the mod-8 table keeps no residue,
+    # and no chunk of the 8.7*10^7 y in the window is stepped through (the
+    # sieve reads each chunk's mask with one bin() call)
+    chunks = []
 
-    def spy(ys, M, offsets):
-        walked.append(offsets)
-        return wheel_ys(ys, M, offsets)
+    def read(mask):
+        chunks.append(mask)
+        return bin(mask)
 
-    monkeypatch.setattr(oracle, "_wheel_ys", spy)
-    assert _wheel(1, 3, 2, 10**8, {})[1] == []
+    monkeypatch.setattr(oracle, "bin", read, raising=False)
+    assert oracle._table(1, 3, 2, 8, {}) == 0
+    assert sieve_moduli(1, 3, 2, range(1, 10**8)) == [8]
     assert generalized_scan(1, 3, 2, 2, 3 * 10**8) == []
-    assert walked == []
+    assert chunks == []
     # the price is that of the whole window still: over the budget, refused
     with pytest.raises(ValueError, match="scan budget"):
         generalized_scan(1, 3, 2, 2, 4 * 10**8)
-    # beside them, the n whose wheel keeps a residue (7 and 9) are walked
+    # beside them, n = 7 and 9 are sieved: their mod-8 tables keep a
+    # residue, and their windows are too short to read 3's, which keeps none
     assert generalized_scan(1, 3, 2, 9, 10**4) == naive_scan(1, 3, 2, 9, 10**4)
-    assert walked and all(walked)
+    assert chunks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10**6),
+    st.integers(1, 100),
+    st.integers(2, 12),
+    st.integers(1, 10**9),
+    st.integers(1, 300).flatmap(lambda c: st.tuples(st.just(c), st.integers(1, 3 * c))),
+)
+def test_the_sieve_keeps_exactly_the_y_its_moduli_keep_across_chunks(
+    D, lam, n, start, size
+):
+    # windows of one to three chunks (CHUNK made small), from an unaligned
+    # start: each y is checked by itself against every modulus the sieve used
+    chunk, length = size
+    ys = range(start, start + length)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "CHUNK", chunk)
+        used = sieve_moduli(D, lam, n, ys)
+        got = list(_sieved(D, lam, n, ys, {}))
+    assert got == [y for y in ys if kept_by(D, lam, n, used, y)]
+
+
+@pytest.mark.parametrize("offset", [0, oracle.CHUNK - 1, oracle.CHUNK])
+def test_a_triple_at_a_chunk_edge_is_found(offset):
+    # x^2 + D = y^3 with D = y^3 - x^2 chosen so that the window of n = 3
+    # starts at s: y falls at the first y of a chunk, its last, or the first
+    # of the next
+    s = 20001  # odd, so a step of 2 starts the window at s too
+    y = s + offset
+    x = math.isqrt(y**3 - (s - 1) ** 3)
+    D = y**3 - x * x
+    x_max = 2 * x
+    ys = _y_window(D, 1, 3, x_max * x_max + D, {})
+    assert ys.start == s and y in ys
+    found = generalized_scan(D, 1, 3, 3, x_max)
+    assert (x, y, 3) in found
+    assert found == naive_scan(D, 1, 3, 3, x_max)
 
 
 def spy_kept(monkeypatch):
@@ -623,7 +678,7 @@ def test_the_table_of_a_class_of_n_is_that_of_each_n_in_it():
     # it to each later n of the class; it must equal a fresh build there.
     # (D, lam) runs over every residue pair up to 17, and 20 pairs above
     rng = random.Random(0)
-    for q in (8,) + oracle.WHEEL_PRIMES + oracle.FILTER_PRIMES:
+    for q in oracle.SIEVE_MODULI:
         pairs = [(D, lam) for D in range(q) for lam in range(q)]
         if q > 17:
             pairs = rng.sample(pairs, 20)
