@@ -18,7 +18,7 @@ import json
 import time
 from collections import Counter
 
-from ln_kit.oracle import SearchWindow
+from ln_kit.oracle import DEFAULT_WINDOW
 from ln_kit.solver import ProofTrace, solve
 
 
@@ -39,8 +39,8 @@ def replay_verdict(trace: ProofTrace) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--k-max", type=int, default=2)
-    ap.add_argument("--n-max", type=int, default=SearchWindow.n_max)
-    ap.add_argument("--x-max", type=int, default=SearchWindow.x_max)
+    ap.add_argument("--n-max", type=int, default=DEFAULT_WINDOW.n_max)
+    ap.add_argument("--x-max", type=int, default=DEFAULT_WINDOW.x_max)
     ap.add_argument("--skip-oracle", action="store_true")
     ap.add_argument(
         "--replay", action="store_true", help="replay each trace, as recorded and from JSON"

@@ -22,7 +22,7 @@ from .equation_model import (
     theorem_solution_set,
 )
 from .lucas_engine import FACTORING_BUDGET, LucasPair, lucas_u, primitive_divisor
-from .oracle import SearchWindow, brute_force, generalized_scan
+from .oracle import DEFAULT_WINDOW, SearchWindow, brute_force, generalized_scan
 from .quadratic_integers import class_number_imag
 
 _SOLVER_NAMES = ("OracleMismatchError", "solve", "verify_solution_completeness")
@@ -71,9 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def window(p, *fields):
-        """One int flag per SearchWindow field, with SearchWindow's default."""
+        """One int flag per SearchWindow field, with DEFAULT_WINDOW's value."""
         for f in fields:
-            default = getattr(SearchWindow, f)
+            default = getattr(DEFAULT_WINDOW, f)
             p.add_argument("--" + f.replace("_", "-"), type=int, default=default)
 
     p_solve = command("solve", _cmd_solve, "run the full decision procedure", "k")
@@ -160,7 +160,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_family(args: argparse.Namespace) -> int:
     inst = LNInstance(args.k)
     if args.kind == "all":
-        for sol in theorem_solution_set(inst, SearchWindow.n_max):
+        for sol in theorem_solution_set(inst, DEFAULT_WINDOW.n_max):
             _write(_solution_obj(sol, k=args.k))
         return 0
     param = args.m if args.kind == "n7" else args.t

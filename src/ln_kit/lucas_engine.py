@@ -14,8 +14,9 @@ untested yields an explicit indeterminate verdict, never a silent negative.
 The oracle runs trial_divide alone, to read the divisors of D off an exact
 factorization.  Frozen, the base of the package's frozen value types, lives
 here, in the module every other one imports: each type is a tuple of its
-fields and writes only its __new__, and Frozen gives field names, repr and
-equality; the tuple gives hash, and refuses assignment itself.
+fields and nothing else, and writes only its __new__, whose defaults are
+the type's; Frozen gives field names, repr and equality; the tuple gives
+hash, and refuses assignment itself.
 """
 
 from __future__ import annotations
@@ -50,24 +51,14 @@ shared = functools.lru_cache(maxsize=VERDICT_CACHE_SIZE, typed=True)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class _Default(tuple):
-    """(item, default): a field its class also sets as a default, read as the
-    default on the class and as the object's item on an object."""
-
-    __slots__ = ()
-
-    def __get__(self, obj: object, cls: type | None = None) -> object:
-        item, default = self
-        return default if obj is None else item(obj)
-
-
 class Frozen(tuple):
     """Base of the frozen value types, each a tuple of its fields named in
     __match_args__, in __new__'s order.  Each declares empty __slots__ and
     writes only its __new__, which validates and returns tuple.__new__(cls,
     fields); the tuple refuses assignment and deletion and gives the hash.
-    Frozen reads each field by its index (a default the class sets still
-    reads on the class), and gives repr as Name(field=value, ...), equality
+    Frozen reads each field by its index, through a property on the class,
+    so the class holds no field's value: a default is one of __new__'s,
+    read off an object.  It gives repr as Name(field=value, ...), equality
     between objects of one exact class, of the fields _fields reads, and
     copy and pickle through the class's __new__, given the fields."""
 
@@ -77,11 +68,7 @@ class Frozen(tuple):
 
     def __init_subclass__(cls) -> None:
         for i, name in enumerate(cls.__match_args__):
-            item = operator.itemgetter(i)
-            if name in vars(cls):
-                setattr(cls, name, _Default((item, vars(cls)[name])))
-            else:
-                setattr(cls, name, property(item))
+            setattr(cls, name, property(operator.itemgetter(i)))
 
     def __eq__(self, other: object) -> bool:
         same = other.__class__ is self.__class__

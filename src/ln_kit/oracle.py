@@ -81,14 +81,11 @@ CHUNK = 2**16
 
 class SearchWindow(Frozen):
     """Finite search region; n = 1 is excluded (infinite parametric family).
-    The CLI reads the defaults on the class, as SearchWindow.n_max etc."""
+    The defaults, written once here, are read off DEFAULT_WINDOW."""
 
     __slots__, __match_args__ = (), ("k", "n_min", "n_max", "x_max")
-    n_min = 2
-    n_max = 30
-    x_max = 10**7
 
-    def __new__(cls, k: int, n_min=n_min, n_max=n_max, x_max=x_max) -> SearchWindow:
+    def __new__(cls, k: int, n_min=2, n_max=30, x_max=10**7) -> SearchWindow:
         LNInstance(k)  # refuses a negative k
         _check_window(n_min, n_max, x_max)
         return tuple.__new__(cls, (k, n_min, n_max, x_max))
@@ -102,6 +99,10 @@ def _check_window(n_min: int, n_max: int, x_max: int) -> None:
         raise ValueError(f"empty n range [{n_min}, {n_max}]")
     if x_max < 1:
         raise ValueError(f"x_max must be positive, got {x_max}")
+
+
+# The default window: the CLI's flags, solve and the scripts read theirs here.
+DEFAULT_WINDOW = SearchWindow(0)
 
 
 def iroot(v: int, m: int) -> int:

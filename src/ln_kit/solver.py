@@ -7,12 +7,13 @@ of this module, which maps each op to its procedure; the procedure's
 parameters are the op's input names (NAMES).  A step records the op, the
 tuple of its inputs and the returned value as a read-only ProofStep; the
 JSON form, the inputs under their names, waits for serialization, which
-builds one result per distinct value object.  The sieve rows of one
-instance and odd prime p share one mod19_forces_p call: its verdict reads
-p alone, so ProofTrace.repeat appends the later rows with it, as step
-would.  Replay runs solve again on the trace's header, then compares the
-steps it took with the trace's (_differences), so procedures only see the
-inputs solve computes, never recorded ones.
+builds one result per distinct value object.  A step rebuilt from JSON
+keeps the mapping it was given, which replay alone reads by the names.
+The sieve rows of one instance and odd prime p share one mod19_forces_p
+call: its verdict reads p alone, so ProofTrace.repeat appends the later
+rows with it, as step would.  Replay runs solve again on the trace's
+header, then compares the steps it took with the trace's (_differences),
+so procedures only see the inputs solve computes, never recorded ones.
 
 solve(k) is built from instance proofs: each instance kk <= k, its even
 cases then its odd primes, is decided once per process as one block of
@@ -60,7 +61,7 @@ from .lucas_engine import (
     primitive_divisor,
     shared,
 )
-from .oracle import SearchWindow, brute_force, perfect_root
+from .oracle import DEFAULT_WINDOW, SearchWindow, brute_force, perfect_root
 from .quadratic_integers import QuadInt19, qpow
 
 # Bounds of the pipeline's two bounded searches, recorded as step inputs:
@@ -93,11 +94,12 @@ class OracleMismatchError(RuntimeError):
 class ProofStep(tuple):
     """One step: the op, its inputs and the value its procedure returned.
 
-    step[1] holds the inputs as a tuple in the order of the op's names
-    (NAMES); a mapping with exactly those names becomes that tuple, and any
-    other inputs are kept as given, for replay to name.  step.inputs reads
-    them as a read-only mapping under the names; unpacking a step gives its
-    three fields as stored, as for any tuple.
+    A step keeps its three fields as given.  solve records the inputs as a
+    tuple in the order of the op's names (NAMES); a trace read from JSON
+    holds them as a mapping under those names, which replay reads by the
+    names (_differences), and anything else stays there for replay to name.
+    step.inputs reads a tuple as a read-only mapping under the names;
+    unpacking a step gives its three fields as stored, as for any tuple.
     value is the procedure's own return value when the step was recorded,
     and the JSON result when the trace was rebuilt from its JSON form;
     json_safe turns either into the JSON result.  A step is read-only, as
@@ -113,9 +115,6 @@ class ProofStep(tuple):
     value = property(operator.itemgetter(2))
 
     def __new__(cls, op: str, inputs: object, value: object) -> ProofStep:
-        names = NAMES.get(op) if type(op) is str else None
-        if type(inputs) in (dict, MappingProxyType) and inputs.keys() == names:
-            inputs = tuple(map(inputs.__getitem__, names))
         return tuple.__new__(cls, (op, inputs, value))
 
     def __repr__(self) -> str:
@@ -204,7 +203,7 @@ class ProofTrace:
             return [*bad, f"solve refuses the header: {exc}"]
         bad = _differences(proof.steps, self.steps, whole=True)
         kept = self.solutions
-        if kept is not None and sols != kept and json_safe(sols) != kept:
+        if kept is not None and sols != kept and not _same_form(json_safe(sols), kept):
             held = f"{len(kept)} are" if type(kept) is list else f"{_shown(kept)} is"
             bad.append(f"solutions: the trace's {held} not solve's {len(sols)}")
         return bad
@@ -221,7 +220,7 @@ class ProofTrace:
                 names = NAMES[op]
                 small = type(inputs) is tuple and len(inputs) == len(names)
                 small = small and sum(map(abs, inputs)) < JSON_INT_LIMIT
-            except (KeyError, TypeError):  # an unknown op, a str read back from JSON
+            except (KeyError, TypeError):  # an unknown or unhashable op, a non-number
                 small = False
             result = results.get(id(value))
             if result is None:
@@ -249,7 +248,9 @@ def _differences(mine: list[ProofStep], theirs: list, whole: bool) -> list[str]:
     is solve's very step object (from an instance block) passes at once:
     steps are read-only, so it holds what solve records there.  Any other
     must have solve's op and inputs (an equal tuple of ints, one C compare,
-    or the writer's JSON form of them), and the value of solve's procedure
+    or the writer's JSON form of them; a mapping whose keys are the op's
+    names is read as the tuple of its values in their order, the one place
+    a recorded mapping is read), and the value of solve's procedure
     on them: the same object (a shared verdict, no __eq__ call), an equal
     one of the same type, or the writer's JSON form of it, built once per
     object and matched type for type (_same_form).  Each step of solve's
@@ -262,6 +263,9 @@ def _differences(mine: list[ProofStep], theirs: list, whole: bool) -> list[str]:
     for i in compress(count(), map(operator.is_not, mine, theirs)):
         op, inputs, value = mine[i]
         recorded_op, recorded, recorded_value = theirs[i]
+        names = NAMES[op]
+        if type(recorded) in (dict, MappingProxyType) and recorded.keys() == names:
+            recorded = tuple(map(recorded.__getitem__, names))
         if recorded_op != op or not (
             recorded == inputs and ints.issuperset(map(type, recorded))
             or type(recorded) is tuple and _same_form(json_safe(inputs), [*recorded])
@@ -511,8 +515,8 @@ def step_bound(k: int, n_max: int) -> int:
 
 def solve(
     k: int,
-    n_max: int = SearchWindow.n_max,
-    oracle_x_max: int = SearchWindow.x_max,
+    n_max: int = DEFAULT_WINDOW.n_max,
+    oracle_x_max: int = DEFAULT_WINDOW.x_max,
     *,
     cross_check: bool = True,
 ) -> tuple[list[Solution], ProofTrace]:

@@ -1,10 +1,12 @@
 import importlib
+import json
 import math
 import pkgutil
 
 import pytest
 
 import ln_kit
+from ln_kit.solver import ProofTrace
 
 
 def package_modules():
@@ -36,6 +38,11 @@ def clear_caches():
     """Empty every verdict cache, the solver's instance blocks among them."""
     for cache in VERDICT_CACHES:
         cache.cache_clear()
+
+
+def rebuilt_from_json(trace):
+    """The trace as a reader of its JSON form rebuilds it."""
+    return ProofTrace.from_jsonable(json.loads(json.dumps(trace.to_jsonable())))
 
 
 @pytest.fixture(autouse=True)

@@ -12,7 +12,7 @@ import sys
 from types import MappingProxyType
 
 import pytest
-from conftest import clear_caches
+from conftest import clear_caches, rebuilt_from_json
 
 import ln_kit.solver as solver_mod
 from ln_kit import caseworks
@@ -116,10 +116,6 @@ def test_no_step_of_a_trace_can_be_edited(k):
             with pytest.raises((AttributeError, TypeError)):
                 edit()
     assert trace.replay() == []
-
-
-def rebuilt_from_json(trace):
-    return ProofTrace.from_jsonable(json.loads(json.dumps(trace.to_jsonable())))
 
 
 def test_a_step_replaced_at_a_shared_position_is_named():

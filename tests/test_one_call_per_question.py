@@ -8,12 +8,12 @@ import json
 import sys
 
 import pytest
-from conftest import clear_caches
+from conftest import clear_caches, rebuilt_from_json
 
 import ln_kit.solver as solver_mod
 from ln_kit import caseworks
 from ln_kit.lucas_engine import digit_limit
-from ln_kit.oracle import SearchWindow
+from ln_kit.oracle import DEFAULT_WINDOW
 from ln_kit.solver import ProofStep, ProofTrace, solve
 
 
@@ -26,7 +26,7 @@ class OneByOne(ProofTrace):
             assert self.step(op, *i) is value
 
 
-def one_by_one(kk, n_max=SearchWindow.n_max):
+def one_by_one(kk, n_max=DEFAULT_WINDOW.n_max):
     record = OneByOne(kk, n_max)
     solver_mod._primitive_solutions(kk, n_max, record)
     return record.steps
@@ -34,7 +34,7 @@ def one_by_one(kk, n_max=SearchWindow.n_max):
 
 @pytest.mark.parametrize("kk", [0, 1, 2, 7, 49])
 def test_a_batched_block_is_the_one_step_per_row_block(kk):
-    block, _ = solver_mod._instance(kk, SearchWindow.n_max, digit_limit())
+    block, _ = solver_mod._instance(kk, DEFAULT_WINDOW.n_max, digit_limit())
     reference = one_by_one(kk)
     assert [s.op for s in block] == [s.op for s in reference]
     assert all(a.inputs == b.inputs for a, b in zip(block, reference))
@@ -60,10 +60,6 @@ def test_a_cold_solve_asks_mod19_forces_p_once_per_instance_and_p(monkeypatch):
     assert calls.count(19) == 1225
     assert len(calls) == 1225 + 8 * 49 == 1617
     assert len(trace.find("mod19_forces_p")) == 11025
-
-
-def rebuilt_from_json(trace):
-    return ProofTrace.from_jsonable(json.loads(json.dumps(trace.to_jsonable())))
 
 
 def batched_rows(trace):

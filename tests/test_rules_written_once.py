@@ -2,8 +2,8 @@
 (lucas_engine.shared), one check of u_n's length (in lucas_u), every cache
 built from that declaration, one reader of the int-to-str digit limit
 (lucas_engine.digit_limit), one constructor per value type, one way to
-hold a frozen value's fields (the tuple it is), and one class that records
-proof steps (solver.ProofTrace)."""
+hold a frozen value's fields (the tuple it is), each read off an object
+alone, and one class that records proof steps (solver.ProofTrace)."""
 
 import ast
 from pathlib import Path
@@ -12,7 +12,8 @@ from conftest import package_caches
 
 from ln_kit.lucas_engine import VERDICT_CACHE_SIZE, Frozen
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ln_kit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ln_kit"
 
 
 def modules():
@@ -132,3 +133,25 @@ def test_frozen_values_are_tuples_and_nothing_sets_attributes_around_them():
         if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__"
     ]
     assert calls == []
+
+
+def test_no_module_reads_a_frozen_field_off_the_class():
+    # a field is a property of its type, so SearchWindow.n_max is that
+    # property, not a default: a default is read off an object, such as
+    # oracle.DEFAULT_WINDOW.  getattr on the class counts as a read too.
+    fields = {t.__name__: set(t.__match_args__) for t in Frozen.__subclasses__()}
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    paths += (ROOT / "perfbench").glob("*.py")
+    places = []
+    for path in sorted(paths):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                owner, read = node.value, {node.attr}
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr":
+                owner, read = node.args[0], None  # any name it may be given
+            else:
+                continue
+            held = fields.get(ast.unparse(owner).split(".")[-1], set())
+            if held and (read is None or read & held):
+                places.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert places == []

@@ -4,7 +4,7 @@ import re
 import time
 
 import pytest
-from conftest import clear_caches
+from conftest import clear_caches, rebuilt_from_json
 
 import ln_kit.solver as solver_mod
 from ln_kit import caseworks
@@ -290,6 +290,31 @@ def test_replay_names_solutions_that_are_not_a_list(kept):
     assert rebuilt.replay() == [f"solutions: the trace's {kept} is not solve's 2"]
 
 
+def test_json_replay_holds_solutions_to_the_writers_types():
+    # 2.0 == 2, so comparing the JSON forms by == let this one through
+    _, trace = solve(1, cross_check=False)
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    assert ProofTrace.from_jsonable(data).replay() == []
+    assert data["solutions"][0]["n"] == 2
+    data["solutions"][0]["n"] = 2.0
+    assert ProofTrace.from_jsonable(data).replay() == [
+        "solutions: the trace's 2 are not solve's 2"
+    ]
+
+
+def test_a_step_keeps_the_inputs_it_is_given():
+    # a mapping stays that mapping, in its own order, and so differs from
+    # the tuple solve records; replay reads it by the op's names
+    _, trace = solve(2, n_max=7, cross_check=False)
+    steps = list(trace.steps)
+    i = [s.op for s in steps].index("even_case")
+    mapping = dict(reversed(steps[i].inputs.items()))
+    steps[i] = ProofStep("even_case", mapping, steps[i].value)
+    assert steps[i][1] is mapping and steps[i] != trace.steps[i]
+    assert steps[i].inputs == trace.steps[i].inputs
+    assert ProofTrace(2, 7, steps, trace.solutions).replay() == []
+
+
 def test_replay_of_the_benchmarks_rebuilt_deep_trace():
     # the trace perfbench's replay_from_json builds: no solutions and no
     # x_max in the header, each step rebuilt from its JSON form
@@ -368,10 +393,6 @@ def test_replay_refuses_a_tampered_huge_p3_search_bound():
     steps[i] = ProofStep("p3_case", huge, steps[i].result)
     (bad,) = ProofTrace(k=0, n_max=3, steps=steps).replay()
     assert bad.startswith(f"step {i} p3_case: solve passes")
-
-
-def rebuilt_from_json(trace):
-    return ProofTrace.from_jsonable(json.loads(json.dumps(trace.to_jsonable())))
 
 
 def test_oracle_fields_survive_a_json_round_trip():

@@ -21,7 +21,7 @@ import pytest
 from ln_kit.caseworks import CaseVerdict
 from ln_kit.equation_model import LNInstance, Solution
 from ln_kit.lucas_engine import Frozen, LucasPair, PrimitiveDivisorVerdict
-from ln_kit.oracle import SearchWindow
+from ln_kit.oracle import DEFAULT_WINDOW, SearchWindow
 from ln_kit.quadratic_integers import QuadInt19
 from ln_kit.solver import ProofStep, ProofTrace, solve
 
@@ -201,7 +201,7 @@ def test_objects_of_two_classes_are_never_equal():
 
 def test_construction_by_position_and_keyword_agree():
     assert SearchWindow(k=0, n_min=5) == SearchWindow(0, 5, 30, 10**7)
-    defaults = (SearchWindow.n_min, SearchWindow.n_max, SearchWindow.x_max)
+    defaults = (DEFAULT_WINDOW.n_min, DEFAULT_WINDOW.n_max, DEFAULT_WINDOW.x_max)
     assert defaults == (2, 30, 10**7)
     # a list is stored as a tuple
     assert CaseVerdict("reduced", "", [], 2, ["19 | x"]) == VALUES["CaseVerdict"][0]()

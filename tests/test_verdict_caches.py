@@ -3,13 +3,12 @@ constant and cleared before each test, every shared verdict is read-only,
 each procedure still refuses bad inputs on a cache hit, and replay names a
 tampered step that holds a shared verdict."""
 
-import json
 import sys
 from collections import defaultdict
 from types import MappingProxyType
 
 import pytest
-from conftest import package_caches, package_modules
+from conftest import package_caches, package_modules, rebuilt_from_json
 
 from ln_kit import caseworks, lucas_engine, oracle
 from ln_kit.caseworks import CaseVerdict, mod_pow2_insoluble, no_19z2_solutions
@@ -241,7 +240,7 @@ def altered(value):
 def test_replay_names_only_the_tampered_step_of_a_shared_verdict(op):
     # test_solver's json_replay test covers mod19_forces_p
     _, trace = solve(3, cross_check=False)
-    rebuilt = ProofTrace.from_jsonable(json.loads(json.dumps(trace.to_jsonable())))
+    rebuilt = rebuilt_from_json(trace)
     for replayed in (trace, rebuilt):
         where = [i for i, s in enumerate(replayed.steps) if s.op == op]
         # the first step of a verdict, and the last one, which may share it
