@@ -102,10 +102,10 @@ class ProofStep(tuple):
     unpacking a step gives its three fields as stored, as for any tuple.
     value is the procedure's own return value when the step was recorded,
     and the JSON result when the trace was rebuilt from its JSON form;
-    json_safe turns either into the JSON result.  A step is read-only, as
-    solve shares each instance's steps between every trace that holds them
-    (_instance).  Equality is the tuple's, of the three fields; a step may
-    hold a mapping, so it has no hash.
+    the trace writer alone (jsonable_steps) turns either into the JSON
+    result.  A step is read-only, as solve shares each instance's steps
+    between every trace that holds them (_instance).  Equality is the
+    tuple's, of the three fields; a step may hold a mapping, so no hash.
     """
 
     __slots__ = ()
@@ -131,12 +131,6 @@ class ProofStep(tuple):
             inputs = dict(zip(names, inputs))
         return MappingProxyType(inputs) if type(inputs) is dict else inputs
 
-    @property
-    def result(self) -> dict[str, object]:
-        """The JSON form of the value, built by json_safe on each access; it
-        shares no container with the value."""
-        return json_safe(self[2])
-
 
 class ProofTrace:
     """One solve's header (k, n_max and oracle_x_max, the oracle cross-check's
@@ -156,10 +150,12 @@ class ProofTrace:
 
     @classmethod
     def from_jsonable(cls, data: dict[str, object]) -> ProofTrace:
-        """The trace to_jsonable's form describes, each field as the JSON
-        holds it; solutions and oracle_x_max may be left out (None)."""
+        """The trace to_jsonable's form describes, fields as the JSON holds them;
+        solutions may be left out, and oracle_x_max unless oracle_checked is true."""
         steps = [ProofStep(s["op"], s["inputs"], s["result"]) for s in data["steps"]]
         sols, x_max = data.get("solutions"), data.get("oracle_x_max")
+        if data.get("oracle_checked") is True and x_max is None:
+            raise ValueError("oracle_checked is true, yet oracle_x_max is null")
         return cls(data["k"], data["n_max"], steps, sols, x_max)
 
     @property
@@ -209,22 +205,19 @@ class ProofTrace:
         return bad
 
     def jsonable_steps(self) -> Iterator[dict[str, object]]:
-        """Each step as {"op", "inputs", "result"}, in order, its inputs under
-        the op's names and its result through json_safe, built once per
-        distinct value object (see to_jsonable); numbers whose magnitudes sum
-        below 2^53, which json_safe keeps as they are, skip it."""
+        """Each step as {"op", "inputs", "result"}, the one place a step becomes
+        JSON: result is json_safe(value), once per distinct value (to_jsonable);
+        inputs, a tuple of numbers under 2^53 in all, under the op's names, or
+        else json_safe(step.inputs).  An op outside STEPS or a non-number raises."""
         results: dict[int, object] = {}
         for step in self.steps:
             op, inputs, value = step
-            try:
-                names = NAMES[op]
-                small = type(inputs) is tuple and len(inputs) == len(names)
-                small = small and sum(map(abs, inputs)) < JSON_INT_LIMIT
-            except (KeyError, TypeError):  # an unknown or unhashable op, a non-number
-                small = False
+            names = NAMES[op]
+            small = type(inputs) is tuple and sum(map(abs, inputs)) < JSON_INT_LIMIT
+            small = small and len(inputs) == len(names)
             result = results.get(id(value))
             if result is None:
-                result = results[id(value)] = step.result
+                result = results[id(value)] = json_safe(value)
             inputs = dict(zip(names, inputs)) if small else json_safe(step.inputs)
             yield {"op": op, "inputs": inputs, "result": result}
 

@@ -57,6 +57,19 @@ def test_solve_trace_lines_replayable(capsys):
     assert any(isinstance(v, str) for s in trace.steps for v in s.inputs.values())
 
 
+def test_trace_lines_rebuilt_write_back_byte_for_byte(capsys):
+    # a trace read back from solve --trace's key-sorted lines writes each
+    # step as the same line
+    code, out = run_cli(capsys, "solve", "--k", "3", "--trace")
+    assert code == 0
+    lines = [l for l in out.splitlines(keepends=True) if '"kind":"trace_step"' in l]
+    steps = [json.loads(line) for line in lines]
+    trace = ProofTrace.from_jsonable({"k": 3, "n_max": 30, "steps": steps})
+    for step in trace.jsonable_steps():
+        cli._write({"kind": "trace_step", **step})
+    assert capsys.readouterr().out == "".join(lines)
+
+
 def test_solve_trace_bytes_pinned(capsys):
     # the same digest is recorded for this command in perfbench/golden.json
     code, out = run_cli(capsys, "solve", "--k", "7", "--skip-oracle", "--trace")

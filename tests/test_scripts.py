@@ -184,3 +184,39 @@ def test_bench_record_never_overwrites(tmp_path, monkeypatch, capsys):
     assert bench.main(argv) == 2
     assert "not overwritten" in capsys.readouterr().err
     assert (tmp_path / "BENCH_7.json").read_text() == written
+
+
+PLANTED = """\
+def used(x):
+    if x:
+        return 1
+    return 2
+
+
+def unused():
+    return 3
+"""
+
+
+def test_untested_lines_names_the_lines_no_call_ran(tmp_path):
+    # the tracer runs in this process only, on a planted module: the
+    # branch not taken, and every line of the function never called
+    script = load_script("untested_lines")
+    path = tmp_path / "planted.py"
+    path.write_text(PLANTED)
+    spec = importlib.util.spec_from_file_location("planted", path)
+    planted = importlib.util.module_from_spec(spec)
+
+    def run():
+        spec.loader.exec_module(planted)
+        assert planted.used(True) == 1
+
+    before = sys.gettrace()
+    _, ran = script.lines_run(tmp_path, run)
+    assert sys.gettrace() is before
+    assert script.function_lines(path) == {1, 2, 3, 4, 7, 8}
+    assert script.untested(tmp_path, ran) == [
+        ("planted.py", 4),
+        ("planted.py", 7),
+        ("planted.py", 8),
+    ]

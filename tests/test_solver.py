@@ -66,10 +66,10 @@ def test_solve_k7_contains_n7_member():
 def test_trace_k0_p7_lucas_realization():
     _, trace = solve(0, n_max=30, oracle_x_max=10**4)
     gates = trace.find("bhv_gate")
-    assert any(s.result["route"] == "CheckDefectTable" and s.inputs["p"] == 7 for s in gates)
+    assert any(json_safe(s.value)["route"] == "CheckDefectTable" and s.inputs["p"] == 7 for s in gates)
     lucas_steps = trace.find("lucas_u")
     assert any(
-        s.inputs == {"P": 1, "Q": 5, "n": 7} and s.result == {"value": 1}
+        s.inputs == {"P": 1, "Q": 5, "n": 7} and json_safe(s.value) == {"value": 1}
         for s in lucas_steps
     )
 
@@ -77,7 +77,7 @@ def test_trace_k0_p7_lucas_realization():
 def test_trace_p_above_13_closed_without_solutions():
     sols, trace = solve(0, n_max=30, oracle_x_max=10**4)
     always = [
-        s for s in trace.find("bhv_gate") if s.result["route"] == "AlwaysPrimitive"
+        s for s in trace.find("bhv_gate") if json_safe(s.value)["route"] == "AlwaysPrimitive"
     ]
     assert always  # 17, 19, 23, 29 all route there
     assert {s.inputs["p"] for s in always} >= {17, 19, 23, 29}
@@ -92,9 +92,9 @@ def test_trace_reductions_strictly_decrease_k():
     reductions = trace.find("valuation_trichotomy")
     assert reductions
     for step in reductions:
-        assert step.result["outcome"] == "reduced"
-        assert step.result["reduced_k"] == step.inputs["k"] - step.inputs["s"]
-        assert step.result["reduced_k"] < step.inputs["k"]
+        assert json_safe(step.value)["outcome"] == "reduced"
+        assert json_safe(step.value)["reduced_k"] == step.inputs["k"] - step.inputs["s"]
+        assert json_safe(step.value)["reduced_k"] < step.inputs["k"]
     # reduction chains stay within depth k + 1
     assert len({s.inputs["s"] for s in reductions}) <= 3 + 1
 
@@ -103,7 +103,7 @@ def test_trace_contains_le_closure():
     _, trace = solve(1, n_max=10, oracle_x_max=10**3)
     le_steps = trace.find("no_19z2_solutions")
     assert len(le_steps) == 1
-    assert le_steps[0].result["outcome"] == "contradiction"
+    assert json_safe(le_steps[0].value)["outcome"] == "contradiction"
 
 
 def test_trace_replays_bit_for_bit():
@@ -115,11 +115,11 @@ def test_replay_names_tampered_steps():
     _, trace = solve(7, n_max=7, cross_check=False)
     steps = list(trace.steps)
     i = [s.op for s in trace.steps].index("p3_case")
-    flipped = {**steps[i].result, "outcome": "solutions"}
+    flipped = {**json_safe(steps[i].value), "outcome": "solutions"}
     steps[i] = ProofStep("p3_case", steps[i].inputs, flipped)
     j = [s.op for s in trace.steps].index("valuation_trichotomy")
     x_times_19 = {**steps[j].inputs, "X": steps[j].inputs["X"] * 19}
-    steps[j] = ProofStep("valuation_trichotomy", x_times_19, steps[j].result)
+    steps[j] = ProofStep("valuation_trichotomy", x_times_19, json_safe(steps[j].value))
     bad = ProofTrace(k=7, n_max=7, steps=steps).replay()
     assert [b.split(":")[0] for b in bad] == [
         f"step {i} p3_case",
@@ -240,6 +240,37 @@ def test_replay_takes_a_header_of_ints_alone(field, value):
     ]
 
 
+def test_a_header_claiming_a_cross_check_without_its_bound_is_refused():
+    # oracle_checked true with oracle_x_max null: no oracle step to replay,
+    # so the trace would replay clean while claiming a check that never ran
+    _, trace = solve(1, cross_check=False)
+    data = json.loads(json.dumps(trace.to_jsonable()))
+    data["oracle_checked"] = True
+    with pytest.raises(ValueError, match="oracle_checked .* oracle_x_max"):
+        ProofTrace.from_jsonable(data)
+
+
+@pytest.mark.parametrize(
+    "step, error",
+    [
+        (ProofStep("no_such_op", (1, 2), None), KeyError),
+        (ProofStep("even_case", (0, "x"), None), TypeError),
+    ],
+)
+def test_the_writer_refuses_a_step_solve_never_records(step, error):
+    _, trace = solve(0, n_max=3, cross_check=False)
+    trace.steps.append(step)
+    with pytest.raises(error):
+        trace.to_jsonable()
+
+
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_a_trace_rebuilt_from_its_json_writes_the_same_bytes(k):
+    _, trace = solve(k)
+    text = json.dumps(trace.to_jsonable())
+    assert json.dumps(rebuilt_from_json(trace).to_jsonable()) == text
+
+
 @pytest.mark.parametrize("field", ["k", "n_max", "oracle_x_max"])
 def test_replay_names_a_header_solve_refuses(field):
     # k or n_max = 10^400 is over the step budget, x_max = 0 no window:
@@ -332,8 +363,8 @@ def test_replay_names_a_dropped_oracle_triple():
     _, trace = solve(1, n_max=10, oracle_x_max=10**4)
     steps = list(trace.steps)
     i = [s.op for s in trace.steps].index("oracle_cross_check")
-    assert len(steps[i].result["solutions"]) == 2
-    dropped = {"solutions": steps[i].result["solutions"][1:]}
+    assert len(json_safe(steps[i].value)["solutions"]) == 2
+    dropped = {"solutions": json_safe(steps[i].value)["solutions"][1:]}
     steps[i] = ProofStep("oracle_cross_check", steps[i].inputs, dropped)
     tampered = ProofTrace(k=1, n_max=10, steps=steps, oracle_x_max=10**4)
     assert tampered.replay() == [f"step {i} oracle_cross_check: value differs"]
@@ -377,7 +408,7 @@ def test_replay_refuses_a_tampered_huge_z_max():
     steps = list(trace.steps)
     i = [s.op for s in trace.steps].index("no_19z2_solutions")
     huge = {**steps[i].inputs, "z_max": 10**15}
-    steps[i] = ProofStep("no_19z2_solutions", huge, steps[i].result)
+    steps[i] = ProofStep("no_19z2_solutions", huge, json_safe(steps[i].value))
     (bad,) = ProofTrace(k=0, n_max=3, steps=steps).replay()
     assert bad.startswith(f"step {i} no_19z2_solutions: solve passes")
     with pytest.raises(ValueError, match="scan budget"):
@@ -390,7 +421,7 @@ def test_replay_refuses_a_tampered_huge_p3_search_bound():
     steps = list(trace.steps)
     i = [s.op for s in trace.steps].index("p3_case")
     huge = {**steps[i].inputs, "search_bound": 10**15}
-    steps[i] = ProofStep("p3_case", huge, steps[i].result)
+    steps[i] = ProofStep("p3_case", huge, json_safe(steps[i].value))
     (bad,) = ProofTrace(k=0, n_max=3, steps=steps).replay()
     assert bad.startswith(f"step {i} p3_case: solve passes")
 
@@ -817,7 +848,7 @@ def test_composite_lift_is_recorded_and_replayed():
     # y = 5, and 5 is no 7th power
     _, trace = solve(0, n_max=49, cross_check=False)
     (lift,) = trace.find("composite_lift")
-    assert (lift.inputs, lift.result) == ({"y": 5, "j": 7, "n": 49}, {"root": None})
+    assert (lift.inputs, json_safe(lift.value)) == ({"y": 5, "j": 7, "n": 49}, {"root": None})
     assert trace.replay() == [] and rebuilt_from_json(trace).replay() == []
     steps = list(trace.steps)
     i = [s.op for s in trace.steps].index("composite_lift")
@@ -843,7 +874,7 @@ def test_step_result_shares_nothing_with_the_recorded_value():
     _, trace = solve(1, n_max=30, oracle_x_max=10**4)
     for t in (trace, rebuilt_from_json(trace)):
         for step in t.steps:
-            scribble(step.result)
+            scribble(json_safe(step.value))
         assert t.replay() == []
 
 
@@ -857,12 +888,12 @@ def test_trace_json_equals_its_steps_serialized_one_by_one(k):
         alone = {
             **data,
             "steps": [
-                {"op": s.op, "inputs": json_safe(s.inputs), "result": s.result}
+                {"op": s.op, "inputs": json_safe(s.inputs), "result": json_safe(s.value)}
                 for s in t.steps
             ],
         }
         assert json.dumps(data) == json.dumps(alone)
-        assert [s["result"] for s in data["steps"]] == [s.result for s in t.steps]
+        assert [s["result"] for s in data["steps"]] == [json_safe(s.value) for s in t.steps]
 
 
 def test_solve_and_replay_build_no_json(monkeypatch):
