@@ -210,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader closed stdout: send what is still buffered nowhere, and
         # end as a shell reports a process that SIGPIPE stopped (128 + 13)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     return code

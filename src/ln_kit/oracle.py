@@ -24,7 +24,9 @@ costs less, known before either starts:
   equation's D = 19^(2k+1) factors at once: k+1 divisors lie below sqrt(D).
   One walk serves every even n of the window, so it runs unless it has
   WALK_PER_Y times as many candidates as their y-scans together; its
-  price, charged once, is that of the full window, factored or not.
+  price, charged once, is that of the full window, factored or not.  The
+  even n's y-windows are built in ascending order only until the walk
+  wins, and an even n the walk serves has none.
 
 Neither uses coprimality or the theorem, and composite n are scanned too:
 the oracle is the ground truth and must not inherit the theorem's
@@ -55,12 +57,13 @@ SCAN_BUDGET = 10**8
 # 3,039,730-candidate walk took 0.23-0.28 s and the 980,136-candidate y-scan
 # 0.61-0.86 s (Python 3.11, 2-CPU host); on D near 10^10 and 10^11 the ratio
 # per candidate was 7 to 9 as well.  4 errs towards the y-scan, which the walk
-# is set against summed over the even n it serves.  That timing is of the walk
-# that tries every d, which runs only where D does not factor within the cap;
-# 19^11 factors, and its walk tests only the divisors of D in the window (none
-# at x_max = 10^7).  It also predates the y-scan's residue sieve, which
+# is set against summed over the even n it serves; the choice reads their
+# y-windows in ascending n only until the walk wins.  That timing is of the
+# walk that tries every d, which runs only where D does not factor within the
+# cap; 19^11 factors, and its walk tests only the divisors of D in the window
+# (none at x_max = 10^7).  It also predates the y-scan's residue sieve, which
 # runs the exact test on only the y it keeps and is not priced, so neither
-# side is priced at what it now runs (ROADMAP item 9).
+# side is priced at what it now runs (ROADMAP item 25).
 WALK_PER_Y = 4
 
 # The moduli whose residue tables (_kept) a y-scan's sieve (_sieved) may
@@ -310,24 +313,32 @@ def generalized_scan(
     # the last n where some y >= 2 fits: lam * 2^n <= x_max^2 + D
     n_top = min(n_max, (limit // lam).bit_length() - 1)
     tables: dict = {}  # this scan's residue tables (_table), dropped with it
-    windows = [(n, _y_window(D, lam, n, limit, tables)) for n in range(n_min, n_top + 1)]
     c = math.isqrt(lam)
     ds = _divisor_window(D, x_max)
     # one walk serves every even n, so it runs when it costs less than their
-    # y-scans together, and it is charged once
-    walk = c * c == lam and _size(ds) < WALK_PER_Y * sum(
-        _size(ys) for n, ys in windows if n % 2 == 0
-    )
+    # y-scans together, and it is charged once.  The even n's y-windows are
+    # built in ascending order only until it does: sizes are never negative,
+    # so no later window could undo the choice, and the walk serves them all
+    windows, even_size, walk = {}, 0, False  # the y-window of each y-scanned n
+    for n in range(n_min, n_top + 1):
+        if walk and n % 2 == 0:
+            continue
+        windows[n] = ys = _y_window(D, lam, n, limit, tables)
+        if c * c == lam and n % 2 == 0:
+            even_size += _size(ys)
+            walk = _size(ds) < WALK_PER_Y * even_size
+    if walk:
+        windows = {n: ys for n, ys in windows.items() if n % 2}
     check_budget(
         "the window",
-        sum(max(1, _size(ys)) for n, ys in windows if not (walk and n % 2 == 0))
+        sum(max(1, _size(ys)) for ys in windows.values())
         + (max(1, -(-_size(ds) // WALK_PER_Y)) if walk else 0)
         # each n above n_top costs one: its y-window holds y = 1 at most
         + n_max - max(n_min, n_top + 1) + 1
     )
     pairs = _square_pairs(D, x_max, ds) if walk else []
     out = []
-    for n, ys in windows:
+    for n in range(n_min, n_top + 1):
         if walk and n % 2 == 0:
             m = n // 2
             for x, z in pairs:
@@ -336,6 +347,7 @@ def generalized_scan(
                     if y**m * c == z:
                         out.append((x, y, n))
             continue
+        ys = windows[n]
         if not ys:
             continue
         for y in _sieved(D, lam, n, ys, tables):

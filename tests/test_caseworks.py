@@ -265,6 +265,21 @@ def test_p3_case_at_its_least_bound():
         p3_case(0, 0)
 
 
+@pytest.mark.parametrize(
+    "helper, planted",
+    [
+        ("_cubic_witnesses", lambda target, bound: [(1, -1)]),
+        ("_cubic_residues", lambda target: ((2,), 2, (1,))),
+    ],
+)
+def test_p3_case_raises_when_its_two_paths_disagree(helper, planted, monkeypatch):
+    # a witness from the search, or an a mod 3 left by the residue path,
+    # contradicts the other path: p3_case refuses rather than close the case
+    monkeypatch.setattr(caseworks, helper, planted)
+    with pytest.raises(RuntimeError, match="disagree for k=3"):
+        p3_case(3, 50)
+
+
 def test_p3_case_paths_agree_up_to_k4():
     for k in range(5):
         verdict = p3_case(k, 200)

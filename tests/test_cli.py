@@ -232,6 +232,49 @@ def test_lucas_command(capsys):
     ]
 
 
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its descriptor is a file's, which the CLI points at os.devnull."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_141_and_closes_what_it_opened(tmp_path, monkeypatch):
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    opened = []
+    os_open = os.open
+
+    def spy(*args):
+        opened.append(os_open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+    monkeypatch.setattr(os, "open", spy)
+    try:
+        assert cli.main(["lucas", "--p", "1", "--q", "5", "--n", "7"]) == 141
+        monkeypatch.undo()
+        # the one descriptor it opened, on os.devnull, is closed again
+        assert len(opened) == 1
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
+        # and stdout's descriptor now writes nowhere
+        os.write(fd, b"lost")
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == b""
+
+
 def test_lucas_negative_index_exit_2(capsys):
     # u_{-3} = -u_3 / Q^3 = 4/125 for (P, Q) = (1, 5): not an integer
     assert cli.main(["lucas", "--p", "1", "--q", "5", "--n", "-3"]) == 2

@@ -21,6 +21,7 @@ from ln_kit.oracle import (
     iroot,
     perfect_root,
 )
+from ln_kit.solver import verify_solution_completeness
 
 
 def naive_scan(D, lam, n_min, n_max, x_max):
@@ -330,6 +331,58 @@ def test_main_equation_walks_up_to_k5_and_y_scans_k6_to_k8(monkeypatch):
         brute_force(SearchWindow(k=k))
         chose.append("walk" if walks else "y-scan")
     assert chose == ["walk"] * 6 + ["y-scan"] * 3
+
+
+def spy_y_window(monkeypatch):
+    """Record the n of each y-window a scan builds."""
+    built = []
+    y_window = oracle._y_window
+
+    def spy(D, lam, n, limit, tables):
+        built.append(n)
+        return y_window(D, lam, n, limit, tables)
+
+    monkeypatch.setattr(oracle, "_y_window", spy)
+    return built
+
+
+def test_walk_choice_reads_the_even_windows_only_until_the_walk_wins(monkeypatch):
+    # the choice is set against the full sum of the even n's y-windows, as
+    # the test computes it here; the scan builds them in ascending order only
+    # until the walk wins, and the walk then serves every even n
+    walks = spy_square_pairs(monkeypatch)
+    built = spy_y_window(monkeypatch)
+    wins_at = set()  # how many even windows the walk needed, None if it lost
+    for D in range(40, 200, 2):
+        for lam in (1, 4, 9):
+            for x_max in (3, 10, 40):
+                walks.clear()
+                built.clear()
+                assert generalized_scan(D, lam, 2, 9, x_max) == naive_scan(
+                    D, lam, 2, 9, x_max
+                )
+                limit = x_max * x_max + D
+                n_top = min(9, (limit // lam).bit_length() - 1)
+                ds = _size(_divisor_window(D, x_max))
+                evens = range(2, n_top + 1, 2)
+                sizes = [_size(_y_window(D, lam, n, limit, {})) for n in evens]
+                walk = ds < WALK_PER_Y * sum(sizes)
+                assert len(walks) == walk
+                sums = enumerate(itertools.accumulate(sizes), 1)
+                needed = next((i for i, s in sums if ds < WALK_PER_Y * s), None)
+                wins_at.add(needed)
+                assert [n for n in built if n % 2 == 0] == list(evens[:needed])
+    # the walk won on n = 2 alone, on a sum of two or more even n, and never
+    assert 1 in wins_at and None in wins_at and max(wins_at - {None}) >= 2
+
+
+def test_k5_scan_builds_the_y_window_of_n2_and_the_odd_n_only(monkeypatch):
+    # verify --k 5: the walk wins on n = 2's window alone, so no window of
+    # n = 4, 6, ..., 30 is built
+    built = spy_y_window(monkeypatch)
+    ok, _ = verify_solution_completeness(5, SearchWindow(k=5))
+    assert ok
+    assert built == [2, *range(3, 31, 2)]
 
 
 def test_scan_budget_refuses_before_scanning():
@@ -663,13 +716,14 @@ def class_of(q, n):
 def test_a_scan_builds_each_residue_table_once_per_class_of_n(monkeypatch):
     # verify --k 5's default window built 46 tables, 35 of them mod 8, when
     # each n built its own: now one per (q, class of n), and a second scan
-    # builds them all again, as no table outlives its scan
+    # builds them all again, as no table outlives its scan.  The walk serves
+    # every even n, so the class of even n >= 4 needs none
     built = spy_kept(monkeypatch)
     for _ in range(2):
         built.clear()
         assert brute_force(SearchWindow(k=5)) == []
         classes = [(q, class_of(q, n)) for q, n in built]
-        assert len(set(classes)) == len(classes) == 12
+        assert len(set(classes)) == len(classes) == 11
         assert sum(q == 8 for q, _ in built) <= 3
 
 
