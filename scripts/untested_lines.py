@@ -14,7 +14,8 @@ Usage (from the repository root):
     python3 scripts/untested_lines.py                      # the Tier-1 suite
     python3 scripts/untested_lines.py tests/test_solver.py # pytest arguments
 
-The exit code is pytest's.
+The exit code is 1 when a line is listed, and pytest's otherwise, so that
+the script can gate.
 """
 
 from __future__ import annotations
@@ -100,9 +101,10 @@ def untested(root: Path, ran: set[tuple[str, int]]) -> list[tuple[str, int]]:
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(PACKAGE.parent))
     status, ran = lines_run(PACKAGE, lambda: pytest.main(argv or TIER1))
-    for module, line in untested(PACKAGE, ran):
+    listed = untested(PACKAGE, ran)
+    for module, line in listed:
         print(f"{module}:{line}")
-    return int(status)
+    return 1 if listed else int(status)
 
 
 if __name__ == "__main__":

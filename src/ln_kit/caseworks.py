@@ -9,7 +9,8 @@ returns one read-only verdict per question (lucas_engine.shared), shared by
 every caller in the process.  even_case checks k and m on every call, then
 takes what k alone decides from _even_split, built once per k and shared by
 the verdicts of every m.  p3_case, _pow2_verdict and no_19z2_solutions raise
-where they enumerate on what arithmetic or a cited theorem rules out.
+where they enumerate on what arithmetic or a cited theorem rules out; p3_case
+and mod_pow2_insoluble price their enumerations first (lucas_engine.check_budget).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from collections.abc import Iterable
 from types import MappingProxyType
 
 from .equation_model import LNInstance, Solution, check_D_digits, json_safe
-from .lucas_engine import Frozen, is_probable_prime, shared
-from .oracle import check_budget, generalized_scan, iroot, perfect_root
+from .lucas_engine import Frozen, check_budget, is_probable_prime, shared
+from .oracle import generalized_scan, iroot, perfect_root
 
 OUTCOME_CONTRADICTION = "contradiction"
 OUTCOME_FORCED = "forced"
@@ -73,7 +74,7 @@ def even_case(k: int, m: int) -> CaseVerdict:
         raise ValueError(f"need k >= 0 and m >= 1, got k={k}, m={m}")
     check_D_digits(k)
     x, ym, split, mod3 = _even_split(k)
-    root = ym if m == 1 else perfect_root(ym, m)
+    root = perfect_root(ym, m)
     power = {"check": "perfect_power", "value": ym, "m": m, "root": root}
     trace = (split, mod3, MappingProxyType(power))
     if root is None:
@@ -154,7 +155,7 @@ def mod_pow2_insoluble(p: int, t: int) -> CaseVerdict:
     t is the 19-adic valuation of b; t = 0 is the b = +-1 route, which meets
     the same congruence with the 19^(2t) factor collapsed to 1.  Raises
     ValueError before the enumeration when its 2^s residues are over the
-    scan budget (oracle.check_budget).
+    scan budget (lucas_engine.check_budget).
 
     The checks on p, t and the budget run on every call.  t enters the
     verdict only through the target, so every t that meets one shares one
@@ -251,7 +252,7 @@ def p3_case(k: int, search_bound: int) -> CaseVerdict:
     satisfy the cubic identity at all.  The box is decided one b at a time
     (a^2 is fixed by b), exactly and without residues; candidates_checked
     still counts every (a, b) pair in it.  Raises ValueError before the
-    search when its values of b are over the scan budget (oracle.check_budget),
+    search when its values of b are over the scan budget (lucas_engine.check_budget),
     and before 4*19^k is built when check_D_digits refuses k.
     """
     if k < 0 or search_bound < 1:
@@ -357,7 +358,7 @@ def no_19z2_solutions(n_max: int, z_max: int) -> CaseVerdict:
     of x^2 + 19 = 76*y^n over x <= 19*z_max decides it.  Every x it finds is
     odd and divisible by 19 (x^2 = 19*(4y^n - 1)), so Z = x/19 is odd.
     candidates_checked counts every Y >= 1 with 4*Y^n <= 19*z_max^2 + 1.
-    Raises ValueError when the window is over the oracle's SCAN_BUDGET, and
+    Raises ValueError when the window is over lucas_engine.SCAN_BUDGET, and
     RuntimeError naming any witness, which the cited theorem rules out.
 
     Cached itself, as its checks read only its arguments and SCAN_BUDGET, a

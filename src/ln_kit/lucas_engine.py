@@ -5,7 +5,9 @@ the discriminant (alpha - beta)^2 nor any earlier term u_2 ... u_{n-1}.
 trial_divide is the package's one trial-division loop, is_probable_prime its
 one primality test (its Miller-Rabin rounds, _passes_base, are the one such
 loop), check_digits its one (exact) test of the int-to-str digit limit,
-digit_limit its one reader, and shared its one verdict-cache declaration.
+digit_limit its one reader, check_budget its one comparison with the scan
+budget SCAN_BUDGET, shown its one writer of a value whose int may be too
+long to write, and shared its one verdict-cache declaration.
 Factoring runs trial_divide up to TRIAL_DIVISION_LIMIT and then splits what
 survives by deterministically seeded Brent-Pollard under a budget of
 word-size multiplications (FACTORING_BUDGET unless given), which pays for
@@ -27,6 +29,7 @@ import operator
 import random
 import sys
 from enum import Enum
+from types import MappingProxyType
 
 TRIAL_DIVISION_LIMIT = 10**6
 
@@ -38,6 +41,9 @@ TRIAL_DIVISION_LIMIT = 10**6
 # (|u_5| .. |u_13| of the pair (1, 5), all at most 15,679) never get past
 # trial division, so it changes none of them.
 FACTORING_BUDGET = 10**6
+
+# Most candidates one enumeration may try, in y-candidate units (check_budget).
+SCAN_BUDGET = 10**8
 
 # Verdicts each cached procedure keeps, the package's one bound on such
 # caches.  Each instance of a solve asks about the same odd primes p <= n_max
@@ -177,6 +183,36 @@ def check_digits(value: str, count: int, each: float, more: float = 0.0) -> None
             f"{limit}-digit limit of int-to-str conversion "
             "(sys.get_int_max_str_digits())"
         )
+
+
+def check_budget(what: str, count: int) -> None:
+    """Refuse, before any work, what needs count candidates over SCAN_BUDGET,
+    with count as shown writes it; the package's one comparison with it.  A
+    candidate is a y of oracle.generalized_scan's y-windows (or WALK_PER_Y
+    of its walk's), a word multiplication of building D in oracle.brute_force,
+    a b of caseworks.p3_case, an odd residue of caseworks.mod_pow2_insoluble
+    and an (A, B) pair of quadratic_integers.class_number_imag."""
+    if count > SCAN_BUDGET:
+        raise ValueError(
+            f"{what} needs {shown(count)} candidates (y-scan units), "
+            f"over the scan budget of {SCAN_BUDGET}"
+        )
+
+
+def shown(value: object) -> str:
+    """repr of value, with an int of more than 1,024 bits, alone or as a
+    dict's key or value, written as its bit count, and anything else that
+    holds an int too long to write as its type: no int-to-str limit can
+    raise while a refusal or a divergence is written."""
+    if type(value) in (dict, MappingProxyType):
+        items = (f"{shown(k)}: {shown(v)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"<int of {value.bit_length()} bits>"
+    try:
+        return repr(value)
+    except ValueError:  # an int past the limit, deeper in
+        return f"<{type(value).__name__} holding an int too long to write>"
 
 
 def digit_limit() -> int:

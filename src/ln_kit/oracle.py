@@ -17,7 +17,7 @@ costs less, known before either starts:
   y they keep;
 - the divisor walk, for even n = 2m and lambda = c^2, uses
   x^2 + D = z^2 with z = c*y^m: d = z - x is a divisor of D below sqrt(D),
-  so the divisors of D in the window give every pair, and y is read off z.
+  so the divisors of D in the window give every pair; perfect_root reads y off z.
   They are built from D's factorization when trial division, capped at a
   tenth of the walk's cost, proves it (lucas_engine.trial_divide, no
   primality test); otherwise every d in the window is tried.  The main
@@ -32,8 +32,8 @@ Neither uses coprimality or the theorem, and composite n are scanned too:
 the oracle is the ground truth and must not inherit the theorem's
 reductions.  All arithmetic is exact.  A window whose cost, summed over n
 in y-candidate units (WALK_PER_Y walk candidates make one), exceeds
-SCAN_BUDGET is refused by check_budget before any candidate is tried, and
-so is a k whose D = 19^(2k+1) costs more than that to build.  A
+lucas_engine.SCAN_BUDGET is refused by check_budget before any candidate
+is tried, and so is a k whose D = 19^(2k+1) costs more than that to build.  A
 y-scan is priced at its whole window, less the even y when the mod-8 table
 rules every even y out (_y_window), however few y its sieve keeps; that
 price also sets the walk-or-scan choice.
@@ -45,11 +45,7 @@ import math
 from collections.abc import Iterator
 
 from .equation_model import LNInstance, Solution, is_solution
-from .lucas_engine import Frozen, trial_divide
-
-# Most candidates one scan may try, in y-candidate units; every y-scanned n
-# counts as at least one, and so does the walk.
-SCAN_BUDGET = 10**8
+from .lucas_engine import Frozen, check_budget, trial_divide
 
 # Walk candidates that cost about one y-scan candidate.  A walk candidate is
 # one modulo; a y-candidate is a power, an isqrt and a product.  Trying every
@@ -145,11 +141,9 @@ def iroot(v: int, m: int) -> int:
 
 
 def perfect_root(v: int, m: int) -> int | None:
-    """The exact r with r^m == v, if one exists."""
+    """The exact r with r^m == v, if one exists; iroot checks m."""
     if v < 1:
         raise ValueError(f"v must be positive, got {v}")
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
     r = iroot(v, m)
     return r if r**m == v else None
 
@@ -279,22 +273,6 @@ def _size(r: range) -> int:
     return max(0, -((r.start - r.stop) // r.step))
 
 
-def check_budget(what: str, count: int) -> None:
-    """Refuse, before any work, what needs count candidates over SCAN_BUDGET;
-    the package's one comparison with it.  caseworks.p3_case counts a value
-    of b, quadratic_integers.class_number_imag an (A, B) pair, and
-    brute_force a word multiplication of building D, as one."""
-    if count > SCAN_BUDGET:
-        # a count of over 1,024 bits is written as solver._shown writes it,
-        # so no int-to-str limit can raise while the refusal is written
-        bits = count.bit_length()
-        shown = count if bits <= 1024 else f"<int of {bits} bits>"
-        raise ValueError(
-            f"{what} needs {shown} candidates (y-scan units), "
-            f"over the scan budget of {SCAN_BUDGET}"
-        )
-
-
 def generalized_scan(
     D: int, lam: int, n_min: int, n_max: int, x_max: int
 ) -> list[tuple[int, int, int]]:
@@ -342,10 +320,9 @@ def generalized_scan(
         if walk and n % 2 == 0:
             m = n // 2
             for x, z in pairs:
-                if z % c == 0:
-                    y = iroot(z // c, m)
-                    if y**m * c == z:
-                        out.append((x, y, n))
+                y = perfect_root(z // c, m) if z % c == 0 else None
+                if y is not None:
+                    out.append((x, y, n))
             continue
         ys = windows[n]
         if not ys:

@@ -2,7 +2,8 @@
 
 Elements are stored as coefficient pairs (a, b) meaning (a + b*sqrt(-19))/2
 with a == b (mod 2), so rational integers m are (2m, 0).  Everything here is
-exact integer arithmetic; no floating point.
+exact integer arithmetic; no floating point.  class_number_imag prices its
+enumeration by lucas_engine.check_budget: nothing here comes from the oracle.
 
 The only units of this ring are +-1 (assumed, not computed): odd powers
 absorb them, which is why power-extraction callers may flip the sign of a
@@ -13,8 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .lucas_engine import Frozen
-from .oracle import check_budget
+from .lucas_engine import Frozen, check_budget
 
 
 class QuadInt19(Frozen):
@@ -66,7 +66,7 @@ def class_number_imag(disc: int) -> list[tuple[int, int, int]]:
     exactly one per equivalence class, so their count is the class number.
     The enumeration is exhaustive, exact and bit-stable.  Raises ValueError
     before it starts when its (A, B) pairs are over the scan budget
-    (oracle.check_budget).
+    (lucas_engine.check_budget).
     """
     if disc >= 0:
         raise ValueError(f"discriminant must be negative, got {disc}")

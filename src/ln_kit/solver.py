@@ -60,6 +60,7 @@ from .lucas_engine import (
     lucas_u,
     primitive_divisor,
     shared,
+    shown,
 )
 from .oracle import DEFAULT_WINDOW, SearchWindow, brute_force, perfect_root
 from .quadratic_integers import QuadInt19, qpow
@@ -118,7 +119,7 @@ class ProofStep(tuple):
         return tuple.__new__(cls, (op, inputs, value))
 
     def __repr__(self) -> str:
-        op, inputs, value = self[0], _shown(self.inputs), self[2]
+        op, inputs, value = self[0], shown(self.inputs), self[2]
         return f"ProofStep(op={op!r}, inputs={inputs}, value={value!r})"
 
     @property
@@ -190,7 +191,7 @@ class ProofTrace:
         for name in ("k", "n_max", "oracle_x_max"):
             v = getattr(self, name)
             if type(v) is not int and not (v is None and name == "oracle_x_max"):
-                return [f"header: {name}={_shown(v)} is not an integer"]
+                return [f"header: {name}={shown(v)} is not an integer"]
         proof = ProofTrace(self.k, self.n_max, oracle_x_max=self.oracle_x_max)
         try:
             sols = _prove(proof)
@@ -200,7 +201,7 @@ class ProofTrace:
         bad = _differences(proof.steps, self.steps, whole=True)
         kept = self.solutions
         if kept is not None and sols != kept and not _same_form(json_safe(sols), kept):
-            held = f"{len(kept)} are" if type(kept) is list else f"{_shown(kept)} is"
+            held = f"{len(kept)} are" if type(kept) is list else f"{shown(kept)} is"
             bad.append(f"solutions: the trace's {held} not solve's {len(sols)}")
         return bad
 
@@ -264,8 +265,8 @@ def _differences(mine: list[ProofStep], theirs: list, whole: bool) -> list[str]:
             or type(recorded) is tuple and _same_form(json_safe(inputs), [*recorded])
         ):
             bad.append(
-                f"step {i} {op}: solve passes {_shown(mine[i].inputs)}, the "
-                f"trace records {_shown(recorded_op)} {_shown(theirs[i].inputs)}"
+                f"step {i} {op}: solve passes {shown(mine[i].inputs)}, the "
+                f"trace records {shown(recorded_op)} {shown(theirs[i].inputs)}"
             )
         elif value is not recorded_value and not (
             type(value) is type(recorded_value) and value == recorded_value
@@ -280,22 +281,6 @@ def _differences(mine: list[ProofStep], theirs: list, whole: bool) -> list[str]:
         i = len(mine)
         bad.append(f"step {i} {theirs[i].op}: past the end of solve's proof")
     return bad
-
-
-def _shown(recorded: object) -> str:
-    """repr of a recorded value, with an int of more than 1,024 bits, alone
-    or as a dict's key or value, written as its bit count, and anything else
-    that holds an int too long to write as its type: no int-to-str limit can
-    raise while a divergence is named."""
-    if type(recorded) in (dict, MappingProxyType):
-        items = (f"{_shown(k)}: {_shown(v)}" for k, v in recorded.items())
-        return "{" + ", ".join(items) + "}"
-    if isinstance(recorded, int) and recorded.bit_length() > 1024:
-        return f"<int of {recorded.bit_length()} bits>"
-    try:
-        return repr(recorded)
-    except ValueError:  # an int past the limit, deeper in
-        return f"<{type(recorded).__name__} holding an int too long to write>"
 
 
 def _same_form(form: object, recorded: object) -> bool:
@@ -534,8 +519,8 @@ def _prove(trace: ProofTrace) -> list[Solution]:
     bound = step_bound(k, n_max)
     if bound > STEP_BUDGET:
         raise ValueError(
-            f"solve(k={_shown(k)}, n_max={_shown(n_max)}) may take up to "
-            f"{_shown(bound)} steps, over the step budget of {STEP_BUDGET}"
+            f"solve(k={shown(k)}, n_max={shown(n_max)}) may take up to "
+            f"{shown(bound)} steps, over the step budget of {STEP_BUDGET}"
         )
     check_D_digits(k)
     if n_max < 2:

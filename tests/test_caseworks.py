@@ -6,7 +6,7 @@ from types import MappingProxyType
 
 import pytest
 
-from ln_kit import caseworks, oracle
+from ln_kit import caseworks, lucas_engine, oracle
 from ln_kit.caseworks import (
     OUTCOME_CONTRADICTION,
     OUTCOME_FORCED,
@@ -160,7 +160,7 @@ def test_mod_pow2_insoluble_t0_route():
 def test_mod_pow2_insoluble_prices_its_residues_before_listing_them(monkeypatch):
     # p = 3 + 2^20 * 5 lists the 2^20 odd residues mod 2^21: over a budget of
     # 2^19 it is refused before the first one
-    monkeypatch.setattr(oracle, "SCAN_BUDGET", 2**19)
+    monkeypatch.setattr(lucas_engine, "SCAN_BUDGET", 2**19)
     with pytest.raises(ValueError, match="mod_pow2_insoluble.*scan budget"):
         mod_pow2_insoluble(5_242_883, 0)
     assert mod_pow2_insoluble(19, 0).trace[0]["odd_residues_checked"] == 16
@@ -168,10 +168,10 @@ def test_mod_pow2_insoluble_prices_its_residues_before_listing_them(monkeypatch)
 
 def test_mod_pow2_insoluble_is_priced_at_its_odd_residues(monkeypatch):
     # p = 7: s = 2, modulus 8, so 4 odd residues
-    monkeypatch.setattr(oracle, "SCAN_BUDGET", 3)
+    monkeypatch.setattr(lucas_engine, "SCAN_BUDGET", 3)
     with pytest.raises(ValueError, match="needs 4 candidates"):
         mod_pow2_insoluble(7, 0)
-    monkeypatch.setattr(oracle, "SCAN_BUDGET", 4)
+    monkeypatch.setattr(lucas_engine, "SCAN_BUDGET", 4)
     assert mod_pow2_insoluble(7, 0).trace[0]["odd_residues_checked"] == 4
 
 

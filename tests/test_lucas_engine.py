@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ln_kit import lucas_engine
+from ln_kit.caseworks import mod_pow2_insoluble, p3_case
 from ln_kit.lucas_engine import (
     FACTORING_BUDGET,
     BhvRoute,
@@ -23,7 +25,8 @@ from ln_kit.lucas_engine import (
     trial_divide,
     u_n_log10,
 )
-from ln_kit.quadratic_integers import QuadInt19, qpow
+from ln_kit.oracle import SearchWindow, brute_force, generalized_scan
+from ln_kit.quadratic_integers import QuadInt19, class_number_imag, qpow
 
 
 def recurrence_terms(P, Q, n):
@@ -438,6 +441,51 @@ def test_primitive_divisor_refuses_past_the_digit_limit_before_factoring():
 def test_check_digits_returns_without_a_limit(monkeypatch):
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
     check_digits("19^(2k+1)", 10**400, math.log10(19))
+
+
+# each consumer of check_budget: what it names, the count a call charges,
+# counted here, the call, and what the call gives within the budget
+BUDGET_EDGES = {
+    # one window: y = 2..70 at n = 2 (7 < 2y^2 <= 100^2 + 7), even y kept,
+    # as 2*2^2 - 7 = 1 is a square mod 8; the x are worked by hand
+    "generalized_scan": (
+        "the window", 69, lambda: generalized_scan(7, 2, 2, 2, 100),
+        [(1, 2, 2), (5, 4, 2), (11, 8, 2), (31, 22, 2), (65, 46, 2)],
+    ),
+    # 19^201 has at most 201 * 17 // 4 = 854 bits: (854 // 64)^2 words
+    "brute_force": (
+        "building 19^(2k+1)", 169,
+        lambda: brute_force(SearchWindow(100, 2, 2, 1)), [],
+    ),
+    # the odd b in [1, 9], either sign
+    "p3_case": (
+        "p3_case(search_bound=9)", 10, lambda: p3_case(0, 9).outcome, "contradiction",
+    ),
+    # p = 7 = 3 + 2^2: the 4 odd residues mod 2^3
+    "mod_pow2_insoluble": (
+        "mod_pow2_insoluble(p=7)", 4, lambda: mod_pow2_insoluble(7, 0).outcome,
+        "contradiction",
+    ),
+    # A <= isqrt(23 // 3) = 2, and 2A + 1 values of B for each; h(-23) = 3
+    "class_number_imag": (
+        "discriminant -23", 3 + 5, lambda: class_number_imag(-23),
+        [(1, 1, 6), (2, -1, 3), (2, 1, 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("consumer", BUDGET_EDGES)
+def test_check_budget_edge_of_each_consumer(monkeypatch, consumer):
+    what, count, call, within = BUDGET_EDGES[consumer]
+    monkeypatch.setattr(lucas_engine, "SCAN_BUDGET", count - 1)
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == (
+        f"{what} needs {count} candidates (y-scan units), "
+        f"over the scan budget of {count - 1}"
+    )
+    monkeypatch.setattr(lucas_engine, "SCAN_BUDGET", count)
+    assert call() == within
 
 
 def test_check_digits_refuses_from_the_least_count_past_the_limit():

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ln_kit.equation_model import LNInstance, is_solution
-from ln_kit.lucas_engine import trial_divide
-from ln_kit import oracle
+from ln_kit.lucas_engine import SCAN_BUDGET, trial_divide
+from ln_kit import lucas_engine, oracle
 from ln_kit.oracle import (
-    SCAN_BUDGET,
     WALK_PER_Y,
     SearchWindow,
     _divisor_window,
@@ -39,7 +38,7 @@ def naive_scan(D, lam, n_min, n_max, x_max):
 
 @pytest.mark.parametrize(
     "v, m, r",
-    [(78125, 7, 5), (5, 2, None), (1, 9, 1), (2**60, 12, 32), (6859, 3, 19)],
+    [(78125, 7, 5), (5, 2, None), (1, 9, 1), (2**60, 12, 32), (6859, 3, 19), (8, 1, 8)],
 )
 def test_perfect_root_examples(v, m, r):
     assert perfect_root(v, m) == r
@@ -312,10 +311,10 @@ def test_one_walk_serves_every_even_n_and_is_charged_once(monkeypatch):
     assert _size(_divisor_window(D, x_max)) == 1
     odd = sum(max(1, _size(_y_window(D, lam, n, limit, {}))) for n in range(3, 31, 2))
     walks = spy_square_pairs(monkeypatch)
-    monkeypatch.setattr(oracle, "SCAN_BUDGET", odd + 1)
+    monkeypatch.setattr(lucas_engine, "SCAN_BUDGET", odd + 1)
     assert generalized_scan(D, lam, 2, 30, x_max) == naive_scan(D, lam, 2, 30, x_max)
     assert len(walks) == 1
-    monkeypatch.setattr(oracle, "SCAN_BUDGET", odd)
+    monkeypatch.setattr(lucas_engine, "SCAN_BUDGET", odd)
     with pytest.raises(ValueError, match="scan budget"):
         generalized_scan(D, lam, 2, 30, x_max)
     assert len(walks) == 1

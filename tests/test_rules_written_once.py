@@ -3,7 +3,10 @@
 built from that declaration, one reader of the int-to-str digit limit
 (lucas_engine.digit_limit), one constructor per value type, one way to
 hold a frozen value's fields (the tuple it is), each read off an object
-alone, and one class that records proof steps (solver.ProofTrace)."""
+alone, one class that records proof steps (solver.ProofTrace), one writer
+of an int as its bit count (lucas_engine.shown), one scan budget
+(lucas_engine.SCAN_BUDGET, read by check_budget alone) and one check of a
+root's degree (oracle.iroot)."""
 
 import ast
 from pathlib import Path
@@ -155,3 +158,57 @@ def test_no_module_reads_a_frozen_field_off_the_class():
             if held and (read is None or read & held):
                 places.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert places == []
+
+
+def test_only_shown_writes_an_int_as_its_bit_count():
+    # the form "<int of N bits>" stands for an int too long to write; one
+    # function builds it, so a refusal and a divergence write it alike
+    places = []
+    for module, lines, tree in modules():
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for i, line in enumerate(lines, 1):
+            if "<int of" in line:
+                places.extend(
+                    f"{module}.{f.name}"
+                    for f in functions
+                    if f.lineno <= i <= f.end_lineno
+                )
+    assert places == ["lucas_engine.shown"]
+
+
+def test_only_lucas_engine_names_the_scan_budget():
+    # assigned once and read by check_budget; no other module, script or
+    # perfbench file reads it (a docstring may name it)
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    paths += (ROOT / "perfbench").glob("*.py")
+    places = []
+    for path in sorted(paths):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Name) and node.id == "SCAN_BUDGET"
+                or isinstance(node, ast.Attribute) and node.attr == "SCAN_BUDGET"
+                or isinstance(node, ast.alias) and node.name == "SCAN_BUDGET"
+                or isinstance(node, ast.Constant) and node.value == "SCAN_BUDGET"
+            ):
+                context = type(getattr(node, "ctx", None)).__name__
+                places.append((path.relative_to(ROOT).as_posix(), context))
+    engine = "src/ln_kit/lucas_engine.py"
+    assert sorted(places) == [(engine, "Load"), (engine, "Load"), (engine, "Store")]
+
+
+def test_only_iroot_checks_the_degree_of_a_root():
+    # a raise under a test that reads m alone (the degree, as iroot and
+    # perfect_root name it); even_case's check reads k beside its m
+    places = []
+    for module, _, tree in modules():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if not isinstance(node, ast.If):
+                    continue
+                read = {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}
+                raises = any(isinstance(n, ast.Raise) for n in node.body)
+                if read == {"m"} and raises:
+                    places.append(f"{module}.{function.name}")
+    assert places == ["oracle.iroot"]

@@ -220,3 +220,37 @@ def test_untested_lines_names_the_lines_no_call_ran(tmp_path):
         ("planted.py", 7),
         ("planted.py", 8),
     ]
+
+
+@pytest.mark.parametrize(
+    "calls, status, expected",
+    [
+        ((True,), 0, (1, "planted.py:4\nplanted.py:7\nplanted.py:8\n")),
+        ((True, False, None), 0, (0, "")),
+        ((True, False, None), 5, (5, "")),
+    ],
+)
+def test_untested_lines_exits_1_when_it_lists_a_line(
+    tmp_path, monkeypatch, capsys, calls, status, expected
+):
+    # PACKAGE points at a planted module, and pytest.main, stubbed, runs the
+    # calls: used(arg) for each bool, unused() for None
+    script = load_script("untested_lines")
+    package = tmp_path / "planted_pkg"
+    package.mkdir()
+    path = package / "planted.py"
+    path.write_text(PLANTED)
+    monkeypatch.setattr(script, "PACKAGE", package)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+    def run_tests(argv):
+        assert argv == ["-q"]
+        spec = importlib.util.spec_from_file_location("planted", path)
+        planted = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(planted)
+        for arg in calls:
+            planted.unused() if arg is None else planted.used(arg)
+        return status
+
+    monkeypatch.setattr(script.pytest, "main", run_tests)
+    assert (script.main(["-q"]), capsys.readouterr().out) == expected

@@ -23,12 +23,11 @@ NOT_KERNEL = {"brute_force"}
 
 # (importing module, module imported from, function)
 SHARED = {
-    ("caseworks", "oracle", "check_budget"),
     ("caseworks", "oracle", "generalized_scan"),
     ("caseworks", "oracle", "iroot"),
     ("caseworks", "oracle", "perfect_root"),
-    ("quadratic_integers", "oracle", "check_budget"),
     ("solver", "oracle", "perfect_root"),
+    ("oracle", "lucas_engine", "check_budget"),
     ("oracle", "lucas_engine", "trial_divide"),
     ("oracle", "equation_model", "is_solution"),
 }
@@ -43,9 +42,7 @@ REFERENCES = {
         "test_oracle", ("test_perfect_root_roundtrip", "test_perfect_root_near_misses")
     ),
     "trial_divide": ("test_lucas_engine", ("reference_factorization", "REFERENCE_UP_TO_10K")),
-    "check_budget": (
-        "test_caseworks", ("test_mod_pow2_insoluble_is_priced_at_its_odd_residues",)
-    ),
+    "check_budget": ("test_lucas_engine", ("test_check_budget_edge_of_each_consumer",)),
     "is_solution": ("test_equation_model", ("test_is_solution_examples",)),
 }
 

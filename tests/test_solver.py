@@ -858,6 +858,24 @@ def test_composite_lift_is_recorded_and_replayed():
     assert rebuilt_from_json(tampered).replay() == [f"step {i} composite_lift: value differs"]
 
 
+@pytest.mark.parametrize("y, lifted", [(27, [Solution(1, 3, 9)]), (25, [])])
+def test_composite_lift_appends_the_root_of_a_planted_y(monkeypatch, y, lifted):
+    # no instance has an odd-prime solution whose y is a perfect power, so
+    # one is planted at p = 3: n = 9 = 3 * 3 lifts it through y^3 = 27
+    planted = [Solution(1, y, 3)]
+    monkeypatch.setattr(
+        solver_mod, "_odd_prime_solutions", lambda kk, p, trace: planted if p == 3 else []
+    )
+    monkeypatch.setattr(solver_mod, "is_solution", lambda *args: True)
+    trace = ProofTrace(0, 9)
+    sols = solver_mod._primitive_solutions(0, 9, trace)
+    (lift,) = trace.find("composite_lift")
+    assert lift.inputs == {"y": y, "j": 3, "n": 9}
+    assert lift.value["root"] == (3 if lifted else None)
+    assert [s for s in sols if s.n == 9] == lifted
+    assert planted[0] in sols
+
+
 def scribble(obj):
     """Append to every list and add a key to every dict inside obj."""
     if isinstance(obj, list):
@@ -1184,7 +1202,7 @@ def test_defect_table_route():
         (iroot, (-1, 2), "v must be non-negative, got -1"),
         (iroot, (10, 0), "m must be positive, got 0"),
         (perfect_root, (0, 2), "v must be positive, got 0"),
-        (perfect_root, (8, 1), "m must be at least 2, got 1"),
+        (perfect_root, (8, 0), "m must be positive, got 0"),
     ],
 )
 def test_step_procedures_refuse_bad_inputs(procedure, args, message):

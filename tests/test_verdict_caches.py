@@ -10,7 +10,7 @@ from types import MappingProxyType
 import pytest
 from conftest import package_caches, package_modules, rebuilt_from_json
 
-from ln_kit import caseworks, lucas_engine, oracle
+from ln_kit import caseworks, lucas_engine
 from ln_kit.caseworks import CaseVerdict, mod_pow2_insoluble, no_19z2_solutions
 from ln_kit.lucas_engine import (
     VERDICT_CACHE_SIZE,
@@ -204,7 +204,7 @@ def test_a_cache_hit_still_refuses_bad_inputs(monkeypatch):
     with pytest.raises(ValueError, match="t must be non-negative"):
         mod_pow2_insoluble(7, -4)
     # limits read on each call: the scan budget and the digit limit
-    monkeypatch.setattr(oracle, "SCAN_BUDGET", 3)
+    monkeypatch.setattr(lucas_engine, "SCAN_BUDGET", 3)
     with pytest.raises(ValueError, match="needs 4 candidates"):
         mod_pow2_insoluble(7, 0)
     assert primitive_divisor(pair, 400, 0).n == 400  # u_400 has 140 digits
